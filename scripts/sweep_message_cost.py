@@ -9,7 +9,7 @@ broadcast per interval regardless of size) and the all-pairs reduction
 import argparse
 from pathlib import Path
 
-from nfdl.cli import measure_cost
+from nfdl.experiments import measure_cost
 from nfdl.protocol import ProtocolConfig
 
 

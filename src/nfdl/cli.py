@@ -21,8 +21,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import qos, simnet
-from .protocol import ProtocolConfig, naive_reduction_cost
+from . import experiments, qos, simnet
+from .protocol import ProtocolConfig
 from .stable_store import FileStore, StorageError
 
 
@@ -109,52 +109,9 @@ def cmd_run(args) -> int:
     return 0
 
 
-def measure_cost(
-    n: int, duration: int, config: ProtocolConfig, seed: int = 0
-) -> list[dict]:
-    """Steady-state sends per eta for both algorithms, with predictions."""
-    if n < 2:
-        raise ValueError(f"need at least 2 processes, got {n}")
-    network = simnet.NetworkModel(
-        loss_prob=0.0, delay_mean=5.0, delay_var=0.0, delay_dist="constant"
-    )
-    settle = 3 * (config.eta + config.alpha)
-    start = -(-settle // config.eta) * config.eta  # round up to the send grid
-    periods = (duration - start) // config.eta - 1
-    if periods < 1:
-        raise ValueError(
-            f"duration {duration} ms is too short to reach steady state; "
-            f"need more than {start + 2 * config.eta} ms"
-        )
-    rows = []
-    for algorithm, predicted in (
-        ("nfdl", 1),
-        ("naive-reduction", naive_reduction_cost(n)),
-    ):
-        scenario = simnet.Scenario(
-            n_processes=n,
-            config=config,
-            network=network,
-            duration=duration,
-            seed=seed,
-            algorithm=algorithm,
-        )
-        trace = simnet.run(scenario)
-        measured = qos.sends_per_eta(trace, start, periods)
-        rows.append(
-            {
-                "algorithm": algorithm,
-                "procs": n,
-                "predicted_per_eta": predicted,
-                "measured_per_eta": measured,
-            }
-        )
-    return rows
-
-
 def cmd_compare_cost(args) -> int:
     config = ProtocolConfig(args.eta_ms, args.alpha_ms, args.window_n)
-    rows = measure_cost(args.procs, args.duration_ms, config, args.seed)
+    rows = experiments.measure_cost(args.procs, args.duration_ms, config, args.seed)
     print(f"{'algorithm':<18}{'procs':>6}{'predicted/eta':>15}{'measured/eta':>14}")
     for row in rows:
         print(

@@ -1,4 +1,4 @@
-"""Canned measurement scenarios.
+"""Canned measurement scenarios and the message-cost measurement.
 
 Two experiment families, mirroring how the detector's QoS is assessed:
 
@@ -13,12 +13,16 @@ Crash instants in the speed schedule sweep the whole heartbeat interval in
 evenly spaced offsets from the send grid: detection latency depends on how
 far past the last heartbeat the crash lands, so sweeping the phase probes
 the full latency range instead of sampling one lucky point.
+
+``measure_cost`` counts steady-state heartbeats per eta for the election
+and the all-pairs reduction, next to their analytic predictions.
 """
 
 from __future__ import annotations
 
-from .protocol import ProtocolConfig
-from .simnet import FaultEvent, NetworkModel, Scenario
+from .protocol import ProtocolConfig, naive_reduction_cost
+from .qos import sends_per_eta
+from .simnet import FaultEvent, NetworkModel, Scenario, run
 
 # Operating point used throughout the measurement suite.
 ETA_MS = 330
@@ -81,3 +85,46 @@ def speed_scenario(
         faults=tuple(faults),
         high_priority=leader,
     )
+
+
+def measure_cost(
+    n: int, duration: int, config: ProtocolConfig, seed: int = 0
+) -> list[dict]:
+    """Steady-state sends per eta for both algorithms, with predictions."""
+    if n < 2:
+        raise ValueError(f"need at least 2 processes, got {n}")
+    network = NetworkModel(
+        loss_prob=0.0, delay_mean=5.0, delay_var=0.0, delay_dist="constant"
+    )
+    settle = 3 * (config.eta + config.alpha)
+    start = -(-settle // config.eta) * config.eta  # round up to the send grid
+    periods = (duration - start) // config.eta - 1
+    if periods < 1:
+        raise ValueError(
+            f"duration {duration} ms is too short to reach steady state; "
+            f"need more than {start + 2 * config.eta} ms"
+        )
+    rows = []
+    for algorithm, predicted in (
+        ("nfdl", 1),
+        ("naive-reduction", naive_reduction_cost(n)),
+    ):
+        scenario = Scenario(
+            n_processes=n,
+            config=config,
+            network=network,
+            duration=duration,
+            seed=seed,
+            algorithm=algorithm,
+        )
+        trace = run(scenario)
+        measured = sends_per_eta(trace, start, periods)
+        rows.append(
+            {
+                "algorithm": algorithm,
+                "procs": n,
+                "predicted_per_eta": predicted,
+                "measured_per_eta": measured,
+            }
+        )
+    return rows

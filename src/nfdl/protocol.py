@@ -9,8 +9,9 @@ explicit clock argument (no internal timers, no wall clock):
   freshness deadline and self-elects when it expires.  Leadership challenges
   are settled by priority: higher uptime wins, process id breaks ties.
 * ``NfdeMonitor`` - the classic two-valued trust/suspect monitor of a single
-  remote heartbeat source, used standalone as a baseline and internally by
-  the all-pairs reduction.
+  remote heartbeat source; the simulator's all-pairs node runs one per
+  watched peer, for both the two-process baseline and the all-pairs
+  reduction.
 * ``naive_reduction_cost`` - the message bill of building leader election
   from all-pairs monitoring, kept as the analytic cross-check for the
   simulator's counters.

@@ -93,21 +93,6 @@ def leader_alive_intervals(
     return tuple(intervals)
 
 
-def ground_truth(scenario: Scenario, leader: int | None = None) -> GroundTruth:
-    if leader is None:
-        leader = scenario.high_priority
-    if leader is None and scenario.faults:
-        leader = scenario.faults[0].process
-    if leader is None:
-        raise ValueError(
-            "true leader is ambiguous; pass one explicitly or set high_priority"
-        )
-    return GroundTruth(
-        leader=leader,
-        alive=leader_alive_intervals(scenario.faults, leader, scenario.duration),
-    )
-
-
 def infer_true_leader(trace: EventTrace) -> int:
     """True leader for metric extraction.
 

@@ -18,6 +18,23 @@ kind ranks crash < recover < timer < send < deliver, then by insertion
 order.  Timer-before-deliver makes a heartbeat that lands exactly on the
 freshness deadline count as late, matching the strict "arrived before the
 deadline" reading of the monitors.
+
+Every algorithm runs behind one node interface.  At each send instant
+``zerotime + i*eta`` the node's ``next_heartbeat(now)`` returns a heartbeat
+(or None) for its ``targets``: None broadcasts it as one ``send`` event,
+a tuple sends and logs one unicast per receiver.  ``deliver(hb, now)``
+applies a delivery, ``fire(key, now)`` the expiry of the deadline under
+``key`` in ``deadlines()``, and ``output()`` is the value traced by
+``output_change`` (a leader id, or a trust/suspect verdict).
+
+``nfdl`` runs ``NfdlProcess`` through a thin subclass.  Both baselines are
+one all-pairs node that sends to its targets and runs an ``NfdeMonitor``
+per watched peer:
+
+* ``naive-reduction`` - every process sends to and watches all others and
+  outputs the lowest id it trusts, counting itself;
+* ``nfde-pair`` - process 0 sends to process 1, which watches it and
+  outputs its verdict.
 """
 
 from __future__ import annotations
@@ -56,10 +73,6 @@ class ScenarioError(ValueError):
     def __init__(self, fld: str, msg: str):
         self.field = fld
         super().__init__(f"{fld}: {msg}")
-
-
-class ScheduleError(ValueError):
-    """Fault schedule asked for an impossible transition."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,8 +148,15 @@ class Scenario:
                 )
             if not 0 <= self.high_priority < self.n_processes:
                 raise ScenarioError("high_priority", "not a valid process id")
+        # Walk the faults in the order the simulator applies them (crash
+        # before recover at the same instant and process, then file order),
+        # naming each by its position in the file.
         per_proc_down: dict[int, bool] = {}
-        for i, f in enumerate(sorted(self.faults, key=lambda f: (f.at, f.process))):
+        order = sorted(
+            enumerate(self.faults),
+            key=lambda e: (e[1].at, e[1].process, e[1].kind != "crash", e[0]),
+        )
+        for i, f in order:
             fld = f"faults[{i}]"
             if f.kind not in ("crash", "recover"):
                 raise ScenarioError(f"{fld}.kind", "must be crash or recover")
@@ -229,8 +249,8 @@ class Scenario:
                 )
             )
         high_priority = data.get("high_priority")
-        if high_priority is not None and not isinstance(high_priority, int):
-            raise ScenarioError("high_priority", "must be a process id or null")
+        if high_priority is not None:
+            need(data, "high_priority", "high_priority", int)
         scenario = Scenario(
             n_processes=need(data, "n_processes", "n_processes", int),
             config=config,
@@ -356,52 +376,67 @@ class EventTrace:
 _CRASH, _RECOVER, _TIMER, _TICK, _DELIVER = range(5)
 
 
-class _NfdePairNode:
-    """Two-process baseline: process 0 always sends, process 1 monitors."""
+class _ElectionNode(NfdlProcess):
+    """``NfdlProcess`` behind the node interface; the leader broadcasts."""
 
-    def __init__(self, pid: int, config: ProtocolConfig, store, now: int):
+    targets = None
+
+    def deliver(self, hb: Heartbeat, now: int) -> None:
+        self.on_heartbeat(hb, now)
+
+    def fire(self, key, now: int) -> None:
+        self.on_timer_fire(now)
+
+    def output(self) -> int | None:
+        return self.leader
+
+    def deadlines(self) -> dict[None, int | None]:
+        return {None: self.deadline}
+
+
+class _MonitorNode:
+    """All-pairs monitor: heartbeats to ``targets``, one monitor per watched peer.
+
+    An electing node outputs the lowest id it trusts, counting itself;
+    otherwise the output is the verdict on its watched peer (None when it
+    watches nobody).
+    """
+
+    def __init__(self, pid: int, config: ProtocolConfig, store, now: int,
+                 targets: tuple[int, ...], watched: tuple[int, ...], elect: bool):
         self.pid = pid
         self.config = config
         self.zerotime = load_or_create_zerotime(store, pid, now)
-        self.monitor = NfdeMonitor(config) if pid == 1 else None
+        self.targets = targets
+        self.monitors = {p: NfdeMonitor(config) for p in watched}
+        self.elect = elect
 
-    def next_send_time(self, now: int) -> int:
-        return self.zerotime + recover_seq(self.zerotime, now, self.config.eta) * self.config.eta
-
-    def tick(self, now: int) -> Heartbeat | None:
-        if self.pid != 0:
-            return None
+    def next_heartbeat(self, now: int) -> Heartbeat:
         seq = (now - self.zerotime) // self.config.eta
         return Heartbeat(seq=seq, sender=self.pid, uptime=0)
 
+    def deliver(self, hb: Heartbeat, now: int) -> None:
+        self.monitors[hb.sender].on_heartbeat(hb.seq, now)
 
-class _NaiveNode:
-    """All-pairs reduction: everyone sends, everyone monitors everyone."""
+    def fire(self, key: int, now: int) -> None:
+        self.monitors[key].on_timeout(now)
 
-    def __init__(self, pid: int, n: int, config: ProtocolConfig, store, now: int):
-        self.pid = pid
-        self.config = config
-        self.zerotime = load_or_create_zerotime(store, pid, now)
-        self.monitors = {p: NfdeMonitor(config) for p in range(n) if p != pid}
+    def output(self) -> int | str | None:
+        if self.elect:
+            trusted = [p for p, m in self.monitors.items() if m.verdict is Verdict.TRUST]
+            return min([self.pid, *trusted])
+        return next((m.verdict.value for m in self.monitors.values()), None)
 
-    def next_send_time(self, now: int) -> int:
-        return self.zerotime + recover_seq(self.zerotime, now, self.config.eta) * self.config.eta
-
-    def tick(self, now: int) -> Heartbeat:
-        seq = (now - self.zerotime) // self.config.eta
-        return Heartbeat(seq=seq, sender=self.pid, uptime=0)
-
-    def leader(self) -> int:
-        trusted = [self.pid]
-        trusted += [p for p, m in self.monitors.items() if m.verdict is Verdict.TRUST]
-        return min(trusted)
+    def deadlines(self) -> dict[int, int | None]:
+        return {peer: m.deadline for peer, m in self.monitors.items()}
 
 
 class Simulator:
     """Single-use event loop for one scenario.
 
-    After :meth:`run` the per-process protocol objects stay inspectable via
-    :attr:`nodes` (None for processes that ended the run crashed).
+    After :meth:`run` the per-process nodes stay inspectable via
+    :attr:`nodes` (None for processes that ended the run crashed); under
+    ``nfdl`` each node is an :class:`NfdlProcess`.
     """
 
     def __init__(self, scenario: Scenario, store=None):
@@ -426,9 +461,6 @@ class Simulator:
 
     def _log(self, ev: TraceEvent) -> None:
         self.trace.events.append(ev)
-
-    def _alive(self, pid: int) -> bool:
-        return self.nodes[pid] is not None
 
     # -- run ---------------------------------------------------------------
 
@@ -456,9 +488,9 @@ class Simulator:
                 self._on_deliver(pid, time, payload)
         self.trace.store_reads = dict(self.store.reads)
         self.trace.store_writes = dict(self.store.writes)
-        for pid in range(sc.n_processes):
-            if self._alive(pid):
-                self.trace.final_outputs[pid] = self._current_output(pid)
+        for pid, node in enumerate(self.nodes):
+            if node is not None:
+                self.trace.final_outputs[pid] = node.output()
         return self.trace
 
     # -- process lifecycle -------------------------------------------------
@@ -466,36 +498,25 @@ class Simulator:
     def _start(self, pid: int, now: int) -> None:
         sc = self.scenario
         if sc.algorithm == "nfdl":
-            proc = NfdlProcess(pid, sc.config, self.store, now)
+            node = _ElectionNode(pid, sc.config, self.store, now)
             if sc.high_priority == pid:
-                proc.assume_leadership(PRIORITY_UPTIME_BOOST)
-            node = proc
+                node.assume_leadership(PRIORITY_UPTIME_BOOST)
         elif sc.algorithm == "nfde-pair":
-            node = _NfdePairNode(pid, sc.config, self.store, now)
+            node = _MonitorNode(pid, sc.config, self.store, now,
+                                targets=(1,) if pid == 0 else (),
+                                watched=(0,) if pid == 1 else (), elect=False)
         else:
-            node = _NaiveNode(pid, sc.n_processes, sc.config, self.store, now)
+            others = tuple(p for p in range(sc.n_processes) if p != pid)
+            node = _MonitorNode(pid, sc.config, self.store, now,
+                                targets=others, watched=others, elect=True)
         self.nodes[pid] = node
-        self._push(node.next_send_time(now), pid, _TICK, self._incarnation[pid])
+        # The first send instant of the schedule strictly after now.
+        eta = sc.config.eta
+        first_send = node.zerotime + recover_seq(node.zerotime, now, eta) * eta
+        self._push(first_send, pid, _TICK, self._incarnation[pid])
         self._sync_timers(pid, now)
 
-    def _current_output(self, pid: int):
-        node = self.nodes[pid]
-        if isinstance(node, NfdlProcess):
-            return node.current_leader()
-        if isinstance(node, _NfdePairNode):
-            return node.monitor.verdict.value if node.monitor else None
-        return node.leader()
-
-    def inject(self, fault: FaultEvent) -> None:
-        """Apply one fault right now; used by run() via the schedule."""
-        if fault.kind == "crash":
-            self._on_crash(fault.process, fault.at)
-        else:
-            self._on_recover(fault.process, fault.at)
-
     def _on_crash(self, pid: int, now: int) -> None:
-        if not self._alive(pid):
-            raise ScheduleError(f"process {pid} is already crashed at t={now}")
         self.nodes[pid] = None
         self._incarnation[pid] += 1
         for key in [k for k in self._armed if k[0] == pid]:
@@ -503,25 +524,15 @@ class Simulator:
         self._log(TraceEvent(now, pid, "crash"))
 
     def _on_recover(self, pid: int, now: int) -> None:
-        if self._alive(pid):
-            raise ScheduleError(f"process {pid} recovered without a crash at t={now}")
         self._incarnation[pid] += 1
         self._log(TraceEvent(now, pid, "recover"))
         self._start(pid, now)
 
     # -- timers ------------------------------------------------------------
 
-    def _deadlines(self, pid: int) -> dict[int | None, int | None]:
-        node = self.nodes[pid]
-        if isinstance(node, NfdlProcess):
-            return {None: node.deadline}
-        if isinstance(node, _NfdePairNode):
-            return {0: node.monitor.deadline} if node.monitor else {}
-        return {peer: mon.deadline for peer, mon in node.monitors.items()}
-
     def _sync_timers(self, pid: int, now: int) -> None:
         inc = self._incarnation[pid]
-        for key, deadline in self._deadlines(pid).items():
+        for key, deadline in self.nodes[pid].deadlines().items():
             akey = (pid, key)
             if deadline is None:
                 self._armed.pop(akey, None)
@@ -533,31 +544,19 @@ class Simulator:
 
     def _on_timer(self, pid: int, now: int, payload) -> None:
         inc, key = payload
-        if not self._alive(pid) or inc != self._incarnation[pid]:
+        deadline = self._armed.get((pid, key))
+        # A timer is stale once its process crashed or its deadline moved.
+        if inc != self._incarnation[pid] or deadline is None or now < deadline:
             return
         node = self.nodes[pid]
-        if isinstance(node, NfdlProcess):
-            if node.deadline is None or now < node.deadline:
-                return
-            deadline = node.deadline
-            out = node.on_timer_fire(now)
-            self._log(TraceEvent(now, pid, "timer_fire", deadline=deadline))
-            if out.changed:
-                self._log(TraceEvent(now, pid, "output_change", leader=out.leader))
-            self._sync_timers(pid, now)
-            return
-        monitor = node.monitor if isinstance(node, _NfdePairNode) else node.monitors[key]
-        if monitor.deadline is None or now < monitor.deadline:
-            return
-        deadline = monitor.deadline
-        before = self._current_output(pid)
-        monitor.on_timeout(now)
+        before = node.output()
+        node.fire(key, now)
         self._log(TraceEvent(now, pid, "timer_fire", deadline=deadline))
         self._log_output_change(pid, now, before)
         self._sync_timers(pid, now)
 
     def _log_output_change(self, pid: int, now: int, before) -> None:
-        after = self._current_output(pid)
+        after = self.nodes[pid].output()
         if after == before:
             return
         if isinstance(after, str):
@@ -568,32 +567,30 @@ class Simulator:
     # -- sending and delivery ----------------------------------------------
 
     def _on_tick(self, pid: int, now: int, inc: int) -> None:
-        if not self._alive(pid) or inc != self._incarnation[pid]:
+        if inc != self._incarnation[pid]:
             return
-        node = self.nodes[pid]
         self._push(now + self.scenario.config.eta, pid, _TICK, inc)
-        if isinstance(node, NfdlProcess):
-            hb = node.next_heartbeat(now)
-            if hb is None:
-                return
-            self.trace.send_counts[pid] = self.trace.send_counts.get(pid, 0) + 1
-            self._log(TraceEvent(now, pid, "send", seq=hb.seq, uptime=hb.uptime))
+        node = self.nodes[pid]
+        hb = node.next_heartbeat(now)
+        if hb is None:
+            return
+        if node.targets is None:
+            self._log_send(hb, now)
             for receiver in range(self.scenario.n_processes):
                 if receiver != pid:
                     self._transmit(hb, receiver, now)
             return
-        hb = node.tick(now)
-        if hb is None:
-            return
-        for receiver in range(self.scenario.n_processes):
-            if receiver == pid:
-                continue
-            self.trace.send_counts[pid] = self.trace.send_counts.get(pid, 0) + 1
-            self._log(
-                TraceEvent(now, pid, "send", seq=hb.seq, uptime=hb.uptime,
-                           receiver=receiver)
-            )
+        for receiver in node.targets:
+            self._log_send(hb, now, receiver)
             self._transmit(hb, receiver, now)
+
+    def _log_send(self, hb: Heartbeat, now: int, receiver: int | None = None) -> None:
+        pid = hb.sender
+        self.trace.send_counts[pid] = self.trace.send_counts.get(pid, 0) + 1
+        self._log(
+            TraceEvent(now, pid, "send", seq=hb.seq, uptime=hb.uptime,
+                       receiver=receiver)
+        )
 
     def _transmit(self, hb: Heartbeat, receiver: int, now: int) -> None:
         link = (hb.sender, receiver)
@@ -611,7 +608,8 @@ class Simulator:
 
     def _on_deliver(self, pid: int, now: int, hb: Heartbeat) -> None:
         link = (hb.sender, pid)
-        if not self._alive(pid):
+        node = self.nodes[pid]
+        if node is None:
             self.trace.link_dropped[link] = self.trace.link_dropped.get(link, 0) + 1
             self._log(
                 TraceEvent(now, pid, "drop", sender=hb.sender, seq=hb.seq,
@@ -623,20 +621,9 @@ class Simulator:
             TraceEvent(now, pid, "deliver", sender=hb.sender, seq=hb.seq,
                        uptime=hb.uptime)
         )
-        node = self.nodes[pid]
-        if isinstance(node, NfdlProcess):
-            out = node.on_heartbeat(hb, now)
-            if out.changed:
-                self._log(TraceEvent(now, pid, "output_change", leader=out.leader))
-        elif isinstance(node, _NfdePairNode):
-            if node.monitor is not None:
-                before = self._current_output(pid)
-                node.monitor.on_heartbeat(hb.seq, now)
-                self._log_output_change(pid, now, before)
-        else:
-            before = self._current_output(pid)
-            node.monitors[hb.sender].on_heartbeat(hb.seq, now)
-            self._log_output_change(pid, now, before)
+        before = node.output()
+        node.deliver(hb, now)
+        self._log_output_change(pid, now, before)
         self._sync_timers(pid, now)
 
 

@@ -12,9 +12,8 @@ from contextlib import contextmanager
 import pytest
 
 from nfdl import qos
-from nfdl.cli import measure_cost
 from nfdl.estimator import ArrivalWindow
-from nfdl.experiments import accuracy_scenario, speed_scenario
+from nfdl.experiments import accuracy_scenario, measure_cost, speed_scenario
 from nfdl.protocol import Heartbeat, NfdlProcess, ProtocolConfig, naive_reduction_cost
 from nfdl.simnet import FaultEvent, NetworkModel, Scenario, Simulator, run
 

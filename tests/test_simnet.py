@@ -9,7 +9,6 @@ from nfdl.simnet import (
     NetworkModel,
     Scenario,
     ScenarioError,
-    ScheduleError,
     Simulator,
     link_stream,
     run,
@@ -55,6 +54,17 @@ def scenario(**overrides):
          "network.delay_var"),
         (dict(network=NetworkModel(delay_mean=1.0, delay_var=25.0, delay_dist="uniform")),
          "network.delay_var"),
+        # faults are checked in the order the simulator applies them and
+        # named by their position in the file
+        (
+            dict(faults=(FaultEvent(100, 1, "crash"), FaultEvent(100, 1, "recover"),
+                         FaultEvent(100, 1, "crash"))),
+            "faults[2]",
+        ),
+        (
+            dict(faults=(FaultEvent(200, 1, "crash"), FaultEvent(100, 1, "crash"))),
+            "faults[0]",
+        ),
     ],
 )
 def test_scenario_validation_names_the_field(overrides, field):
@@ -82,6 +92,14 @@ def test_scenario_load_reports_missing_fields(tmp_path):
     with pytest.raises(ScenarioError) as err:
         Scenario.load(path)
     assert err.value.field == "duration_ms"
+
+
+def test_scenario_load_rejects_a_bool_high_priority():
+    data = scenario().to_dict()
+    data["high_priority"] = True
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict(data)
+    assert err.value.field == "high_priority"
 
 
 def test_scenario_load_rejects_non_json(tmp_path):
@@ -301,14 +319,12 @@ def test_store_counters_track_initializations_exactly():
     assert trace.store_reads == {0: 1, 1: 1, 2: 3, 3: 1, 4: 1}
 
 
-def test_dynamic_schedule_errors():
-    sim = Simulator(scenario())
-    with pytest.raises(ScheduleError):
-        sim.inject(FaultEvent(100, 1, "recover"))  # never crashed
-    sim2 = Simulator(scenario())
-    sim2.inject(FaultEvent(100, 1, "crash"))
-    with pytest.raises(ScheduleError):
-        sim2.inject(FaultEvent(200, 1, "crash"))
+def test_recover_listed_before_a_same_instant_crash_is_a_zero_length_crash():
+    sc = scenario(faults=(FaultEvent(100, 1, "recover"), FaultEvent(100, 1, "crash")))
+    sc.validate()
+    faults = [(ev.time, ev.process, ev.kind) for ev in run(sc).events
+              if ev.kind in ("crash", "recover")]
+    assert faults == [(100, 1, "crash"), (100, 1, "recover")]
 
 
 def test_simulator_runs_exactly_once():
