@@ -92,8 +92,8 @@ def cmd_run(args) -> int:
         trace.write(out / f"trace_{rep:03d}.log")
         try:
             report = qos.build_report(trace)
-        except ValueError:
-            report = None  # no unanimous leader and nothing designated
+        except qos.NoTrueLeaderError:
+            report = None
         if report is not None:
             reports.append(report)
             if args.format in ("csv", "both"):

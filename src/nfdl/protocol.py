@@ -27,7 +27,7 @@ import enum
 from dataclasses import dataclass
 
 from .estimator import ArrivalWindow, freshness_point
-from .stable_store import ClockRewindError, load_or_create_zerotime, recover_seq
+from .stable_store import ClockRewindError, load_or_create_zerotime
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,11 +137,6 @@ class NfdlProcess:
 
     def current_leader(self) -> int | None:
         return self.leader
-
-    def next_send_time(self, now: int) -> int:
-        """First send instant of this process's schedule strictly after now."""
-        label = recover_seq(self.zerotime, now, self.config.eta)
-        return self.zerotime + label * self.config.eta
 
     def _own_priority(self) -> tuple[int, int]:
         advertised = (

@@ -16,6 +16,11 @@ is alive; once the leader actually crashes, departures are detections, not
 mistakes.  Sample pools are summarized as quartiles (linear interpolation
 between order statistics).
 
+Extraction works out each fact once: the ground truth (the leader's alive
+intervals, crash and recover instants) from the fault schedule read in the
+simulator's apply order, and every process's output timeline from one pass
+over the trace events.
+
 The module also houses the requirements-driven configurator: it picks the
 largest send interval eta whose detection bound eta + alpha still meets the
 requested maximum, with the safety margin alpha floored at a multiple of
@@ -31,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .protocol import ProtocolConfig
-from .simnet import EventTrace, FaultEvent, Scenario
+from .simnet import EventTrace, Scenario
 
 
 class InfeasibleRequirementsError(ValueError):
@@ -64,33 +69,34 @@ class MistakeRecord:
             raise ValueError("correction cannot precede the mistake")
 
 
+class NoTrueLeaderError(ValueError):
+    """A trace names no true leader: nothing pinned, no faults, and no
+    unanimous final leader."""
+
+
 @dataclass(frozen=True, slots=True)
 class GroundTruth:
-    """The designated true leader and the half-open intervals it is up."""
+    """The true leader, the half-open intervals it is up, and the instants
+    it crashes and recovers."""
 
     leader: int
     alive: tuple[tuple[int, int], ...]
+    crashes: tuple[int, ...]
+    recovers: tuple[int, ...]
+
+    @classmethod
+    def of(cls, scenario: Scenario, leader: int) -> GroundTruth:
+        """Read the leader's fault schedule in the simulator's apply order."""
+        faults = [f for _, f in scenario.fault_order() if f.process == leader]
+        crashes = tuple(f.at for f in faults if f.kind == "crash")
+        recovers = tuple(f.at for f in faults if f.kind == "recover")
+        # Crashes and recoveries alternate, so each up interval runs from the
+        # start or a recovery to the next crash or the end of the run.
+        alive = tuple(zip((0, *recovers), (*crashes, scenario.duration)))
+        return cls(leader, alive, crashes, recovers)
 
     def alive_at(self, t: int) -> bool:
         return any(lo <= t < hi for lo, hi in self.alive)
-
-
-def leader_alive_intervals(
-    faults: tuple[FaultEvent, ...], leader: int, duration: int
-) -> tuple[tuple[int, int], ...]:
-    intervals = []
-    up_since = 0
-    for f in sorted(faults, key=lambda f: f.at):
-        if f.process != leader:
-            continue
-        if f.kind == "crash":
-            intervals.append((up_since, f.at))
-            up_since = None
-        else:
-            up_since = f.at
-    if up_since is not None:
-        intervals.append((up_since, duration))
-    return tuple(intervals)
 
 
 def infer_true_leader(trace: EventTrace) -> int:
@@ -107,21 +113,25 @@ def infer_true_leader(trace: EventTrace) -> int:
         return sc.faults[0].process
     finals = set(trace.final_outputs.values())
     if len(finals) != 1 or not isinstance(next(iter(finals)), int):
-        raise ValueError(f"no unanimous final leader: {trace.final_outputs}")
+        raise NoTrueLeaderError(f"no unanimous final leader: {trace.final_outputs}")
     return next(iter(finals))
 
 
-def output_timeline(trace: EventTrace, pid: int) -> list[tuple[int, int | None]]:
-    """(time, leader) change points for one process, initial output None."""
-    timeline: list[tuple[int, int | None]] = [(0, None)]
+Timelines = dict[int, list[tuple[int, int]]]
+
+
+def output_timeline(trace: EventTrace) -> Timelines:
+    """Every process's (time, leader) change points, from one pass over the
+    events; a process starts with no leader."""
+    timelines: Timelines = {pid: [] for pid in range(trace.scenario.n_processes)}
     for ev in trace.events:
-        if ev.process == pid and ev.kind == "output_change" and ev.leader is not None:
-            timeline.append((ev.time, ev.leader))
-    return timeline
+        if ev.kind == "output_change" and ev.leader is not None:
+            timelines[ev.process].append((ev.time, ev.leader))
+    return timelines
 
 
 def extract_mistakes(
-    trace: EventTrace, truth: GroundTruth
+    truth: GroundTruth, timelines: Timelines
 ) -> dict[int, list[MistakeRecord]]:
     """Per-monitor mistake records against the true leader's liveness.
 
@@ -129,17 +139,13 @@ def extract_mistakes(
     closes when it returns; a crash of the leader closes the books on any
     open record without a correction timestamp.
     """
-    crash_times = sorted(
-        f.at for f in trace.scenario.faults
-        if f.process == truth.leader and f.kind == "crash"
-    )
     results: dict[int, list[MistakeRecord]] = {}
-    for pid in range(trace.scenario.n_processes):
+    for pid, timeline in timelines.items():
         if pid == truth.leader:
             continue
         # Merge leader crashes (rank 0) ahead of same-instant output changes.
-        merged = [(t, 0, None) for t in crash_times]
-        merged += [(t, 1, out) for t, out in output_timeline(trace, pid)[1:]]
+        merged = [(t, 0, None) for t in truth.crashes]
+        merged += [(t, 1, out) for t, out in timeline]
         merged.sort(key=lambda item: (item[0], item[1]))
         records: list[MistakeRecord] = []
         current: int | None = None
@@ -185,54 +191,37 @@ def mistake_duration(records: list[MistakeRecord]) -> float | None:
     return sum(r.corrected_at - r.mistake_at for r in records) / len(records)
 
 
-@dataclass(frozen=True, slots=True)
-class SpeedSamples:
+Samples = dict[int, list[int | None]]
+
+
+def _delay(timeline: list[tuple[int, int]], t0: int, hit) -> int | None:
+    """ms from t0 to the first change point at or after t0 whose output
+    satisfies ``hit``; None when there is none."""
+    return next((t - t0 for t, out in timeline if t >= t0 and hit(out)), None)
+
+
+def detection_times(truth: GroundTruth, timelines: Timelines) -> tuple[Samples, Samples]:
     """Per-monitor detection and recovery-detection samples, one slot per
-    fault cycle; None marks a monitor that never reacted inside the trace."""
-
-    detection: dict[int, list[int | None]]
-    recovery: dict[int, list[int | None]]
-
-
-def detection_times(
-    trace: EventTrace, faults: tuple[FaultEvent, ...], leader: int | None = None
-) -> SpeedSamples:
-    if leader is None:
-        if not faults:
-            raise ValueError("no faults to measure against")
-        leader = faults[0].process
-    crashes = sorted(f.at for f in faults if f.process == leader and f.kind == "crash")
-    recovers = sorted(f.at for f in faults if f.process == leader and f.kind == "recover")
-    detection: dict[int, list[int | None]] = {}
-    recovery: dict[int, list[int | None]] = {}
-    for pid in range(trace.scenario.n_processes):
+    leader crash and recovery; None marks a monitor that never reacted
+    inside the trace, or was already away from the leader when it crashed."""
+    leader = truth.leader
+    detection: Samples = {}
+    recovery: Samples = {}
+    for pid, timeline in timelines.items():
         if pid == leader:
             continue
-        timeline = output_timeline(trace, pid)
         d_samples: list[int | None] = []
-        for t_c in crashes:
-            before: int | None = None
-            for t, out in timeline:
-                if t < t_c:
-                    before = out
-                else:
-                    break
-            if before != leader:
-                d_samples.append(None)
-                continue
-            t_d = next(
-                (t for t, out in timeline if t >= t_c and out != leader), None
+        for t_c in truth.crashes:
+            before = next((out for t, out in reversed(timeline) if t < t_c), None)
+            d_samples.append(
+                _delay(timeline, t_c, lambda out: out != leader)
+                if before == leader else None
             )
-            d_samples.append(None if t_d is None else t_d - t_c)
-        r_samples: list[int | None] = []
-        for t_r in recovers:
-            t_dr = next(
-                (t for t, out in timeline if t >= t_r and out == leader), None
-            )
-            r_samples.append(None if t_dr is None else t_dr - t_r)
         detection[pid] = d_samples
-        recovery[pid] = r_samples
-    return SpeedSamples(detection=detection, recovery=recovery)
+        recovery[pid] = [
+            _delay(timeline, t_r, lambda out: out == leader) for t_r in truth.recovers
+        ]
+    return detection, recovery
 
 
 def quartiles(samples: list[float]) -> tuple[float, float, float]:
@@ -339,16 +328,10 @@ def build_report(trace: EventTrace, true_leader: int | None = None) -> MetricsRe
     """
     if true_leader is None:
         true_leader = infer_true_leader(trace)
-    truth = GroundTruth(
-        leader=true_leader,
-        alive=leader_alive_intervals(
-            trace.scenario.faults, true_leader, trace.scenario.duration
-        ),
-    )
-    mistakes = extract_mistakes(trace, truth)
-    speed = detection_times(trace, trace.scenario.faults, true_leader) if any(
-        f.process == true_leader for f in trace.scenario.faults
-    ) else SpeedSamples(detection={}, recovery={})
+    truth = GroundTruth.of(trace.scenario, true_leader)
+    timelines = output_timeline(trace)
+    mistakes = extract_mistakes(truth, timelines)
+    detection, recovery = detection_times(truth, timelines)
     monitors = []
     for pid in sorted(mistakes):
         records = mistakes[pid]
@@ -362,8 +345,8 @@ def build_report(trace: EventTrace, true_leader: int | None = None) -> MetricsRe
                 durations=durations,
                 mean_duration=mistake_duration(corrected),
                 uncorrected=len(records) - len(corrected),
-                detection=speed.detection.get(pid, []),
-                recovery=speed.recovery.get(pid, []),
+                detection=detection[pid],
+                recovery=recovery[pid],
             )
         )
     return MetricsReport(

@@ -54,7 +54,7 @@ from .protocol import (
     ProtocolConfig,
     Verdict,
 )
-from .stable_store import MemoryStore, load_or_create_zerotime, recover_seq
+from .stable_store import MemoryStore, load_or_create_zerotime, next_send_time
 
 TRACE_FORMAT_VERSION = 1
 SCENARIO_SCHEMA_VERSION = 1
@@ -148,15 +148,9 @@ class Scenario:
                 )
             if not 0 <= self.high_priority < self.n_processes:
                 raise ScenarioError("high_priority", "not a valid process id")
-        # Walk the faults in the order the simulator applies them (crash
-        # before recover at the same instant and process, then file order),
-        # naming each by its position in the file.
+        # Walk the faults in apply order, naming each by its file position.
         per_proc_down: dict[int, bool] = {}
-        order = sorted(
-            enumerate(self.faults),
-            key=lambda e: (e[1].at, e[1].process, e[1].kind != "crash", e[0]),
-        )
-        for i, f in order:
+        for i, f in self.fault_order():
             fld = f"faults[{i}]"
             if f.kind not in ("crash", "recover"):
                 raise ScenarioError(f"{fld}.kind", "must be crash or recover")
@@ -172,6 +166,14 @@ class Scenario:
             if f.kind == "recover" and not down:
                 raise ScenarioError(f"{fld}", "recover without a prior crash")
             per_proc_down[f.process] = f.kind == "crash"
+
+    def fault_order(self) -> list[tuple[int, FaultEvent]]:
+        """(file index, fault) pairs in the order the simulator applies them:
+        by time, then process, crash before recover, then file order."""
+        return sorted(
+            enumerate(self.faults),
+            key=lambda e: (e[1].at, e[1].process, e[1].kind != "crash", e[0]),
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -510,9 +512,7 @@ class Simulator:
             node = _MonitorNode(pid, sc.config, self.store, now,
                                 targets=others, watched=others, elect=True)
         self.nodes[pid] = node
-        # The first send instant of the schedule strictly after now.
-        eta = sc.config.eta
-        first_send = node.zerotime + recover_seq(node.zerotime, now, eta) * eta
+        first_send = next_send_time(node.zerotime, now, sc.config.eta)
         self._push(first_send, pid, _TICK, self._incarnation[pid])
         self._sync_timers(pid, now)
 

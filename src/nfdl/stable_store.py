@@ -49,6 +49,11 @@ def recover_seq(zerotime: int, now: int, eta: int) -> int:
     return (now - zerotime) // eta + 1
 
 
+def next_send_time(zerotime: int, now: int, eta: int) -> int:
+    """First send instant of the schedule zerotime + label*eta strictly after now."""
+    return zerotime + recover_seq(zerotime, now, eta) * eta
+
+
 class MemoryStore:
     """In-memory zerotime store with the same write-once contract as disk.
 

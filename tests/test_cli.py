@@ -155,3 +155,14 @@ def test_configure_validation_mode_rejects_bad_pairs(capsys):
 def test_scenario_flag_for_missing_file(capsys):
     assert run_cli("run", "--scenario", "/does/not/exist.json", "--out", "/tmp/x") == 2
     assert "no such file" in capsys.readouterr().err
+
+
+def test_run_without_a_true_leader_writes_the_trace_and_no_metrics(tmp_path, capsys):
+    # nfde-pair outputs a verdict, not a leader, so a fail-free run has no
+    # true leader to score against: the run still succeeds.
+    code = run_cli("run", "--algo", "nfde-pair", "--procs", "2",
+                   "--duration-ms", "5000", "--out", str(tmp_path))
+    assert code == 0
+    assert (tmp_path / "trace_000.log").exists()
+    assert not (tmp_path / "metrics_000.csv").exists()
+    assert "0 metric report(s)" in capsys.readouterr().out

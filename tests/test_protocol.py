@@ -14,7 +14,12 @@ from nfdl.protocol import (
     naive_reduction_cost,
     priority_greater,
 )
-from nfdl.stable_store import ClockRewindError, MemoryStore, StorageError
+from nfdl.stable_store import (
+    ClockRewindError,
+    MemoryStore,
+    StorageError,
+    next_send_time,
+)
 
 CFG = ProtocolConfig(eta=330, alpha=670, window_n=100)
 
@@ -38,7 +43,7 @@ def test_fresh_init_persists_zerotime_once():
     assert p.leader is None
     assert p.uptime == 0
     assert p.deadline == 5000 + 330 + 670
-    assert p.next_send_time(5000) == 5000 + 330  # label 1
+    assert next_send_time(p.zerotime, 5000, p.config.eta) == 5000 + 330  # label 1
 
 
 def test_recovery_reads_zerotime_and_advances_label():
@@ -47,14 +52,14 @@ def test_recovery_reads_zerotime_and_advances_label():
     p = make_proc(self_id=1, now=3300, store=store)
     assert p.zerotime == 0
     assert store.writes[1] == 1  # no second write
-    assert p.next_send_time(3300) == 11 * 330
+    assert next_send_time(p.zerotime, 3300, p.config.eta) == 11 * 330
 
 
 def test_recovery_with_zero_elapsed_time():
     store = MemoryStore()
     store.store_zerotime(1, 7000)
     p = make_proc(self_id=1, now=7000, store=store)
-    assert p.next_send_time(7000) == 7000 + 330  # label 1
+    assert next_send_time(p.zerotime, 7000, p.config.eta) == 7000 + 330  # label 1
 
 
 def test_init_fails_when_store_unreadable():
@@ -316,7 +321,7 @@ def test_labels_strictly_increase_across_crash_recover_cycles(gaps):
     for gap in gaps:
         p = NfdlProcess(0, cfg, store, now)
         p.on_timer_fire(now + cfg.eta + cfg.alpha)  # alone, so it self-elects
-        send_at = p.next_send_time(now + cfg.eta + cfg.alpha)
+        send_at = next_send_time(p.zerotime, now + cfg.eta + cfg.alpha, p.config.eta)
         for _ in range(3):
             beat = p.next_heartbeat(send_at)
             assert beat is not None

@@ -26,12 +26,15 @@ def make_trace(changes, faults=(), n=3, duration=100_000, high_priority=2):
 
 
 def truth_for(trace, leader=2):
-    return qos.GroundTruth(
-        leader=leader,
-        alive=qos.leader_alive_intervals(
-            trace.scenario.faults, leader, trace.scenario.duration
-        ),
-    )
+    return qos.GroundTruth.of(trace.scenario, leader)
+
+
+def mistakes_of(trace):
+    return qos.extract_mistakes(truth_for(trace), qos.output_timeline(trace))
+
+
+def speed_of(trace):
+    return qos.detection_times(truth_for(trace), qos.output_timeline(trace))
 
 
 # -- mistake extraction --------------------------------------------------------
@@ -39,40 +42,40 @@ def truth_for(trace, leader=2):
 
 def test_flip_away_and_back_is_one_mistake():
     trace = make_trace([(500, 0, 2), (1000, 0, 0), (1100, 0, 2)])
-    records = qos.extract_mistakes(trace, truth_for(trace))
+    records = mistakes_of(trace)
     assert records[0] == [qos.MistakeRecord(0, 1000, 1100)]
     assert records[1] == []
 
 
 def test_no_flips_means_no_mistakes():
     trace = make_trace([(500, 0, 2), (500, 1, 2)])
-    records = qos.extract_mistakes(trace, truth_for(trace))
+    records = mistakes_of(trace)
     assert records == {0: [], 1: []}
 
 
 def test_switch_after_leader_crash_is_a_detection_not_a_mistake():
     faults = [FaultEvent(2000, 2, "crash")]
     trace = make_trace([(500, 0, 2), (2800, 0, 0)], faults=faults)
-    records = qos.extract_mistakes(trace, truth_for(trace))
+    records = mistakes_of(trace)
     assert records[0] == []
 
 
 def test_mistake_open_at_crash_stays_uncorrected():
     faults = [FaultEvent(2000, 2, "crash")]
     trace = make_trace([(500, 0, 2), (1500, 0, 0)], faults=faults)
-    records = qos.extract_mistakes(trace, truth_for(trace))
+    records = mistakes_of(trace)
     assert records[0] == [qos.MistakeRecord(0, 1500, None)]
 
 
 def test_initial_adoption_is_not_a_departure():
     trace = make_trace([(900, 0, 2)])
-    assert qos.extract_mistakes(trace, truth_for(trace))[0] == []
+    assert mistakes_of(trace)[0] == []
 
 
 def test_extraction_is_pure():
     trace = make_trace([(500, 0, 2), (1000, 0, 0), (1100, 0, 2)])
-    t = truth_for(trace)
-    assert qos.extract_mistakes(trace, t) == qos.extract_mistakes(trace, t)
+    t, timelines = truth_for(trace), qos.output_timeline(trace)
+    assert qos.extract_mistakes(t, timelines) == qos.extract_mistakes(t, timelines)
 
 
 # -- rate and duration -----------------------------------------------------------
@@ -122,24 +125,24 @@ def test_detection_and_recovery_samples():
     trace = make_trace(
         [(500, 0, 2), (10_741, 0, 0), (70_570, 0, 2)], faults=faults
     )
-    speed = qos.detection_times(trace, trace.scenario.faults)
-    assert speed.detection[0] == [741]
-    assert speed.recovery[0] == [570]
+    detection, recovery = speed_of(trace)
+    assert detection[0] == [741]
+    assert recovery[0] == [570]
 
 
 def test_unreactive_monitor_yields_missing_samples():
     faults = [FaultEvent(10_000, 2, "crash"), FaultEvent(70_000, 2, "recover")]
     trace = make_trace([(500, 0, 2), (500, 1, 2), (10_741, 0, 0)], faults=faults)
-    speed = qos.detection_times(trace, trace.scenario.faults)
-    assert speed.detection[1] == [None]
-    assert speed.recovery[0] == [None]
+    detection, recovery = speed_of(trace)
+    assert detection[1] == [None]
+    assert recovery[0] == [None]
 
 
 def test_monitor_already_away_at_crash_is_flagged_missing():
     faults = [FaultEvent(10_000, 2, "crash")]
     trace = make_trace([(500, 0, 0)], faults=faults)
-    speed = qos.detection_times(trace, trace.scenario.faults)
-    assert speed.detection[0] == [None]
+    detection, recovery = speed_of(trace)
+    assert detection[0] == [None]
 
 
 # -- quartiles --------------------------------------------------------------------
@@ -311,6 +314,20 @@ def test_summary_handles_empty_pools():
     lines = qos.summary_csv_lines([qos.build_report(trace)], None)
     by_metric = {line.split(",")[0]: line for line in lines[1:]}
     assert by_metric["detection_time_ms"] == "detection_time_ms,,,,"
+
+
+def test_fault_file_order_does_not_change_the_report():
+    # A zero-length leader crash is applied crash first whichever way round
+    # the file lists it, so the leader is alive at 3000 ms in both orders.
+    crash, recover = FaultEvent(10_000, 2, "crash"), FaultEvent(10_000, 2, "recover")
+    changes = [(500, 0, 2), (500, 1, 2), (3_000, 0, 0), (3_400, 0, 2)]
+    crash_first, recover_first = (
+        qos.build_report(make_trace(changes, faults=faults))
+        for faults in ([crash, recover], [recover, crash])
+    )
+    assert crash_first.monitors[0].mistake_times == [3_000]
+    assert recover_first.monitors == crash_first.monitors
+    assert qos.metrics_csv_lines(recover_first) == qos.metrics_csv_lines(crash_first)
 
 
 def test_infer_true_leader_prefers_pin_then_faults_then_agreement():
