@@ -5,13 +5,14 @@ explicit clock argument (no internal timers, no wall clock):
 
 * ``NfdlProcess`` - single-leader election for crash-recovery processes.
   Only the process that currently believes itself leader broadcasts
-  heartbeats; everyone else monitors the leader's heartbeat stream against a
-  freshness deadline and self-elects when it expires.  Leadership challenges
-  are settled by priority: higher uptime wins, process id breaks ties.
+  heartbeats; everyone else watches the leader's heartbeat stream with an
+  ``NfdeMonitor`` and self-elects when its freshness deadline expires.
+  Leadership challenges are settled by priority: higher uptime wins,
+  process id breaks ties.
 * ``NfdeMonitor`` - the classic two-valued trust/suspect monitor of a single
-  remote heartbeat source; the simulator's all-pairs node runs one per
-  watched peer, for both the two-process baseline and the all-pairs
-  reduction.
+  remote heartbeat source.  The election runs one on its current leader;
+  the simulator's all-pairs node runs one per watched peer, for both the
+  two-process baseline and the all-pairs reduction.
 * ``naive_reduction_cost`` - the message bill of building leader election
   from all-pairs monitoring, kept as the analytic cross-check for the
   simulator's counters.
@@ -27,7 +28,7 @@ import enum
 from dataclasses import dataclass
 
 from .estimator import ArrivalWindow, freshness_point
-from .stable_store import ClockRewindError, load_or_create_zerotime
+from .stable_store import ClockRewindError, load_or_create_zerotime, send_label
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,6 +108,9 @@ class NfdlProcess:
     * call :meth:`next_heartbeat` at every send instant of the process's
       schedule (``zerotime + i*eta``); non-leaders return None.
 
+    A follower watches its leader with the same :class:`NfdeMonitor` the
+    all-pairs node runs per peer, started afresh on every adoption.
+
     Initialization loads the persisted zerotime (writing it exactly once on
     first startup) and arms a one-shot grace deadline of eta + alpha: a
     process that hears no leader by then elects itself.  An active leader's
@@ -131,12 +135,10 @@ class NfdlProcess:
         # processes observing each other compare like for like.
         self.last_sent_uptime: int | None = None
         self.leader_uptime: int | None = None
-        self.leader_seq = -1
-        self.window = ArrivalWindow(config.window_n)
+        # Freshness monitor of the current leader's heartbeat stream; None
+        # while this process leads or has no leader yet.
+        self.monitor: NfdeMonitor | None = None
         self.deadline: int | None = now + config.eta + config.alpha
-
-    def current_leader(self) -> int | None:
-        return self.leader
 
     def _own_priority(self) -> tuple[int, int]:
         advertised = (
@@ -156,32 +158,26 @@ class NfdlProcess:
     def on_heartbeat(self, hb: Heartbeat, now: int) -> Output:
         """Handle a delivered heartbeat.
 
-        From the current leader: fresh labels advance the freshness deadline
-        (stale ones change nothing).  From anyone else: the sender takes over
-        iff its (uptime, pid) priority strictly beats the incumbent's, which
-        resets the arrival window and re-arms the deadline from this first
-        arrival.
+        From the current leader: fresh labels feed the leader's monitor and
+        advance the freshness deadline (stale ones change nothing).  From
+        anyone else: the sender takes over iff its (uptime, pid) priority
+        strictly beats the incumbent's, which starts a fresh monitor on its
+        stream and arms the deadline from this first arrival.
         """
         if hb.sender == self.self_id:
             return Output(self.leader, False)
-        if hb.sender == self.leader:
-            if hb.seq > self.leader_seq:
-                self.leader_seq = hb.seq
-                self.leader_uptime = hb.uptime
-                self.window.record(hb.seq, now)
-                ea = self.window.expected_arrival(self.config.eta, hb.seq + 1)
-                self.deadline = freshness_point(ea, self.config.alpha)
-            return Output(self.leader, False)
-        if priority_greater((hb.uptime, hb.sender), self._incumbent_priority()):
+        adopted = hb.sender != self.leader
+        if adopted:
+            if not priority_greater((hb.uptime, hb.sender), self._incumbent_priority()):
+                return Output(self.leader, False)
             self.leader = hb.sender
-            self.leader_uptime = hb.uptime
-            self.leader_seq = hb.seq
-            self.window = ArrivalWindow(self.config.window_n)
-            self.window.record(hb.seq, now)
-            ea = self.window.expected_arrival(self.config.eta, hb.seq + 1)
-            self.deadline = freshness_point(ea, self.config.alpha)
-            return Output(self.leader, True)
-        return Output(self.leader, False)
+            self.monitor = NfdeMonitor(self.config)
+        elif hb.seq <= self.monitor.window.last_seq:
+            return Output(self.leader, False)
+        self.monitor.on_heartbeat(hb.seq, now)
+        self.leader_uptime = hb.uptime
+        self.deadline = self.monitor.deadline
+        return Output(self.leader, adopted)
 
     def on_timer_fire(self, now: int) -> Output:
         """Freshness (or grace) deadline expiry: claim leadership.
@@ -192,10 +188,7 @@ class NfdlProcess:
         if self.deadline is None or now < self.deadline:
             return Output(self.leader, False)
         changed = self.leader != self.self_id
-        self.leader = self.self_id
-        self.leader_uptime = None
-        self.leader_seq = -1
-        self.deadline = None
+        self._lead()
         return Output(self.leader, changed)
 
     def next_heartbeat(self, now: int) -> Heartbeat | None:
@@ -207,7 +200,7 @@ class NfdlProcess:
         """
         if self.leader != self.self_id:
             return None
-        seq = (now - self.zerotime) // self.config.eta
+        seq = send_label(self.zerotime, now, self.config.eta)
         hb = Heartbeat(seq=seq, sender=self.self_id, uptime=self.uptime)
         self.last_sent_uptime = self.uptime
         self.uptime += 1
@@ -221,11 +214,15 @@ class NfdlProcess:
         harness uses it to pin a designated high-priority leader that gets
         re-elected immediately after recovering.
         """
-        self.leader = self.self_id
+        self._lead()
         self.uptime = uptime
         self.last_sent_uptime = None
+
+    def _lead(self) -> None:
+        """Become leader: stop watching anyone and drop the deadline."""
+        self.leader = self.self_id
         self.leader_uptime = None
-        self.leader_seq = -1
+        self.monitor = None
         self.deadline = None
 
 
@@ -240,13 +237,11 @@ class NfdeMonitor:
     def __init__(self, config: ProtocolConfig):
         self.config = config
         self.window = ArrivalWindow(config.window_n)
-        self.last_seq = -1
         self.deadline: int | None = None
         self.verdict = Verdict.SUSPECT
 
     def on_heartbeat(self, seq: int, now: int) -> Verdict:
-        if seq > self.last_seq:
-            self.last_seq = seq
+        if seq > self.window.last_seq:
             self.window.record(seq, now)
             ea = self.window.expected_arrival(self.config.eta, seq + 1)
             self.deadline = freshness_point(ea, self.config.alpha)

@@ -99,24 +99,6 @@ class GroundTruth:
         return any(lo <= t < hi for lo, hi in self.alive)
 
 
-def infer_true_leader(trace: EventTrace) -> int:
-    """True leader for metric extraction.
-
-    The pinned high-priority process when the scenario has one, else the
-    fault-injected process, else the leader every surviving process agrees
-    on at the end of a fail-free run.
-    """
-    sc = trace.scenario
-    if sc.high_priority is not None:
-        return sc.high_priority
-    if sc.faults:
-        return sc.faults[0].process
-    finals = set(trace.final_outputs.values())
-    if len(finals) != 1 or not isinstance(next(iter(finals)), int):
-        raise NoTrueLeaderError(f"no unanimous final leader: {trace.final_outputs}")
-    return next(iter(finals))
-
-
 Timelines = dict[int, list[tuple[int, int]]]
 
 
@@ -128,6 +110,35 @@ def output_timeline(trace: EventTrace) -> Timelines:
         if ev.kind == "output_change" and ev.leader is not None:
             timelines[ev.process].append((ev.time, ev.leader))
     return timelines
+
+
+def _held_before(timeline: list[tuple[int, int]], t0: int) -> int | None:
+    """Output a timeline holds just before t0; None before its first change."""
+    return next((out for t, out in reversed(timeline) if t < t0), None)
+
+
+def infer_true_leader(trace: EventTrace, timelines: Timelines | None = None) -> int:
+    """True leader for metric extraction.
+
+    The pinned high-priority process if any; else the leader every process
+    outputs just before the first fault, or failing that the first-listed
+    fault's process; else the leader all survivors agree on at the end.
+    """
+    sc = trace.scenario
+    if sc.high_priority is not None:
+        return sc.high_priority
+    if sc.faults:
+        if timelines is None:
+            timelines = output_timeline(trace)
+        first = min(f.at for f in sc.faults)
+        held = {_held_before(timeline, first) for timeline in timelines.values()}
+        if len(held) == 1 and None not in held:
+            return held.pop()
+        return sc.faults[0].process
+    finals = set(trace.final_outputs.values())
+    if len(finals) != 1 or not isinstance(next(iter(finals)), int):
+        raise NoTrueLeaderError(f"no unanimous final leader: {trace.final_outputs}")
+    return next(iter(finals))
 
 
 def extract_mistakes(
@@ -210,14 +221,11 @@ def detection_times(truth: GroundTruth, timelines: Timelines) -> tuple[Samples, 
     for pid, timeline in timelines.items():
         if pid == leader:
             continue
-        d_samples: list[int | None] = []
-        for t_c in truth.crashes:
-            before = next((out for t, out in reversed(timeline) if t < t_c), None)
-            d_samples.append(
-                _delay(timeline, t_c, lambda out: out != leader)
-                if before == leader else None
-            )
-        detection[pid] = d_samples
+        detection[pid] = [
+            _delay(timeline, t_c, lambda out: out != leader)
+            if _held_before(timeline, t_c) == leader else None
+            for t_c in truth.crashes
+        ]
         recovery[pid] = [
             _delay(timeline, t_r, lambda out: out == leader) for t_r in truth.recovers
         ]
@@ -326,10 +334,10 @@ def build_report(trace: EventTrace, true_leader: int | None = None) -> MetricsRe
 
     Pure function of (trace, faults): re-running it yields the same report.
     """
-    if true_leader is None:
-        true_leader = infer_true_leader(trace)
-    truth = GroundTruth.of(trace.scenario, true_leader)
     timelines = output_timeline(trace)
+    if true_leader is None:
+        true_leader = infer_true_leader(trace, timelines)
+    truth = GroundTruth.of(trace.scenario, true_leader)
     mistakes = extract_mistakes(truth, timelines)
     detection, recovery = detection_times(truth, timelines)
     monitors = []
@@ -369,30 +377,24 @@ METRICS_CSV_HEADER = "metric,monitor,n,missing,value,samples"
 SUMMARY_CSV_HEADER = "metric,q1,median,q3,bound"
 
 
+def _mean(samples: list[int]) -> float | None:
+    return sum(samples) / len(samples) if samples else None
+
+
 def metrics_csv_lines(report: MetricsReport) -> list[str]:
     lines = [METRICS_CSV_HEADER]
     for m in report.monitors:
-        lines.append(
-            f"mistake_rate_per_ms,{m.monitor},{len(m.mistake_times)},0,"
-            f"{_fmt(m.rate)},{' '.join(map(str, m.mistake_times))}"
+        det, rec = m.detection_present, m.recovery_present
+        rows = (  # (metric, samples, missing, value)
+            ("mistake_rate_per_ms", m.mistake_times, 0, m.rate),
+            ("mistake_duration_ms", m.durations, m.uncorrected, m.mean_duration),
+            ("detection_time_ms", det, len(m.detection) - len(det), _mean(det)),
+            ("recovery_detection_ms", rec, len(m.recovery) - len(rec), _mean(rec)),
         )
-        lines.append(
-            f"mistake_duration_ms,{m.monitor},{len(m.durations)},{m.uncorrected},"
-            f"{_fmt(m.mean_duration)},{' '.join(map(str, m.durations))}"
-        )
-        det = m.detection_present
-        lines.append(
-            f"detection_time_ms,{m.monitor},{len(det)},"
-            f"{len(m.detection) - len(det)},"
-            f"{_fmt(sum(det) / len(det) if det else None)},"
-            f"{' '.join(map(str, det))}"
-        )
-        rec = m.recovery_present
-        lines.append(
-            f"recovery_detection_ms,{m.monitor},{len(rec)},"
-            f"{len(m.recovery) - len(rec)},"
-            f"{_fmt(sum(rec) / len(rec) if rec else None)},"
-            f"{' '.join(map(str, rec))}"
+        lines.extend(
+            f"{metric},{m.monitor},{len(samples)},{missing},{_fmt(value)},"
+            f"{' '.join(map(str, samples))}"
+            for metric, samples, missing, value in rows
         )
     return lines
 

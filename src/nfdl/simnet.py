@@ -54,7 +54,7 @@ from .protocol import (
     ProtocolConfig,
     Verdict,
 )
-from .stable_store import MemoryStore, load_or_create_zerotime, next_send_time
+from .stable_store import MemoryStore, load_or_create_zerotime, next_send_time, send_label
 
 TRACE_FORMAT_VERSION = 1
 SCENARIO_SCHEMA_VERSION = 1
@@ -414,7 +414,7 @@ class _MonitorNode:
         self.elect = elect
 
     def next_heartbeat(self, now: int) -> Heartbeat:
-        seq = (now - self.zerotime) // self.config.eta
+        seq = send_label(self.zerotime, now, self.config.eta)
         return Heartbeat(seq=seq, sender=self.pid, uptime=0)
 
     def deliver(self, hb: Heartbeat, now: int) -> None:

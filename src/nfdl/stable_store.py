@@ -2,10 +2,10 @@
 
 A process writes its startup clock reading ("zerotime") to stable storage
 exactly once, on its very first initialization.  Every later recovery reads
-the value back and derives the next heartbeat label from elapsed time alone,
-which keeps labels strictly increasing across crashes without persisting a
-counter.  Stores therefore count reads and writes, so tests can assert the
-one-write economy.
+the value back, and ``send_label`` derives heartbeat labels from elapsed time
+alone, which keeps them strictly increasing across crashes without persisting
+a counter.  Stores count reads and writes, so tests can assert the one-write
+economy.
 
 Two interchangeable backends: an in-memory map for simulations (with
 injectable corruption) and a file-per-process directory layout for real use
@@ -31,14 +31,9 @@ class ClockRewindError(ValueError):
     """The local clock reads earlier than the persisted zerotime."""
 
 
-def recover_seq(zerotime: int, now: int, eta: int) -> int:
-    """Next heartbeat label for a process whose schedule started at zerotime.
-
-    Labels are pinned to the send schedule zerotime + label*eta, so the next
-    one is floor((now - zerotime) / eta) + 1.  It is strictly greater than
-    any label whose send instant has already passed, which is what keeps the
-    emitted sequence increasing across a crash.
-    """
+def send_label(zerotime: int, now: int, eta: int) -> int:
+    """Label of the latest send instant zerotime + label*eta at or before now;
+    every heartbeat sender labels its heartbeats with it."""
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
     if now < zerotime:
@@ -46,7 +41,12 @@ def recover_seq(zerotime: int, now: int, eta: int) -> int:
             f"clock reads {now} but zerotime is {zerotime}; "
             "local clocks must keep increasing through crashes"
         )
-    return (now - zerotime) // eta + 1
+    return (now - zerotime) // eta
+
+
+def recover_seq(zerotime: int, now: int, eta: int) -> int:
+    """Next heartbeat label: above every label whose send instant has passed."""
+    return send_label(zerotime, now, eta) + 1
 
 
 def next_send_time(zerotime: int, now: int, eta: int) -> int:

@@ -221,7 +221,7 @@ def test_agreement_and_stability():
         for pid, node in enumerate(sim.nodes):
             out = node.on_heartbeat(Heartbeat(seq=1, sender=pid + 100, uptime=0), end)
             assert not out.changed
-            assert node.current_leader() == leader
+            assert node.leader == leader
         print(f"\n  converged on {leader} by {max(changes)}ms, stable for 1h, "
               f"uptime-0 challengers ignored")
 

@@ -129,14 +129,14 @@ def test_stale_leader_heartbeat_leaves_deadline_alone():
     out = p.on_heartbeat(hb(4, 7, 1), now=500)
     assert not out.changed
     assert p.deadline == deadline
-    assert p.leader_seq == 5
+    assert p.monitor.window.last_seq == 5
 
 
 def test_fresh_leader_heartbeat_advances_deadline_and_uptime_cache():
     p = make_proc(self_id=0, now=0)
     p.on_heartbeat(hb(5, 7, 1), now=1650 + 5)
     p.on_heartbeat(hb(6, 7, 2), now=1980 + 5)
-    assert p.leader_seq == 6
+    assert p.monitor.window.last_seq == 6
     assert p.leader_uptime == 2
     # window holds both arrivals, prediction is schedule plus mean delay
     assert p.deadline == 7 * 330 + 5 + 670
@@ -146,9 +146,9 @@ def test_adoption_resets_the_arrival_window():
     p = make_proc(self_id=0, now=0)
     for seq in range(1, 6):
         p.on_heartbeat(hb(seq, 7, 1), now=330 * seq + 5)
-    assert len(p.window) == 5
+    assert len(p.monitor.window) == 5
     p.on_heartbeat(hb(50, 9, 99), now=2000)
-    assert len(p.window) == 1
+    assert len(p.monitor.window) == 1
     assert p.leader == 9
     assert p.deadline == 2000 + 330 + 670
 

@@ -342,3 +342,17 @@ def test_infer_true_leader_prefers_pin_then_faults_then_agreement():
     split.final_outputs = {0: 1, 1: 2, 2: 2}
     with pytest.raises(ValueError):
         qos.infer_true_leader(split)
+
+
+def test_unpinned_true_leader_is_the_leader_held_before_the_first_fault():
+    # Follower 0 crashes while every process holds leader 2, which never fails.
+    faults = [FaultEvent(10_000, 0, "crash"), FaultEvent(20_000, 0, "recover")]
+    held = [(1_000, pid, 2) for pid in range(3)]
+    trace = make_trace(held + [(21_000, 0, 2)], faults=faults, high_priority=None)
+    assert qos.infer_true_leader(trace) == 2
+    report = qos.build_report(trace)
+    assert report.true_leader == 2
+    assert all(m.detection == [] and m.recovery == [] for m in report.monitors)
+    # Without agreement just before the first fault, its process is used.
+    split = make_trace(held + [(5_000, 1, 1)], faults=faults, high_priority=None)
+    assert qos.infer_true_leader(split) == 0

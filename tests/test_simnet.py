@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfdl.protocol import ProtocolConfig
 from nfdl.qos import sends_per_eta
@@ -332,3 +334,46 @@ def test_simulator_runs_exactly_once():
     sim.run()
     with pytest.raises(RuntimeError):
         sim.run()
+
+
+# -- properties over random fault schedules -----------------------------------
+
+
+@st.composite
+def fault_schedules(draw):
+    """A valid scenario: per process, alternating crash/recover instants."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    fault_span = draw(st.integers(min_value=1_000, max_value=12_000))
+    faults = []
+    for pid in range(n):
+        times = draw(st.lists(st.integers(min_value=0, max_value=fault_span - 1),
+                              max_size=4, unique=True))
+        faults += [FaultEvent(t, pid, ("crash", "recover")[i % 2])
+                   for i, t in enumerate(sorted(times))]
+    return scenario(
+        n_processes=n,
+        algorithm=draw(st.sampled_from(["nfdl", "naive-reduction"])),
+        network=draw(st.sampled_from([QUIET, LOSSY])),
+        duration=fault_span + draw(st.sampled_from([0, 3_000, 6_000, 9_000])),
+        seed=draw(st.integers(min_value=0, max_value=2**32)),
+        faults=tuple(faults),
+    )
+
+
+@given(fault_schedules())
+@settings(max_examples=40, deadline=None)
+def test_protocol_invariants_hold_under_random_fault_schedules(sc):
+    trace = run(sc)
+    # one zerotime write per process lifetime, recoveries only read it back
+    assert trace.store_writes == {pid: 1 for pid in range(sc.n_processes)}
+    # labels increase strictly per broadcaster and per unicast link
+    last: dict[tuple[int, int | None], int] = {}
+    for ev in trace.events:
+        if ev.kind == "send":
+            stream = (ev.process, ev.receiver)
+            assert ev.seq > last.get(stream, 0)
+            last[stream] = ev.seq
+    # a quiet network settles on one leader within 6 s of the last fault
+    last_fault = max((f.at for f in sc.faults), default=0)
+    if sc.network == QUIET and sc.duration - last_fault >= 6_000:
+        assert len(set(trace.final_outputs.values())) <= 1
