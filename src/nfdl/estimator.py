@@ -11,6 +11,10 @@ Timestamps are integer milliseconds.  The window mean is evaluated exactly
 (integer numerator over the window size) and rounded half-up, so predictions
 are reproducible across platforms and shifting every arrival by a constant
 shifts the prediction by exactly that constant.
+
+The window keeps running integer sums of its sequence numbers and arrival
+times, adding each recorded pair and subtracting the evicted one, so the
+numerator ``sum(arrival) - eta * sum(seq)`` costs the same at any window size.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ class ArrivalWindow:
     raises.
     """
 
-    __slots__ = ("capacity", "entries", "last_seq")
+    __slots__ = ("capacity", "entries", "last_seq", "seq_sum", "arrival_sum")
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -42,6 +46,8 @@ class ArrivalWindow:
         self.capacity = capacity
         self.entries: deque[tuple[int, int]] = deque(maxlen=capacity)
         self.last_seq = -1
+        self.seq_sum = 0
+        self.arrival_sum = 0
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -52,7 +58,13 @@ class ArrivalWindow:
             raise ValueError(
                 f"stale arrival: seq {seq} <= newest recorded {self.last_seq}"
             )
+        if len(self.entries) == self.capacity:
+            old_seq, old_arrival = self.entries[0]
+            self.seq_sum -= old_seq
+            self.arrival_sum -= old_arrival
         self.entries.append((seq, arrival))
+        self.seq_sum += seq
+        self.arrival_sum += arrival
         self.last_seq = seq
 
     def expected_arrival(self, eta: int, next_seq: int) -> int:
@@ -68,7 +80,7 @@ class ArrivalWindow:
             raise ValueError(
                 f"next_seq must be {self.last_seq + 1}, got {next_seq}"
             )
-        shifted_sum = sum(arrival - eta * seq for seq, arrival in self.entries)
+        shifted_sum = self.arrival_sum - eta * self.seq_sum
         return div_round_half_up(shifted_sum, len(self.entries)) + next_seq * eta
 
 

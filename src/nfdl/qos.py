@@ -112,17 +112,20 @@ def output_timeline(trace: EventTrace) -> Timelines:
     return timelines
 
 
-def _held_before(timeline: list[tuple[int, int]], t0: int) -> int | None:
-    """Output a timeline holds just before t0; None before its first change."""
-    return next((out for t, out in reversed(timeline) if t < t0), None)
+def _held_before(
+    timeline: list[tuple[int, int]], t0: int, start: int | None = None
+) -> int | None:
+    """Output a timeline holds just before t0; ``start`` before its first change."""
+    return next((out for t, out in reversed(timeline) if t < t0), start)
 
 
 def infer_true_leader(trace: EventTrace, timelines: Timelines | None = None) -> int:
     """True leader for metric extraction.
 
     The pinned high-priority process if any; else the leader every process
-    outputs just before the first fault, or failing that the first-listed
-    fault's process; else the leader all survivors agree on at the end.
+    outputs just before the first fault (its start-of-run output if it has
+    not changed yet), or failing that the first-listed fault's process; else
+    the leader all survivors agree on at the end.
     """
     sc = trace.scenario
     if sc.high_priority is not None:
@@ -131,7 +134,14 @@ def infer_true_leader(trace: EventTrace, timelines: Timelines | None = None) -> 
         if timelines is None:
             timelines = output_timeline(trace)
         first = min(f.at for f in sc.faults)
-        held = {_held_before(timeline, first) for timeline in timelines.values()}
+        # Before its first output change a naive-reduction process trusts
+        # nobody and so elects itself; under the other algorithms it has no
+        # leader yet.
+        naive = sc.algorithm == "naive-reduction"
+        held = {
+            _held_before(timeline, first, pid if naive else None)
+            for pid, timeline in timelines.items()
+        }
         if len(held) == 1 and None not in held:
             return held.pop()
         return sc.faults[0].process

@@ -70,6 +70,42 @@ def test_run_accepts_a_scenario_file(tmp_path):
     assert (out / "trace_000.log").exists()
 
 
+@pytest.mark.parametrize(
+    "section,key,value,field",
+    [
+        ("network", "delay_mean_ms", float("nan"), "network.delay_mean"),
+        ("network", "delay_var_ms2", float("nan"), "network.delay_var"),
+        ("network", "delay_mean_ms", float("inf"), "network.delay_mean"),
+        ("config", "window_n", "x", "config.window_n"),
+        ("config", "window_n", True, "config.window_n"),
+        (None, "seed", -5, "seed"),
+        (None, "seed", 2**64, "seed"),
+    ],
+    ids=["nan-mean", "nan-var", "inf-mean", "str-window", "bool-window",
+         "negative-seed", "seed-2**64"],
+)
+def test_run_rejects_a_malformed_scenario_with_exit_2(
+    tmp_path, capsys, section, key, value, field
+):
+    data = {
+        "n_processes": 3,
+        "config": {"eta_ms": 330, "alpha_ms": 670, "window_n": 100},
+        "network": {
+            "loss_prob": 0.01, "delay_mean_ms": 5.0, "delay_var_ms2": 4.0,
+            "delay_dist": "normal",
+        },
+        "duration_ms": 5000,
+        "seed": 5,
+    }
+    (data[section] if section else data)[key] = value
+    scenario_path = tmp_path / "bad.json"
+    scenario_path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", str(scenario_path), "--out", str(out)) == 2
+    assert f"error: {field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_scenario_names_the_field(tmp_path, capsys):
     scenario_path = tmp_path / "bad.json"
     scenario_path.write_text(json.dumps({"n_processes": 5}))

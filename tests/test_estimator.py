@@ -150,3 +150,21 @@ def test_random_windows_against_oracle():
         want = eq1_float(entries, eta, seq + 1)
         assert abs(got - want) <= 0.5 + 1e-9 * abs(want)
         assert got == math.floor(want + 0.5) or abs(got - want) < 0.5
+
+
+@given(windows(), st.integers(min_value=1, max_value=30))
+@settings(max_examples=100)
+def test_eviction_matches_a_window_of_the_last_entries(data, capacity):
+    # Record more pairs than the window holds; the survivors must predict
+    # exactly what the last ``capacity`` pairs do, summed directly.
+    eta, entries = data
+    last = entries[-1][0]
+    entries += [(last + k, eta * (last + k) + 7 * k) for k in range(1, capacity + 2)]
+    kept = entries[-capacity:]
+    w = fill(entries, capacity=capacity)
+    assert list(w.entries) == kept
+    next_seq = entries[-1][0] + 1
+    shifted_sum = sum(a - eta * s for s, a in kept)
+    want = div_round_half_up(shifted_sum, capacity) + next_seq * eta
+    assert w.expected_arrival(eta, next_seq) == want
+    assert fill(kept, capacity=capacity).expected_arrival(eta, next_seq) == want

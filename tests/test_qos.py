@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from nfdl import qos
 from nfdl.protocol import ProtocolConfig
-from nfdl.simnet import EventTrace, FaultEvent, NetworkModel, Scenario, TraceEvent
+from nfdl.simnet import EventTrace, FaultEvent, NetworkModel, Scenario, TraceEvent, run
 
 CFG = ProtocolConfig(eta=330, alpha=670)
 NET = NetworkModel(0.0, 5.0, 0.0, "constant")
@@ -356,3 +356,19 @@ def test_unpinned_true_leader_is_the_leader_held_before_the_first_fault():
     # Without agreement just before the first fault, its process is used.
     split = make_trace(held + [(5_000, 1, 1)], faults=faults, high_priority=None)
     assert qos.infer_true_leader(split) == 0
+
+
+def test_unpinned_naive_true_leader_counts_start_of_run_outputs():
+    # Process 0 elects itself from the start and never logs an output
+    # change; the leader every process holds before follower 3 crashes is 0.
+    sc = Scenario(
+        n_processes=5, config=CFG, network=NET, duration=15_000, seed=1,
+        algorithm="naive-reduction",
+        faults=(FaultEvent(5_000, 3, "crash"), FaultEvent(9_000, 3, "recover")),
+    )
+    trace = run(sc)
+    assert qos.infer_true_leader(trace) == 0
+    report = qos.build_report(trace)
+    assert report.true_leader == 0
+    rows = [line.split(",") for line in qos.metrics_csv_lines(report)[1:]]
+    assert rows and all(row[3] == "0" for row in rows)

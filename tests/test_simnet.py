@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,11 +106,95 @@ def test_scenario_load_rejects_a_bool_high_priority():
     assert err.value.field == "high_priority"
 
 
+@pytest.mark.parametrize(
+    "section,key,value,field",
+    [
+        ("network", "delay_mean_ms", math.nan, "network.delay_mean"),
+        ("network", "delay_var_ms2", math.nan, "network.delay_var"),
+        ("network", "delay_mean_ms", math.inf, "network.delay_mean"),
+        ("network", "loss_prob", 10**400, "network.loss_prob"),
+        ("config", "window_n", "x", "config.window_n"),
+        ("config", "window_n", True, "config.window_n"),
+        (None, "algorithm", ["nfdl"], "algorithm"),
+        (None, "seed", -5, "seed"),
+        (None, "seed", 2**64, "seed"),
+    ],
+    ids=["nan-mean", "nan-var", "inf-mean", "huge-loss", "str-window", "bool-window",
+         "list-algorithm", "negative-seed", "seed-2**64"],
+)
+def test_scenario_load_rejects_bad_values(section, key, value, field):
+    data = scenario(network=LOSSY).to_dict()
+    (data[section] if section else data)[key] = value
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict(data)
+    assert err.value.field == field
+
+
+def test_scenario_seed_bounds_are_inclusive_of_64_bit_values():
+    for seed in (0, 2**64 - 1):
+        scenario(seed=seed).validate()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from([10**400, 2**64, -1, 0, "nfdl", "crash", "normal"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def mangled_scenarios(draw):
+    """A valid scenario dict with some fields replaced by arbitrary JSON or
+    deleted, at the top level or one level down."""
+    data = scenario(
+        faults=(FaultEvent(1000, 2, "crash"), FaultEvent(5000, 2, "recover")),
+        network=LOSSY,
+    ).to_dict()
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        faults = data.get("faults")
+        targets = [data, data.get("config"), data.get("network"),
+                   faults[0] if isinstance(faults, list) and faults else None]
+        target = draw(st.sampled_from(targets))
+        if not isinstance(target, dict):
+            continue
+        key = draw(st.sampled_from(sorted(target) + ["extra"]))
+        if draw(st.booleans()):
+            target.pop(key, None)
+        else:
+            target[key] = draw(JSON_VALUES)
+    return data
+
+
+@given(st.one_of(mangled_scenarios(), JSON_VALUES))
+@settings(max_examples=300, deadline=None)
+def test_scenario_from_dict_raises_only_scenario_error(data):
+    try:
+        sc = Scenario.from_dict(data)
+    except ScenarioError:
+        return
+    assert Scenario.from_dict(sc.to_dict()) == sc
+
+
 def test_scenario_load_rejects_non_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("not json {")
     with pytest.raises(ScenarioError):
         Scenario.load(path)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{", b"[" * 100_000, b'{"seed": ' + b"9" * 5000 + b"}"],
+    ids=["not-utf8", "nested-too-deep", "too-many-digits"],
+)
+def test_scenario_load_rejects_unreadable_json(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(ScenarioError) as err:
+        Scenario.load(path)
+    assert err.value.field == "scenario"
 
 
 # -- link sampling ------------------------------------------------------------
@@ -140,6 +226,49 @@ def test_message_streams_are_independent_and_stable():
     to_r1 = [sample_delivery(0, LOSSY, link_stream(7, 0, s, 1)) for s in range(1, 50)]
     to_r2 = [sample_delivery(0, LOSSY, link_stream(7, 0, s, 2)) for s in range(1, 50)]
     assert to_r1 != to_r2
+
+
+def numpy_stream(seed, sender, seq, receiver):
+    ss = np.random.SeedSequence(
+        entropy=seed & (2**64 - 1), spawn_key=(sender, seq, receiver)
+    )
+    return np.random.Generator(np.random.PCG64(ss))
+
+
+KEYS = st.one_of(
+    st.integers(min_value=0, max_value=2**128),
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 5]),
+)
+SEEDS = st.one_of(
+    KEYS,
+    st.integers(min_value=-(2**70), max_value=-1),
+    st.integers(min_value=2**64 - 64, max_value=2**64 + 64),
+)
+
+
+@given(SEEDS, KEYS, KEYS, KEYS)
+@settings(max_examples=400, deadline=None)
+def test_link_stream_matches_numpy_seeding(seed, sender, seq, receiver):
+    want = numpy_stream(seed, sender, seq, receiver)
+    want_draws = (want.random(), want.normal(), want.uniform(-3.0, 7.0))
+    got = link_stream(seed, sender, seq, receiver)
+    assert (got.random(), got.normal(), got.uniform(-3.0, 7.0)) == want_draws
+
+
+def test_link_stream_matches_numpy_across_a_broadcast():
+    # one send to many receivers, then the next send, as the simulator calls it
+    for seq in (1, 2, 2**32 + 1):
+        for receiver in range(8):
+            want = numpy_stream(42, 3, seq, receiver).random(4).tolist()
+            assert link_stream(42, 3, seq, receiver).random(4).tolist() == want
+
+
+@pytest.mark.parametrize("key", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
+def test_link_stream_rejects_negative_keys(key):
+    with pytest.raises(ValueError):
+        numpy_stream(1, *key)
+    with pytest.raises(ValueError):
+        link_stream(1, *key)
 
 
 GOLDEN_DELIVERIES = [
