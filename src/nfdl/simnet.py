@@ -6,10 +6,10 @@ each message independently with a fixed probability and delay survivors by a
 sampled, non-negative integer delay.  Every message gets its own random
 sub-stream keyed by (seed, sender, seq, receiver), so traces are a pure
 function of (scenario, seed) and editing one link or adding a process never
-perturbs the samples on another link.  The sub-stream is numpy's
-``PCG64(SeedSequence(seed, spawn_key=(sender, seq, receiver)))``, seeded by
-integer arithmetic: :func:`link_stream` reseeds one shared generator per
-message and returns it, valid until its next call.
+perturbs the samples on another link.  The sub-stream is numpy's Philox
+keyed by (seed, sender) and started at counter (0, 0, seq, receiver):
+:func:`link_stream` rekeys one shared generator per message and returns it,
+valid until its next call.
 
 Fault injection is a scripted schedule of crash/recover events.  A crash
 discards the process's volatile state and silences it; messages still in
@@ -46,7 +46,6 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import index
 from pathlib import Path
 
@@ -61,7 +60,7 @@ from .protocol import (
 )
 from .stable_store import MemoryStore, load_or_create_zerotime, next_send_time, send_label
 
-TRACE_FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = 2
 SCENARIO_SCHEMA_VERSION = 1
 
 ALGORITHMS = ("nfdl", "nfde-pair", "naive-reduction")
@@ -293,161 +292,39 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # Link sampling
 #
-# A message's stream is numpy's
-#   Generator(PCG64(SeedSequence(entropy=seed & (2**64 - 1),
-#                                spawn_key=(sender, seq, receiver))))
-# bit for bit, but seeded in plain integer arithmetic instead of building a
-# SeedSequence and a PCG64 per message.  SeedSequence (pool size 4) hashes the
-# seed into a pool of four 32-bit words and then mixes in each 32-bit word of
-# sender, seq and receiver in turn; PCG64 hashes the pool out into a 128-bit
-# initial state and increment and runs the PCG seeding steps.  The pool after
-# the seed is kept once per seed and the pool after (sender, seq) once per
-# send, so each receiver mixes in only its own word.
+# Each message draws from numpy's counter-based Philox (Salmon et al.,
+# "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11) under key
+# (seed, sender), starting at counter (0, 0, seq, receiver).  Philox bumps
+# the lowest counter word first, so no two messages' streams overlap before
+# one of them has drawn 2**64 blocks.
 
-_MASK32 = 0xFFFF_FFFF
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-# SeedSequence's hashing constants (numpy/random/bit_generator.pyx).
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# The low 16 bits of each 32-bit word of a 128-bit integer.
-_LOW16_LANES = 0x0000FFFF_0000FFFF_0000FFFF_0000FFFF
-
-
-def _hashmix(value: int, h: int) -> tuple[int, int]:
-    """SeedSequence's hashmix: (hashed value, next hash constant)."""
-    value ^= h
-    h = h * _MULT_A & _MASK32
-    value = value * h & _MASK32
-    return value ^ value >> 16, h
-
-
-def _mix(x: int, y: int) -> int:
-    """SeedSequence's mix of pool word ``x`` with hashed word ``y``."""
-    r = _MIX_MULT_L * x - _MIX_MULT_R * y & _MASK32
-    return r ^ r >> 16
-
-
-def _seed_pool(entropy: int) -> tuple[int, ...]:
-    """Pool words and hash constant after a 64-bit seed, zero-padded to the
-    pool size as SeedSequence pads its entropy whenever a spawn key follows."""
-    h = _INIT_A
-    pool = []
-    for word in (entropy & _MASK32, entropy >> 32, 0, 0):
-        value, h = _hashmix(word, h)
-        pool.append(value)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                value, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], value)
-    return (*pool, h)
-
-
-@lru_cache(maxsize=1024)
-def _word_terms(word: int, h: int) -> tuple[int, ...]:
-    """What mixing ``word`` subtracts from each pool word (its four hashmix
-    values times the mix multiplier), then the next hash constant.  Cached,
-    because a run mixes the same few sender and receiver words over and over;
-    a seq word is new on every send and bypasses the cache."""
-    terms = []
-    for _ in range(4):
-        value, h = _hashmix(word, h)
-        terms.append(_MIX_MULT_R * value)
-    return (*terms, h)
-
-
-def _absorb(
-    pool: tuple[int, ...], value: int, word_terms=_word_terms
-) -> tuple[int, ...]:
-    """Mix the 32-bit words of ``value``, least significant first, into
-    ``pool``; numpy rejects a negative spawn key the same way."""
-    value = index(value)
-    if value < 0:
-        raise ValueError(f"expected non-negative integer, got {value}")
-    p0, p1, p2, p3, h = pool
-    while True:
-        t0, t1, t2, t3, h = word_terms(value & _MASK32, h)
-        p0 = _MIX_MULT_L * p0 - t0 & _MASK32
-        p1 = _MIX_MULT_L * p1 - t1 & _MASK32
-        p2 = _MIX_MULT_L * p2 - t2 & _MASK32
-        p3 = _MIX_MULT_L * p3 - t3 & _MASK32
-        p0 ^= p0 >> 16
-        p1 ^= p1 >> 16
-        p2 ^= p2 >> 16
-        p3 ^= p3 >> 16
-        value >>= 32
-        if not value:
-            return p0, p1, p2, p3, h
-
-
-# generate_state(4, uint64) hashes its i-th output word with the hash constant
-# _INIT_B * _MULT_B**i (xor) and then the next one (multiply).
-_STATE_HASH = tuple(
-    (_INIT_B * _MULT_B**i & _MASK32, _INIT_B * _MULT_B ** (i + 1) & _MASK32)
-    for i in range(8)
-)
-
-
-def _pcg64_state(pool: tuple[int, ...]) -> tuple[int, int]:
-    """PCG64's (state, inc) when seeded from ``pool``.
-
-    generate_state's eight 32-bit words w0..w7 cycle through the pool.  Read
-    as little-endian uint64s (high:low) u0 = w1:w0 .. u3 = w7:w6, they give
-    initstate = u0:u1 and initseq = u2:u3; each word's final xor-shift is done
-    on these packed 128-bit values.  Then pcg_setseq_128_srandom_r:
-    inc = 2*initseq + 1, and two LCG steps around adding initstate.
-    """
-    w = [(pool[i & 3] ^ x) * k & _MASK32 for i, (x, k) in enumerate(_STATE_HASH)]
-    initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
-    initseq = w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]
-    initstate ^= initstate >> 16 & _LOW16_LANES
-    initseq ^= initseq >> 16 & _LOW16_LANES
-    inc = (initseq << 1 | 1) & _MASK128
-    return ((initstate + inc) * _PCG_MULT + inc) & _MASK128, inc
-
-
-_seed_cache: tuple = (None, None)  # (seed, pool after the seed words)
-_send_cache: tuple = (None, None)  # ((seed, sender, seq), pool after both)
-_stream: tuple | None = None  # (PCG64, Generator), reseeded by every call
+_STREAM = np.random.Generator(np.random.Philox(0))
 
 
 def link_stream(seed: int, sender: int, seq: int, receiver: int) -> np.random.Generator:
     """Independent random stream for one message on one directed link.
 
-    The stream is exactly ``Generator(PCG64(SeedSequence(entropy=seed &
-    (2**64 - 1), spawn_key=(sender, seq, receiver))))``; a negative key raises
-    ValueError as numpy does.  The returned Generator is one shared object,
-    reseeded in place: it is valid only until the next call from any thread,
-    so draw from it at once (the simulator hands it straight to
-    :func:`sample_delivery`).
+    The stream is exactly ``Generator(Philox(key=(seed, sender),
+    counter=(0, 0, seq, receiver)))``.  Every key must be an integer
+    (TypeError otherwise) within [0, 2**64) (ValueError otherwise).  The
+    returned Generator is one shared object, rekeyed in place: it is valid
+    only until the next call from any thread, so draw from it at once (the
+    simulator hands it straight to :func:`sample_delivery`).
     """
-    global _seed_cache, _send_cache, _stream
-    seed, sender, seq = index(seed), index(sender), index(seq)
-    send = (seed, sender, seq)
-    if _send_cache[0] != send:
-        if _seed_cache[0] != seed:
-            _seed_cache = (seed, _seed_pool(seed & _MASK64))
-        pool = _absorb(_seed_cache[1], sender)
-        _send_cache = (send, _absorb(pool, seq, _word_terms.__wrapped__))
-    state, inc = _pcg64_state(_absorb(_send_cache[1], receiver))
-    if _stream is None:
-        bit_generator = np.random.PCG64(0)
-        _stream = (bit_generator, np.random.Generator(bit_generator))
-    bit_generator, generator = _stream
-    bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
+    seed, sender, seq, receiver = index(seed), index(sender), index(seq), index(receiver)
+    # Nonzero exactly when some key is negative or needs more than 64 bits.
+    if (seed | sender | seq | receiver) >> 64:
+        keys = (seed, sender, seq, receiver)
+        raise ValueError(f"keys must be within [0, 2**64), got {keys}")
+    _STREAM.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, seq, receiver), "key": (seed, sender)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return generator
+    return _STREAM
 
 
 def sample_delivery(

@@ -71,56 +71,56 @@ SCENARIOS = {
 # (trace sha256, metrics CSV sha256 or "ValueError" when build_report refuses)
 EXPECTED = {
     "naive-faults": (
-        "d358fda539d96682671b95c3772ec13c3993000faf597d63c98de0f5969e9879",
-        "d48a489403773c0d0ff7dfbad6213e2b91fa829eeb62bfa369c740f3420afa5e",
+        "413e306607245291cfe2f0ac8c494e939835b79fcbc43eb9b175f79ea719a79f",
+        "f63c246fbb2058d815c2a0f7fb44163ab6748da3d334f21d958f52d468abdef3",
     ),
     "naive-n10": (
-        "404098a77860552d9ed4da855d4c5f1fa4fd2436d7607784d02ce33e6e2852ef",
+        "1b7fff84cffdeb5ca48828bbb7520a0023f4eaf1339ba0bcb4ece66c383497b7",
         "d6c4e1a641edfb5b53fedd37a93709422c89f5cd94b92dc85f026faca543a18d",
     ),
     "nfde-pair-monitor-crash": (
-        "1b8f506ece34399e7a8e72d7e4d46ed50726570b3f10848a963ffc6bf93f0547",
+        "18bd9b91982e0147dba150f554d87a3f8178a9e206ea1ec0fc2f0c6b8682ee74",
         "23fac8f6377384b23346824326f69495bc1a3c6641f07a91054ece3a9d023e11",
     ),
     "nfde-pair-sender-crash": (
-        "3e70c9b26085aacd15cb5a6d3924b3c374727f94c6e613be0630c0965b2fef4c",
+        "67e108578baddf4aa5f200eb3e1ded4c6678b01dfbd4e676dc498291a5ea9a1b",
         "6383dd28f6d176c17d3fce4024a9a640cda8f6b7a9e8b6314650ab207241a807",
     ),
     "nfdl-accuracy-120s": (
-        "d5964961991e4ca389fdd75f665ce47271a402d0c5e6fddc7bcf287867fe4d28",
+        "d9a65d6322fa68e914dc1773ea0e4343eb4d0fc0421ec136e81803e21c82dee3",
         "e6f97b4f5a987358cbb9b6da6a1ae2f922c6520b1f34f772572cde11b837dc7f",
     ),
     # Scored against leader 4, which every process holds before the crash of
     # follower 1; leader 4 never fails, so the CSV equals the fail-free runs'.
     "nfdl-follower-crash": (
-        "7cd0a44a075f79e580f6a3ee677f9f696d44c70e5f393059e3c7763eca91df2d",
+        "d941419a71ee365451f8ba2112125981c81da76817322f5e3f165fe87ff76aaa",
         "e6f97b4f5a987358cbb9b6da6a1ae2f922c6520b1f34f772572cde11b837dc7f",
     ),
     "nfdl-n20-two-crashes": (
-        "379b9eda12e9118f6c172e9aee0d0e35bd896e854743ed9fcd9950686498bf6f",
-        "bd34f2ef33a40574916f3133eb30118621ef9e171a4db96ac7c6cacbc6a174e8",
+        "d4132b3cae2cb6baa1e74f84a050f480e3b68cea83b6b35837202d57fbebfb87",
+        "4f41de8b080c00eea17d1ebdf80a7e43a5e5618fc1eec78c3e741d0ca9cd8c27",
     ),
     "nfdl-quiet": (
-        "c726bde8b1eaee7214db1d10562ec9e3bc8eaa66a1b5c8abe5df8cb5f3b70a24",
+        "37224ae7ba293e15f41a40c843172c5d6c181ddbfb06d310b5c94a33d3959f49",
         "e6f97b4f5a987358cbb9b6da6a1ae2f922c6520b1f34f772572cde11b837dc7f",
     ),
     "nfdl-speed-3-cycles": (
-        "d442380fa5ce74e074a2fc9b3cfa8b02654a090f15413367b5a7883738a0f8db",
-        "49d49a0f859698837adb002ed30d190ff70f47defc56a697ab5082ee769ff7da",
+        "54d81cb3f6624f293ad97d837ae13e20429af963dea4273660285d6625f8ce6d",
+        "d366f4faf589e9a7fc845fb5ee65ebf1ec84cc26c3bc1dfeec248a692912d04b",
     ),
     "nfdl-uniform-zero-length-crash": (
-        "902f36f00a69c78bea7020469af4e718d7e1c6723570058b3a2adaba894c2976",
-        "faba75367561154939678715327f0c5fe04667754cf04aa638591f94ac28a8bc",
+        "af0f536c0d08e70d21d3cd2b685b05a650c5e02d7013c15b929b768afe1197de",
+        "27cdd1db8b3a6f42fd92dca04a2b05ef3c252a2a2dbdf34a999ff2a810be2f4d",
     ),
 }
 
 CLI_EXPECTED = {
-    "out/metrics_000.csv": "5ac3646405d38aaf5cd258da8047451e9cd9c9ddb5f3a4da836a287481e52281",
-    "out/metrics_001.csv": "2e559fc626bf7d0617fb1b96826b26fcba75c3082068a5db8ae8924055b95e5c",
-    "out/report.txt": "1794704b06c16cdd9ef10136f5830ca9c1f2b972bde412034d97e79b0be4d246",
-    "out/summary.csv": "455a4ffdfb82c59ff8da40afd99455d491c7aa6cbe913218cecec068c3f5d943",
-    "out/trace_000.log": "7d6140bdcc49b2ad9db2f59a68eb55e4e440d61c825964d9950bab3b1fb08d5d",
-    "out/trace_001.log": "2324a8e6081cbc74c48bf001608558c3cdf98087b8485d1a6e59e995ed0f10eb",
+    "out/metrics_000.csv": "100a448b9ce31d7689af7d8e2c76e1dcfd3ebf8f90d694b069c685ee096a05c4",
+    "out/metrics_001.csv": "77c0339d5c082a634c8c4e21234909a16aa013989390275f1ec67c6ac18680aa",
+    "out/report.txt": "1c7c855346713c12a6ad9e53c67fc55f083c25a710475a990c4fde243aa411e6",
+    "out/summary.csv": "91c0f7684e5fec694fd8e8a922007919f26d9ac54256861e5bf68a8752e37152",
+    "out/trace_000.log": "83c0509edd17417c423fc032f5c947e145a6fcf755fad2e4b8ee2bb38404cc1d",
+    "out/trace_001.log": "4954d44a42d8b4ac0ff4a3bc85e5301e5c04c599c564d5d363efcdaf16654eee",
     "state/zerotime.0": "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
     "state/zerotime.1": "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
     "state/zerotime.2": "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",

@@ -228,59 +228,60 @@ def test_message_streams_are_independent_and_stable():
     assert to_r1 != to_r2
 
 
-def numpy_stream(seed, sender, seq, receiver):
-    ss = np.random.SeedSequence(
-        entropy=seed & (2**64 - 1), spawn_key=(sender, seq, receiver)
-    )
-    return np.random.Generator(np.random.PCG64(ss))
+def philox_stream(seed, sender, seq, receiver):
+    # uint64 arrays: a Python list would miscast keys >= 2**63
+    return np.random.Generator(np.random.Philox(
+        key=np.array([seed, sender], np.uint64),
+        counter=np.array([0, 0, seq, receiver], np.uint64),
+    ))
 
 
 KEYS = st.one_of(
-    st.integers(min_value=0, max_value=2**128),
-    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 5]),
-)
-SEEDS = st.one_of(
-    KEYS,
-    st.integers(min_value=-(2**70), max_value=-1),
-    st.integers(min_value=2**64 - 64, max_value=2**64 + 64),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1]),
 )
 
 
-@given(SEEDS, KEYS, KEYS, KEYS)
-@settings(max_examples=400, deadline=None)
-def test_link_stream_matches_numpy_seeding(seed, sender, seq, receiver):
-    want = numpy_stream(seed, sender, seq, receiver)
-    want_draws = (want.random(), want.normal(), want.uniform(-3.0, 7.0))
-    got = link_stream(seed, sender, seq, receiver)
-    assert (got.random(), got.normal(), got.uniform(-3.0, 7.0)) == want_draws
+@given(KEYS, KEYS, st.lists(KEYS, min_size=1, max_size=3),
+       st.lists(KEYS, min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_link_stream_matches_a_fresh_philox(seed, sender, seqs, receivers):
+    # back-to-back calls in broadcast order, as the simulator makes them, with
+    # a 32-bit draw left between them: a stale has_uint32 or buffer would show
+    for seq in seqs:
+        for receiver in receivers:
+            want = philox_stream(seed, sender, seq, receiver)
+            got = link_stream(seed, sender, seq, receiver)
+            draws = [
+                (rng.random(), rng.normal(), rng.uniform(-3.0, 7.0),
+                 int(rng.integers(2**32, dtype=np.uint32)))
+                for rng in (want, got)
+            ]
+            assert draws[1] == draws[0]
 
 
-def test_link_stream_matches_numpy_across_a_broadcast():
-    # one send to many receivers, then the next send, as the simulator calls it
-    for seq in (1, 2, 2**32 + 1):
-        for receiver in range(8):
-            want = numpy_stream(42, 3, seq, receiver).random(4).tolist()
-            assert link_stream(42, 3, seq, receiver).random(4).tolist() == want
-
-
-@pytest.mark.parametrize("key", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
+@pytest.mark.parametrize("key", [
+    (1, -1, 0, 0), (1, 0, -1, 0), (1, 0, 0, -1), (-1, 0, 0, 0),
+    (2**64, 0, 0, 0), (1, 2**64, 0, 0), (1, 0, 2**64, 0), (1, 0, 0, 2**64),
+    (1, 0, 1.0, 0),
+])
 def test_link_stream_rejects_negative_keys(key):
-    with pytest.raises(ValueError):
-        numpy_stream(1, *key)
-    with pytest.raises(ValueError):
-        link_stream(1, *key)
+    error = ValueError if all(isinstance(k, int) for k in key) else TypeError
+    with pytest.raises(error):
+        link_stream(*key)
 
 
 GOLDEN_DELIVERIES = [
-    1002, 2002, 3003, 4005, 5008, 6006, 7003, 8009, None, 10007, 11003, 12013,
-    13010, 14007, 15003, 16004, 17013, 18000, 19006, 20003, 21008, 22003,
-    23002, 24006,
+    1008, 2001, None, 4002, 5008, 6005, 7010, 8006, 9011, 10004, 11002, 12005,
+    13011, 14003, 15011, 16005, 17011, 18006, 19003, 20004, 21009, 22004,
+    23007, 24015,
 ]
 
 
 def test_golden_delivery_sequence():
-    # Frozen from the first verified run of the keyed sampler; guards the
-    # stream derivation and the rounding/truncation rules against drift.
+    # Frozen from the first verified run of the Philox streams (trace v2);
+    # guards the stream derivation and the rounding/truncation rules against
+    # drift.
     got = [
         sample_delivery(1000 * seq, LOSSY, link_stream(7, 0, seq, 1))
         for seq in range(1, 25)
@@ -313,7 +314,7 @@ def test_trace_file_round_trip(tmp_path):
     path = tmp_path / "trace.log"
     trace.write(path)
     assert path.read_text() == "\n".join(trace.lines()) + "\n"
-    assert path.read_text().startswith("# trace v1\n")
+    assert path.read_text().startswith("# trace v2\n")
 
 
 def test_every_delivery_matches_an_earlier_send():
