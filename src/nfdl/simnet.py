@@ -52,6 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from .protocol import (
+    ConfigError,
     Heartbeat,
     NfdeMonitor,
     NfdlProcess,
@@ -237,8 +238,9 @@ class Scenario:
         )
         try:
             config = ProtocolConfig(eta=eta, alpha=alpha, window_n=window_n)
-        except ValueError as exc:
-            raise ScenarioError("config", str(exc)) from exc
+        except ConfigError as exc:
+            key = {"eta": "eta_ms", "alpha": "alpha_ms"}.get(exc.field, exc.field)
+            raise ScenarioError(f"config.{key}", str(exc)) from exc
         network = NetworkModel(
             loss_prob=real(net, "loss_prob", "network.loss_prob"),
             delay_mean=real(net, "delay_mean_ms", "network.delay_mean_ms"),

@@ -80,9 +80,12 @@ def test_run_accepts_a_scenario_file(tmp_path):
         ("config", "window_n", True, "config.window_n"),
         (None, "seed", -5, "seed"),
         (None, "seed", 2**64, "seed"),
+        ("config", "eta_ms", 0, "config.eta_ms"),
+        ("config", "alpha_ms", -1, "config.alpha_ms"),
+        ("config", "window_n", 0, "config.window_n"),
     ],
     ids=["nan-mean", "nan-var", "inf-mean", "str-window", "bool-window",
-         "negative-seed", "seed-2**64"],
+         "negative-seed", "seed-2**64", "zero-eta", "negative-alpha", "zero-window"],
 )
 def test_run_rejects_a_malformed_scenario_with_exit_2(
     tmp_path, capsys, section, key, value, field

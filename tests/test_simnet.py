@@ -118,9 +118,13 @@ def test_scenario_load_rejects_a_bool_high_priority():
         (None, "algorithm", ["nfdl"], "algorithm"),
         (None, "seed", -5, "seed"),
         (None, "seed", 2**64, "seed"),
+        ("config", "eta_ms", 0, "config.eta_ms"),
+        ("config", "alpha_ms", -1, "config.alpha_ms"),
+        ("config", "window_n", 0, "config.window_n"),
     ],
     ids=["nan-mean", "nan-var", "inf-mean", "huge-loss", "str-window", "bool-window",
-         "list-algorithm", "negative-seed", "seed-2**64"],
+         "list-algorithm", "negative-seed", "seed-2**64", "zero-eta", "negative-alpha",
+         "zero-window"],
 )
 def test_scenario_load_rejects_bad_values(section, key, value, field):
     data = scenario(network=LOSSY).to_dict()
