@@ -246,10 +246,25 @@ KEYS = st.one_of(
 )
 
 
+@given(KEYS, KEYS, KEYS, KEYS)
+@settings(max_examples=200, deadline=None)
+def test_link_stream_matches_numpy_seeding(seed, sender, seq, receiver):
+    # a longer prefix than one message uses, so the counter steps past the
+    # first block the same way in both
+    want = philox_stream(seed, sender, seq, receiver)
+    got = link_stream(seed, sender, seq, receiver)
+    draws = [
+        (rng.random(9).tolist(), rng.normal(size=5).tolist(),
+         rng.integers(2**64, size=3, dtype=np.uint64).tolist())
+        for rng in (want, got)
+    ]
+    assert draws[1] == draws[0]
+
+
 @given(KEYS, KEYS, st.lists(KEYS, min_size=1, max_size=3),
        st.lists(KEYS, min_size=1, max_size=4))
 @settings(max_examples=200, deadline=None)
-def test_link_stream_matches_a_fresh_philox(seed, sender, seqs, receivers):
+def test_link_stream_matches_numpy_across_a_broadcast(seed, sender, seqs, receivers):
     # back-to-back calls in broadcast order, as the simulator makes them, with
     # a 32-bit draw left between them: a stale has_uint32 or buffer would show
     for seq in seqs:
