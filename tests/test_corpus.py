@@ -13,7 +13,7 @@ import hashlib
 import pytest
 
 from nfdl import cli, qos
-from nfdl.experiments import accuracy_scenario, speed_scenario
+from nfdl.experiments import accuracy_scenario, measured_network, speed_scenario
 from nfdl.protocol import ProtocolConfig
 from nfdl.simnet import FaultEvent, NetworkModel, Scenario, run
 
@@ -66,6 +66,18 @@ SCENARIOS = {
     "naive-n10": lambda: scenario(
         algorithm="naive-reduction", n_processes=10, duration=10_000
     ),
+    # The new incarnation re-arms the same 1000 ms grace deadline that the
+    # crashed one held.
+    "nfdl-restart-at-zero": lambda: scenario(
+        n_processes=3, network=QUIET, faults=crash_recover(1, 0, 0)
+    ),
+    "naive-n10-two-restarts": lambda: scenario(
+        algorithm="naive-reduction", n_processes=10, network=measured_network(),
+        seed=4, faults=crash_recover(0, 3_000, 7_000) + crash_recover(5, 7_000, 12_000),
+    ),
+    "nfde-pair-monitor-restart": lambda: scenario(
+        algorithm="nfde-pair", n_processes=2, faults=crash_recover(1, 2_000, 2_000)
+    ),
 }
 
 # (trace sha256, metrics CSV sha256 or "ValueError" when build_report refuses)
@@ -74,12 +86,20 @@ EXPECTED = {
         "413e306607245291cfe2f0ac8c494e939835b79fcbc43eb9b175f79ea719a79f",
         "f63c246fbb2058d815c2a0f7fb44163ab6748da3d334f21d958f52d468abdef3",
     ),
+    "naive-n10-two-restarts": (
+        "2cc2aeabf7579f591b2ee00a8707f1270bd7a9c57ab6bd1320abb60a8c63dc3b",
+        "92fb09f78463049b588071cc3efde90299c5bbf08280c2e7a8e932bcfe2498f4",
+    ),
     "naive-n10": (
         "1b7fff84cffdeb5ca48828bbb7520a0023f4eaf1339ba0bcb4ece66c383497b7",
         "d6c4e1a641edfb5b53fedd37a93709422c89f5cd94b92dc85f026faca543a18d",
     ),
     "nfde-pair-monitor-crash": (
         "18bd9b91982e0147dba150f554d87a3f8178a9e206ea1ec0fc2f0c6b8682ee74",
+        "23fac8f6377384b23346824326f69495bc1a3c6641f07a91054ece3a9d023e11",
+    ),
+    "nfde-pair-monitor-restart": (
+        "955cf2fe1c5b2e08f4c2a5c0b270dfbc68ff6dfd6f06fc32a172d2818e68da36",
         "23fac8f6377384b23346824326f69495bc1a3c6641f07a91054ece3a9d023e11",
     ),
     "nfde-pair-sender-crash": (
@@ -103,6 +123,10 @@ EXPECTED = {
     "nfdl-quiet": (
         "37224ae7ba293e15f41a40c843172c5d6c181ddbfb06d310b5c94a33d3959f49",
         "e6f97b4f5a987358cbb9b6da6a1ae2f922c6520b1f34f772572cde11b837dc7f",
+    ),
+    "nfdl-restart-at-zero": (
+        "fa12f3a27c94859af5f0cd2fd54f9c33fee647e83353b00e83c8df0bd91ce6ff",
+        "57174092880d8625b410154a8c0aeaab51a8bb9ce2ab82f563f2dc2ae70f9dc2",
     ),
     "nfdl-speed-3-cycles": (
         "54d81cb3f6624f293ad97d837ae13e20429af963dea4273660285d6625f8ce6d",
