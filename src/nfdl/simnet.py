@@ -25,10 +25,16 @@ deadline" reading of the monitors.
 Every algorithm runs behind one node interface.  At each send instant
 ``zerotime + i*eta`` the node's ``next_heartbeat(now)`` returns a heartbeat
 (or None) for its ``targets``: None broadcasts it as one ``send`` event,
-a tuple sends and logs one unicast per receiver.  ``deliver(hb, now)``
-applies a delivery, ``fire(key, now)`` the expiry of the deadline under
-``key`` in ``deadlines()``, and ``output()`` is the value traced by
-``output_change`` (a leader id, or a trust/suspect verdict).
+a tuple sends and logs one unicast per receiver.  ``deadline_of(key)`` is
+the deadline filed under ``key`` (None when unarmed); the node's own id
+keys the one it arms at start-up, if any.  ``deliver(hb, now)`` applies a
+delivery and returns the key whose deadline it moved, or None.
+``fire(key, now)`` expires and clears the deadline under ``key``, and
+``output()`` is the value traced by ``output_change`` (a leader id, or a
+trust/suspect verdict).  The simulator arms a timer as a heap entry
+``(node, key, deadline)`` only when start-up or a delivery sets a deadline;
+the entry is stale once ``nodes[pid]`` is not ``node`` (a crash) or
+``deadline_of(key)`` is not ``deadline`` (moved or fired).
 
 ``nfdl`` runs ``NfdlProcess`` through a thin subclass.  Both baselines are
 one all-pairs node that sends to its targets and runs an ``NfdeMonitor``
@@ -418,21 +424,26 @@ _CRASH, _RECOVER, _TIMER, _TICK, _DELIVER = range(5)
 
 
 class _ElectionNode(NfdlProcess):
-    """``NfdlProcess`` behind the node interface; the leader broadcasts."""
+    """``NfdlProcess`` behind the node interface; the leader broadcasts.
+
+    Its one deadline, grace or freshness, is filed under its own id.
+    """
 
     targets = None
 
-    def deliver(self, hb: Heartbeat, now: int) -> None:
+    def deliver(self, hb: Heartbeat, now: int) -> int | None:
+        before = self.deadline
         self.on_heartbeat(hb, now)
+        return None if self.deadline == before else self.self_id
 
-    def fire(self, key, now: int) -> None:
+    def fire(self, key: int, now: int) -> None:
         self.on_timer_fire(now)
 
     def output(self) -> int | None:
         return self.leader
 
-    def deadlines(self) -> dict[None, int | None]:
-        return {None: self.deadline}
+    def deadline_of(self, key: int) -> int | None:
+        return self.deadline
 
 
 class _MonitorNode:
@@ -456,8 +467,11 @@ class _MonitorNode:
         seq = send_label(self.zerotime, now, self.config.eta)
         return Heartbeat(seq=seq, sender=self.pid, uptime=0)
 
-    def deliver(self, hb: Heartbeat, now: int) -> None:
-        self.monitors[hb.sender].on_heartbeat(hb.seq, now)
+    def deliver(self, hb: Heartbeat, now: int) -> int | None:
+        monitor = self.monitors[hb.sender]
+        before = monitor.deadline
+        monitor.on_heartbeat(hb.seq, now)
+        return None if monitor.deadline == before else hb.sender
 
     def fire(self, key: int, now: int) -> None:
         self.monitors[key].on_timeout(now)
@@ -468,8 +482,9 @@ class _MonitorNode:
             return min([self.pid, *trusted])
         return next((m.verdict.value for m in self.monitors.values()), None)
 
-    def deadlines(self) -> dict[int, int | None]:
-        return {peer: m.deadline for peer, m in self.monitors.items()}
+    def deadline_of(self, key: int) -> int | None:
+        monitor = self.monitors.get(key)
+        return None if monitor is None else monitor.deadline
 
 
 class Simulator:
@@ -485,10 +500,8 @@ class Simulator:
         self.scenario = scenario
         self.store = store if store is not None else MemoryStore()
         self.nodes: list[object | None] = [None] * scenario.n_processes
-        self._incarnation = [0] * scenario.n_processes
         self._heap: list[tuple] = []
         self._pushes = 0
-        self._armed: dict[tuple[int, int | None], int] = {}
         self.trace = EventTrace(scenario=scenario)
         self._ran = False
         for pid in range(scenario.n_processes):
@@ -518,9 +531,11 @@ class Simulator:
             if time >= sc.duration:
                 break
             if rank == _CRASH:
-                self._on_crash(pid, time)
+                self.nodes[pid] = None
+                self._log(TraceEvent(time, pid, "crash"))
             elif rank == _RECOVER:
-                self._on_recover(pid, time)
+                self._log(TraceEvent(time, pid, "recover"))
+                self._start(pid, time)
             elif rank == _TIMER:
                 self._on_timer(pid, time, payload)
             elif rank == _TICK:
@@ -534,7 +549,7 @@ class Simulator:
                 self.trace.final_outputs[pid] = node.output()
         return self.trace
 
-    # -- process lifecycle -------------------------------------------------
+    # -- process start-up --------------------------------------------------
 
     def _start(self, pid: int, now: int) -> None:
         sc = self.scenario
@@ -552,47 +567,25 @@ class Simulator:
                                 targets=others, watched=others, elect=True)
         self.nodes[pid] = node
         first_send = next_send_time(node.zerotime, now, sc.config.eta)
-        self._push(first_send, pid, _TICK, self._incarnation[pid])
-        self._sync_timers(pid, now)
-
-    def _on_crash(self, pid: int, now: int) -> None:
-        self.nodes[pid] = None
-        self._incarnation[pid] += 1
-        for key in [k for k in self._armed if k[0] == pid]:
-            del self._armed[key]
-        self._log(TraceEvent(now, pid, "crash"))
-
-    def _on_recover(self, pid: int, now: int) -> None:
-        self._incarnation[pid] += 1
-        self._log(TraceEvent(now, pid, "recover"))
-        self._start(pid, now)
+        self._push(first_send, pid, _TICK, node)
+        self._arm(pid, node, pid, now)
 
     # -- timers ------------------------------------------------------------
 
-    def _sync_timers(self, pid: int, now: int) -> None:
-        inc = self._incarnation[pid]
-        for key, deadline in self.nodes[pid].deadlines().items():
-            akey = (pid, key)
-            if deadline is None:
-                self._armed.pop(akey, None)
-                continue
-            if self._armed.get(akey) == deadline:
-                continue
-            self._armed[akey] = deadline
-            self._push(max(now, deadline), pid, _TIMER, (inc, key))
+    def _arm(self, pid: int, node, key: int, now: int) -> None:
+        deadline = node.deadline_of(key)
+        if deadline is not None:
+            self._push(max(now, deadline), pid, _TIMER, (node, key, deadline))
 
-    def _on_timer(self, pid: int, now: int, payload) -> None:
-        inc, key = payload
-        deadline = self._armed.get((pid, key))
-        # A timer is stale once its process crashed or its deadline moved.
-        if inc != self._incarnation[pid] or deadline is None or now < deadline:
+    def _on_timer(self, pid: int, now: int, entry) -> None:
+        node, key, deadline = entry
+        # Stale once its process crashed or its deadline moved or fired.
+        if self.nodes[pid] is not node or node.deadline_of(key) != deadline:
             return
-        node = self.nodes[pid]
         before = node.output()
         node.fire(key, now)
         self._log(TraceEvent(now, pid, "timer_fire", deadline=deadline))
         self._log_output_change(pid, now, before)
-        self._sync_timers(pid, now)
 
     def _log_output_change(self, pid: int, now: int, before) -> None:
         after = self.nodes[pid].output()
@@ -605,11 +598,10 @@ class Simulator:
 
     # -- sending and delivery ----------------------------------------------
 
-    def _on_tick(self, pid: int, now: int, inc: int) -> None:
-        if inc != self._incarnation[pid]:
+    def _on_tick(self, pid: int, now: int, node) -> None:
+        if self.nodes[pid] is not node:
             return
-        self._push(now + self.scenario.config.eta, pid, _TICK, inc)
-        node = self.nodes[pid]
+        self._push(now + self.scenario.config.eta, pid, _TICK, node)
         hb = node.next_heartbeat(now)
         if hb is None:
             return
@@ -661,9 +653,10 @@ class Simulator:
                        uptime=hb.uptime)
         )
         before = node.output()
-        node.deliver(hb, now)
+        key = node.deliver(hb, now)
         self._log_output_change(pid, now, before)
-        self._sync_timers(pid, now)
+        if key is not None:
+            self._arm(pid, node, key, now)
 
 
 def run(scenario: Scenario) -> EventTrace:
