@@ -79,6 +79,10 @@ def _scenario_from_args(args) -> simnet.Scenario:
 
 def cmd_run(args) -> int:
     scenario = _scenario_from_args(args)
+    if args.reps < 1:
+        raise simnet.ScenarioError("reps", f"must be >= 1, got {args.reps}")
+    # Check the last repetition's seed too before anything is written.
+    replace(scenario, seed=scenario.seed + args.reps - 1).validate()
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     reqs = None

@@ -124,6 +124,18 @@ def test_invalid_inline_flags_fail_with_diagnostics(capsys):
     assert "n_processes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--reps", "0"], "reps"),
+    (["--seed", str(2**64 - 1), "--reps", "2"], "seed"),
+])
+def test_run_checks_every_repetition_before_writing(tmp_path, capsys, flags, field):
+    out = tmp_path / "out"
+    code = run_cli("run", "--duration-ms", "1000", *flags, "--out", str(out))
+    assert code == 2
+    assert f"error: {field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_state_dir_persists_zerotimes(tmp_path):
     out = tmp_path / "out"
     state = tmp_path / "state"
