@@ -124,8 +124,8 @@ def infer_true_leader(trace: EventTrace, timelines: Timelines | None = None) -> 
 
     The pinned high-priority process if any; else the leader every process
     outputs just before the first fault (its start-of-run output if it has
-    not changed yet), or failing that the first-listed fault's process; else
-    the leader all survivors agree on at the end.
+    not changed yet), or failing that the process of the first fault in
+    apply order; else the leader all survivors agree on at the end.
     """
     sc = trace.scenario
     if sc.high_priority is not None:
@@ -144,7 +144,7 @@ def infer_true_leader(trace: EventTrace, timelines: Timelines | None = None) -> 
         }
         if len(held) == 1 and None not in held:
             return held.pop()
-        return sc.faults[0].process
+        return sc.fault_order()[0][1].process
     finals = set(trace.final_outputs.values())
     if len(finals) != 1 or not isinstance(next(iter(finals)), int):
         raise NoTrueLeaderError(f"no unanimous final leader: {trace.final_outputs}")

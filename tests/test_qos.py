@@ -328,6 +328,18 @@ def test_fault_file_order_does_not_change_the_report():
     assert crash_first.monitors[0].mistake_times == [3_000]
     assert recover_first.monitors == crash_first.monitors
     assert qos.metrics_csv_lines(recover_first) == qos.metrics_csv_lines(crash_first)
+    # Nobody holds a leader before the first fault, so the true leader is the
+    # process of the first fault in apply order, however the file lists it.
+    early, late = FaultEvent(50, 1, "crash"), FaultEvent(100, 2, "crash")
+    late_first, early_first = (
+        qos.build_report(run(Scenario(
+            n_processes=3, config=CFG, network=NET, duration=5_000, seed=0,
+            faults=faults,
+        )))
+        for faults in ([late, early], [early, late])
+    )
+    assert late_first.true_leader == early_first.true_leader == 1
+    assert qos.metrics_csv_lines(late_first) == qos.metrics_csv_lines(early_first)
 
 
 def test_infer_true_leader_prefers_pin_then_faults_then_agreement():
