@@ -491,7 +491,8 @@ def test_simulator_runs_exactly_once():
 @st.composite
 def fault_schedules(draw):
     """A valid scenario: per process, alternating crash/recover instants."""
-    n = draw(st.integers(min_value=2, max_value=6))
+    algorithm = draw(st.sampled_from(["nfdl", "naive-reduction", "nfde-pair"]))
+    n = 2 if algorithm == "nfde-pair" else draw(st.integers(min_value=2, max_value=6))
     fault_span = draw(st.integers(min_value=1_000, max_value=12_000))
     faults = []
     for pid in range(n):
@@ -501,7 +502,7 @@ def fault_schedules(draw):
                    for i, t in enumerate(sorted(times))]
     return scenario(
         n_processes=n,
-        algorithm=draw(st.sampled_from(["nfdl", "naive-reduction"])),
+        algorithm=algorithm,
         network=draw(st.sampled_from([QUIET, LOSSY])),
         duration=fault_span + draw(st.sampled_from([0, 3_000, 6_000, 9_000])),
         seed=draw(st.integers(min_value=0, max_value=2**32)),
@@ -515,14 +516,26 @@ def test_protocol_invariants_hold_under_random_fault_schedules(sc):
     trace = run(sc)
     # one zerotime write per process lifetime, recoveries only read it back
     assert trace.store_writes == {pid: 1 for pid in range(sc.n_processes)}
-    # labels increase strictly per broadcaster and per unicast link
     last: dict[tuple[int, int | None], int] = {}
+    down: set[int] = set()
     for ev in trace.events:
+        # labels increase strictly per broadcaster and per unicast link
         if ev.kind == "send":
             stream = (ev.process, ev.receiver)
             assert ev.seq > last.get(stream, 0)
             last[stream] = ev.seq
+        # a crashed process only has heartbeats dropped on it until it recovers
+        if ev.kind == "crash":
+            down.add(ev.process)
+        elif ev.kind == "recover":
+            down.discard(ev.process)
+        elif ev.process in down:
+            assert ev.kind == "drop", ev
+        # a timer never fires before its deadline
+        if ev.kind == "timer_fire":
+            assert ev.deadline <= ev.time, ev
     # a quiet network settles on one leader within 6 s of the last fault
     last_fault = max((f.at for f in sc.faults), default=0)
-    if sc.network == QUIET and sc.duration - last_fault >= 6_000:
+    electing = sc.algorithm != "nfde-pair"
+    if electing and sc.network == QUIET and sc.duration - last_fault >= 6_000:
         assert len(set(trace.final_outputs.values())) <= 1
