@@ -34,7 +34,7 @@ delivery and returns the key whose deadline it moved, or None.
 trust/suspect verdict).  The simulator arms a timer as a heap entry
 ``(node, key, deadline)`` only when start-up or a delivery sets a deadline;
 the entry is stale once ``nodes[pid]`` is not ``node`` (a crash) or
-``deadline_of(key)`` is not ``deadline`` (moved or fired).
+``deadline_of(key)`` no longer equals ``deadline`` (moved or fired).
 
 ``nfdl`` runs ``NfdlProcess`` through a thin subclass.  Both baselines are
 one all-pairs node that sends to its targets and runs an ``NfdeMonitor``
