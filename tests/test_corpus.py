@@ -22,6 +22,7 @@ QUIET = NetworkModel(loss_prob=0.0, delay_mean=5.0, delay_var=0.0, delay_dist="c
 LOSSY = NetworkModel(
     loss_prob=0.0175917, delay_mean=5.0, delay_var=25.3356, delay_dist="normal"
 )
+INSTANT = NetworkModel(loss_prob=0.0, delay_mean=0.0, delay_var=0.0, delay_dist="constant")
 UNIFORM = NetworkModel(
     loss_prob=0.01, delay_mean=6.0, delay_var=9.0, delay_dist="uniform"
 )
@@ -78,6 +79,14 @@ SCENARIOS = {
     "nfde-pair-monitor-restart": lambda: scenario(
         algorithm="nfde-pair", n_processes=2, faults=crash_recover(1, 2_000, 2_000)
     ),
+    # With alpha 0 and zero delay every follower deadline lands on the send
+    # grid: processes 0 and 1 take over by timer and lose leadership again
+    # within one eta, so a leader's first tick must fall at, not after, the
+    # instant its timer fires, and a regained leader must not tick twice.
+    "nfdl-on-grid-handoffs": lambda: scenario(
+        n_processes=3, config=ProtocolConfig(100, 0), network=INSTANT, seed=0,
+        duration=5_000, faults=crash_recover(2, 2_000, 3_005),
+    ),
 }
 
 # (trace sha256, metrics CSV sha256 or "ValueError" when build_report refuses)
@@ -115,6 +124,10 @@ EXPECTED = {
     "nfdl-follower-crash": (
         "d941419a71ee365451f8ba2112125981c81da76817322f5e3f165fe87ff76aaa",
         "e6f97b4f5a987358cbb9b6da6a1ae2f922c6520b1f34f772572cde11b837dc7f",
+    ),
+    "nfdl-on-grid-handoffs": (
+        "9846541d9215c5dfbd75b6d60d079d1fef7326264aa150e1b63ab62aa9da4fe0",
+        "dfaa0d52d999df5610034b3b838861ce3bfa54b621f131ff47c820111dace795",
     ),
     "nfdl-n20-two-crashes": (
         "d4132b3cae2cb6baa1e74f84a050f480e3b68cea83b6b35837202d57fbebfb87",
