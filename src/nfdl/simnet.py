@@ -22,12 +22,22 @@ order.  Timer-before-deliver makes a heartbeat that lands exactly on the
 freshness deadline count as late, matching the strict "arrived before the
 deadline" reading of the monitors.
 
-Every algorithm runs behind one node interface.  At each send instant
-``zerotime + i*eta`` the node's ``next_heartbeat(now)`` returns a heartbeat
-(or None) for its ``targets``: None broadcasts it as one ``send`` event,
-a tuple sends and logs one unicast per receiver.  ``deadline_of(key)`` is
-the deadline filed under ``key`` (None when unarmed); the node's own id
-keys the one it arms at start-up, if any.  ``deliver(hb, now)`` applies a
+Every algorithm runs behind one node interface.  ``sends()`` says whether
+the node sends heartbeats now, and only a node that sends has a tick: one
+heap entry per send instant ``zerotime + i*eta``, at most one pending per
+live node.  At each tick the node's ``next_heartbeat(now)`` returns the
+heartbeat for its ``targets``: None broadcasts it as one ``send`` event,
+a tuple sends and logs one unicast per receiver.  A tick that finds its
+node no longer sending is dropped and schedules no successor.  A node
+starts sending only at start-up, where its first tick is the first send
+instant strictly after the start, or when a timer fires: then it is the
+first send instant at or after the firing, since ticks rank after timers
+at one instant, and none is added while the node's old tick is still
+pending.  Under ``nfdl`` only the current leader ticks; the nfde-pair
+receiver never does.
+
+``deadline_of(key)`` is the deadline filed under ``key`` (None when
+unarmed); the node's own id keys the one it arms at start-up, if any.  ``deliver(hb, now)`` applies a
 delivery and returns the key whose deadline it moved, or None.
 ``fire(key, now)`` expires and clears the deadline under ``key``, and
 ``output()`` is the value traced by ``output_change`` (a leader id, or a
@@ -431,6 +441,9 @@ class _ElectionNode(NfdlProcess):
 
     targets = None
 
+    def sends(self) -> bool:
+        return self.leader == self.self_id
+
     def deliver(self, hb: Heartbeat, now: int) -> int | None:
         before = self.deadline
         self.on_heartbeat(hb, now)
@@ -450,8 +463,9 @@ class _MonitorNode:
     """All-pairs monitor: heartbeats to ``targets``, one monitor per watched peer.
 
     An electing node outputs the lowest id it trusts, counting itself;
-    otherwise the output is the verdict on its watched peer (None when it
-    watches nobody).
+    otherwise it watches at most one peer and outputs the verdict on it
+    (None when it watches nobody).  Bit ``p`` of ``trusted`` is set iff the
+    monitor of peer ``p`` trusts it.
     """
 
     def __init__(self, pid: int, config: ProtocolConfig, store, now: int,
@@ -462,6 +476,10 @@ class _MonitorNode:
         self.targets = targets
         self.monitors = {p: NfdeMonitor(config) for p in watched}
         self.elect = elect
+        self.trusted = 0
+
+    def sends(self) -> bool:
+        return bool(self.targets)
 
     def next_heartbeat(self, now: int) -> Heartbeat:
         seq = send_label(self.zerotime, now, self.config.eta)
@@ -470,17 +488,22 @@ class _MonitorNode:
     def deliver(self, hb: Heartbeat, now: int) -> int | None:
         monitor = self.monitors[hb.sender]
         before = monitor.deadline
-        monitor.on_heartbeat(hb.seq, now)
+        # A heartbeat can only restore trust and a timeout only revoke it.
+        if monitor.on_heartbeat(hb.seq, now) is Verdict.TRUST:
+            self.trusted |= 1 << hb.sender
         return None if monitor.deadline == before else hb.sender
 
     def fire(self, key: int, now: int) -> None:
-        self.monitors[key].on_timeout(now)
+        if self.monitors[key].on_timeout(now) is Verdict.SUSPECT:
+            self.trusted &= ~(1 << key)
 
     def output(self) -> int | str | None:
         if self.elect:
-            trusted = [p for p, m in self.monitors.items() if m.verdict is Verdict.TRUST]
-            return min([self.pid, *trusted])
-        return next((m.verdict.value for m in self.monitors.values()), None)
+            m = self.trusted | 1 << self.pid
+            return (m & -m).bit_length() - 1
+        if not self.monitors:
+            return None
+        return (Verdict.TRUST if self.trusted else Verdict.SUSPECT).value
 
     def deadline_of(self, key: int) -> int | None:
         monitor = self.monitors.get(key)
@@ -500,6 +523,8 @@ class Simulator:
         self.scenario = scenario
         self.store = store if store is not None else MemoryStore()
         self.nodes: list[object | None] = [None] * scenario.n_processes
+        # Per process, the node whose tick entry is pending, if any.
+        self._ticking: list[object | None] = [None] * scenario.n_processes
         self._heap: list[tuple] = []
         self._pushes = 0
         self.trace = EventTrace(scenario=scenario)
@@ -566,8 +591,8 @@ class Simulator:
             node = _MonitorNode(pid, sc.config, self.store, now,
                                 targets=others, watched=others, elect=True)
         self.nodes[pid] = node
-        first_send = next_send_time(node.zerotime, now, sc.config.eta)
-        self._push(first_send, pid, _TICK, node)
+        if node.sends():
+            self._tick(pid, node, next_send_time(node.zerotime, now, sc.config.eta))
         self._arm(pid, node, pid, now)
 
     # -- timers ------------------------------------------------------------
@@ -586,6 +611,11 @@ class Simulator:
         node.fire(key, now)
         self._log(TraceEvent(now, pid, "timer_fire", deadline=deadline))
         self._log_output_change(pid, now, before)
+        if node.sends() and self._ticking[pid] is not node:
+            # Ticks rank after timers, so the send instant ``now`` itself
+            # is still ahead: the first tick falls at or after it.
+            eta = self.scenario.config.eta
+            self._tick(pid, node, now + (node.zerotime - now) % eta)
 
     def _log_output_change(self, pid: int, now: int, before) -> None:
         after = self.nodes[pid].output()
@@ -598,13 +628,18 @@ class Simulator:
 
     # -- sending and delivery ----------------------------------------------
 
+    def _tick(self, pid: int, node, at: int) -> None:
+        self._ticking[pid] = node
+        self._push(at, pid, _TICK, node)
+
     def _on_tick(self, pid: int, now: int, node) -> None:
         if self.nodes[pid] is not node:
             return
+        if not node.sends():
+            self._ticking[pid] = None
+            return
         self._push(now + self.scenario.config.eta, pid, _TICK, node)
         hb = node.next_heartbeat(now)
-        if hb is None:
-            return
         if node.targets is None:
             self._log_send(hb, now)
             for receiver in range(self.scenario.n_processes):
