@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfdl.protocol import ProtocolConfig
+from nfdl.protocol import Heartbeat, NfdlProcess, ProtocolConfig, Verdict
 from nfdl.qos import sends_per_eta
 from nfdl.simnet import (
     FaultEvent,
@@ -14,16 +14,22 @@ from nfdl.simnet import (
     Scenario,
     ScenarioError,
     Simulator,
+    _MonitorNode,
     link_stream,
     run,
     sample_delivery,
 )
+from nfdl.stable_store import MemoryStore
 
 CFG = ProtocolConfig(eta=330, alpha=670, window_n=100)
 QUIET = NetworkModel(loss_prob=0.0, delay_mean=5.0, delay_var=0.0, delay_dist="constant")
 LOSSY = NetworkModel(
     loss_prob=0.0175917, delay_mean=5.0, delay_var=25.3356, delay_dist="normal"
 )
+INSTANT = NetworkModel(loss_prob=0.0, delay_mean=0.0, delay_var=0.0, delay_dist="constant")
+# alpha 0: every deadline is an expected arrival, which lands on the send grid
+# under INSTANT, so timer takeovers and handoffs coincide with send instants.
+ON_GRID = ProtocolConfig(eta=100, alpha=0)
 
 
 def scenario(**overrides):
@@ -470,6 +476,64 @@ def test_store_counters_track_initializations_exactly():
     assert trace.store_reads == {0: 1, 1: 1, 2: 3, 3: 1, 4: 1}
 
 
+def test_only_a_process_that_sends_asks_for_heartbeats(monkeypatch):
+    calls = []
+    real = NfdlProcess.next_heartbeat
+
+    def counted(self, now):
+        calls.append(self.self_id)
+        return real(self, now)
+
+    monkeypatch.setattr(NfdlProcess, "next_heartbeat", counted)
+    trace = run(scenario())
+    sends = sum(ev.kind == "send" for ev in trace.events)
+    held: dict[int, int | None] = {}
+    losses = 0
+    for ev in trace.events:
+        if ev.kind == "output_change":
+            losses += held.get(ev.process) == ev.process
+            held[ev.process] = ev.leader
+    assert 0 < len(calls) <= sends + losses
+
+
+def test_the_nfde_pair_receiver_never_ticks(monkeypatch):
+    asked = set()
+    real = _MonitorNode.next_heartbeat
+
+    def recorded(self, now):
+        asked.add(self.pid)
+        return real(self, now)
+
+    monkeypatch.setattr(_MonitorNode, "next_heartbeat", recorded)
+    run(scenario(algorithm="nfde-pair", n_processes=2,
+                 faults=(FaultEvent(5_000, 1, "crash"), FaultEvent(6_000, 1, "recover"))))
+    assert asked == {0}
+
+
+@given(
+    n=st.integers(min_value=2, max_value=72),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_electing_monitor_node_outputs_the_lowest_trusted_id(n, data):
+    pid = data.draw(st.integers(min_value=0, max_value=n - 1))
+    others = tuple(p for p in range(n) if p != pid)
+    config = ProtocolConfig(eta=100, alpha=50, window_n=4)
+    node = _MonitorNode(pid, config, MemoryStore(), 0,
+                        targets=others, watched=others, elect=True)
+    now = 0
+    for _ in range(data.draw(st.integers(min_value=1, max_value=60))):
+        now += data.draw(st.integers(min_value=0, max_value=300))
+        peer = data.draw(st.sampled_from(others))
+        if data.draw(st.booleans()):
+            seq = data.draw(st.integers(min_value=1, max_value=40))
+            node.deliver(Heartbeat(seq=seq, sender=peer, uptime=0), now)
+        else:
+            node.fire(peer, now)
+        trusted = [p for p, m in node.monitors.items() if m.verdict is Verdict.TRUST]
+        assert node.output() == min([pid, *trusted])
+
+
 def test_recover_listed_before_a_same_instant_crash_is_a_zero_length_crash():
     sc = scenario(faults=(FaultEvent(100, 1, "recover"), FaultEvent(100, 1, "crash")))
     sc.validate()
@@ -503,7 +567,8 @@ def fault_schedules(draw):
     return scenario(
         n_processes=n,
         algorithm=algorithm,
-        network=draw(st.sampled_from([QUIET, LOSSY])),
+        config=draw(st.sampled_from([CFG, ON_GRID])),
+        network=draw(st.sampled_from([QUIET, LOSSY, INSTANT])),
         duration=fault_span + draw(st.sampled_from([0, 3_000, 6_000, 9_000])),
         seed=draw(st.integers(min_value=0, max_value=2**32)),
         faults=tuple(faults),
@@ -534,8 +599,33 @@ def test_protocol_invariants_hold_under_random_fault_schedules(sc):
         # a timer never fires before its deadline
         if ev.kind == "timer_fire":
             assert ev.deadline <= ev.time, ev
+    if sc.algorithm == "nfdl":
+        assert_leaders_send_on_every_grid_instant(sc, trace)
     # a quiet network settles on one leader within 6 s of the last fault
     last_fault = max((f.at for f in sc.faults), default=0)
     electing = sc.algorithm != "nfde-pair"
-    if electing and sc.network == QUIET and sc.duration - last_fault >= 6_000:
+    settles = sc.config == CFG and sc.network != LOSSY
+    if electing and settles and sc.duration - last_fault >= 6_000:
         assert len(set(trace.final_outputs.values())) <= 1
+
+
+def assert_leaders_send_on_every_grid_instant(sc, trace):
+    """An nfdl process sends at every instant k*eta (zerotime is 0: every
+    process first starts at 0) from its output_change to itself through the
+    instant it changes away, both inclusive; a crash ends the span just
+    before the crash instant, and the run's end just before ``duration``."""
+    sent = {(ev.process, ev.time) for ev in trace.events if ev.kind == "send"}
+    since: dict[int, int] = {}
+    spans = []
+    for ev in trace.events:
+        if ev.kind == "output_change" and ev.leader == ev.process:
+            since[ev.process] = ev.time
+        elif ev.kind == "output_change" and ev.process in since:
+            spans.append((ev.process, since.pop(ev.process), ev.time))
+        elif ev.kind == "crash" and ev.process in since:
+            spans.append((ev.process, since.pop(ev.process), ev.time - 1))
+    spans += [(pid, start, sc.duration - 1) for pid, start in since.items()]
+    eta = sc.config.eta
+    for pid, start, end in spans:
+        for t in range(-(-start // eta) * eta, end + 1, eta):
+            assert (pid, t) in sent, (pid, start, end, t)
