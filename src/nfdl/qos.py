@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .protocol import ProtocolConfig
-from .simnet import EventTrace, Scenario
+from .simnet import EventTrace, Scenario, write_lines  # noqa: F401 (re-exported)
 
 
 class InfeasibleRequirementsError(ValueError):
@@ -478,7 +477,3 @@ def text_report_lines(
     lines.append("summary (quartiles by linear interpolation):")
     lines.extend("  " + line for line in summary_csv_lines(reports, reqs))
     return lines
-
-
-def write_lines(lines: list[str], path: str | Path) -> None:
-    Path(path).write_text("\n".join(lines) + "\n")

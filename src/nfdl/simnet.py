@@ -61,7 +61,9 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import index
 from pathlib import Path
 
@@ -377,7 +379,8 @@ def sample_delivery(
 # Traces
 
 
-@dataclass(frozen=True, slots=True)
+# Not frozen: a frozen slots dataclass pays object.__setattr__ once per field.
+@dataclass(slots=True)
 class TraceEvent:
     time: int
     process: int
@@ -392,13 +395,34 @@ class TraceEvent:
     deadline: int | None = None
 
     def line(self) -> str:
+        """The event's trace line: time, process, kind, then the payload
+        fields that are set, as ``key=value`` in declaration order."""
         parts = []
-        for key in ("sender", "seq", "uptime", "receiver", "leader", "verdict",
-                    "reason", "deadline"):
-            value = getattr(self, key)
-            if value is not None:
-                parts.append(f"{key}={value}")
+        if self.sender is not None:
+            parts.append(f"sender={self.sender}")
+        if self.seq is not None:
+            parts.append(f"seq={self.seq}")
+        if self.uptime is not None:
+            parts.append(f"uptime={self.uptime}")
+        if self.receiver is not None:
+            parts.append(f"receiver={self.receiver}")
+        if self.leader is not None:
+            parts.append(f"leader={self.leader}")
+        if self.verdict is not None:
+            parts.append(f"verdict={self.verdict}")
+        if self.reason is not None:
+            parts.append(f"reason={self.reason}")
+        if self.deadline is not None:
+            parts.append(f"deadline={self.deadline}")
         return f"{self.time}\t{self.process}\t{self.kind}\t{' '.join(parts)}"
+
+
+def write_lines(lines: Iterable[str], path: str | Path) -> None:
+    """Write each of ``lines`` and a newline to ``path``, one line at a time,
+    so no copy of the whole text is ever held."""
+    with open(path, "w") as f:
+        for line in lines:
+            f.write(line + "\n")
 
 
 @dataclass
@@ -415,16 +439,21 @@ class EventTrace:
     store_writes: dict[int, int] = field(default_factory=dict)
     final_outputs: dict[int, int | str | None] = field(default_factory=dict)
 
-    def lines(self) -> list[str]:
-        header = [
+    def _header(self) -> list[str]:
+        return [
             f"# trace v{TRACE_FORMAT_VERSION}",
             "# scenario " + json.dumps(self.scenario.to_dict(), sort_keys=True),
             "# columns time_ms\tprocess\tevent\tpayload",
         ]
-        return header + [ev.line() for ev in self.events]
+
+    def lines(self) -> list[str]:
+        """The whole trace in memory, one string per line (tests hash it)."""
+        return self._header() + [ev.line() for ev in self.events]
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text("\n".join(self.lines()) + "\n")
+        """Stream the trace to ``path``; the file holds ``lines()``, each
+        followed by a newline."""
+        write_lines(chain(self._header(), (ev.line() for ev in self.events)), path)
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,12 @@ class FileStore:
         line = raw.strip()
         if not raw.endswith("\n") or not line or not line.lstrip("-").isdigit():
             raise StorageError(f"corrupt zerotime record {path}: {raw!r}")
-        return int(line)
+        try:
+            return int(line)
+        except ValueError as exc:
+            # isdigit() admits superscripts such as "²", and lstrip("-")
+            # admits "--5"; int() rejects both.
+            raise StorageError(f"corrupt zerotime record {path}: {raw!r}") from exc
 
     def store_zerotime(self, process: int, t: int) -> None:
         path = self._path(process)

@@ -148,6 +148,19 @@ def test_state_dir_persists_zerotimes(tmp_path):
     assert (state / "zerotime.0").read_text() == "0\n"
 
 
+@pytest.mark.parametrize("raw", ["--5\n", "\u00b2\n"], ids=["double-minus", "superscript"])
+def test_run_exits_1_on_a_corrupt_zerotime_record(tmp_path, capsys, raw):
+    state = tmp_path / "state"
+    state.mkdir()
+    (state / "zerotime.1").write_text(raw, encoding="utf-8")
+    code = run_cli(
+        "run", "--procs", "3", "--duration-ms", "5000",
+        "--out", str(tmp_path / "out"), "--state-dir", str(state),
+    )
+    assert code == 1
+    assert f"corrupt zerotime record {state / 'zerotime.1'}" in capsys.readouterr().err
+
+
 def test_compare_cost_table(capsys):
     assert run_cli("compare-cost", "--procs", "5", "--duration-ms", "15000") == 0
     out = capsys.readouterr().out

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nfdl.simnet import (
     Scenario,
     ScenarioError,
     Simulator,
+    TraceEvent,
     _MonitorNode,
     link_stream,
     run,
@@ -340,6 +342,69 @@ def test_trace_file_round_trip(tmp_path):
     trace.write(path)
     assert path.read_text() == "\n".join(trace.lines()) + "\n"
     assert path.read_text().startswith("# trace v2\n")
+
+
+def test_trace_write_streams_one_line_at_a_time(tmp_path, monkeypatch):
+    # 16 k events, a 0.65 MB file
+    trace = run(scenario(algorithm="naive-reduction", n_processes=10, network=LOSSY,
+                         duration=30_000))
+    line = TraceEvent.line
+    calls = 0
+
+    def counted(ev):
+        nonlocal calls
+        calls += 1
+        return line(ev)
+
+    monkeypatch.setattr(TraceEvent, "line", counted)
+    path = tmp_path / "trace.log"
+    tracemalloc.start()
+    try:
+        trace.write(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size >= 500_000
+    assert peak < 0.1 * size, f"write peaked at {peak} B for a {size} B trace"
+    # one line() per event, looked up on the class each time
+    assert calls == len(trace.events)
+
+
+PAYLOAD_KEYS = ("sender", "seq", "uptime", "receiver", "leader", "verdict", "reason",
+                "deadline")
+
+
+def generic_line(ev: TraceEvent) -> str:
+    """Reference formatter: a getattr loop over the payload keys in order."""
+    parts = []
+    for key in PAYLOAD_KEYS:
+        value = getattr(ev, key)
+        if value is not None:
+            parts.append(f"{key}={value}")
+    return f"{ev.time}\t{ev.process}\t{ev.kind}\t{' '.join(parts)}"
+
+
+# A fixed alphabet: the default one makes a fresh hypothesis database build
+# its character tables first, which can trip the slow-generation check.
+LOWER = "abcdefghijklmnopqrstuvwxyz_"
+PAYLOAD_VALUES = {key: st.integers(-(2**63), 2**63) for key in PAYLOAD_KEYS} | {
+    "verdict": st.sampled_from([v.value for v in Verdict]) | st.text(LOWER, max_size=8),
+    "reason": st.sampled_from(["loss", "down"]) | st.text(LOWER, max_size=8),
+}
+
+
+@settings(max_examples=200)
+@given(
+    time=st.integers(0, 2**63),
+    process=st.integers(0, 10_000),
+    kind=st.sampled_from(["crash", "recover", "timer_fire", "output_change", "send",
+                          "drop", "deliver"]),
+    payload=st.fixed_dictionaries({}, optional=PAYLOAD_VALUES),
+)
+def test_trace_line_matches_the_generic_formatter(time, process, kind, payload):
+    ev = TraceEvent(time, process, kind, **payload)
+    assert ev.line() == generic_line(ev)
 
 
 def test_every_delivery_matches_an_earlier_send():

@@ -54,6 +54,11 @@ def test_corrupt_record_is_an_error_not_none(tmp_path):
     (tmp_path / "zerotime.4").write_text("not a number\n")
     with pytest.raises(StorageError):
         fs.load_zerotime(4)
+    # Both pass an isdigit() screen that int() then rejects.
+    for raw in ("--5\n", "\u00b2\n"):
+        (tmp_path / "zerotime.4").write_text(raw, encoding="utf-8")
+        with pytest.raises(StorageError, match="zerotime.4"):
+            fs.load_zerotime(4)
 
 
 def test_memory_store_corruption_injection():
