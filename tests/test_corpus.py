@@ -26,6 +26,11 @@ INSTANT = NetworkModel(loss_prob=0.0, delay_mean=0.0, delay_var=0.0, delay_dist=
 UNIFORM = NetworkModel(
     loss_prob=0.01, delay_mean=6.0, delay_var=9.0, delay_dist="uniform"
 )
+# Delay jitter far beyond eta: arrivals overtake each other and a delivery
+# can move a freshness deadline earlier, not only later.
+JITTERY = NetworkModel(
+    loss_prob=0.05, delay_mean=40.0, delay_var=900.0, delay_dist="normal"
+)
 
 
 def scenario(**overrides):
@@ -87,10 +92,34 @@ SCENARIOS = {
         n_processes=3, config=ProtocolConfig(100, 0), network=INSTANT, seed=0,
         duration=5_000, faults=crash_recover(2, 2_000, 3_005),
     ),
+    # Processes 0 and 1 go silent together, so every survivor fires both
+    # monitors' timers in one millisecond; its output changes to 1 and then
+    # to 2 only if they fire in the order their deadlines were set.
+    "naive-quiet-twin-crash": lambda: scenario(
+        algorithm="naive-reduction", network=QUIET, seed=1, duration=12_000,
+        faults=crash_recover(1, 4_000, 8_000) + crash_recover(0, 4_000, 8_000),
+    ),
+    "jitter-beyond-eta-naive": lambda: scenario(
+        algorithm="naive-reduction", n_processes=4,
+        config=ProtocolConfig(20, 10, window_n=2), network=JITTERY, seed=5,
+        duration=10_000, faults=crash_recover(1, 3_000, 5_000),
+    ),
+    "jitter-beyond-eta-nfdl": lambda: scenario(
+        n_processes=4, config=ProtocolConfig(20, 10, window_n=2), network=JITTERY,
+        seed=5, duration=10_000, faults=crash_recover(1, 3_000, 5_000),
+    ),
 }
 
 # (trace sha256, metrics CSV sha256 or "ValueError" when build_report refuses)
 EXPECTED = {
+    "jitter-beyond-eta-naive": (
+        "35abe15b8cb5a7f098790aa87d96c1a05ed9f8e55ad4e9bff4244bf6683ca6e5",
+        "2a65313c3dbaad8f01a9e2bc0c0df153c8e7aa23ea167265a30e6fbac0faa608",
+    ),
+    "jitter-beyond-eta-nfdl": (
+        "495007406ededf86686a760b034e5a56849d4daaa84afea64e77458f13dfd5ee",
+        "05352217b9c0cd8f6acea03a609658a4c88ccb606e022a547bc853201ae0f472",
+    ),
     "naive-faults": (
         "413e306607245291cfe2f0ac8c494e939835b79fcbc43eb9b175f79ea719a79f",
         "f63c246fbb2058d815c2a0f7fb44163ab6748da3d334f21d958f52d468abdef3",
@@ -98,6 +127,10 @@ EXPECTED = {
     "naive-n10-two-restarts": (
         "2cc2aeabf7579f591b2ee00a8707f1270bd7a9c57ab6bd1320abb60a8c63dc3b",
         "92fb09f78463049b588071cc3efde90299c5bbf08280c2e7a8e932bcfe2498f4",
+    ),
+    "naive-quiet-twin-crash": (
+        "4e245814c0bb397bca6c52281a79060f67db6373a5ca19bdbc2644680d182055",
+        "1e1f42897b5f71c60411280ac0accd57ec2211a19918b9e9224a14acc8b666d7",
     ),
     "naive-n10": (
         "1b7fff84cffdeb5ca48828bbb7520a0023f4eaf1339ba0bcb4ece66c383497b7",
