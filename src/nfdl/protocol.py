@@ -72,7 +72,8 @@ class ProtocolConfig:
             raise ConfigError("window_n", f"must be >= 1, got {self.window_n}")
 
 
-@dataclass(frozen=True, slots=True)
+# Not frozen: a frozen slots dataclass pays object.__setattr__ once per field.
+@dataclass(slots=True)
 class Output:
     """Locally elected leader and whether this event changed it."""
 

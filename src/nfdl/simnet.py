@@ -37,14 +37,24 @@ pending.  Under ``nfdl`` only the current leader ticks; the nfde-pair
 receiver never does.
 
 ``deadline_of(key)`` is the deadline filed under ``key`` (None when
-unarmed); the node's own id keys the one it arms at start-up, if any.  ``deliver(hb, now)`` applies a
-delivery and returns the key whose deadline it moved, or None.
-``fire(key, now)`` expires and clears the deadline under ``key``, and
-``output()`` is the value traced by ``output_change`` (a leader id, or a
-trust/suspect verdict).  The simulator arms a timer as a heap entry
-``(node, key, deadline)`` only when start-up or a delivery sets a deadline;
-the entry is stale once ``nodes[pid]`` is not ``node`` (a crash) or
-``deadline_of(key)`` no longer equals ``deadline`` (moved or fired).
+unarmed); the node's own id keys the one it arms at start-up, if any.
+``deliver(hb, now)`` applies a delivery and returns the key whose deadline
+it moved, or None.  ``fire(key, now)`` expires and clears the deadline
+under ``key``, and ``output()`` is the value traced by ``output_change`` (a
+leader id, or a trust/suspect verdict).
+
+Timers are re-armed lazily, with at most one live heap entry per (process,
+key).  Start-up or a delivery that sets a deadline *arms* the key and takes
+the next push order, whether or not it pushes.  It pushes
+``(max(now, deadline), pid, timer, order, key)`` only when no entry is
+pending or the deadline moved earlier than the pending entry's instant;
+the entry it replaces goes stale.  A deadline moved later pushes nothing:
+the pending entry pops early, sees that a later arm set the deadline, and
+pushes itself again at that deadline under that arm's order.  So a timer
+fires at its deadline and in the place the last arm's own entry would
+have had: two timers of one process at one instant fire in the order
+their deadlines were last set.  A crash drops its process's live entries,
+which then pop as no-ops.
 
 ``nfdl`` runs ``NfdlProcess`` through a thin subclass.  Both baselines are
 one all-pairs node that sends to its targets and runs an ``NfdeMonitor``
@@ -319,6 +329,17 @@ class Scenario:
 # one of them has drawn 2**64 blocks.
 
 _STREAM = np.random.Generator(np.random.Philox(0))
+# The state every rekey installs; link_stream overwrites only _KEYS, and the
+# Philox state setter copies the values out without keeping the mapping.
+_KEYS = {"counter": (0, 0, 0, 0), "key": (0, 0)}
+_STATE = {
+    "bit_generator": "Philox",
+    "state": _KEYS,
+    "buffer": (0, 0, 0, 0),
+    "buffer_pos": 4,
+    "has_uint32": 0,
+    "uinteger": 0,
+}
 
 
 def link_stream(seed: int, sender: int, seq: int, receiver: int) -> np.random.Generator:
@@ -327,23 +348,20 @@ def link_stream(seed: int, sender: int, seq: int, receiver: int) -> np.random.Ge
     The stream is exactly ``Generator(Philox(key=(seed, sender),
     counter=(0, 0, seq, receiver)))``.  Every key must be an integer
     (TypeError otherwise) within [0, 2**64) (ValueError otherwise).  The
-    returned Generator is one shared object, rekeyed in place: it is valid
-    only until the next call from any thread, so draw from it at once (the
-    simulator hands it straight to :func:`sample_delivery`).
+    returned Generator is one shared object, rekeyed in place from one
+    shared module-level state mapping whose key and counter entries each
+    call overwrites: it is valid only until the next call from any thread,
+    so draw from it at once (the simulator hands it straight to
+    :func:`sample_delivery`).
     """
     seed, sender, seq, receiver = index(seed), index(sender), index(seq), index(receiver)
     # Nonzero exactly when some key is negative or needs more than 64 bits.
     if (seed | sender | seq | receiver) >> 64:
         keys = (seed, sender, seq, receiver)
         raise ValueError(f"keys must be within [0, 2**64), got {keys}")
-    _STREAM.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, seq, receiver), "key": (seed, sender)},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    _KEYS["key"] = (seed, sender)
+    _KEYS["counter"] = (0, 0, seq, receiver)
+    _STREAM.bit_generator.state = _STATE
     return _STREAM
 
 
@@ -551,14 +569,27 @@ class Simulator:
         scenario.validate()
         self.scenario = scenario
         self.store = store if store is not None else MemoryStore()
-        self.nodes: list[object | None] = [None] * scenario.n_processes
+        n = self._n = scenario.n_processes
+        self.nodes: list[object | None] = [None] * n
+        self._others = [tuple(p for p in range(n) if p != pid) for pid in range(n)]
         # Per process, the node whose tick entry is pending, if any.
-        self._ticking: list[object | None] = [None] * scenario.n_processes
+        self._ticking: list[object | None] = [None] * n
         self._heap: list[tuple] = []
         self._pushes = 0
+        # Per timer slot ``pid*n + key``: the heap entry that will fire or
+        # re-file that timer (None when none is pending), and the push order
+        # of the arm that last set its deadline.
+        self._pending: list[tuple | None] = [None] * (n * n)
+        self._armed = [0] * (n * n)
+        # Per process, and per directed link ``sender*n + receiver``.
+        self._send_counts = [0] * n
+        self._sent = [0] * (n * n)
+        self._delivered = [0] * (n * n)
+        self._dropped = [0] * (n * n)
         self.trace = EventTrace(scenario=scenario)
+        self._log = self.trace.events.append
         self._ran = False
-        for pid in range(scenario.n_processes):
+        for pid in range(n):
             self._start(pid, 0)
 
     # -- plumbing ----------------------------------------------------------
@@ -566,9 +597,6 @@ class Simulator:
     def _push(self, time: int, pid: int, rank: int, payload) -> None:
         heapq.heappush(self._heap, (time, pid, rank, self._pushes, payload))
         self._pushes += 1
-
-    def _log(self, ev: TraceEvent) -> None:
-        self.trace.events.append(ev)
 
     # -- run ---------------------------------------------------------------
 
@@ -580,28 +608,37 @@ class Simulator:
         for f in sc.faults:
             rank = _CRASH if f.kind == "crash" else _RECOVER
             self._push(f.at, f.process, rank, f.kind)
-        while self._heap:
-            time, pid, rank, _, payload = heapq.heappop(self._heap)
-            if time >= sc.duration:
+        heap, duration = self._heap, sc.duration
+        while heap:
+            entry = heapq.heappop(heap)
+            time, pid, rank, _, payload = entry
+            if time >= duration:
                 break
-            if rank == _CRASH:
-                self.nodes[pid] = None
-                self._log(TraceEvent(time, pid, "crash"))
-            elif rank == _RECOVER:
-                self._log(TraceEvent(time, pid, "recover"))
-                self._start(pid, time)
+            if rank == _DELIVER:
+                self._on_deliver(pid, time, payload)
             elif rank == _TIMER:
-                self._on_timer(pid, time, payload)
+                self._on_timer(pid, time, entry)
             elif rank == _TICK:
                 self._on_tick(pid, time, payload)
+            elif rank == _CRASH:
+                self.nodes[pid] = None
+                n = self._n
+                self._pending[pid * n:(pid + 1) * n] = [None] * n
+                self._log(TraceEvent(time, pid, "crash"))
             else:
-                self._on_deliver(pid, time, payload)
-        self.trace.store_reads = dict(self.store.reads)
-        self.trace.store_writes = dict(self.store.writes)
+                self._log(TraceEvent(time, pid, "recover"))
+                self._start(pid, time)
+        trace, n = self.trace, self._n
+        trace.send_counts = {pid: c for pid, c in enumerate(self._send_counts) if c}
+        trace.link_sent = _by_link(self._sent, n)
+        trace.link_delivered = _by_link(self._delivered, n)
+        trace.link_dropped = _by_link(self._dropped, n)
+        trace.store_reads = dict(self.store.reads)
+        trace.store_writes = dict(self.store.writes)
         for pid, node in enumerate(self.nodes):
             if node is not None:
-                self.trace.final_outputs[pid] = node.output()
-        return self.trace
+                trace.final_outputs[pid] = node.output()
+        return trace
 
     # -- process start-up --------------------------------------------------
 
@@ -616,38 +653,60 @@ class Simulator:
                                 targets=(1,) if pid == 0 else (),
                                 watched=(0,) if pid == 1 else (), elect=False)
         else:
-            others = tuple(p for p in range(sc.n_processes) if p != pid)
+            others = self._others[pid]
             node = _MonitorNode(pid, sc.config, self.store, now,
                                 targets=others, watched=others, elect=True)
         self.nodes[pid] = node
         if node.sends():
             self._tick(pid, node, next_send_time(node.zerotime, now, sc.config.eta))
-        self._arm(pid, node, pid, now)
+        deadline = node.deadline_of(pid)
+        if deadline is not None:
+            self._arm(pid, pid, deadline, now)
 
     # -- timers ------------------------------------------------------------
 
-    def _arm(self, pid: int, node, key: int, now: int) -> None:
-        deadline = node.deadline_of(key)
-        if deadline is not None:
-            self._push(max(now, deadline), pid, _TIMER, (node, key, deadline))
+    def _arm(self, pid: int, key: int, deadline: int, now: int) -> None:
+        """Arm the timer of (pid, key) for the deadline its node just set."""
+        slot = pid * self._n + key
+        order = self._pushes
+        self._pushes = order + 1
+        self._armed[slot] = order
+        pending = self._pending[slot]
+        # A pending entry due no later than the deadline re-files itself
+        # under ``order`` when it pops (see _on_timer).
+        if pending is None or deadline < pending[0]:
+            self._pending[slot] = entry = (
+                deadline if deadline > now else now, pid, _TIMER, order, key
+            )
+            heapq.heappush(self._heap, entry)
 
-    def _on_timer(self, pid: int, now: int, entry) -> None:
-        node, key, deadline = entry
-        # Stale once its process crashed or its deadline moved or fired.
-        if self.nodes[pid] is not node or node.deadline_of(key) != deadline:
+    def _on_timer(self, pid: int, now: int, entry: tuple) -> None:
+        _, _, _, order, key = entry
+        slot = pid * self._n + key
+        # Stale once superseded by an earlier deadline, or its process crashed.
+        if self._pending[slot] is not entry:
             return
+        node = self.nodes[pid]
+        deadline = node.deadline_of(key)
+        armed = self._armed[slot]
+        if armed != order:
+            # A later arm set the deadline, no earlier than this instant.
+            self._pending[slot] = entry = (deadline, pid, _TIMER, armed, key)
+            heapq.heappush(self._heap, entry)
+            return
+        self._pending[slot] = None
         before = node.output()
         node.fire(key, now)
         self._log(TraceEvent(now, pid, "timer_fire", deadline=deadline))
-        self._log_output_change(pid, now, before)
+        self._log_output_change(pid, node, now, before)
         if node.sends() and self._ticking[pid] is not node:
             # Ticks rank after timers, so the send instant ``now`` itself
             # is still ahead: the first tick falls at or after it.
             eta = self.scenario.config.eta
             self._tick(pid, node, now + (node.zerotime - now) % eta)
 
-    def _log_output_change(self, pid: int, now: int, before) -> None:
-        after = self.nodes[pid].output()
+    def _log_output_change(self, pid: int, node, now: int, before) -> None:
+        after = node.output()
         if after == before:
             return
         if isinstance(after, str):
@@ -667,60 +726,54 @@ class Simulator:
         if not node.sends():
             self._ticking[pid] = None
             return
-        self._push(now + self.scenario.config.eta, pid, _TICK, node)
+        sc = self.scenario
+        self._push(now + sc.config.eta, pid, _TICK, node)
         hb = node.next_heartbeat(now)
-        if node.targets is None:
-            self._log_send(hb, now)
-            for receiver in range(self.scenario.n_processes):
-                if receiver != pid:
-                    self._transmit(hb, receiver, now)
-            return
-        for receiver in node.targets:
-            self._log_send(hb, now, receiver)
-            self._transmit(hb, receiver, now)
-
-    def _log_send(self, hb: Heartbeat, now: int, receiver: int | None = None) -> None:
-        pid = hb.sender
-        self.trace.send_counts[pid] = self.trace.send_counts.get(pid, 0) + 1
-        self._log(
-            TraceEvent(now, pid, "send", seq=hb.seq, uptime=hb.uptime,
-                       receiver=receiver)
-        )
-
-    def _transmit(self, hb: Heartbeat, receiver: int, now: int) -> None:
-        link = (hb.sender, receiver)
-        self.trace.link_sent[link] = self.trace.link_sent.get(link, 0) + 1
-        rng = link_stream(self.scenario.seed, hb.sender, hb.seq, receiver)
-        at = sample_delivery(now, self.scenario.network, rng)
-        if at is None:
-            self.trace.link_dropped[link] = self.trace.link_dropped.get(link, 0) + 1
-            self._log(
-                TraceEvent(now, receiver, "drop", sender=hb.sender, seq=hb.seq,
-                           reason="loss")
-            )
-            return
-        self._push(at, receiver, _DELIVER, hb)
+        sender, seq, uptime, log = hb.sender, hb.seq, hb.uptime, self._log
+        receivers = node.targets
+        unicast = receivers is not None
+        if unicast:
+            self._send_counts[sender] += len(receivers)
+        else:
+            self._send_counts[sender] += 1
+            log(TraceEvent(now, sender, "send", None, seq, uptime))
+            receivers = self._others[sender]
+        heap, base = self._heap, sender * self._n
+        sent, dropped = self._sent, self._dropped
+        for receiver in receivers:
+            if unicast:
+                log(TraceEvent(now, sender, "send", None, seq, uptime, receiver))
+            sent[base + receiver] += 1
+            at = sample_delivery(now, sc.network,
+                                 link_stream(sc.seed, sender, seq, receiver))
+            if at is None:
+                dropped[base + receiver] += 1
+                log(TraceEvent(now, receiver, "drop", sender, seq, None, None, None,
+                               None, "loss"))
+            else:
+                heapq.heappush(heap, (at, receiver, _DELIVER, self._pushes, hb))
+                self._pushes += 1
 
     def _on_deliver(self, pid: int, now: int, hb: Heartbeat) -> None:
-        link = (hb.sender, pid)
         node = self.nodes[pid]
+        link = hb.sender * self._n + pid
         if node is None:
-            self.trace.link_dropped[link] = self.trace.link_dropped.get(link, 0) + 1
-            self._log(
-                TraceEvent(now, pid, "drop", sender=hb.sender, seq=hb.seq,
-                           reason="down")
-            )
+            self._dropped[link] += 1
+            self._log(TraceEvent(now, pid, "drop", hb.sender, hb.seq, None, None, None,
+                                 None, "down"))
             return
-        self.trace.link_delivered[link] = self.trace.link_delivered.get(link, 0) + 1
-        self._log(
-            TraceEvent(now, pid, "deliver", sender=hb.sender, seq=hb.seq,
-                       uptime=hb.uptime)
-        )
+        self._delivered[link] += 1
+        self._log(TraceEvent(now, pid, "deliver", hb.sender, hb.seq, hb.uptime))
         before = node.output()
         key = node.deliver(hb, now)
-        self._log_output_change(pid, now, before)
+        self._log_output_change(pid, node, now, before)
         if key is not None:
-            self._arm(pid, node, key, now)
+            self._arm(pid, key, node.deadline_of(key), now)
+
+
+def _by_link(counts: list[int], n: int) -> dict[tuple[int, int], int]:
+    """Flat per-link counts as {(sender, receiver): count}, nonzero only."""
+    return {divmod(link, n): c for link, c in enumerate(counts) if c}
 
 
 def run(scenario: Scenario) -> EventTrace:

@@ -1,12 +1,15 @@
+import heapq
 import json
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nfdl import simnet
 from nfdl.protocol import Heartbeat, NfdlProcess, ProtocolConfig, Verdict
 from nfdl.qos import sends_per_eta
 from nfdl.simnet import (
@@ -16,6 +19,7 @@ from nfdl.simnet import (
     ScenarioError,
     Simulator,
     TraceEvent,
+    _TIMER,
     _MonitorNode,
     link_stream,
     run,
@@ -573,6 +577,27 @@ def test_the_nfde_pair_receiver_never_ticks(monkeypatch):
     run(scenario(algorithm="nfde-pair", n_processes=2,
                  faults=(FaultEvent(5_000, 1, "crash"), FaultEvent(6_000, 1, "recover"))))
     assert asked == {0}
+
+
+def test_a_moving_deadline_keeps_one_pending_timer(monkeypatch):
+    # Wrap the simulator's heap calls the way the benchmark's traced run does.
+    timer_pushes = 0
+
+    def heappush(heap, entry):
+        nonlocal timer_pushes
+        timer_pushes += entry[2] == _TIMER
+        heapq.heappush(heap, entry)
+
+    monkeypatch.setattr(
+        simnet, "heapq",
+        types.SimpleNamespace(heappush=heappush, heappop=heapq.heappop),
+    )
+    trace = run(scenario())
+    deliveries = sum(ev.kind == "deliver" for ev in trace.events)
+    # Each delivery moves its follower's deadline later; the timer already
+    # pending re-files itself instead of a new entry per delivery.
+    assert deliveries > 200
+    assert timer_pushes < deliveries / 2
 
 
 @given(
