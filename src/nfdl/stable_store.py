@@ -10,7 +10,7 @@ economy.
 Two interchangeable backends: an in-memory map for simulations (with
 injectable corruption) and a file-per-process directory layout for real use
 (``<state_dir>/zerotime.<pid>``, the decimal timestamp plus a newline,
-written atomically via rename).
+written atomically via rename; any other content is a corrupt record).
 """
 
 from __future__ import annotations
@@ -102,20 +102,20 @@ class FileStore:
         self.reads[process] = self.reads.get(process, 0) + 1
         path = self._path(process)
         try:
-            raw = path.read_text()
+            raw = path.read_bytes()
         except FileNotFoundError:
             return None
         except OSError as exc:
             raise StorageError(f"cannot read {path}: {exc}") from exc
-        line = raw.strip()
-        if not raw.endswith("\n") or not line or not line.lstrip("-").isdigit():
-            raise StorageError(f"corrupt zerotime record {path}: {raw!r}")
+        # Only the exact bytes store_zerotime writes load: int() alone would
+        # also take " 5", "05", "-0", "5_0" and non-ASCII digits.
         try:
-            return int(line)
-        except ValueError as exc:
-            # isdigit() admits superscripts such as "²", and lstrip("-")
-            # admits "--5"; int() rejects both.
-            raise StorageError(f"corrupt zerotime record {path}: {raw!r}") from exc
+            value = int(raw)
+        except ValueError:
+            value = None
+        if value is None or raw != _record(value):
+            raise StorageError(f"corrupt zerotime record {path}: {raw!r}")
+        return value
 
     def store_zerotime(self, process: int, t: int) -> None:
         path = self._path(process)
@@ -123,11 +123,16 @@ class FileStore:
             raise WriteOnceViolation(f"{path} already exists")
         tmp = path.with_suffix(path.suffix + ".tmp")
         try:
-            tmp.write_text(f"{t}\n")
+            tmp.write_bytes(_record(t))
             os.replace(tmp, path)
         except OSError as exc:
             raise StorageError(f"cannot write {path}: {exc}") from exc
         self.writes[process] = self.writes.get(process, 0) + 1
+
+
+def _record(t: int) -> bytes:
+    """A zerotime record's file contents: the decimal value and a newline."""
+    return f"{t}\n".encode("ascii")
 
 
 def load_or_create_zerotime(store, process: int, now: int) -> int:

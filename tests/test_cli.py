@@ -148,7 +148,10 @@ def test_state_dir_persists_zerotimes(tmp_path):
     assert (state / "zerotime.0").read_text() == "0\n"
 
 
-@pytest.mark.parametrize("raw", ["--5\n", "\u00b2\n"], ids=["double-minus", "superscript"])
+@pytest.mark.parametrize(
+    "raw", ["--5\n", "\u00b2\n", "\u0665\n"],
+    ids=["double-minus", "superscript", "arabic-indic-digit"],
+)
 def test_run_exits_1_on_a_corrupt_zerotime_record(tmp_path, capsys, raw):
     state = tmp_path / "state"
     state.mkdir()

@@ -54,11 +54,21 @@ def test_corrupt_record_is_an_error_not_none(tmp_path):
     (tmp_path / "zerotime.4").write_text("not a number\n")
     with pytest.raises(StorageError):
         fs.load_zerotime(4)
-    # Both pass an isdigit() screen that int() then rejects.
-    for raw in ("--5\n", "\u00b2\n"):
+    # Only the exact bytes store_zerotime writes load, so neither what an
+    # isdigit() screen admits nor what int() forgives passes.
+    for raw in ("--5\n", "\u00b2\n", "\u0665\n", " 5\n", "5 \n", "-0\n", "05\n"):
         (tmp_path / "zerotime.4").write_text(raw, encoding="utf-8")
         with pytest.raises(StorageError, match="zerotime.4"):
             fs.load_zerotime(4)
+    (tmp_path / "zerotime.4").write_bytes(b"\xff\n")
+    with pytest.raises(StorageError, match="zerotime.4"):
+        fs.load_zerotime(4)
+
+
+@pytest.mark.parametrize("t", [0, 7, -3, 10**20])
+def test_file_store_loads_what_it_stores(tmp_path, t):
+    FileStore(tmp_path).store_zerotime(0, t)
+    assert FileStore(tmp_path).load_zerotime(0) == t
 
 
 def test_memory_store_corruption_injection():
