@@ -698,17 +698,16 @@ class Simulator:
         before = node.output()
         node.fire(key, now)
         self._log(TraceEvent(now, pid, "timer_fire", deadline=deadline))
-        self._log_output_change(pid, node, now, before)
+        after = node.output()
+        if after != before:
+            self._log_output_change(pid, now, after)
         if node.sends() and self._ticking[pid] is not node:
             # Ticks rank after timers, so the send instant ``now`` itself
             # is still ahead: the first tick falls at or after it.
             eta = self.scenario.config.eta
             self._tick(pid, node, now + (node.zerotime - now) % eta)
 
-    def _log_output_change(self, pid: int, node, now: int, before) -> None:
-        after = node.output()
-        if after == before:
-            return
+    def _log_output_change(self, pid: int, now: int, after) -> None:
         if isinstance(after, str):
             self._log(TraceEvent(now, pid, "output_change", verdict=after))
         else:
@@ -766,7 +765,9 @@ class Simulator:
         self._log(TraceEvent(now, pid, "deliver", hb.sender, hb.seq, hb.uptime))
         before = node.output()
         key = node.deliver(hb, now)
-        self._log_output_change(pid, node, now, before)
+        after = node.output()
+        if after != before:
+            self._log_output_change(pid, now, after)
         if key is not None:
             self._arm(pid, key, node.deadline_of(key), now)
 
