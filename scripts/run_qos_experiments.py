@@ -5,14 +5,15 @@ Accuracy: 6 fail-free one-hour runs on the measured lossy network; reports
 per-monitor mistake rates and durations.  Speed: 10 crash-recovery cycles of
 a pinned high-priority leader; reports detection and recovery-detection
 times.  Artifacts (traces, per-run metrics CSVs, pooled summary CSV, text
-report) land in the output directory.
+report) land in the output directory.  Each run streams its trace to disk
+and folds its QoS timelines as it goes, so it holds no event list.
 """
 
 import argparse
 import time
 from pathlib import Path
 
-from nfdl import qos, simnet
+from nfdl import qos
 from nfdl.experiments import REQUIREMENTS, accuracy_scenario, speed_scenario
 
 
@@ -32,10 +33,12 @@ def main() -> int:
     duration = int(args.accuracy_hours * 3_600_000)
     for rep in range(args.accuracy_reps):
         t0 = time.monotonic()
-        trace = simnet.run(accuracy_scenario(args.seed + rep, duration=duration))
-        report = qos.build_report(trace)
+        trace, timelines = qos.stream_run(
+            accuracy_scenario(args.seed + rep, duration=duration),
+            args.out / f"accuracy_trace_{rep:03d}.log",
+        )
+        report = qos.build_report(trace, timelines=timelines)
         reports.append(report)
-        trace.write(args.out / f"accuracy_trace_{rep:03d}.log")
         qos.write_lines(
             qos.metrics_csv_lines(report), args.out / f"accuracy_metrics_{rep:03d}.csv"
         )
@@ -46,10 +49,12 @@ def main() -> int:
         )
 
     t0 = time.monotonic()
-    trace = simnet.run(speed_scenario(args.seed, cycles=args.speed_cycles))
-    speed_report = qos.build_report(trace)
+    trace, timelines = qos.stream_run(
+        speed_scenario(args.seed, cycles=args.speed_cycles),
+        args.out / "speed_trace.log",
+    )
+    speed_report = qos.build_report(trace, timelines=timelines)
     reports.append(speed_report)
-    trace.write(args.out / "speed_trace.log")
     qos.write_lines(qos.metrics_csv_lines(speed_report), args.out / "speed_metrics.csv")
     samples = [s for m in speed_report.monitors for s in m.detection_present]
     print(

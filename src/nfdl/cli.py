@@ -92,10 +92,11 @@ def cmd_run(args) -> int:
     for rep in range(args.reps):
         rep_scenario = replace(scenario, seed=scenario.seed + rep)
         store = FileStore(args.state_dir) if args.state_dir else None
-        trace = simnet.Simulator(rep_scenario, store=store).run()
-        trace.write(out / f"trace_{rep:03d}.log")
+        trace, timelines = qos.stream_run(
+            rep_scenario, out / f"trace_{rep:03d}.log", store=store
+        )
         try:
-            report = qos.build_report(trace)
+            report = qos.build_report(trace, timelines=timelines)
         except qos.NoTrueLeaderError:
             report = None
         if report is not None:

@@ -19,7 +19,9 @@ between order statistics).
 Extraction works out each fact once: the ground truth (the leader's alive
 intervals, crash and recover instants) from the fault schedule read in the
 simulator's apply order, and every process's output timeline from one pass
-over the trace events.
+over the events.  That pass is a fold, :class:`TimelineFold`, which can
+also be the simulator's sink: :func:`stream_run` writes the trace file and
+folds the timelines as events are logged, so a run holds no event list.
 
 The module also houses the requirements-driven configurator: it picks the
 largest send interval eta whose detection bound eta + alpha still meets the
@@ -31,11 +33,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .protocol import ProtocolConfig
-from .simnet import EventTrace, Scenario, write_lines  # noqa: F401 (re-exported)
+from .simnet import (  # noqa: F401 (write_lines re-exported)
+    EventTrace,
+    Scenario,
+    Simulator,
+    TraceEvent,
+    TraceWriter,
+    write_lines,
+)
 
 
 class InfeasibleRequirementsError(ValueError):
@@ -101,14 +111,50 @@ class GroundTruth:
 Timelines = dict[int, list[tuple[int, int]]]
 
 
-def output_timeline(trace: EventTrace) -> Timelines:
-    """Every process's (time, leader) change points, from one pass over the
-    events; a process starts with no leader."""
-    timelines: Timelines = {pid: [] for pid in range(trace.scenario.n_processes)}
-    for ev in trace.events:
+class TimelineFold:
+    """Keeps every process's (time, leader) change points in ``timelines``;
+    a process starts with no leader.  ``add`` folds in one event and is a
+    simulator sink.  Memory grows with the output changes only, not with
+    the events."""
+
+    def __init__(self, n_processes: int):
+        self.timelines: Timelines = {pid: [] for pid in range(n_processes)}
+
+    def add(self, ev: TraceEvent) -> None:
         if ev.kind == "output_change" and ev.leader is not None:
-            timelines[ev.process].append((ev.time, ev.leader))
-    return timelines
+            self.timelines[ev.process].append((ev.time, ev.leader))
+
+
+def output_timeline(trace: EventTrace) -> Timelines:
+    """The timelines of an in-memory trace: its events folded in order."""
+    fold = TimelineFold(trace.scenario.n_processes)
+    add = fold.add
+    for ev in trace.events:
+        # Only output changes move a timeline; skipping the call for every
+        # other event keeps this pass as cheap as a plain filter.
+        if ev.kind == "output_change":
+            add(ev)
+    return fold.timelines
+
+
+def stream_run(
+    scenario: Scenario, trace_path: str | Path, store=None
+) -> tuple[EventTrace, Timelines]:
+    """Run ``scenario`` holding no event list: each event is written to the
+    trace file at ``trace_path`` and folded into the timelines as it is
+    logged.  Returns the trace (counters and final outputs, no events) and
+    the timelines, for ``build_report``.  The file appears only if the run
+    succeeds."""
+    fold = TimelineFold(scenario.n_processes)
+    with TraceWriter(trace_path, scenario) as writer:
+        write, add = writer.write, fold.add
+
+        def sink(ev: TraceEvent) -> None:
+            write(ev)
+            add(ev)
+
+        trace = Simulator(scenario, store=store, sink=sink).run()
+    return trace, fold.timelines
 
 
 def _held_before(
@@ -338,12 +384,19 @@ class MetricsReport:
         return sum(self.sends_by_process.values())
 
 
-def build_report(trace: EventTrace, true_leader: int | None = None) -> MetricsReport:
+def build_report(
+    trace: EventTrace,
+    true_leader: int | None = None,
+    timelines: Timelines | None = None,
+) -> MetricsReport:
     """Extract every metric a trace supports into one report.
 
-    Pure function of (trace, faults): re-running it yields the same report.
+    ``timelines`` are the run's folded timelines (see :func:`stream_run`);
+    by default they are folded from ``trace.events``.  Pure function of
+    (trace, faults): re-running it yields the same report.
     """
-    timelines = output_timeline(trace)
+    if timelines is None:
+        timelines = output_timeline(trace)
     if true_leader is None:
         true_leader = infer_true_leader(trace, timelines)
     truth = GroundTruth.of(trace.scenario, true_leader)

@@ -64,6 +64,14 @@ per watched peer:
   outputs the lowest id it trusts, counting itself;
 * ``nfde-pair`` - process 0 sends to process 1, which watches it and
   outputs its verdict.
+
+Every event goes to the simulator's *sink* the moment it is logged, in log
+order, which is non-decreasing time.  The default sink appends to
+``trace.events``, so :meth:`Simulator.run` returns the whole event list.
+Any other sink receives each :class:`TraceEvent` instead and the list stays
+empty, so a run holds no event list; :meth:`TraceWriter.write` is the sink
+that writes the trace file.  The trace's counters and final outputs are filled
+in either way.
 """
 
 from __future__ import annotations
@@ -71,9 +79,9 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import os
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import index
 from pathlib import Path
 
@@ -471,7 +479,46 @@ class EventTrace:
     def write(self, path: str | Path) -> None:
         """Stream the trace to ``path``; the file holds ``lines()``, each
         followed by a newline."""
-        write_lines(chain(self._header(), (ev.line() for ev in self.events)), path)
+        with TraceWriter(path, self.scenario) as writer:
+            write = writer.write
+            for ev in self.events:
+                write(ev)
+
+
+class TraceWriter:
+    """Writes a trace file one event line at a time; its ``write`` method
+    is a simulator sink.
+
+    The header goes out on opening.  Lines go to ``path`` plus ``.part``,
+    which replaces ``path`` when the writer closes cleanly and is deleted
+    when it closes on an exception, so a failed run leaves no trace behind.
+    Use it as a context manager.
+    """
+
+    def __init__(self, path: str | Path, scenario: Scenario):
+        self.path = Path(path)
+        self._part = self.path.with_name(self.path.name + ".part")
+        self._file = open(self._part, "w")
+        self._write = self._file.write
+        for line in EventTrace(scenario)._header():
+            self._write(line + "\n")
+
+    def write(self, ev: TraceEvent) -> None:
+        self._write(ev.line() + "\n")
+
+    def __enter__(self) -> TraceWriter:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        done = False
+        try:
+            self._file.close()
+            if exc_type is None:
+                os.replace(self._part, self.path)
+                done = True
+        finally:
+            if not done:
+                self._part.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -560,12 +607,13 @@ class _MonitorNode:
 class Simulator:
     """Single-use event loop for one scenario.
 
-    After :meth:`run` the per-process nodes stay inspectable via
-    :attr:`nodes` (None for processes that ended the run crashed); under
-    ``nfdl`` each node is an :class:`NfdlProcess`.
+    ``sink``, when given, receives every event as it is logged, and
+    ``trace.events`` stays empty.  After :meth:`run` the per-process nodes
+    stay inspectable via :attr:`nodes` (None for processes that ended the
+    run crashed); under ``nfdl`` each node is an :class:`NfdlProcess`.
     """
 
-    def __init__(self, scenario: Scenario, store=None):
+    def __init__(self, scenario: Scenario, store=None, sink=None):
         scenario.validate()
         self.scenario = scenario
         self.store = store if store is not None else MemoryStore()
@@ -587,7 +635,7 @@ class Simulator:
         self._delivered = [0] * (n * n)
         self._dropped = [0] * (n * n)
         self.trace = EventTrace(scenario=scenario)
-        self._log = self.trace.events.append
+        self._log = self.trace.events.append if sink is None else sink
         self._ran = False
         for pid in range(n):
             self._start(pid, 0)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -162,6 +163,33 @@ def test_run_exits_1_on_a_corrupt_zerotime_record(tmp_path, capsys, raw):
     )
     assert code == 1
     assert f"corrupt zerotime record {state / 'zerotime.1'}" in capsys.readouterr().err
+    # The trace is streamed from the start of the run, but only a run that
+    # succeeds leaves one, partial or whole.
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_run_memory_does_not_grow_with_duration(tmp_path):
+    # nfdl, N=20, on the measured lossy network.  The estimator windows are
+    # full after 100 heartbeats (33 s), so from then on only a list of the
+    # run's events (about 20 per eta) would make a longer run peak higher.
+    net = ("--loss-prob", "0.0175917", "--delay-mean-ms", "5",
+           "--delay-var-ms2", "25.3356")
+
+    def peak(duration_ms):
+        out = tmp_path / str(duration_ms)
+        tracemalloc.start()
+        try:
+            code = run_cli("run", "--procs", "20", *net,
+                           "--duration-ms", str(duration_ms), "--out", str(out))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        return peak
+
+    peak(5_000)  # warm-up: lazy imports and caches of a first run and report
+    short, long = peak(45_000), peak(180_000)
+    assert long <= 1.1 * short, f"peaked at {long} B over 4x the {short} B run"
 
 
 def test_compare_cost_table(capsys):

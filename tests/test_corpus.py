@@ -216,6 +216,23 @@ def test_corpus_hashes(name):
     assert fingerprint(SCENARIOS[name]()) == EXPECTED[name]
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_streamed_run_matches_the_corpus(name, tmp_path):
+    # The trace writer and the timeline fold, as `nfdl run` and the campaign
+    # use them, must give the in-memory trace's and report's bytes.
+    path = tmp_path / "trace.log"
+    trace, timelines = qos.stream_run(SCENARIOS[name](), path)
+    assert trace.events == []
+    trace_sha, csv_sha = EXPECTED[name]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == trace_sha
+    if csv_sha == "ValueError":
+        with pytest.raises(ValueError):
+            qos.build_report(trace, timelines=timelines)
+    else:
+        report = qos.build_report(trace, timelines=timelines)
+        assert sha256_lines(qos.metrics_csv_lines(report)) == csv_sha
+
+
 def test_cli_run_artifacts(tmp_path):
     path = tmp_path / "scenario.json"
     speed_scenario(seed=5, cycles=2, n=4, downtime=5_000, spacing=5_000).dump(path)

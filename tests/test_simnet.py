@@ -375,6 +375,29 @@ def test_trace_write_streams_one_line_at_a_time(tmp_path, monkeypatch):
     assert calls == len(trace.events)
 
 
+def test_a_sink_sees_every_event_in_log_order():
+    sc = scenario(network=LOSSY, duration=10_000)
+    seen = []
+    trace = Simulator(sc, sink=seen.append).run()
+    assert trace.events == []
+    assert seen == run(sc).events
+
+
+def test_trace_writer_leaves_no_file_when_the_run_fails(tmp_path):
+    sc = scenario(duration=10_000)
+    path = tmp_path / "trace.log"
+
+    def failing(ev):
+        writer.write(ev)
+        if ev.time >= 5_000:
+            raise RuntimeError("sink failed")
+
+    with pytest.raises(RuntimeError, match="sink failed"):
+        with simnet.TraceWriter(path, sc) as writer:
+            Simulator(sc, sink=failing).run()
+    assert list(tmp_path.iterdir()) == []
+
+
 PAYLOAD_KEYS = ("sender", "seq", "uptime", "receiver", "leader", "verdict", "reason",
                 "deadline")
 
