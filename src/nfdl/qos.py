@@ -38,14 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from .protocol import ProtocolConfig
-from .simnet import (  # noqa: F401 (write_lines re-exported)
-    EventTrace,
-    Scenario,
-    Simulator,
-    TraceEvent,
-    TraceWriter,
-    write_lines,
-)
+from .simnet import EventTrace, Scenario, Simulator, TraceEvent, TraceWriter
+from .simnet import write_lines  # noqa: F401 (re-exported)
 
 
 class InfeasibleRequirementsError(ValueError):

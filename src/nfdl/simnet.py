@@ -496,8 +496,8 @@ class TraceWriter:
     """
 
     def __init__(self, path: str | Path, scenario: Scenario):
-        self.path = Path(path)
-        self._part = self.path.with_name(self.path.name + ".part")
+        self._path = Path(path)
+        self._part = self._path.with_name(self._path.name + ".part")
         self._file = open(self._part, "w")
         self._write = self._file.write
         for line in EventTrace(scenario)._header():
@@ -514,7 +514,7 @@ class TraceWriter:
         try:
             self._file.close()
             if exc_type is None:
-                os.replace(self._part, self.path)
+                os.replace(self._part, self._path)
                 done = True
         finally:
             if not done:
