@@ -4,12 +4,13 @@ A single virtual clock in integer milliseconds drives every process; the
 protocol machines only ever see the clock value handed to them.  Links drop
 each message independently with a fixed probability and delay survivors by a
 sampled, non-negative integer delay.  Every message gets its own random
-sub-stream keyed by (seed, sender, seq, receiver), so traces are a pure
-function of (scenario, seed) and editing one link or adding a process never
-perturbs the samples on another link.  The sub-stream is numpy's Philox
-keyed by (seed, sender) and started at counter (0, 0, seq, receiver):
-:func:`link_stream` rekeys one shared generator per message and returns it,
-valid until its next call.
+block keyed by (seed, sender, seq, receiver), so traces are a pure function
+of (scenario, seed) and editing one link or adding a process never perturbs
+the samples on another link.  The block is the first Philox block under key
+(seed, sender) at counter (receiver, 0, seq, 0).  A send draws the blocks of
+all its receivers at once, one :func:`link_stream` rekey and one vector draw
+(:func:`sample_deliveries`): word 0 of a block decides loss and word 1 picks
+the whole-ms delay from the :func:`delay_cdf` table of the link's law.
 
 Fault injection is a scripted schedule of crash/recover events.  A crash
 discards the process's volatile state and silences it; messages still in
@@ -97,11 +98,17 @@ from .protocol import (
 )
 from .stable_store import MemoryStore, load_or_create_zerotime, next_send_time, send_label
 
-TRACE_FORMAT_VERSION = 2
+TRACE_FORMAT_VERSION = 3
 SCENARIO_SCHEMA_VERSION = 1
 
 ALGORITHMS = ("nfdl", "nfde-pair", "naive-reduction")
 DELAY_DISTS = ("constant", "uniform", "normal")
+# Most entries a delay table may hold: 2**20 covers delays up to about 17
+# minutes.  A law that needs more fails validation.
+MAX_DELAY_TABLE = 2**20
+# The normal delay table ends this many standard deviations above the mean;
+# the mass beyond it is below 2**-55, under the 2**-53 step of a uniform.
+_NORMAL_TAIL_SIGMAS = 8.5
 
 # Uptime granted to a pinned high-priority leader at every initialization.
 # Large enough that no honestly accumulated uptime ever competes.
@@ -118,7 +125,15 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class NetworkModel:
-    """Per-link loss probability and delay law."""
+    """Per-link loss probability and delay law.
+
+    ``delay_mean`` and ``delay_var`` parameterize the continuous law
+    (constant, uniform, or normal) before the simulator truncates it at zero
+    and rounds it half-up to whole milliseconds.  The law actually sampled is
+    that truncated and rounded one, tabulated by :func:`delay_cdf`; for the
+    normal law its mean and variance differ from ``delay_mean`` and
+    ``delay_var``.
+    """
 
     loss_prob: float = 0.0
     delay_mean: float = 5.0
@@ -148,6 +163,18 @@ class NetworkModel:
                     "uniform delay support must lie within [0, inf); "
                     "reduce variance or raise the mean",
                 )
+        # One table entry per whole ms up to the largest delay sampled.
+        if self.delay_mean + 0.5 >= MAX_DELAY_TABLE:
+            raise ScenarioError(
+                f"{fld}.delay_mean",
+                f"delays must stay below {MAX_DELAY_TABLE} ms",
+            )
+        if _delay_bound(self) + 0.5 >= MAX_DELAY_TABLE:
+            raise ScenarioError(
+                f"{fld}.delay_var",
+                f"the delay law reaches beyond {MAX_DELAY_TABLE} ms; "
+                "reduce variance or the mean",
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -330,11 +357,17 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # Link sampling
 #
-# Each message draws from numpy's counter-based Philox (Salmon et al.,
-# "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11) under key
-# (seed, sender), starting at counter (0, 0, seq, receiver).  Philox bumps
-# the lowest counter word first, so no two messages' streams overlap before
-# one of them has drawn 2**64 blocks.
+# Each message owns one block of numpy's counter-based Philox (Salmon et
+# al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11): the first
+# block under key (seed, sender) at counter (receiver, 0, seq, 0).  Philox
+# bumps counter word 0 before each block, so one draw of 4n words from
+# counter (0, 0, seq, 0) returns, as block r, the block of receiver r: a
+# send draws every receiver's block at once, and a message's bits depend on
+# (seed, sender, seq, receiver) alone, never on n.  Word 0 of a block is the
+# loss draw and word 1 the delay draw; words 2 and 3 are unused.
+#
+# The delay is drawn by inverting the table of the whole-ms law actually
+# sampled (see delay_cdf), so no transcendental function runs per message.
 
 _STREAM = np.random.Generator(np.random.Philox(0))
 # The state every rekey installs; link_stream overwrites only _KEYS, and the
@@ -351,16 +384,16 @@ _STATE = {
 
 
 def link_stream(seed: int, sender: int, seq: int, receiver: int) -> np.random.Generator:
-    """Independent random stream for one message on one directed link.
+    """Random stream whose first 4-word block belongs to one message.
 
     The stream is exactly ``Generator(Philox(key=(seed, sender),
-    counter=(0, 0, seq, receiver)))``.  Every key must be an integer
+    counter=(receiver, 0, seq, 0)))``; called with receiver 0 it yields the
+    blocks of receivers 0, 1, 2, ... in turn.  Every key must be an integer
     (TypeError otherwise) within [0, 2**64) (ValueError otherwise).  The
     returned Generator is one shared object, rekeyed in place from one
     shared module-level state mapping whose key and counter entries each
     call overwrites: it is valid only until the next call from any thread,
-    so draw from it at once (the simulator hands it straight to
-    :func:`sample_delivery`).
+    so draw from it at once.
     """
     seed, sender, seq, receiver = index(seed), index(sender), index(seq), index(receiver)
     # Nonzero exactly when some key is negative or needs more than 64 bits.
@@ -368,9 +401,60 @@ def link_stream(seed: int, sender: int, seq: int, receiver: int) -> np.random.Ge
         keys = (seed, sender, seq, receiver)
         raise ValueError(f"keys must be within [0, 2**64), got {keys}")
     _KEYS["key"] = (seed, sender)
-    _KEYS["counter"] = (0, 0, seq, receiver)
+    _KEYS["counter"] = (receiver, 0, seq, 0)
     _STREAM.bit_generator.state = _STATE
     return _STREAM
+
+
+def _delay_bound(network: NetworkModel) -> float:
+    """Largest delay, in ms before rounding, that the delay table covers."""
+    if network.delay_dist == "uniform":
+        return network.delay_mean + math.sqrt(3.0 * network.delay_var)
+    return network.delay_mean + _NORMAL_TAIL_SIGMAS * math.sqrt(network.delay_var)
+
+
+def delay_cdf(network: NetworkModel) -> np.ndarray:
+    """``cdf[k]`` is P(delay <= k ms) under the law actually sampled.
+
+    That law draws from ``network``'s continuous law, truncated at zero
+    (conditioned on a non-negative draw), and rounds the draw half-up to
+    whole ms.  The table runs from 0 to the largest delay it gives any mass
+    (``_NORMAL_TAIL_SIGMAS`` standard deviations above the mean for the
+    normal law) and its last entry is exactly 1.0.  A uniform ``u`` in
+    [0, 1) maps to the delay ``searchsorted(cdf, u, side="right")``.
+    Validate ``network`` first: that bounds the table by MAX_DELAY_TABLE.
+    """
+    mu, var = network.delay_mean, network.delay_var
+    # A draw rounds to k exactly when it falls in [k - 0.5, k + 0.5).
+    edges = np.arange(math.floor(_delay_bound(network) + 0.5) + 1) + 0.5
+    if var == 0:
+        cdf = (edges > mu).astype(float)
+    elif network.delay_dist == "uniform":
+        half = math.sqrt(3.0 * var)
+        cdf = np.clip((edges - (mu - half)) / (2.0 * half), 0.0, 1.0)
+    else:  # normal: 1 - P(X >= x) / P(X >= 0), tails from math.erfc
+        scale = math.sqrt(2.0 * var)
+        above_zero = math.erfc(-mu / scale)
+        cdf = np.array([1.0 - math.erfc((x - mu) / scale) / above_zero
+                        for x in edges.tolist()])
+    cdf[-1] = 1.0
+    return cdf
+
+
+def sample_deliveries(
+    seed: int, sender: int, seq: int, n: int, send_time: int,
+    loss_prob: float, cdf: np.ndarray,
+) -> tuple[list[bool], list[int]]:
+    """Loss flags and delivery instants of message (sender, seq), sent at
+    ``send_time``, to each receiver 0..n-1, from one draw of n blocks.
+
+    ``cdf`` is ``delay_cdf`` of the link law; the instant of a lost copy is
+    meaningless.
+    """
+    u = link_stream(seed, sender, seq, 0).random(4 * n)
+    lost = (u[0::4] < loss_prob).tolist()
+    at = (np.searchsorted(cdf, u[1::4], side="right") + send_time).tolist()
+    return lost, at
 
 
 def sample_delivery(
@@ -378,27 +462,14 @@ def sample_delivery(
 ) -> int | None:
     """Delivery instant for a message sent at ``send_time``, or None if lost.
 
-    One loss draw, then one delay draw from the configured law, rounded
-    half-up to whole milliseconds and floored at zero so delivery never
-    precedes the send.
+    Draws one 4-word block from ``rng``, the message's
+    ``link_stream(seed, sender, seq, receiver)``.  This is the per-message
+    reference for :func:`sample_deliveries`, which the simulator runs.
     """
-    if rng.random() < network.loss_prob:
+    loss, delay = rng.random(4)[:2].tolist()
+    if loss < network.loss_prob:
         return None
-    if network.delay_dist == "constant":
-        delay = network.delay_mean
-    elif network.delay_dist == "uniform":
-        half = math.sqrt(3.0 * network.delay_var)
-        delay = rng.uniform(network.delay_mean - half, network.delay_mean + half)
-    else:  # normal, truncated at zero by redrawing
-        sigma = math.sqrt(network.delay_var)
-        delay = rng.normal(network.delay_mean, sigma)
-        for _ in range(100):
-            if delay >= 0:
-                break
-            delay = rng.normal(network.delay_mean, sigma)
-        else:
-            delay = 0.0
-    return send_time + max(0, math.floor(delay + 0.5))
+    return send_time + int(np.searchsorted(delay_cdf(network), delay, side="right"))
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +691,7 @@ class Simulator:
         n = self._n = scenario.n_processes
         self.nodes: list[object | None] = [None] * n
         self._others = [tuple(p for p in range(n) if p != pid) for pid in range(n)]
+        self._delay_cdf = delay_cdf(scenario.network)
         # Per process, the node whose tick entry is pending, if any.
         self._ticking: list[object | None] = [None] * n
         self._heap: list[tuple] = []
@@ -785,20 +857,21 @@ class Simulator:
             self._send_counts[sender] += 1
             log(TraceEvent(now, sender, "send", None, seq, uptime))
             receivers = self._others[sender]
-        heap, base = self._heap, sender * self._n
+        n = self._n
+        lost, at = sample_deliveries(sc.seed, sender, seq, n, now,
+                                     sc.network.loss_prob, self._delay_cdf)
+        heap, base = self._heap, sender * n
         sent, dropped = self._sent, self._dropped
         for receiver in receivers:
             if unicast:
                 log(TraceEvent(now, sender, "send", None, seq, uptime, receiver))
             sent[base + receiver] += 1
-            at = sample_delivery(now, sc.network,
-                                 link_stream(sc.seed, sender, seq, receiver))
-            if at is None:
+            if lost[receiver]:
                 dropped[base + receiver] += 1
                 log(TraceEvent(now, receiver, "drop", sender, seq, None, None, None,
                                None, "loss"))
             else:
-                heapq.heappush(heap, (at, receiver, _DELIVER, self._pushes, hb))
+                heapq.heappush(heap, (at[receiver], receiver, _DELIVER, self._pushes, hb))
                 self._pushes += 1
 
     def _on_deliver(self, pid: int, now: int, hb: Heartbeat) -> None:

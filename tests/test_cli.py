@@ -110,6 +110,29 @@ def test_run_rejects_a_malformed_scenario_with_exit_2(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mean,var,dist", [
+    (5.0, 2.0e10, "normal"), (6.0e5, 1.2e11, "uniform"),
+], ids=["normal", "uniform"])
+def test_run_rejects_an_oversized_delay_table_with_exit_2(tmp_path, capsys, mean, var,
+                                                          dist):
+    data = {
+        "n_processes": 3,
+        "config": {"eta_ms": 330, "alpha_ms": 670, "window_n": 100},
+        "network": {
+            "loss_prob": 0.01, "delay_mean_ms": mean, "delay_var_ms2": var,
+            "delay_dist": dist,
+        },
+        "duration_ms": 5000,
+        "seed": 5,
+    }
+    scenario_path = tmp_path / "big.json"
+    scenario_path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", str(scenario_path), "--out", str(out)) == 2
+    assert "error: network.delay_var:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_scenario_names_the_field(tmp_path, capsys):
     scenario_path = tmp_path / "bad.json"
     scenario_path.write_text(json.dumps({"n_processes": 5}))

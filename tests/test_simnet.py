@@ -23,6 +23,7 @@ from nfdl.simnet import (
     _MonitorNode,
     link_stream,
     run,
+    sample_deliveries,
     sample_delivery,
 )
 from nfdl.stable_store import MemoryStore
@@ -33,6 +34,8 @@ LOSSY = NetworkModel(
     loss_prob=0.0175917, delay_mean=5.0, delay_var=25.3356, delay_dist="normal"
 )
 INSTANT = NetworkModel(loss_prob=0.0, delay_mean=0.0, delay_var=0.0, delay_dist="constant")
+UNIFORM = NetworkModel(loss_prob=0.01, delay_mean=6.0, delay_var=9.0, delay_dist="uniform")
+JITTERY = NetworkModel(loss_prob=0.05, delay_mean=40.0, delay_var=900.0, delay_dist="normal")
 # alpha 0: every deadline is an expected arrival, which lands on the send grid
 # under INSTANT, so timer takeovers and handoffs coincide with send instants.
 ON_GRID = ProtocolConfig(eta=100, alpha=0)
@@ -248,7 +251,7 @@ def philox_stream(seed, sender, seq, receiver):
     # uint64 arrays: a Python list would miscast keys >= 2**63
     return np.random.Generator(np.random.Philox(
         key=np.array([seed, sender], np.uint64),
-        counter=np.array([0, 0, seq, receiver], np.uint64),
+        counter=np.array([receiver, 0, seq, 0], np.uint64),
     ))
 
 
@@ -303,21 +306,145 @@ def test_link_stream_rejects_negative_keys(key):
 
 
 GOLDEN_DELIVERIES = [
-    1008, 2001, None, 4002, 5008, 6005, 7010, 8006, 9011, 10004, 11002, 12005,
-    13011, 14003, 15011, 16005, 17011, 18006, 19003, 20004, 21009, 22004,
-    23007, 24015,
+    1003, 2008, 3014, 4001, 5005, 6007, 7010, 8004, 9001, 10005, None, 12006,
+    13004, 14010, 15005, 16007, 17001, 18004, 19003, None, 21006, None, 23006,
+    24005,
 ]
 
 
 def test_golden_delivery_sequence():
-    # Frozen from the first verified run of the Philox streams (trace v2);
-    # guards the stream derivation and the rounding/truncation rules against
-    # drift.
+    # Frozen from the first verified run of the v3 link blocks (trace v3);
+    # guards the stream derivation and the delay table against drift.
     got = [
         sample_delivery(1000 * seq, LOSSY, link_stream(7, 0, seq, 1))
         for seq in range(1, 25)
     ]
     assert got == GOLDEN_DELIVERIES
+
+
+@given(KEYS, KEYS, KEYS, st.integers(min_value=1, max_value=200))
+@settings(max_examples=50, deadline=None)
+def test_one_draw_per_send_holds_every_receivers_block(seed, sender, seq, n):
+    # block r of one send's draw is the first block of receiver r's own stream
+    blocks = link_stream(seed, sender, seq, 0).random(4 * n).reshape(n, 4)
+    for r in range(n):
+        assert blocks[r].tolist() == philox_stream(seed, sender, seq, r).random(4).tolist()
+
+
+@pytest.mark.parametrize("net", [QUIET, LOSSY, UNIFORM, JITTERY],
+                         ids=["quiet", "lossy", "uniform", "jittery"])
+def test_batch_sampler_matches_the_per_message_reference(net):
+    cdf = simnet.delay_cdf(net)
+    for seq in range(1, 40):
+        lost, at = sample_deliveries(11, 3, seq, 6, 1000 * seq, net.loss_prob, cdf)
+        for r in range(6):
+            want = sample_delivery(1000 * seq, net, link_stream(11, 3, seq, r))
+            assert (None if lost[r] else at[r]) == want
+
+
+def test_a_messages_delivery_does_not_depend_on_n():
+    cdf = simnet.delay_cdf(LOSSY)
+    for seq in range(1, 200):
+        small = sample_deliveries(7, 2, seq, 5, 0, LOSSY.loss_prob, cdf)
+        large = sample_deliveries(7, 2, seq, 200, 0, LOSSY.loss_prob, cdf)
+        assert small == tuple(values[:5] for values in large)
+
+
+# -- delay tables --------------------------------------------------------------
+
+# Every law the tests and the corpus run.
+LAWS = {
+    "quiet": QUIET, "lossy": LOSSY, "instant": INSTANT, "uniform": UNIFORM,
+    "jittery": JITTERY,
+    "normal-zero-mean": NetworkModel(delay_mean=0.0, delay_var=4.0, delay_dist="normal"),
+    "normal-zero-var": NetworkModel(delay_mean=2.5, delay_var=0.0, delay_dist="normal"),
+    "uniform-zero-var": NetworkModel(delay_mean=3.5, delay_var=0.0, delay_dist="uniform"),
+}
+
+
+def pmf(cdf):
+    return np.diff(cdf, prepend=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_delay_table_is_a_distribution(name):
+    cdf = simnet.delay_cdf(LAWS[name])
+    assert cdf[-1] == 1.0
+    assert (pmf(cdf) >= 0).all()
+    assert math.isclose(pmf(cdf).sum(), 1.0, abs_tol=1e-12)
+    for u in (0.0, 1.0 - 2.0**-53):
+        assert 0 <= np.searchsorted(cdf, u, side="right") < len(cdf)
+
+
+@pytest.mark.parametrize("mean,delay", [(0.0, 0), (2.5, 3), (3.49, 3), (5.0, 5)])
+def test_constant_delay_puts_all_mass_on_the_rounded_mean(mean, delay):
+    p = pmf(simnet.delay_cdf(NetworkModel(delay_mean=mean)))
+    assert p[delay] == 1.0 and p.sum() == 1.0
+
+
+def test_uniform_table_is_the_interval_overlap():
+    # U[6 - sqrt(27), 6 + sqrt(27)): delay k takes the part of [k - 0.5, k + 0.5)
+    half = math.sqrt(27.0)
+    lo, hi = 6.0 - half, 6.0 + half
+    want = [max(0.0, min(k + 0.5, hi) - max(k - 0.5, lo)) / (hi - lo) for k in range(12)]
+    got = pmf(simnet.delay_cdf(UNIFORM))
+    assert got.tolist() == pytest.approx(want, abs=1e-15)
+
+
+def test_campaign_table_has_the_realized_moments():
+    # The normal(5, 25.3356) law truncated at zero and rounded half-up.
+    p = pmf(simnet.delay_cdf(LOSSY))
+    k = np.arange(len(p))
+    mean = float((p * k).sum())
+    var = float((p * (k - mean) ** 2).sum())
+    assert mean == pytest.approx(6.4576, abs=1e-3)
+    assert var == pytest.approx(16.0181, abs=1e-3)
+
+
+@pytest.mark.parametrize("name", ["lossy", "uniform", "jittery"])
+def test_sampled_delays_follow_the_table(name):
+    net = LAWS[name]
+    cdf = simnet.delay_cdf(net)
+    delays = np.concatenate([
+        sample_deliveries(5, 1, seq, 1000, 0, 0.0, cdf)[1] for seq in range(100)
+    ])
+    expected = pmf(cdf) * len(delays)
+    observed = np.bincount(delays, minlength=len(cdf)).astype(float)
+    assert observed[expected == 0].sum() == 0
+    # Pool the tail bins expected to hold fewer than 5 draws into one bin.
+    keep = expected >= 5
+    exp = np.append(expected[keep], expected[~keep].sum())
+    obs = np.append(observed[keep], observed[~keep].sum())
+    if exp[-1] == 0:
+        exp, obs = exp[:-1], obs[:-1]
+    chi2 = float(((obs - exp) ** 2 / exp).sum())
+    df = len(exp) - 1
+    # Mean df, sd sqrt(2 df): six sd above the mean is far past p = 1e-4.
+    assert chi2 < df + 6 * math.sqrt(2 * df)
+
+
+@pytest.mark.parametrize("network,field", [
+    (dict(delay_mean=5.0, delay_var=2.0e10, delay_dist="normal"), "network.delay_var"),
+    (dict(delay_mean=6.0e5, delay_var=1.2e11, delay_dist="uniform"),
+     "network.delay_var"),
+    (dict(delay_mean=2.0e6, delay_var=0.0, delay_dist="constant"),
+     "network.delay_mean"),
+], ids=["normal", "uniform", "constant"])
+def test_oversized_delay_tables_fail_validation(network, field):
+    data = scenario().to_dict()
+    data["network"].update(delay_mean_ms=network["delay_mean"],
+                           delay_var_ms2=network["delay_var"],
+                           delay_dist=network["delay_dist"])
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict(data)
+    assert err.value.field == field
+
+
+def test_every_corpus_law_fits_its_table():
+    for net in LAWS.values():
+        net.validate()
+        assert len(simnet.delay_cdf(net)) <= simnet.MAX_DELAY_TABLE
+    assert len(simnet.delay_cdf(JITTERY)) == 296
 
 
 # -- traces --------------------------------------------------------------------
@@ -345,7 +472,7 @@ def test_trace_file_round_trip(tmp_path):
     path = tmp_path / "trace.log"
     trace.write(path)
     assert path.read_text() == "\n".join(trace.lines()) + "\n"
-    assert path.read_text().startswith("# trace v2\n")
+    assert path.read_text().startswith("# trace v3\n")
 
 
 def test_trace_write_streams_one_line_at_a_time(tmp_path, monkeypatch):
