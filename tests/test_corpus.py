@@ -113,84 +113,84 @@ SCENARIOS = {
 # (trace sha256, metrics CSV sha256 or "ValueError" when build_report refuses)
 EXPECTED = {
     "jitter-beyond-eta-naive": (
-        "35abe15b8cb5a7f098790aa87d96c1a05ed9f8e55ad4e9bff4244bf6683ca6e5",
-        "2a65313c3dbaad8f01a9e2bc0c0df153c8e7aa23ea167265a30e6fbac0faa608",
+        "f627dfda0caf4ed78ad387d97ce99adb619568a6dd55a273db0e8de0cc3804ff",
+        "d3218cc796a4f4d55390562936b199b75bdaa754d21ded9a5bc3f8de21835726",
     ),
     "jitter-beyond-eta-nfdl": (
-        "495007406ededf86686a760b034e5a56849d4daaa84afea64e77458f13dfd5ee",
-        "05352217b9c0cd8f6acea03a609658a4c88ccb606e022a547bc853201ae0f472",
+        "7255cf69d03d44ad6ff9f8ad6787259577eeb35e93d258decd24cb75569548eb",
+        "6bb6031ea117350631382c36863e977ce8f644315e8a10ed5187bcd0faa55be1",
     ),
     "naive-faults": (
-        "413e306607245291cfe2f0ac8c494e939835b79fcbc43eb9b175f79ea719a79f",
-        "f63c246fbb2058d815c2a0f7fb44163ab6748da3d334f21d958f52d468abdef3",
+        "0eb45151af221498bfe40dd201480655284668016a67a42eb1baebb961dd9bc1",
+        "880c1bd9c419a3be4e9cfd0ff89e2f951b374b475908d2e6db87842d7cc93e84",
     ),
     "naive-n10-two-restarts": (
-        "2cc2aeabf7579f591b2ee00a8707f1270bd7a9c57ab6bd1320abb60a8c63dc3b",
-        "92fb09f78463049b588071cc3efde90299c5bbf08280c2e7a8e932bcfe2498f4",
+        "83df6fe0a243b675df3dee400ddbd7c5253e44bbdf2bbbd7fc5b78b0d4240fe6",
+        "90c9fd0205b4199a67d911b1b77d2a03d5d49e2bdd52fe813bdadff1f584f3f9",
     ),
     "naive-quiet-twin-crash": (
-        "4e245814c0bb397bca6c52281a79060f67db6373a5ca19bdbc2644680d182055",
+        "c0db2c98b1516026ce802f9a90adeac1918e9e2f4de1d8efea40ee97eb342cf7",
         "1e1f42897b5f71c60411280ac0accd57ec2211a19918b9e9224a14acc8b666d7",
     ),
     "naive-n10": (
-        "1b7fff84cffdeb5ca48828bbb7520a0023f4eaf1339ba0bcb4ece66c383497b7",
+        "2887e6b22f7fe0194b11675cdbea90bc53fe09cef18f29e85310fa9d46841127",
         "d6c4e1a641edfb5b53fedd37a93709422c89f5cd94b92dc85f026faca543a18d",
     ),
     "nfde-pair-monitor-crash": (
-        "18bd9b91982e0147dba150f554d87a3f8178a9e206ea1ec0fc2f0c6b8682ee74",
+        "a0712b0884f686cfd8aa3906df502004b04dfaea65b2b3635b1da5ed6997cd7c",
         "23fac8f6377384b23346824326f69495bc1a3c6641f07a91054ece3a9d023e11",
     ),
     "nfde-pair-monitor-restart": (
-        "955cf2fe1c5b2e08f4c2a5c0b270dfbc68ff6dfd6f06fc32a172d2818e68da36",
+        "9d6b156c9001b28b221605006e302610124aeec46da86f061cf0e9799516b569",
         "23fac8f6377384b23346824326f69495bc1a3c6641f07a91054ece3a9d023e11",
     ),
     "nfde-pair-sender-crash": (
-        "67e108578baddf4aa5f200eb3e1ded4c6678b01dfbd4e676dc498291a5ea9a1b",
+        "1eaca7613a7280dc4a3b4bed66232080e25be0a86fc1ee03d52c805fcd38bb14",
         "6383dd28f6d176c17d3fce4024a9a640cda8f6b7a9e8b6314650ab207241a807",
     ),
     "nfdl-accuracy-120s": (
-        "d9a65d6322fa68e914dc1773ea0e4343eb4d0fc0421ec136e81803e21c82dee3",
+        "ea6545dda416da96340815693fc5b40dbd610d9f646eab55f5a444b62a44cbbc",
         "e6f97b4f5a987358cbb9b6da6a1ae2f922c6520b1f34f772572cde11b837dc7f",
     ),
     # Scored against leader 4, which every process holds before the crash of
     # follower 1; leader 4 never fails, so the CSV equals the fail-free runs'.
     "nfdl-follower-crash": (
-        "d941419a71ee365451f8ba2112125981c81da76817322f5e3f165fe87ff76aaa",
+        "b32468359692e48509e7de90444ebe1854c0720359516dbf3db7b6722e1e3fab",
         "e6f97b4f5a987358cbb9b6da6a1ae2f922c6520b1f34f772572cde11b837dc7f",
     ),
     "nfdl-on-grid-handoffs": (
-        "9846541d9215c5dfbd75b6d60d079d1fef7326264aa150e1b63ab62aa9da4fe0",
+        "c04de26820db945f5301fb78611c8eea1e2be6314f1d676f0ad64f9081f7ea29",
         "dfaa0d52d999df5610034b3b838861ce3bfa54b621f131ff47c820111dace795",
     ),
     "nfdl-n20-two-crashes": (
-        "d4132b3cae2cb6baa1e74f84a050f480e3b68cea83b6b35837202d57fbebfb87",
-        "4f41de8b080c00eea17d1ebdf80a7e43a5e5618fc1eec78c3e741d0ca9cd8c27",
+        "0fc2905452851a0c19fdb751d1e7e0a20757bb3a75b7d8233a73d8580b15b9c6",
+        "189a4e7a0540b1556513a4f261f1732415ba33d2805474d05a5c88fae50f0f55",
     ),
     "nfdl-quiet": (
-        "37224ae7ba293e15f41a40c843172c5d6c181ddbfb06d310b5c94a33d3959f49",
+        "27416117c6984c8e8ac71a064109e6eceb993d483c7c92c3a67d0ee0a1d53e21",
         "e6f97b4f5a987358cbb9b6da6a1ae2f922c6520b1f34f772572cde11b837dc7f",
     ),
     "nfdl-restart-at-zero": (
-        "fa12f3a27c94859af5f0cd2fd54f9c33fee647e83353b00e83c8df0bd91ce6ff",
+        "e36ee1e617b1364dc63308b528609b230cd446cf82631548c03b230f57f4663e",
         "57174092880d8625b410154a8c0aeaab51a8bb9ce2ab82f563f2dc2ae70f9dc2",
     ),
     "nfdl-speed-3-cycles": (
-        "54d81cb3f6624f293ad97d837ae13e20429af963dea4273660285d6625f8ce6d",
-        "d366f4faf589e9a7fc845fb5ee65ebf1ec84cc26c3bc1dfeec248a692912d04b",
+        "30984a62c727d01491baf74a94206aef375e6602d6c77400b11fa1a4ac39e48e",
+        "6a23e62d5dc00bd29544a59bea08380be50f3c30a911936af35b7041de778fea",
     ),
     "nfdl-uniform-zero-length-crash": (
-        "af0f536c0d08e70d21d3cd2b685b05a650c5e02d7013c15b929b768afe1197de",
-        "27cdd1db8b3a6f42fd92dca04a2b05ef3c252a2a2dbdf34a999ff2a810be2f4d",
+        "3676f816baeba4ade3b79a00ecc41a1d15df087a0ec27f3ef885688f0d60aa8e",
+        "13a0429489fccf716f4cbb56a1f0b8b17ac678eab13158839ab3775ee83c800c",
     ),
 }
 
 CLI_EXPECTED = {
-    "out/metrics_000.csv": "100a448b9ce31d7689af7d8e2c76e1dcfd3ebf8f90d694b069c685ee096a05c4",
-    "out/metrics_001.csv": "77c0339d5c082a634c8c4e21234909a16aa013989390275f1ec67c6ac18680aa",
-    "out/report.txt": "1c7c855346713c12a6ad9e53c67fc55f083c25a710475a990c4fde243aa411e6",
-    "out/summary.csv": "91c0f7684e5fec694fd8e8a922007919f26d9ac54256861e5bf68a8752e37152",
-    "out/trace_000.log": "83c0509edd17417c423fc032f5c947e145a6fcf755fad2e4b8ee2bb38404cc1d",
-    "out/trace_001.log": "4954d44a42d8b4ac0ff4a3bc85e5301e5c04c599c564d5d363efcdaf16654eee",
+    "out/metrics_000.csv": "948b38144a930badd94d37353e2b6f0d3e2afda441ee3b879d602c00c535cec0",
+    "out/metrics_001.csv": "ca7ed97226796b0dec893b5225eb77b4cf8882c4e048e05725f8ef64e52d00e6",
+    "out/report.txt": "b77fd22a51dad972bf570bb5ff49d8d9445a09199c9e5205be17ead178e9b107",
+    "out/summary.csv": "f38c0489246bd5264a0a70d0a2c3bb6269f5e3ac8348a06790633725ecdd4a09",
+    "out/trace_000.log": "89a00426d5f2df65d154551bb9dce723af422cb514976d6e85a5f567a6e5abf2",
+    "out/trace_001.log": "f4dc1cc40e82ebaca13a65a2076ccdf0055e178d5db369ecc7a3e163d2690fd4",
     "state/zerotime.0": "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
     "state/zerotime.1": "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
     "state/zerotime.2": "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
