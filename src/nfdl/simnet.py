@@ -418,11 +418,12 @@ def delay_cdf(network: NetworkModel) -> np.ndarray:
 
     That law draws from ``network``'s continuous law, truncated at zero
     (conditioned on a non-negative draw), and rounds the draw half-up to
-    whole ms.  The table runs from 0 to the largest delay it gives any mass
+    whole ms.  The table runs from 0 to the largest delay the law can take
     (``_NORMAL_TAIL_SIGMAS`` standard deviations above the mean for the
-    normal law) and its last entry is exactly 1.0.  A uniform ``u`` in
-    [0, 1) maps to the delay ``searchsorted(cdf, u, side="right")``.
-    Validate ``network`` first: that bounds the table by MAX_DELAY_TABLE.
+    normal law, which cuts off less than 2**-55) and its last entry is
+    exactly 1.0.  A uniform ``u`` in [0, 1) maps to the delay
+    ``searchsorted(cdf, u, side="right")``.  Validate ``network`` first:
+    that bounds the table by MAX_DELAY_TABLE.
     """
     mu, var = network.delay_mean, network.delay_var
     # A draw rounds to k exactly when it falls in [k - 0.5, k + 0.5).

@@ -136,10 +136,11 @@ def test_scenario_load_rejects_a_bool_high_priority():
         ("config", "eta_ms", 0, "config.eta_ms"),
         ("config", "alpha_ms", -1, "config.alpha_ms"),
         ("config", "window_n", 0, "config.window_n"),
+        ("network", "delay_var_ms2", 2.0e10, "network.delay_var"),
     ],
     ids=["nan-mean", "nan-var", "inf-mean", "huge-loss", "str-window", "bool-window",
          "list-algorithm", "negative-seed", "seed-2**64", "zero-eta", "negative-alpha",
-         "zero-window"],
+         "zero-window", "oversized-normal"],
 )
 def test_scenario_load_rejects_bad_values(section, key, value, field):
     data = scenario(network=LOSSY).to_dict()
@@ -423,18 +424,14 @@ def test_sampled_delays_follow_the_table(name):
     assert chi2 < df + 6 * math.sqrt(2 * df)
 
 
-@pytest.mark.parametrize("network,field", [
-    (dict(delay_mean=5.0, delay_var=2.0e10, delay_dist="normal"), "network.delay_var"),
-    (dict(delay_mean=6.0e5, delay_var=1.2e11, delay_dist="uniform"),
-     "network.delay_var"),
-    (dict(delay_mean=2.0e6, delay_var=0.0, delay_dist="constant"),
-     "network.delay_mean"),
-], ids=["normal", "uniform", "constant"])
-def test_oversized_delay_tables_fail_validation(network, field):
+@pytest.mark.parametrize("mean,var,dist,field", [
+    (6.0e5, 1.2e11, "uniform", "network.delay_var"),
+    (2.0e6, 0.0, "constant", "network.delay_mean"),
+], ids=["uniform", "constant"])
+def test_oversized_delay_tables_fail_validation(mean, var, dist, field):
+    # The normal case is "oversized-normal" in test_scenario_load_rejects_bad_values.
     data = scenario().to_dict()
-    data["network"].update(delay_mean_ms=network["delay_mean"],
-                           delay_var_ms2=network["delay_var"],
-                           delay_dist=network["delay_dist"])
+    data["network"].update(delay_mean_ms=mean, delay_var_ms2=var, delay_dist=dist)
     with pytest.raises(ScenarioError) as err:
         Scenario.from_dict(data)
     assert err.value.field == field
