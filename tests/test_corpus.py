@@ -108,6 +108,15 @@ SCENARIOS = {
         n_processes=4, config=ProtocolConfig(20, 10, window_n=2), network=JITTERY,
         seed=5, duration=10_000, faults=crash_recover(1, 3_000, 5_000),
     ),
+    # At 490 ms monitor 0's output goes 2 -> 0 -> 2 -> 1 within one
+    # millisecond: a mistake against leader 2 is corrected and re-opened in
+    # the instant it opened.
+    "nfdl-same-instant-reopen": lambda: scenario(
+        n_processes=3, config=ProtocolConfig(20, 5, window_n=1),
+        network=JITTERY, seed=0, duration=5_000,
+        faults=crash_recover(1, 1_225, 4_033) + crash_recover(0, 1_765, 4_156)
+        + crash_recover(2, 4_788, 4_838),
+    ),
 }
 
 # (trace sha256, metrics CSV sha256 or "ValueError" when build_report refuses)
@@ -173,6 +182,10 @@ EXPECTED = {
     "nfdl-restart-at-zero": (
         "e36ee1e617b1364dc63308b528609b230cd446cf82631548c03b230f57f4663e",
         "57174092880d8625b410154a8c0aeaab51a8bb9ce2ab82f563f2dc2ae70f9dc2",
+    ),
+    "nfdl-same-instant-reopen": (
+        "8c5ea3606f4d49a4ede42ebfe3ef986c94f24cf621be437262828814b9ec4b73",
+        "ValueError",
     ),
     "nfdl-speed-3-cycles": (
         "30984a62c727d01491baf74a94206aef375e6602d6c77400b11fa1a4ac39e48e",
