@@ -13,15 +13,17 @@ timeline:
 
 A mistake is an output that departs from the true leader while that leader
 is alive; once the leader actually crashes, departures are detections, not
-mistakes.  Sample pools are summarized as quartiles (linear interpolation
-between order statistics).
+mistakes.  A mistake corrected and re-opened within the instant it opened
+is one mistake.  Sample pools are summarized as quartiles (linear
+interpolation between order statistics).
 
-Extraction works out each fact once: the ground truth (the leader's alive
-intervals, crash and recover instants) from the fault schedule read in the
-simulator's apply order, and every process's output timeline from one pass
-over the events.  That pass is a fold, :class:`TimelineFold`, which can
+Extraction makes two passes.  One pass over the events builds every
+process's output timeline.  It is a fold, :class:`TimelineFold`, which can
 also be the simulator's sink: :func:`stream_run` writes the trace file and
 folds the timelines as events are logged, so a run holds no event list.
+Then :func:`score_monitor` sweeps each monitor's timeline once, merged with
+the leader's crashes and recoveries in the simulator's apply order, and
+yields all four metrics.
 
 The module also houses the requirements-driven configurator: it picks the
 largest send interval eta whose detection bound eta + alpha still meets the
@@ -61,45 +63,9 @@ class QosRequirements:
                 raise ValueError(f"{name} must be positive")
 
 
-@dataclass(frozen=True, slots=True)
-class MistakeRecord:
-    monitor: int
-    mistake_at: int
-    corrected_at: int | None
-
-    def __post_init__(self):
-        if self.corrected_at is not None and self.corrected_at < self.mistake_at:
-            raise ValueError("correction cannot precede the mistake")
-
-
 class NoTrueLeaderError(ValueError):
     """A trace names no true leader: nothing pinned, no faults, and no
     unanimous final leader."""
-
-
-@dataclass(frozen=True, slots=True)
-class GroundTruth:
-    """The true leader, the half-open intervals it is up, and the instants
-    it crashes and recovers."""
-
-    leader: int
-    alive: tuple[tuple[int, int], ...]
-    crashes: tuple[int, ...]
-    recovers: tuple[int, ...]
-
-    @classmethod
-    def of(cls, scenario: Scenario, leader: int) -> GroundTruth:
-        """Read the leader's fault schedule in the simulator's apply order."""
-        faults = [f for _, f in scenario.fault_order() if f.process == leader]
-        crashes = tuple(f.at for f in faults if f.kind == "crash")
-        recovers = tuple(f.at for f in faults if f.kind == "recover")
-        # Crashes and recoveries alternate, so each up interval runs from the
-        # start or a recovery to the next crash or the end of the run.
-        alive = tuple(zip((0, *recovers), (*crashes, scenario.duration)))
-        return cls(leader, alive, crashes, recovers)
-
-    def alive_at(self, t: int) -> bool:
-        return any(lo <= t < hi for lo, hi in self.alive)
 
 
 Timelines = dict[int, list[tuple[int, int]]]
@@ -190,45 +156,6 @@ def infer_true_leader(trace: EventTrace, timelines: Timelines | None = None) -> 
     return next(iter(finals))
 
 
-def extract_mistakes(
-    truth: GroundTruth, timelines: Timelines
-) -> dict[int, list[MistakeRecord]]:
-    """Per-monitor mistake records against the true leader's liveness.
-
-    A record opens when the monitor's output leaves the alive leader and
-    closes when it returns; a crash of the leader closes the books on any
-    open record without a correction timestamp.
-    """
-    results: dict[int, list[MistakeRecord]] = {}
-    for pid, timeline in timelines.items():
-        if pid == truth.leader:
-            continue
-        # Merge leader crashes (rank 0) ahead of same-instant output changes.
-        merged = [(t, 0, None) for t in truth.crashes]
-        merged += [(t, 1, out) for t, out in timeline]
-        merged.sort(key=lambda item: (item[0], item[1]))
-        records: list[MistakeRecord] = []
-        current: int | None = None
-        opened: int | None = None
-        for t, rank, out in merged:
-            if rank == 0:
-                if opened is not None:
-                    records.append(MistakeRecord(pid, opened, None))
-                    opened = None
-                continue
-            if truth.alive_at(t):
-                if current == truth.leader and out != truth.leader:
-                    opened = t
-                elif opened is not None and out == truth.leader:
-                    records.append(MistakeRecord(pid, opened, t))
-                    opened = None
-            current = out
-        if opened is not None:
-            records.append(MistakeRecord(pid, opened, None))
-        results[pid] = records
-    return results
-
-
 def mistake_rate(timestamps: list[int]) -> float:
     """Mistakes per ms: reciprocal of the mean gap between mistakes.
 
@@ -240,45 +167,6 @@ def mistake_rate(timestamps: list[int]) -> float:
     if len(timestamps) < 2:
         return 0.0
     return (len(timestamps) - 1) / (timestamps[-1] - timestamps[0])
-
-
-def mistake_duration(records: list[MistakeRecord]) -> float | None:
-    """Mean correction time in ms; None when there were no mistakes."""
-    if not records:
-        return None
-    if any(r.corrected_at is None for r in records):
-        raise ValueError("mistake_duration requires every record corrected")
-    return sum(r.corrected_at - r.mistake_at for r in records) / len(records)
-
-
-Samples = dict[int, list[int | None]]
-
-
-def _delay(timeline: list[tuple[int, int]], t0: int, hit) -> int | None:
-    """ms from t0 to the first change point at or after t0 whose output
-    satisfies ``hit``; None when there is none."""
-    return next((t - t0 for t, out in timeline if t >= t0 and hit(out)), None)
-
-
-def detection_times(truth: GroundTruth, timelines: Timelines) -> tuple[Samples, Samples]:
-    """Per-monitor detection and recovery-detection samples, one slot per
-    leader crash and recovery; None marks a monitor that never reacted
-    inside the trace, or was already away from the leader when it crashed."""
-    leader = truth.leader
-    detection: Samples = {}
-    recovery: Samples = {}
-    for pid, timeline in timelines.items():
-        if pid == leader:
-            continue
-        detection[pid] = [
-            _delay(timeline, t_c, lambda out: out != leader)
-            if _held_before(timeline, t_c) == leader else None
-            for t_c in truth.crashes
-        ]
-        recovery[pid] = [
-            _delay(timeline, t_r, lambda out: out == leader) for t_r in truth.recovers
-        ]
-    return detection, recovery
 
 
 def quartiles(samples: list[float]) -> tuple[float, float, float]:
@@ -378,6 +266,86 @@ class MetricsReport:
         return sum(self.sends_by_process.values())
 
 
+def _mean(samples: list[int]) -> float | None:
+    return sum(samples) / len(samples) if samples else None
+
+
+def score_monitor(
+    pid: int,
+    timeline: list[tuple[int, int]],
+    leader: int,
+    faults: list[tuple[int, str]],
+) -> MonitorMetrics:
+    """Score one monitor's timeline against the true leader in one sweep.
+
+    ``faults`` are the leader's (instant, kind) pairs in the simulator's
+    apply order; a fault goes ahead of any output change at the same
+    instant.  A mistake opens when the output leaves the leader while it is
+    up and is corrected when the output returns; a crash of the leader, or
+    the end of the run, leaves it uncorrected.  A mistake corrected and
+    re-opened within the instant it opened counts once.  A crash waits for
+    the first output away from the leader (its sample stays None if the
+    monitor was already away), a recovery for the first output back to it.
+    """
+    # The sort is stable: faults keep their apply order, changes their log order.
+    steps = [(t, False, kind) for t, kind in faults]
+    steps += [(t, True, out) for t, out in timeline]
+    steps.sort(key=lambda step: step[:2])
+    alive, held, opened = True, None, None
+    mistakes: list[int] = []
+    durations: list[int] = []
+    uncorrected = 0
+    detection: list[int | None] = []
+    recovery: list[int | None] = []
+    # (sample slot, fault instant) of crashes and recoveries still waiting
+    # for their output change
+    crashes_waiting: list[tuple[int, int]] = []
+    recoveries_waiting: list[tuple[int, int]] = []
+    for t, is_change, what in steps:
+        if is_change:
+            samples, waiting = (
+                (recovery, recoveries_waiting) if what == leader
+                else (detection, crashes_waiting)
+            )
+            for slot, t0 in waiting:
+                samples[slot] = t - t0
+            waiting.clear()
+            if alive and held == leader and what != leader:
+                if mistakes and mistakes[-1] == t:
+                    durations.pop()  # its correction, at this same instant
+                else:
+                    mistakes.append(t)
+                opened = t
+            elif opened is not None and what == leader:
+                durations.append(t - opened)
+                opened = None
+            held = what
+        elif what == "crash":
+            alive = False
+            if opened is not None:
+                uncorrected += 1
+                opened = None
+            if held == leader:
+                crashes_waiting.append((len(detection), t))
+            detection.append(None)
+        else:
+            alive = True
+            recoveries_waiting.append((len(recovery), t))
+            recovery.append(None)
+    if opened is not None:
+        uncorrected += 1
+    return MonitorMetrics(
+        monitor=pid,
+        mistake_times=mistakes,
+        rate=mistake_rate(mistakes),
+        durations=durations,
+        mean_duration=_mean(durations),
+        uncorrected=uncorrected,
+        detection=detection,
+        recovery=recovery,
+    )
+
+
 def build_report(
     trace: EventTrace,
     true_leader: int | None = None,
@@ -393,30 +361,17 @@ def build_report(
         timelines = output_timeline(trace)
     if true_leader is None:
         true_leader = infer_true_leader(trace, timelines)
-    truth = GroundTruth.of(trace.scenario, true_leader)
-    mistakes = extract_mistakes(truth, timelines)
-    detection, recovery = detection_times(truth, timelines)
-    monitors = []
-    for pid in sorted(mistakes):
-        records = mistakes[pid]
-        corrected = [r for r in records if r.corrected_at is not None]
-        durations = [r.corrected_at - r.mistake_at for r in corrected]
-        monitors.append(
-            MonitorMetrics(
-                monitor=pid,
-                mistake_times=[r.mistake_at for r in records],
-                rate=mistake_rate([r.mistake_at for r in records]),
-                durations=durations,
-                mean_duration=mistake_duration(corrected),
-                uncorrected=len(records) - len(corrected),
-                detection=detection[pid],
-                recovery=recovery[pid],
-            )
-        )
+    faults = [
+        (f.at, f.kind) for _, f in trace.scenario.fault_order()
+        if f.process == true_leader
+    ]
     return MetricsReport(
         scenario=trace.scenario,
         true_leader=true_leader,
-        monitors=monitors,
+        monitors=[
+            score_monitor(pid, timelines[pid], true_leader, faults)
+            for pid in sorted(timelines) if pid != true_leader
+        ],
         sends_by_process=dict(sorted(trace.send_counts.items())),
     )
 
@@ -431,10 +386,6 @@ def _fmt(value) -> str:
 
 METRICS_CSV_HEADER = "metric,monitor,n,missing,value,samples"
 SUMMARY_CSV_HEADER = "metric,q1,median,q3,bound"
-
-
-def _mean(samples: list[int]) -> float | None:
-    return sum(samples) / len(samples) if samples else None
 
 
 def metrics_csv_lines(report: MetricsReport) -> list[str]:

@@ -4,7 +4,8 @@ import tracemalloc
 import pytest
 
 from nfdl.cli import main
-from nfdl.simnet import Scenario
+from nfdl.protocol import ProtocolConfig
+from nfdl.simnet import FaultEvent, NetworkModel, Scenario
 
 
 def run_cli(*argv):
@@ -267,6 +268,25 @@ def test_configure_validation_mode_rejects_bad_pairs(capsys):
     )
     assert code == 2
     assert "violated" in capsys.readouterr().out
+
+
+def test_run_scores_a_mistake_corrected_and_reopened_in_one_instant(tmp_path):
+    # Monitor 0's output goes 2 -> 0 -> 2 -> 1 at 490 ms: one mistake, not a
+    # refusal to score the run.
+    path, out = tmp_path / "scenario.json", tmp_path / "out"
+    cycles = ((1, 1_225, 4_033), (0, 1_765, 4_156), (2, 4_788, 4_838))
+    Scenario(
+        n_processes=3, config=ProtocolConfig(20, 5, window_n=1),
+        network=NetworkModel(0.05, 40.0, 900.0, "normal"), duration=5_000, seed=0,
+        faults=tuple(
+            fault for pid, down, up in cycles
+            for fault in (FaultEvent(down, pid, "crash"), FaultEvent(up, pid, "recover"))
+        ),
+    ).dump(path)
+    assert run_cli("run", "--scenario", str(path), "--out", str(out)) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "metrics_000.csv", "report.txt", "summary.csv", "trace_000.log",
+    ]
 
 
 def test_scenario_flag_for_missing_file(capsys):

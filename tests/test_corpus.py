@@ -185,7 +185,7 @@ EXPECTED = {
     ),
     "nfdl-same-instant-reopen": (
         "8c5ea3606f4d49a4ede42ebfe3ef986c94f24cf621be437262828814b9ec4b73",
-        "ValueError",
+        "0a011fd548b9c113e5b88c20f407510e45c410cbbcb59c5fb4a4c014a1c9f22e",
     ),
     "nfdl-speed-3-cycles": (
         "30984a62c727d01491baf74a94206aef375e6602d6c77400b11fa1a4ac39e48e",

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfdl import qos
@@ -13,69 +13,95 @@ NET = NetworkModel(0.0, 5.0, 0.0, "constant")
 
 
 def make_trace(changes, faults=(), n=3, duration=100_000, high_priority=2):
-    """Synthetic trace: changes is a list of (time, process, leader)."""
+    """Synthetic trace: changes is a list of (time, process, leader), kept in
+    list order within an instant."""
     sc = Scenario(
         n_processes=n, config=CFG, network=NET, duration=duration, seed=0,
         faults=tuple(faults), high_priority=high_priority,
     )
     events = [
         TraceEvent(time, process, "output_change", leader=leader)
-        for time, process, leader in sorted(changes)
+        for time, process, leader in sorted(changes, key=lambda c: c[0])
     ]
     return EventTrace(scenario=sc, events=events)
 
 
-def truth_for(trace, leader=2):
-    return qos.GroundTruth.of(trace.scenario, leader)
+def leader_faults(trace, leader=2):
+    return [
+        (f.at, f.kind) for _, f in trace.scenario.fault_order() if f.process == leader
+    ]
+
+
+def scores_of(trace, leader=2):
+    timelines, faults = qos.output_timeline(trace), leader_faults(trace, leader)
+    return {
+        pid: qos.score_monitor(pid, timeline, leader, faults)
+        for pid, timeline in timelines.items() if pid != leader
+    }
 
 
 def mistakes_of(trace):
-    return qos.extract_mistakes(truth_for(trace), qos.output_timeline(trace))
+    """Per monitor: (mistake instants, corrected durations, uncorrected count)."""
+    return {
+        pid: (m.mistake_times, m.durations, m.uncorrected)
+        for pid, m in scores_of(trace).items()
+    }
 
 
 def speed_of(trace):
-    return qos.detection_times(truth_for(trace), qos.output_timeline(trace))
+    scores = scores_of(trace)
+    return (
+        {pid: m.detection for pid, m in scores.items()},
+        {pid: m.recovery for pid, m in scores.items()},
+    )
 
 
-# -- mistake extraction --------------------------------------------------------
+# -- mistakes ------------------------------------------------------------------
 
 
 def test_flip_away_and_back_is_one_mistake():
     trace = make_trace([(500, 0, 2), (1000, 0, 0), (1100, 0, 2)])
     records = mistakes_of(trace)
-    assert records[0] == [qos.MistakeRecord(0, 1000, 1100)]
-    assert records[1] == []
+    assert records[0] == ([1000], [100], 0)
+    assert records[1] == ([], [], 0)
 
 
 def test_no_flips_means_no_mistakes():
     trace = make_trace([(500, 0, 2), (500, 1, 2)])
     records = mistakes_of(trace)
-    assert records == {0: [], 1: []}
+    assert records == {0: ([], [], 0), 1: ([], [], 0)}
 
 
 def test_switch_after_leader_crash_is_a_detection_not_a_mistake():
     faults = [FaultEvent(2000, 2, "crash")]
     trace = make_trace([(500, 0, 2), (2800, 0, 0)], faults=faults)
     records = mistakes_of(trace)
-    assert records[0] == []
+    assert records[0] == ([], [], 0)
 
 
 def test_mistake_open_at_crash_stays_uncorrected():
     faults = [FaultEvent(2000, 2, "crash")]
     trace = make_trace([(500, 0, 2), (1500, 0, 0)], faults=faults)
     records = mistakes_of(trace)
-    assert records[0] == [qos.MistakeRecord(0, 1500, None)]
+    assert records[0] == ([1500], [], 1)
 
 
 def test_initial_adoption_is_not_a_departure():
     trace = make_trace([(900, 0, 2)])
-    assert mistakes_of(trace)[0] == []
+    assert mistakes_of(trace)[0] == ([], [], 0)
 
 
 def test_extraction_is_pure():
     trace = make_trace([(500, 0, 2), (1000, 0, 0), (1100, 0, 2)])
-    t, timelines = truth_for(trace), qos.output_timeline(trace)
-    assert qos.extract_mistakes(t, timelines) == qos.extract_mistakes(t, timelines)
+    timeline, faults = qos.output_timeline(trace)[0], leader_faults(trace)
+    assert qos.score_monitor(0, timeline, 2, faults) == qos.score_monitor(
+        0, timeline, 2, faults
+    )
+
+
+def test_mistake_corrected_and_reopened_in_one_instant_counts_once():
+    trace = make_trace([(500, 0, 2), (1000, 0, 0), (1000, 0, 2), (1000, 0, 1)])
+    assert mistakes_of(trace)[0] == ([1000], [], 1)
 
 
 # -- rate and duration -----------------------------------------------------------
@@ -100,21 +126,30 @@ def test_mistake_rate_rejects_unsorted_input():
 
 
 def test_mistake_duration_mean():
-    records = [qos.MistakeRecord(0, 1000, 1100), qos.MistakeRecord(0, 2000, 2300)]
-    assert qos.mistake_duration(records) == 200.0
+    trace = make_trace([
+        (500, 0, 2), (1000, 0, 0), (1100, 0, 2), (2000, 0, 1), (2300, 0, 2),
+    ])
+    m = scores_of(trace)[0]
+    assert m.durations == [100, 300]
+    assert m.mean_duration == 200.0
 
 
 def test_mistake_duration_instant_correction():
-    assert qos.mistake_duration([qos.MistakeRecord(0, 1000, 1000)]) == 0.0
+    trace = make_trace([(500, 0, 2), (1000, 0, 0), (1000, 0, 2)])
+    m = scores_of(trace)[0]
+    assert (m.mistake_times, m.durations, m.mean_duration) == ([1000], [0], 0.0)
 
 
 def test_mistake_duration_absent_when_mistake_free():
-    assert qos.mistake_duration([]) is None
+    assert scores_of(make_trace([(500, 0, 2)]))[0].mean_duration is None
 
 
 def test_mistake_duration_requires_corrections():
-    with pytest.raises(ValueError):
-        qos.mistake_duration([qos.MistakeRecord(0, 1000, None)])
+    # An uncorrected mistake is counted, and left out of the mean duration.
+    trace = make_trace([(500, 0, 2), (1000, 0, 0), (1100, 0, 2), (2000, 0, 1)])
+    m = scores_of(trace)[0]
+    assert (m.mistake_times, m.durations, m.uncorrected) == ([1000, 2000], [100], 1)
+    assert m.mean_duration == 100.0
 
 
 # -- detection samples -----------------------------------------------------------
@@ -143,6 +178,93 @@ def test_monitor_already_away_at_crash_is_flagged_missing():
     trace = make_trace([(500, 0, 0)], faults=faults)
     detection, recovery = speed_of(trace)
     assert detection[0] == [None]
+
+
+# -- scoring oracle --------------------------------------------------------------
+
+
+def reference_score(timeline, leader, faults, duration):
+    """Each metric from its definition, for one monitor: the leader's alive
+    intervals, then one scan per departure, per crash and per recovery.
+    Returns (mistake instants, durations, uncorrected, detection, recovery)."""
+    crashes = [t for t, kind in faults if kind == "crash"]
+    recovers = [t for t, kind in faults if kind == "recover"]
+    alive = list(zip([0, *recovers], [*crashes, duration]))
+    held = [None] + [out for _, out in timeline]
+    # A departure from the leader while it is up opens a mistake; the first
+    # later return corrects it unless the leader crashed in between (a crash
+    # goes ahead of output changes at its instant).
+    mistakes = []
+    for i, (t, out) in enumerate(timeline):
+        if held[i] != leader or out == leader:
+            continue
+        if not any(lo <= t < hi for lo, hi in alive):
+            continue
+        back = next((u for u, o in timeline[i + 1:] if o == leader), None)
+        if back is not None and any(t < c <= back for c in crashes):
+            back = None
+        if mistakes and mistakes[-1] == [t, t]:
+            mistakes[-1][1] = back  # corrected and re-opened in its instant
+        else:
+            mistakes.append([t, back])
+
+    def delay(t0, hit):
+        return next((t - t0 for t, out in timeline if t >= t0 and hit(out)), None)
+
+    def held_before(t0):
+        return next((out for t, out in reversed(timeline) if t < t0), None)
+
+    return (
+        [start for start, _ in mistakes],
+        [end - start for start, end in mistakes if end is not None],
+        sum(end is None for _, end in mistakes),
+        [
+            delay(t_c, lambda out: out != leader) if held_before(t_c) == leader else None
+            for t_c in crashes
+        ],
+        [delay(t_r, lambda out: out == leader) for t_r in recovers],
+    )
+
+
+# Changes and faults fall on a 25 ms grid, so runs of changes within one
+# instant, and faults at the instant of a change, are common.
+change_bursts = st.lists(
+    st.tuples(
+        st.integers(0, 60), st.integers(0, 1),
+        st.lists(st.integers(0, 2), min_size=1, max_size=4),
+    ),
+    max_size=25,
+)
+down_cycles = st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(change_bursts, down_cycles, st.booleans())
+def test_build_report_matches_the_reference_scorer(bursts, cycles, last_crash):
+    # Leader 2 goes down after `gap` slots and up `down` slots later per cycle;
+    # a first gap of 0 crashes it at 0 and a down of 0 is a zero-length crash.
+    faults, slot = [], 0
+    for i, (gap, down) in enumerate(cycles):
+        slot += gap + (i > 0)
+        faults.append(FaultEvent(25 * slot, 2, "crash"))
+        slot += down
+        faults.append(FaultEvent(25 * slot, 2, "recover"))
+    if last_crash:
+        faults.append(FaultEvent(25 * (slot + 1), 2, "crash"))
+    changes = [(25 * t, pid, out) for t, pid, outs in bursts for out in outs]
+    trace = make_trace(changes, faults=faults, duration=2_000)
+    trace.scenario.validate()
+    report = qos.build_report(trace)
+    timelines, leader = qos.output_timeline(trace), report.true_leader
+    assert [m.monitor for m in report.monitors] == [0, 1]
+    for m in report.monitors:
+        expected = reference_score(
+            timelines[m.monitor], leader, leader_faults(trace, leader), 2_000
+        )
+        assert (
+            m.mistake_times, m.durations, m.uncorrected, m.detection, m.recovery
+        ) == expected
+        assert m.rate == qos.mistake_rate(m.mistake_times)
 
 
 # -- quartiles --------------------------------------------------------------------
