@@ -1,5 +1,6 @@
 """Smoke runs of the campaign scripts at toy sizes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -19,6 +20,18 @@ def run_script(name, *args, cwd):
     )
 
 
+# sha256 of every file the toy campaign writes: traces, per-run metrics,
+# pooled summary and text report.
+CAMPAIGN_EXPECTED = {
+    "accuracy_metrics_000.csv": "0503c27b2640be4acbbf2ed51eba216241c608a172cb6b36226628f528d972d1",
+    "accuracy_trace_000.log": "00f579fc9ce4e1fd27a77511c19c80f348c7421d5d283aea26e1f11210e2b905",
+    "report.txt": "f8accb13db55eb39a0e4c2fc2d2d33e516075094371f2e4afdfcb835ae0767d7",
+    "speed_metrics.csv": "915544a8a0e67d823d1d8543672412f00ab8f0972f580a7f305f5ab017b7c062",
+    "speed_trace.log": "92787001de32059ba8cd0a74261f7d4ab955cd89e348a013add6a3fb5899f49d",
+    "summary.csv": "c3583d7998161e823b2dd0caab5f364c50088b67f32c376a3acbf604d0067ac0",
+}
+
+
 def test_qos_campaign_script_writes_summary_and_report(tmp_path):
     out = tmp_path / "qos"
     done = run_script(
@@ -26,8 +39,11 @@ def test_qos_campaign_script_writes_summary_and_report(tmp_path):
         "--accuracy-hours", "0.005", "--speed-cycles", "1", cwd=tmp_path,
     )
     assert done.returncode == 0, done.stderr
-    assert (out / "summary.csv").exists()
-    assert (out / "report.txt").exists()
+    got = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.iterdir())
+    }
+    assert got == CAMPAIGN_EXPECTED
 
 
 def test_message_cost_script_writes_the_cost_csv(tmp_path):
