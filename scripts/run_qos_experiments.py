@@ -6,7 +6,7 @@ per-monitor mistake rates and durations.  Speed: 10 crash-recovery cycles of
 a pinned high-priority leader; reports detection and recovery-detection
 times.  Artifacts (traces, per-run metrics CSVs, pooled summary CSV, text
 report) land in the output directory.  Each run streams its trace to disk
-and folds its QoS timelines as it goes, so it holds no event list.
+as it goes, so it holds no event list.
 """
 
 import argparse
@@ -33,11 +33,11 @@ def main() -> int:
     duration = int(args.accuracy_hours * 3_600_000)
     for rep in range(args.accuracy_reps):
         t0 = time.monotonic()
-        trace, timelines = qos.stream_run(
+        trace = qos.stream_run(
             accuracy_scenario(args.seed + rep, duration=duration),
             args.out / f"accuracy_trace_{rep:03d}.log",
         )
-        report = qos.build_report(trace, timelines=timelines)
+        report = qos.build_report(trace)
         reports.append(report)
         qos.write_lines(
             qos.metrics_csv_lines(report), args.out / f"accuracy_metrics_{rep:03d}.csv"
@@ -49,11 +49,11 @@ def main() -> int:
         )
 
     t0 = time.monotonic()
-    trace, timelines = qos.stream_run(
+    trace = qos.stream_run(
         speed_scenario(args.seed, cycles=args.speed_cycles),
         args.out / "speed_trace.log",
     )
-    speed_report = qos.build_report(trace, timelines=timelines)
+    speed_report = qos.build_report(trace)
     reports.append(speed_report)
     qos.write_lines(qos.metrics_csv_lines(speed_report), args.out / "speed_metrics.csv")
     samples = [s for m in speed_report.monitors for s in m.detection_present]

@@ -9,7 +9,7 @@ broadcast per interval regardless of size) and the all-pairs reduction
 import argparse
 from pathlib import Path
 
-from nfdl.experiments import measure_cost
+from nfdl.experiments import ALPHA_MS, ETA_MS, measure_cost
 from nfdl.protocol import ProtocolConfig
 
 
@@ -18,8 +18,8 @@ def main() -> int:
     parser.add_argument("--min-procs", type=int, default=2)
     parser.add_argument("--max-procs", type=int, default=10)
     parser.add_argument("--duration-ms", type=int, default=15_000)
-    parser.add_argument("--eta-ms", type=int, default=330)
-    parser.add_argument("--alpha-ms", type=int, default=670)
+    parser.add_argument("--eta-ms", type=int, default=ETA_MS)
+    parser.add_argument("--alpha-ms", type=int, default=ALPHA_MS)
     parser.add_argument("--out", type=Path, default=Path("out/message_cost.csv"))
     args = parser.parse_args()
 

@@ -29,8 +29,10 @@ from .stable_store import FileStore, StorageError
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", type=Path, help="scenario JSON file (overrides inline flags)")
     p.add_argument("--procs", type=int, default=5, help="number of processes")
-    p.add_argument("--eta-ms", type=int, default=330, help="heartbeat interval")
-    p.add_argument("--alpha-ms", type=int, default=670, help="safety margin")
+    p.add_argument("--eta-ms", type=int, default=experiments.ETA_MS,
+                   help="heartbeat interval")
+    p.add_argument("--alpha-ms", type=int, default=experiments.ALPHA_MS,
+                   help="safety margin")
     p.add_argument("--window-n", type=int, default=100, help="estimator window size")
     p.add_argument("--loss-prob", type=float, default=0.0, help="per-message loss probability")
     p.add_argument("--delay-mean-ms", type=float, default=5.0, help="mean link delay")
@@ -51,23 +53,28 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _network_from_args(args, dist: str | None = None) -> simnet.NetworkModel:
+    """The network of the link flags, unvalidated; the delay law is ``dist``,
+    by default constant when the variance is 0, else normal."""
+    if dist is None:
+        dist = "constant" if args.delay_var_ms2 == 0 else "normal"
+    return simnet.NetworkModel(
+        loss_prob=args.loss_prob,
+        delay_mean=args.delay_mean_ms,
+        delay_var=args.delay_var_ms2,
+        delay_dist=dist,
+    )
+
+
 def _scenario_from_args(args) -> simnet.Scenario:
     if args.scenario is not None:
         if not args.scenario.exists():
             raise simnet.ScenarioError("scenario", f"no such file: {args.scenario}")
         return simnet.Scenario.load(args.scenario)
-    dist = args.delay_dist
-    if dist is None:
-        dist = "constant" if args.delay_var_ms2 == 0 else "normal"
     scenario = simnet.Scenario(
         n_processes=args.procs,
         config=ProtocolConfig(args.eta_ms, args.alpha_ms, args.window_n),
-        network=simnet.NetworkModel(
-            loss_prob=args.loss_prob,
-            delay_mean=args.delay_mean_ms,
-            delay_var=args.delay_var_ms2,
-            delay_dist=dist,
-        ),
+        network=_network_from_args(args, args.delay_dist),
         duration=args.duration_ms,
         seed=args.seed,
         algorithm={"naive": "naive-reduction"}.get(args.algo, args.algo),
@@ -92,11 +99,9 @@ def cmd_run(args) -> int:
     for rep in range(args.reps):
         rep_scenario = replace(scenario, seed=scenario.seed + rep)
         store = FileStore(args.state_dir) if args.state_dir else None
-        trace, timelines = qos.stream_run(
-            rep_scenario, out / f"trace_{rep:03d}.log", store=store
-        )
+        trace = qos.stream_run(rep_scenario, out / f"trace_{rep:03d}.log", store=store)
         try:
-            report = qos.build_report(trace, timelines=timelines)
+            report = qos.build_report(trace)
         except qos.NoTrueLeaderError:
             report = None
         if report is not None:
@@ -128,12 +133,8 @@ def cmd_compare_cost(args) -> int:
 
 def cmd_configure(args) -> int:
     reqs = qos.QosRequirements(args.t_d_max_ms, args.t_mr_min_ms, args.t_m_max_ms)
-    network = simnet.NetworkModel(
-        loss_prob=args.loss_prob,
-        delay_mean=args.delay_mean_ms,
-        delay_var=args.delay_var_ms2,
-        delay_dist="normal" if args.delay_var_ms2 else "constant",
-    )
+    network = _network_from_args(args)
+    network.validate()
     if (args.eta_ms is None) != (args.alpha_ms is None):
         print("error: validation mode needs both --eta-ms and --alpha-ms", file=sys.stderr)
         return 2
@@ -160,6 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="leader-election simulator and QoS measurement suite",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Requirement defaults: the measurement suite's operating point.
+    reqs = experiments.REQUIREMENTS
 
     p_run = sub.add_parser("run", help="simulate a scenario and write artifacts")
     _add_scenario_flags(p_run)
@@ -175,8 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("--t-d-max-ms", type=int, default=None,
                        help="detection bound for report bound columns")
-    p_run.add_argument("--t-mr-min-ms", type=int, default=3_600_000)
-    p_run.add_argument("--t-m-max-ms", type=int, default=1000)
+    p_run.add_argument("--t-mr-min-ms", type=int, default=reqs["t_mr_min"])
+    p_run.add_argument("--t-m-max-ms", type=int, default=reqs["t_m_max"])
     p_run.set_defaults(func=cmd_run)
 
     p_cost = sub.add_parser(
@@ -184,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cost.add_argument("--procs", type=int, required=True)
     p_cost.add_argument("--duration-ms", type=int, default=30_000)
-    p_cost.add_argument("--eta-ms", type=int, default=330)
-    p_cost.add_argument("--alpha-ms", type=int, default=670)
+    p_cost.add_argument("--eta-ms", type=int, default=experiments.ETA_MS)
+    p_cost.add_argument("--alpha-ms", type=int, default=experiments.ALPHA_MS)
     p_cost.add_argument("--window-n", type=int, default=100)
     p_cost.add_argument("--seed", type=int, default=0)
     p_cost.set_defaults(func=cmd_compare_cost)
@@ -193,9 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cfg = sub.add_parser(
         "configure", help="derive (eta, alpha) from requirements, or audit a pair"
     )
-    p_cfg.add_argument("--t-d-max-ms", type=int, default=1000)
-    p_cfg.add_argument("--t-mr-min-ms", type=int, default=3_600_000)
-    p_cfg.add_argument("--t-m-max-ms", type=int, default=1000)
+    p_cfg.add_argument("--t-d-max-ms", type=int, default=reqs["t_d_max"])
+    p_cfg.add_argument("--t-mr-min-ms", type=int, default=reqs["t_mr_min"])
+    p_cfg.add_argument("--t-m-max-ms", type=int, default=reqs["t_m_max"])
     p_cfg.add_argument("--loss-prob", type=float, default=0.0)
     p_cfg.add_argument("--delay-mean-ms", type=float, default=5.0)
     p_cfg.add_argument("--delay-var-ms2", type=float, default=0.0)

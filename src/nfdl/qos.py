@@ -17,13 +17,13 @@ mistakes.  A mistake corrected and re-opened within the instant it opened
 is one mistake.  Sample pools are summarized as quartiles (linear
 interpolation between order statistics).
 
-Extraction makes two passes.  One pass over the events builds every
-process's output timeline.  It is a fold, :class:`TimelineFold`, which can
-also be the simulator's sink: :func:`stream_run` writes the trace file and
-folds the timelines as events are logged, so a run holds no event list.
-Then :func:`score_monitor` sweeps each monitor's timeline once, merged with
-the leader's crashes and recoveries in the simulator's apply order, and
-yields all four metrics.
+Scoring reads no events.  The simulator records every process's output
+history on the trace (``EventTrace.output_changes``), whether it keeps the
+event list or hands each event to a sink, as :func:`stream_run` does to
+write the trace file without holding the list.  :func:`output_timeline`
+keeps the leader outputs of that record, and :func:`score_monitor` sweeps
+each monitor's timeline once, merged with the leader's crashes and
+recoveries in the simulator's apply order, and yields all four metrics.
 
 The module also houses the requirements-driven configurator: it picks the
 largest send interval eta whose detection bound eta + alpha still meets the
@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .protocol import ProtocolConfig
-from .simnet import EventTrace, Scenario, Simulator, TraceEvent, TraceWriter
+from .simnet import EventTrace, Scenario, Simulator, TraceWriter
 from .simnet import write_lines  # noqa: F401 (re-exported)
 
 
@@ -71,50 +71,23 @@ class NoTrueLeaderError(ValueError):
 Timelines = dict[int, list[tuple[int, int]]]
 
 
-class TimelineFold:
-    """Keeps every process's (time, leader) change points in ``timelines``;
-    a process starts with no leader.  ``add`` folds in one event and is a
-    simulator sink.  Memory grows with the output changes only, not with
-    the events."""
-
-    def __init__(self, n_processes: int):
-        self.timelines: Timelines = {pid: [] for pid in range(n_processes)}
-
-    def add(self, ev: TraceEvent) -> None:
-        if ev.kind == "output_change" and ev.leader is not None:
-            self.timelines[ev.process].append((ev.time, ev.leader))
-
-
 def output_timeline(trace: EventTrace) -> Timelines:
-    """The timelines of an in-memory trace: its events folded in order."""
-    fold = TimelineFold(trace.scenario.n_processes)
-    add = fold.add
-    for ev in trace.events:
-        # Only output changes move a timeline; skipping the call for every
-        # other event keeps this pass as cheap as a plain filter.
-        if ev.kind == "output_change":
-            add(ev)
-    return fold.timelines
+    """Every process's (time, leader) change points, from the trace's record
+    of output changes; a process starts with no leader, and outputs that
+    name no leader (None, or a verdict) are left out."""
+    return {
+        pid: [(t, out) for t, out in changes if isinstance(out, int)]
+        for pid, changes in trace.output_changes.items()
+    }
 
 
-def stream_run(
-    scenario: Scenario, trace_path: str | Path, store=None
-) -> tuple[EventTrace, Timelines]:
+def stream_run(scenario: Scenario, trace_path: str | Path, store=None) -> EventTrace:
     """Run ``scenario`` holding no event list: each event is written to the
-    trace file at ``trace_path`` and folded into the timelines as it is
-    logged.  Returns the trace (counters and final outputs, no events) and
-    the timelines, for ``build_report``.  The file appears only if the run
-    succeeds."""
-    fold = TimelineFold(scenario.n_processes)
+    trace file at ``trace_path`` as it is logged.  Returns the trace:
+    counters, output changes and final outputs, no events.  The file
+    appears only if the run succeeds."""
     with TraceWriter(trace_path, scenario) as writer:
-        write, add = writer.write, fold.add
-
-        def sink(ev: TraceEvent) -> None:
-            write(ev)
-            add(ev)
-
-        trace = Simulator(scenario, store=store, sink=sink).run()
-    return trace, fold.timelines
+        return Simulator(scenario, store=store, sink=writer.write).run()
 
 
 def _held_before(
@@ -124,7 +97,7 @@ def _held_before(
     return next((out for t, out in reversed(timeline) if t < t0), start)
 
 
-def infer_true_leader(trace: EventTrace, timelines: Timelines | None = None) -> int:
+def infer_true_leader(trace: EventTrace) -> int:
     """True leader for metric extraction.
 
     The pinned high-priority process if any; else the leader every process
@@ -136,8 +109,6 @@ def infer_true_leader(trace: EventTrace, timelines: Timelines | None = None) -> 
     if sc.high_priority is not None:
         return sc.high_priority
     if sc.faults:
-        if timelines is None:
-            timelines = output_timeline(trace)
         first = min(f.at for f in sc.faults)
         # Before its first output change a naive-reduction process trusts
         # nobody and so elects itself; under the other algorithms it has no
@@ -145,7 +116,7 @@ def infer_true_leader(trace: EventTrace, timelines: Timelines | None = None) -> 
         naive = sc.algorithm == "naive-reduction"
         held = {
             _held_before(timeline, first, pid if naive else None)
-            for pid, timeline in timelines.items()
+            for pid, timeline in output_timeline(trace).items()
         }
         if len(held) == 1 and None not in held:
             return held.pop()
@@ -346,21 +317,14 @@ def score_monitor(
     )
 
 
-def build_report(
-    trace: EventTrace,
-    true_leader: int | None = None,
-    timelines: Timelines | None = None,
-) -> MetricsReport:
+def build_report(trace: EventTrace, true_leader: int | None = None) -> MetricsReport:
     """Extract every metric a trace supports into one report.
 
-    ``timelines`` are the run's folded timelines (see :func:`stream_run`);
-    by default they are folded from ``trace.events``.  Pure function of
-    (trace, faults): re-running it yields the same report.
+    Pure function of (trace, faults): re-running it yields the same report.
     """
-    if timelines is None:
-        timelines = output_timeline(trace)
     if true_leader is None:
-        true_leader = infer_true_leader(trace, timelines)
+        true_leader = infer_true_leader(trace)
+    timelines = output_timeline(trace)
     faults = [
         (f.at, f.kind) for _, f in trace.scenario.fault_order()
         if f.process == true_leader

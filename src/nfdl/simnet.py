@@ -71,8 +71,9 @@ order, which is non-decreasing time.  The default sink appends to
 ``trace.events``, so :meth:`Simulator.run` returns the whole event list.
 Any other sink receives each :class:`TraceEvent` instead and the list stays
 empty, so a run holds no event list; :meth:`TraceWriter.write` is the sink
-that writes the trace file.  The trace's counters and final outputs are filled
-in either way.
+that writes the trace file.  The trace's counters, final outputs and
+``output_changes``, each process's logged (time, output) pairs in log order,
+are filled in either way.
 """
 
 from __future__ import annotations
@@ -523,12 +524,25 @@ def write_lines(lines: Iterable[str], path: str | Path) -> None:
             f.write(line + "\n")
 
 
+def _trace_header(scenario: Scenario) -> list[str]:
+    return [
+        f"# trace v{TRACE_FORMAT_VERSION}",
+        "# scenario " + json.dumps(scenario.to_dict(), sort_keys=True),
+        "# columns time_ms\tprocess\tevent\tpayload",
+    ]
+
+
 @dataclass
 class EventTrace:
-    """Everything observable about one run: the event log plus counters."""
+    """Everything observable about one run: the event log, every process's
+    output history (``output_changes``: pid -> the (time, output) pairs of
+    its ``output_change`` events, in log order) and counters."""
 
     scenario: Scenario
     events: list[TraceEvent] = field(default_factory=list)
+    output_changes: dict[int, list[tuple[int, int | str | None]]] = field(
+        default_factory=dict
+    )
     send_counts: dict[int, int] = field(default_factory=dict)
     link_sent: dict[tuple[int, int], int] = field(default_factory=dict)
     link_delivered: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -537,16 +551,9 @@ class EventTrace:
     store_writes: dict[int, int] = field(default_factory=dict)
     final_outputs: dict[int, int | str | None] = field(default_factory=dict)
 
-    def _header(self) -> list[str]:
-        return [
-            f"# trace v{TRACE_FORMAT_VERSION}",
-            "# scenario " + json.dumps(self.scenario.to_dict(), sort_keys=True),
-            "# columns time_ms\tprocess\tevent\tpayload",
-        ]
-
     def lines(self) -> list[str]:
         """The whole trace in memory, one string per line (tests hash it)."""
-        return self._header() + [ev.line() for ev in self.events]
+        return _trace_header(self.scenario) + [ev.line() for ev in self.events]
 
     def write(self, path: str | Path) -> None:
         """Stream the trace to ``path``; the file holds ``lines()``, each
@@ -572,7 +579,7 @@ class TraceWriter:
         self._part = self._path.with_name(self._path.name + ".part")
         self._file = open(self._part, "w")
         self._write = self._file.write
-        for line in EventTrace(scenario)._header():
+        for line in _trace_header(scenario):
             self._write(line + "\n")
 
     def write(self, ev: TraceEvent) -> None:
@@ -680,9 +687,10 @@ class Simulator:
     """Single-use event loop for one scenario.
 
     ``sink``, when given, receives every event as it is logged, and
-    ``trace.events`` stays empty.  After :meth:`run` the per-process nodes
-    stay inspectable via :attr:`nodes` (None for processes that ended the
-    run crashed); under ``nfdl`` each node is an :class:`NfdlProcess`.
+    ``trace.events`` stays empty; ``trace.output_changes`` is filled either
+    way.  After :meth:`run` the per-process nodes stay inspectable via
+    :attr:`nodes` (None for processes that ended the run crashed); under
+    ``nfdl`` each node is an :class:`NfdlProcess`.
     """
 
     def __init__(self, scenario: Scenario, store=None, sink=None):
@@ -707,7 +715,9 @@ class Simulator:
         self._sent = [0] * (n * n)
         self._delivered = [0] * (n * n)
         self._dropped = [0] * (n * n)
-        self.trace = EventTrace(scenario=scenario)
+        self.trace = EventTrace(
+            scenario=scenario, output_changes={pid: [] for pid in range(n)}
+        )
         self._log = self.trace.events.append if sink is None else sink
         self._ran = False
         for pid in range(n):
@@ -829,6 +839,7 @@ class Simulator:
             self._tick(pid, node, now + (node.zerotime - now) % eta)
 
     def _log_output_change(self, pid: int, now: int, after) -> None:
+        self.trace.output_changes[pid].append((now, after))
         if isinstance(after, str):
             self._log(TraceEvent(now, pid, "output_change", verdict=after))
         else:

@@ -253,6 +253,17 @@ def test_configure_infeasible_requirements(capsys):
     assert "cannot fit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--delay-var-ms2", "inf", "delay_var"),
+    ("--delay-var-ms2", "-1", "delay_var"),
+    ("--loss-prob", "7", "loss_prob"),
+    ("--delay-mean-ms", "-5", "delay_mean"),
+])
+def test_configure_rejects_a_malformed_network(capsys, flag, value, field):
+    assert run_cli("configure", flag, value) == 2
+    assert capsys.readouterr().err.startswith(f"error: network.{field}:")
+
+
 def test_configure_validation_mode_accepts_the_field_pair(capsys):
     code = run_cli(
         "configure", "--t-d-max-ms", "1000", "--eta-ms", "330", "--alpha-ms", "670",

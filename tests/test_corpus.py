@@ -231,18 +231,19 @@ def test_corpus_hashes(name):
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_streamed_run_matches_the_corpus(name, tmp_path):
-    # The trace writer and the timeline fold, as `nfdl run` and the campaign
-    # use them, must give the in-memory trace's and report's bytes.
+    # The trace writer and the recorded output history, as `nfdl run` and
+    # the campaign use them, must give the in-memory trace's and report's
+    # bytes.
     path = tmp_path / "trace.log"
-    trace, timelines = qos.stream_run(SCENARIOS[name](), path)
+    trace = qos.stream_run(SCENARIOS[name](), path)
     assert trace.events == []
     trace_sha, csv_sha = EXPECTED[name]
     assert hashlib.sha256(path.read_bytes()).hexdigest() == trace_sha
     if csv_sha == "ValueError":
         with pytest.raises(ValueError):
-            qos.build_report(trace, timelines=timelines)
+            qos.build_report(trace)
     else:
-        report = qos.build_report(trace, timelines=timelines)
+        report = qos.build_report(trace)
         assert sha256_lines(qos.metrics_csv_lines(report)) == csv_sha
 
 

@@ -6,24 +6,23 @@ from hypothesis import strategies as st
 
 from nfdl import qos
 from nfdl.protocol import ProtocolConfig
-from nfdl.simnet import EventTrace, FaultEvent, NetworkModel, Scenario, TraceEvent, run
+from nfdl.simnet import EventTrace, FaultEvent, NetworkModel, Scenario, run
 
 CFG = ProtocolConfig(eta=330, alpha=670)
 NET = NetworkModel(0.0, 5.0, 0.0, "constant")
 
 
 def make_trace(changes, faults=(), n=3, duration=100_000, high_priority=2):
-    """Synthetic trace: changes is a list of (time, process, leader), kept in
-    list order within an instant."""
+    """Synthetic trace holding only an output history: changes is a list of
+    (time, process, leader), kept in list order within an instant."""
     sc = Scenario(
         n_processes=n, config=CFG, network=NET, duration=duration, seed=0,
         faults=tuple(faults), high_priority=high_priority,
     )
-    events = [
-        TraceEvent(time, process, "output_change", leader=leader)
-        for time, process, leader in sorted(changes, key=lambda c: c[0])
-    ]
-    return EventTrace(scenario=sc, events=events)
+    record = {pid: [] for pid in range(n)}
+    for time, process, leader in sorted(changes, key=lambda c: c[0]):
+        record[process].append((time, leader))
+    return EventTrace(scenario=sc, output_changes=record)
 
 
 def leader_faults(trace, leader=2):

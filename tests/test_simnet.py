@@ -820,7 +820,12 @@ def test_protocol_invariants_hold_under_random_fault_schedules(sc):
     assert trace.store_writes == {pid: 1 for pid in range(sc.n_processes)}
     last: dict[tuple[int, int | None], int] = {}
     down: set[int] = set()
+    history: dict[int, list] = {pid: [] for pid in range(sc.n_processes)}
     for ev in trace.events:
+        # the recorded output history is exactly the logged output changes
+        if ev.kind == "output_change":
+            output = ev.leader if ev.verdict is None else ev.verdict
+            history[ev.process].append((ev.time, output))
         # labels increase strictly per broadcaster and per unicast link
         if ev.kind == "send":
             stream = (ev.process, ev.receiver)
@@ -836,6 +841,7 @@ def test_protocol_invariants_hold_under_random_fault_schedules(sc):
         # a timer never fires before its deadline
         if ev.kind == "timer_fire":
             assert ev.deadline <= ev.time, ev
+    assert trace.output_changes == history
     if sc.algorithm == "nfdl":
         assert_leaders_send_on_every_grid_instant(sc, trace)
     # a quiet network settles on one leader within 6 s of the last fault
