@@ -17,6 +17,7 @@ nonzero (2 for validation problems, 1 for environment errors).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -135,6 +136,10 @@ def cmd_configure(args) -> int:
     reqs = qos.QosRequirements(args.t_d_max_ms, args.t_mr_min_ms, args.t_m_max_ms)
     network = _network_from_args(args)
     network.validate()
+    if not 0 <= args.margin_k < math.inf:
+        raise simnet.ScenarioError(
+            "--margin-k", f"must be finite and >= 0, got {args.margin_k}"
+        )
     if (args.eta_ms is None) != (args.alpha_ms is None):
         print("error: validation mode needs both --eta-ms and --alpha-ms", file=sys.stderr)
         return 2

@@ -19,8 +19,8 @@ interpolation between order statistics).
 
 Scoring reads no events.  The simulator records every process's output
 history on the trace (``EventTrace.output_changes``), whether it keeps the
-event list or hands each event to a sink, as :func:`stream_run` does to
-write the trace file without holding the list.  :func:`output_timeline`
+event lines or hands each line to a sink, as :func:`stream_run` does to
+write the trace file without holding them.  :func:`output_timeline`
 keeps the leader outputs of that record, and :func:`score_monitor` sweeps
 each monitor's timeline once, merged with the leader's crashes and
 recoveries in the simulator's apply order, and yields all four metrics.
@@ -82,8 +82,8 @@ def output_timeline(trace: EventTrace) -> Timelines:
 
 
 def stream_run(scenario: Scenario, trace_path: str | Path, store=None) -> EventTrace:
-    """Run ``scenario`` holding no event list: each event is written to the
-    trace file at ``trace_path`` as it is logged.  Returns the trace:
+    """Run ``scenario`` holding no event list: each event's line is written
+    to the trace file at ``trace_path`` as it is logged.  Returns the trace:
     counters, output changes and final outputs, no events.  The file
     appears only if the run succeeds."""
     with TraceWriter(trace_path, scenario) as writer:
@@ -198,11 +198,16 @@ def validate_config(
 
 
 def sends_per_eta(trace: EventTrace, start: int, periods: int) -> float:
-    """Send events per eta inside the grid-aligned window [start, start+periods*eta)."""
+    """Send events per eta inside the grid-aligned window [start, start+periods*eta).
+
+    Reads the kept trace lines: a send line is one whose kind column is
+    ``send`` (only the columns are tab-delimited), and only its time column
+    is parsed."""
     eta = trace.scenario.config.eta
     end = start + periods * eta
-    count = sum(1 for ev in trace.events if ev.kind == "send" and start <= ev.time < end)
-    return count / periods
+    times = (int(line[:line.index("\t")])
+             for line in trace.event_lines if "\tsend\t" in line)
+    return sum(start <= t < end for t in times) / periods
 
 
 @dataclass

@@ -66,14 +66,19 @@ per watched peer:
 * ``nfde-pair`` - process 0 sends to process 1, which watches it and
   outputs its verdict.
 
-Every event goes to the simulator's *sink* the moment it is logged, in log
-order, which is non-decreasing time.  The default sink appends to
-``trace.events``, so :meth:`Simulator.run` returns the whole event list.
-Any other sink receives each :class:`TraceEvent` instead and the list stays
-empty, so a run holds no event list; :meth:`TraceWriter.write` is the sink
-that writes the trace file.  The trace's counters, final outputs and
+Each event is logged as its formatted trace line, newline included: every
+log site writes its own line with one f-string, byte for byte what
+:meth:`TraceEvent.line` gives, and no :class:`TraceEvent` is built.  The
+line goes to the simulator's *sink* the moment it is logged, in log order,
+which is non-decreasing time.  The default sink appends it to
+``trace.event_lines``, so :meth:`Simulator.run` returns every line.  Any
+other sink receives each line instead and the list stays empty, so a run
+holds no event list; the ``write`` method of :class:`TraceWriter` is the
+sink that writes the trace file.  The trace's counters, final outputs and
 ``output_changes``, each process's logged (time, output) pairs in log order,
-are filled in either way.
+are filled in either way.  ``trace.events`` parses the kept lines back into
+:class:`TraceEvent` objects with :meth:`TraceEvent.parse`, for readers that
+want fields.
 """
 
 from __future__ import annotations
@@ -478,9 +483,12 @@ def sample_delivery(
 # Traces
 
 
-# Not frozen: a frozen slots dataclass pays object.__setattr__ once per field.
+# Not frozen: parse() sets the payload fields one at a time.
 @dataclass(slots=True)
 class TraceEvent:
+    """One trace line's fields.  The simulator logs lines, not events:
+    :meth:`line` is the reference format and :meth:`parse` reads it back."""
+
     time: int
     process: int
     kind: str
@@ -515,6 +523,26 @@ class TraceEvent:
             parts.append(f"deadline={self.deadline}")
         return f"{self.time}\t{self.process}\t{self.kind}\t{' '.join(parts)}"
 
+    @classmethod
+    def parse(cls, line: str) -> TraceEvent:
+        """The event whose :meth:`line` is ``line``, which may end in one
+        newline; ValueError if it is not a trace event line."""
+        time, process, kind, payload = line.removesuffix("\n").split("\t")
+        ev = cls(int(time), int(process), kind)
+        for item in payload.split():
+            key, _, value = item.partition("=")
+            if key in _TEXT_FIELDS:
+                setattr(ev, key, value)
+            elif key in _INT_FIELDS:
+                setattr(ev, key, int(value))
+            else:
+                raise ValueError(f"unknown trace payload field {key!r} in {line!r}")
+        return ev
+
+
+_TEXT_FIELDS = frozenset({"verdict", "reason"})
+_INT_FIELDS = frozenset({"sender", "seq", "uptime", "receiver", "leader", "deadline"})
+
 
 def write_lines(lines: Iterable[str], path: str | Path) -> None:
     """Write each of ``lines`` and a newline to ``path``, one line at a time,
@@ -536,10 +564,13 @@ def _trace_header(scenario: Scenario) -> list[str]:
 class EventTrace:
     """Everything observable about one run: the event log, every process's
     output history (``output_changes``: pid -> the (time, output) pairs of
-    its ``output_change`` events, in log order) and counters."""
+    its ``output_change`` events, in log order) and counters.
+
+    ``event_lines`` holds each logged event's trace line, newline included,
+    in log order (empty when the run streamed them to a sink)."""
 
     scenario: Scenario
-    events: list[TraceEvent] = field(default_factory=list)
+    event_lines: list[str] = field(default_factory=list)
     output_changes: dict[int, list[tuple[int, int | str | None]]] = field(
         default_factory=dict
     )
@@ -551,39 +582,42 @@ class EventTrace:
     store_writes: dict[int, int] = field(default_factory=dict)
     final_outputs: dict[int, int | str | None] = field(default_factory=dict)
 
+    @property
+    def events(self) -> list[TraceEvent]:
+        """The logged events, parsed from ``event_lines`` anew on each read."""
+        return [TraceEvent.parse(line) for line in self.event_lines]
+
     def lines(self) -> list[str]:
         """The whole trace in memory, one string per line (tests hash it)."""
-        return _trace_header(self.scenario) + [ev.line() for ev in self.events]
+        return _trace_header(self.scenario) + [line[:-1] for line in self.event_lines]
 
     def write(self, path: str | Path) -> None:
         """Stream the trace to ``path``; the file holds ``lines()``, each
         followed by a newline."""
         with TraceWriter(path, self.scenario) as writer:
-            write = writer.write
-            for ev in self.events:
-                write(ev)
+            writer.writelines(self.event_lines)
 
 
 class TraceWriter:
     """Writes a trace file one event line at a time; its ``write`` method
     is a simulator sink.
 
-    The header goes out on opening.  Lines go to ``path`` plus ``.part``,
-    which replaces ``path`` when the writer closes cleanly and is deleted
-    when it closes on an exception, so a failed run leaves no trace behind.
-    Use it as a context manager.
+    The header goes out on opening.  ``write(line)`` writes one logged line
+    as it is, and ``writelines(lines)`` writes each of many in turn; both
+    are the open file's own methods, so a sink call runs no Python code.
+    Lines go to ``path`` plus ``.part``, which replaces ``path`` when the
+    writer closes cleanly and is deleted when it closes on an exception, so
+    a failed run leaves no trace behind.  Use it as a context manager.
     """
 
     def __init__(self, path: str | Path, scenario: Scenario):
         self._path = Path(path)
         self._part = self._path.with_name(self._path.name + ".part")
         self._file = open(self._part, "w")
-        self._write = self._file.write
+        self.write = self._file.write
+        self.writelines = self._file.writelines
         for line in _trace_header(scenario):
-            self._write(line + "\n")
-
-    def write(self, ev: TraceEvent) -> None:
-        self._write(ev.line() + "\n")
+            self.write(line + "\n")
 
     def __enter__(self) -> TraceWriter:
         return self
@@ -686,11 +720,12 @@ class _MonitorNode:
 class Simulator:
     """Single-use event loop for one scenario.
 
-    ``sink``, when given, receives every event as it is logged, and
-    ``trace.events`` stays empty; ``trace.output_changes`` is filled either
-    way.  After :meth:`run` the per-process nodes stay inspectable via
-    :attr:`nodes` (None for processes that ended the run crashed); under
-    ``nfdl`` each node is an :class:`NfdlProcess`.
+    ``sink``, when given, receives every event's formatted trace line,
+    newline included, as it is logged, and ``trace.event_lines`` stays
+    empty; ``trace.output_changes`` is filled either way.  After
+    :meth:`run` the per-process nodes stay inspectable via :attr:`nodes`
+    (None for processes that ended the run crashed); under ``nfdl`` each
+    node is an :class:`NfdlProcess`.
     """
 
     def __init__(self, scenario: Scenario, store=None, sink=None):
@@ -718,7 +753,7 @@ class Simulator:
         self.trace = EventTrace(
             scenario=scenario, output_changes={pid: [] for pid in range(n)}
         )
-        self._log = self.trace.events.append if sink is None else sink
+        self._log = self.trace.event_lines.append if sink is None else sink
         self._ran = False
         for pid in range(n):
             self._start(pid, 0)
@@ -755,9 +790,9 @@ class Simulator:
                 self.nodes[pid] = None
                 n = self._n
                 self._pending[pid * n:(pid + 1) * n] = [None] * n
-                self._log(TraceEvent(time, pid, "crash"))
+                self._log(f"{time}\t{pid}\tcrash\t\n")
             else:
-                self._log(TraceEvent(time, pid, "recover"))
+                self._log(f"{time}\t{pid}\trecover\t\n")
                 self._start(pid, time)
         trace, n = self.trace, self._n
         trace.send_counts = {pid: c for pid, c in enumerate(self._send_counts) if c}
@@ -828,7 +863,7 @@ class Simulator:
         self._pending[slot] = None
         before = node.output()
         node.fire(key, now)
-        self._log(TraceEvent(now, pid, "timer_fire", deadline=deadline))
+        self._log(f"{now}\t{pid}\ttimer_fire\tdeadline={deadline}\n")
         after = node.output()
         if after != before:
             self._log_output_change(pid, now, after)
@@ -841,9 +876,11 @@ class Simulator:
     def _log_output_change(self, pid: int, now: int, after) -> None:
         self.trace.output_changes[pid].append((now, after))
         if isinstance(after, str):
-            self._log(TraceEvent(now, pid, "output_change", verdict=after))
+            self._log(f"{now}\t{pid}\toutput_change\tverdict={after}\n")
+        elif after is None:
+            self._log(f"{now}\t{pid}\toutput_change\t\n")
         else:
-            self._log(TraceEvent(now, pid, "output_change", leader=after))
+            self._log(f"{now}\t{pid}\toutput_change\tleader={after}\n")
 
     # -- sending and delivery ----------------------------------------------
 
@@ -867,7 +904,7 @@ class Simulator:
             self._send_counts[sender] += len(receivers)
         else:
             self._send_counts[sender] += 1
-            log(TraceEvent(now, sender, "send", None, seq, uptime))
+            log(f"{now}\t{sender}\tsend\tseq={seq} uptime={uptime}\n")
             receivers = self._others[sender]
         n = self._n
         lost, at = sample_deliveries(sc.seed, sender, seq, n, now,
@@ -876,12 +913,12 @@ class Simulator:
         sent, dropped = self._sent, self._dropped
         for receiver in receivers:
             if unicast:
-                log(TraceEvent(now, sender, "send", None, seq, uptime, receiver))
+                log(f"{now}\t{sender}\tsend\tseq={seq} uptime={uptime} "
+                    f"receiver={receiver}\n")
             sent[base + receiver] += 1
             if lost[receiver]:
                 dropped[base + receiver] += 1
-                log(TraceEvent(now, receiver, "drop", sender, seq, None, None, None,
-                               None, "loss"))
+                log(f"{now}\t{receiver}\tdrop\tsender={sender} seq={seq} reason=loss\n")
             else:
                 heapq.heappush(heap, (at[receiver], receiver, _DELIVER, self._pushes, hb))
                 self._pushes += 1
@@ -891,11 +928,12 @@ class Simulator:
         link = hb.sender * self._n + pid
         if node is None:
             self._dropped[link] += 1
-            self._log(TraceEvent(now, pid, "drop", hb.sender, hb.seq, None, None, None,
-                                 None, "down"))
+            self._log(f"{now}\t{pid}\tdrop\tsender={hb.sender} seq={hb.seq} reason=down\n")
             return
         self._delivered[link] += 1
-        self._log(TraceEvent(now, pid, "deliver", hb.sender, hb.seq, hb.uptime))
+        self._log(
+            f"{now}\t{pid}\tdeliver\tsender={hb.sender} seq={hb.seq} uptime={hb.uptime}\n"
+        )
         before = node.output()
         key = node.deliver(hb, now)
         after = node.output()

@@ -264,6 +264,12 @@ def test_configure_rejects_a_malformed_network(capsys, flag, value, field):
     assert capsys.readouterr().err.startswith(f"error: network.{field}:")
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+def test_configure_rejects_a_malformed_margin_k(capsys, value):
+    assert run_cli("configure", "--delay-var-ms2", "25", "--margin-k", value) == 2
+    assert capsys.readouterr().err.startswith("error: --margin-k: must be finite")
+
+
 def test_configure_validation_mode_accepts_the_field_pair(capsys):
     code = run_cli(
         "configure", "--t-d-max-ms", "1000", "--eta-ms", "330", "--alpha-ms", "670",

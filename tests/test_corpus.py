@@ -15,7 +15,7 @@ import pytest
 from nfdl import cli, qos
 from nfdl.experiments import accuracy_scenario, measured_network, speed_scenario
 from nfdl.protocol import ProtocolConfig
-from nfdl.simnet import FaultEvent, NetworkModel, Scenario, run
+from nfdl.simnet import FaultEvent, NetworkModel, Scenario, TraceEvent, run
 
 CFG = ProtocolConfig(eta=330, alpha=670, window_n=100)
 QUIET = NetworkModel(loss_prob=0.0, delay_mean=5.0, delay_var=0.0, delay_dist="constant")
@@ -245,6 +245,15 @@ def test_streamed_run_matches_the_corpus(name, tmp_path):
     else:
         report = qos.build_report(trace)
         assert sha256_lines(qos.metrics_csv_lines(report)) == csv_sha
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_trace_lines_round_trip_through_the_parser(name):
+    # Pins every log site's own format to the reference TraceEvent.line().
+    trace = run(SCENARIOS[name]())
+    assert trace.event_lines
+    for line in trace.event_lines:
+        assert TraceEvent.parse(line).line() + "\n" == line
 
 
 def test_cli_run_artifacts(tmp_path):

@@ -495,31 +495,47 @@ def test_trace_write_streams_one_line_at_a_time(tmp_path, monkeypatch):
     size = path.stat().st_size
     assert size >= 500_000
     assert peak < 0.1 * size, f"write peaked at {peak} B for a {size} B trace"
-    # one line() per event, looked up on the class each time
-    assert calls == len(trace.events)
+    # The logged lines go out as they are: none is formatted again.
+    assert calls == 0
+    header = "".join(h + "\n" for h in simnet._trace_header(trace.scenario))
+    assert path.read_text() == header + "".join(trace.event_lines)
 
 
 def test_a_sink_sees_every_event_in_log_order():
     sc = scenario(network=LOSSY, duration=10_000)
     seen = []
     trace = Simulator(sc, sink=seen.append).run()
+    assert trace.event_lines == []
     assert trace.events == []
-    assert seen == run(sc).events
+    assert seen == run(sc).event_lines
 
 
 def test_trace_writer_leaves_no_file_when_the_run_fails(tmp_path):
     sc = scenario(duration=10_000)
     path = tmp_path / "trace.log"
 
-    def failing(ev):
-        writer.write(ev)
-        if ev.time >= 5_000:
+    def failing(line):
+        writer.write(line)
+        if TraceEvent.parse(line).time >= 5_000:
             raise RuntimeError("sink failed")
 
     with pytest.raises(RuntimeError, match="sink failed"):
         with simnet.TraceWriter(path, sc) as writer:
             Simulator(sc, sink=failing).run()
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("output, payload", [
+    (3, "leader=3"), ("suspect", "verdict=suspect"), (None, ""),
+])
+def test_output_change_lines_match_the_reference_format(output, payload):
+    # No algorithm logs a None output today; it still formats as the
+    # reference does, with an empty payload.
+    sim = Simulator(scenario(duration=1_000))
+    sim._log_output_change(2, 700, output)
+    logged = sim.trace.event_lines[-1]
+    assert logged == f"700\t2\toutput_change\t{payload}\n"
+    assert logged == TraceEvent.parse(logged).line() + "\n"
 
 
 PAYLOAD_KEYS = ("sender", "seq", "uptime", "receiver", "leader", "verdict", "reason",
@@ -545,17 +561,36 @@ PAYLOAD_VALUES = {key: st.integers(-(2**63), 2**63) for key in PAYLOAD_KEYS} | {
 }
 
 
-@settings(max_examples=200)
-@given(
+TRACE_EVENTS = st.builds(
+    lambda time, process, kind, payload: TraceEvent(time, process, kind, **payload),
     time=st.integers(0, 2**63),
     process=st.integers(0, 10_000),
     kind=st.sampled_from(["crash", "recover", "timer_fire", "output_change", "send",
                           "drop", "deliver"]),
     payload=st.fixed_dictionaries({}, optional=PAYLOAD_VALUES),
 )
-def test_trace_line_matches_the_generic_formatter(time, process, kind, payload):
-    ev = TraceEvent(time, process, kind, **payload)
+
+
+@settings(max_examples=200)
+@given(ev=TRACE_EVENTS)
+def test_trace_line_matches_the_generic_formatter(ev):
     assert ev.line() == generic_line(ev)
+
+
+@settings(max_examples=200)
+@given(ev=TRACE_EVENTS)
+def test_trace_parse_inverts_line(ev):
+    assert TraceEvent.parse(ev.line()) == ev
+    assert TraceEvent.parse(ev.line() + "\n") == ev
+
+
+@pytest.mark.parametrize("line", [
+    "", "12\t0\tcrash", "x\t0\tcrash\t", "1\t0\tdrop\tsender=a",
+    "1\t0\tdrop\tcolour=red", "1\t0\tdrop\t\textra",
+])
+def test_trace_parse_rejects_a_malformed_line(line):
+    with pytest.raises(ValueError):
+        TraceEvent.parse(line)
 
 
 def test_every_delivery_matches_an_earlier_send():
