@@ -32,6 +32,27 @@ def hb(seq, sender, uptime):
     return Heartbeat(seq=seq, sender=sender, uptime=uptime)
 
 
+# -- the wire message --------------------------------------------------------
+
+
+@pytest.mark.parametrize("seq", [0, -1])
+def test_heartbeat_rejects_a_seq_below_one(seq):
+    with pytest.raises(ValueError, match="seq"):
+        Heartbeat(seq=seq, sender=0, uptime=0)
+
+
+def test_heartbeat_rejects_a_negative_uptime():
+    with pytest.raises(ValueError, match="uptime"):
+        Heartbeat(seq=1, sender=0, uptime=-1)
+
+
+def test_heartbeats_with_equal_fields_compare_equal():
+    assert hb(3, 1, 7) == hb(3, 1, 7)
+    assert hb(3, 1, 7) != hb(3, 1, 8)
+    assert hb(3, 1, 7) != hb(4, 1, 7)
+    assert hb(3, 1, 7) != hb(3, 2, 7)
+
+
 # -- initialization ----------------------------------------------------------
 
 
