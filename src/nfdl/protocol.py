@@ -31,7 +31,8 @@ from .estimator import ArrivalWindow, freshness_point
 from .stable_store import ClockRewindError, load_or_create_zerotime, send_label
 
 
-@dataclass(frozen=True, slots=True)
+# Not frozen: a frozen slots dataclass pays object.__setattr__ once per field.
+@dataclass(slots=True)
 class Heartbeat:
     """The only wire message: schedule label, sender id, sender uptime."""
 

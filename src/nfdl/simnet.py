@@ -10,7 +10,8 @@ the samples on another link.  The block is the first Philox block under key
 (seed, sender) at counter (receiver, 0, seq, 0).  A send draws the blocks of
 all its receivers at once, one :func:`link_stream` rekey and one vector draw
 (:func:`sample_deliveries`): word 0 of a block decides loss and word 1 picks
-the whole-ms delay from the :func:`delay_cdf` table of the link's law.
+the whole-ms delay from the :func:`delay_cdf` table of the link's law.  The
+sampler returns delays; the simulator adds the send instant.
 
 Fault injection is a scripted schedule of crash/recover events.  A crash
 discards the process's volatile state and silences it; messages still in
@@ -68,7 +69,11 @@ per watched peer:
 
 Each event is logged as its formatted trace line, newline included: every
 log site writes its own line with one f-string, byte for byte what
-:meth:`TraceEvent.line` gives, and no :class:`TraceEvent` is built.  The
+:meth:`TraceEvent.line` gives, and no :class:`TraceEvent` is built.  Text
+that the messages of one send share is formatted once per send: the
+``sender= seq= uptime=`` payload of their ``deliver`` lines, which rides in
+the queue entry with the heartbeat, the payload of loss ``drop`` lines and,
+for a unicast send, its ``send`` line up to the receiver.  The
 line goes to the simulator's *sink* the moment it is logged, in log order,
 which is non-decreasing time.  The default sink appends it to
 ``trace.event_lines``, so :meth:`Simulator.run` returns every line.  Any
@@ -449,19 +454,16 @@ def delay_cdf(network: NetworkModel) -> np.ndarray:
 
 
 def sample_deliveries(
-    seed: int, sender: int, seq: int, n: int, send_time: int,
-    loss_prob: float, cdf: np.ndarray,
+    seed: int, sender: int, seq: int, n: int, loss_prob: float, cdf: np.ndarray,
 ) -> tuple[list[bool], list[int]]:
-    """Loss flags and delivery instants of message (sender, seq), sent at
-    ``send_time``, to each receiver 0..n-1, from one draw of n blocks.
+    """Loss flags and whole-ms delays of message (sender, seq) to each
+    receiver 0..n-1, from one draw of n blocks.
 
-    ``cdf`` is ``delay_cdf`` of the link law; the instant of a lost copy is
-    meaningless.
+    ``cdf`` is ``delay_cdf`` of the link law; the delay of a lost copy is
+    meaningless.  The caller adds the send instant to a delay.
     """
     u = link_stream(seed, sender, seq, 0).random(4 * n)
-    lost = (u[0::4] < loss_prob).tolist()
-    at = (np.searchsorted(cdf, u[1::4], side="right") + send_time).tolist()
-    return lost, at
+    return (u[0::4] < loss_prob).tolist(), cdf.searchsorted(u[1::4], "right").tolist()
 
 
 def sample_delivery(
@@ -898,32 +900,36 @@ class Simulator:
         self._push(now + sc.config.eta, pid, _TICK, node)
         hb = node.next_heartbeat(now)
         sender, seq, uptime, log = hb.sender, hb.seq, hb.uptime, self._log
+        # The text every message of this send shares, formatted once.
+        payload = (hb, f"sender={sender} seq={seq} uptime={uptime}\n")
+        lost_text = f"\tdrop\tsender={sender} seq={seq} reason=loss\n"
         receivers = node.targets
-        unicast = receivers is not None
-        if unicast:
-            self._send_counts[sender] += len(receivers)
-        else:
+        if receivers is None:
             self._send_counts[sender] += 1
             log(f"{now}\t{sender}\tsend\tseq={seq} uptime={uptime}\n")
-            receivers = self._others[sender]
+            receivers, unicast = self._others[sender], None
+        else:
+            self._send_counts[sender] += len(receivers)
+            unicast = f"{now}\t{sender}\tsend\tseq={seq} uptime={uptime} receiver="
         n = self._n
-        lost, at = sample_deliveries(sc.seed, sender, seq, n, now,
-                                     sc.network.loss_prob, self._delay_cdf)
+        lost, delay = sample_deliveries(sc.seed, sender, seq, n,
+                                        sc.network.loss_prob, self._delay_cdf)
         heap, base = self._heap, sender * n
         sent, dropped = self._sent, self._dropped
         for receiver in receivers:
-            if unicast:
-                log(f"{now}\t{sender}\tsend\tseq={seq} uptime={uptime} "
-                    f"receiver={receiver}\n")
+            if unicast is not None:
+                log(f"{unicast}{receiver}\n")
             sent[base + receiver] += 1
             if lost[receiver]:
                 dropped[base + receiver] += 1
-                log(f"{now}\t{receiver}\tdrop\tsender={sender} seq={seq} reason=loss\n")
+                log(f"{now}\t{receiver}{lost_text}")
             else:
-                heapq.heappush(heap, (at[receiver], receiver, _DELIVER, self._pushes, hb))
+                heapq.heappush(heap, (now + delay[receiver], receiver, _DELIVER,
+                                      self._pushes, payload))
                 self._pushes += 1
 
-    def _on_deliver(self, pid: int, now: int, hb: Heartbeat) -> None:
+    def _on_deliver(self, pid: int, now: int, payload: tuple[Heartbeat, str]) -> None:
+        hb, text = payload
         node = self.nodes[pid]
         link = hb.sender * self._n + pid
         if node is None:
@@ -931,9 +937,7 @@ class Simulator:
             self._log(f"{now}\t{pid}\tdrop\tsender={hb.sender} seq={hb.seq} reason=down\n")
             return
         self._delivered[link] += 1
-        self._log(
-            f"{now}\t{pid}\tdeliver\tsender={hb.sender} seq={hb.seq} uptime={hb.uptime}\n"
-        )
+        self._log(f"{now}\t{pid}\tdeliver\t{text}")
         before = node.output()
         key = node.deliver(hb, now)
         after = node.output()

@@ -337,17 +337,17 @@ def test_one_draw_per_send_holds_every_receivers_block(seed, sender, seq, n):
 def test_batch_sampler_matches_the_per_message_reference(net):
     cdf = simnet.delay_cdf(net)
     for seq in range(1, 40):
-        lost, at = sample_deliveries(11, 3, seq, 6, 1000 * seq, net.loss_prob, cdf)
+        lost, delay = sample_deliveries(11, 3, seq, 6, net.loss_prob, cdf)
         for r in range(6):
             want = sample_delivery(1000 * seq, net, link_stream(11, 3, seq, r))
-            assert (None if lost[r] else at[r]) == want
+            assert (None if lost[r] else 1000 * seq + delay[r]) == want
 
 
 def test_a_messages_delivery_does_not_depend_on_n():
     cdf = simnet.delay_cdf(LOSSY)
     for seq in range(1, 200):
-        small = sample_deliveries(7, 2, seq, 5, 0, LOSSY.loss_prob, cdf)
-        large = sample_deliveries(7, 2, seq, 200, 0, LOSSY.loss_prob, cdf)
+        small = sample_deliveries(7, 2, seq, 5, LOSSY.loss_prob, cdf)
+        large = sample_deliveries(7, 2, seq, 200, LOSSY.loss_prob, cdf)
         assert small == tuple(values[:5] for values in large)
 
 
@@ -407,7 +407,7 @@ def test_sampled_delays_follow_the_table(name):
     net = LAWS[name]
     cdf = simnet.delay_cdf(net)
     delays = np.concatenate([
-        sample_deliveries(5, 1, seq, 1000, 0, 0.0, cdf)[1] for seq in range(100)
+        sample_deliveries(5, 1, seq, 1000, 0.0, cdf)[1] for seq in range(100)
     ])
     expected = pmf(cdf) * len(delays)
     observed = np.bincount(delays, minlength=len(cdf)).astype(float)
