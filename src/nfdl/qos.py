@@ -37,8 +37,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .protocol import ProtocolConfig
 from .simnet import EventTrace, Scenario, Simulator, TraceWriter
 from .simnet import write_lines  # noqa: F401 (re-exported)
@@ -141,11 +139,21 @@ def mistake_rate(timestamps: list[int]) -> float:
 
 
 def quartiles(samples: list[float]) -> tuple[float, float, float]:
-    """(q1, median, q3) by linear interpolation between order statistics."""
+    """(q1, median, q3) by linear interpolation between order statistics,
+    in the arithmetic of numpy's default ``percentile``, to the last bit."""
     if not samples:
         raise ValueError("quartiles of an empty sample set are undefined")
-    q1, q2, q3 = np.percentile(np.asarray(samples, dtype=float), [25, 50, 75])
-    return float(q1), float(q2), float(q3)
+    ordered = sorted(map(float, samples))
+    last = len(ordered) - 1
+
+    def at(q: float) -> float:
+        pos = last * q
+        i = math.floor(pos)
+        t = pos - i
+        a, b = ordered[i], ordered[min(i + 1, last)]
+        return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+    return at(0.25), at(0.5), at(0.75)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -302,6 +307,55 @@ def test_quartiles_match_interpolation_oracle(samples):
     assert q1 == pytest.approx(quartile_oracle(samples, 0.25))
     assert q2 == pytest.approx(quartile_oracle(samples, 0.50))
     assert q3 == pytest.approx(quartile_oracle(samples, 0.75))
+
+
+QUARTILE_SAMPLES = st.lists(
+    st.one_of(
+        st.integers(min_value=-10**15, max_value=10**15),
+        st.floats(min_value=-1e12, max_value=-1e-12),
+        st.floats(min_value=1e-12, max_value=1e12),
+    ),
+    min_size=1, max_size=200,
+)
+
+
+@given(QUARTILE_SAMPLES)
+@settings(max_examples=300)
+def test_quartiles_equal_numpy_percentile(samples):
+    # numpy's linear method is the reference, to the last bit: the summary
+    # CSVs of the QoS campaign are pinned by hash.
+    want = tuple(np.percentile(np.asarray(samples, dtype=float), [25, 50, 75]))
+    assert qos.quartiles(samples) == want
+
+
+TOY_SUMMARY = """
+import sys
+from nfdl import qos
+from nfdl.protocol import ProtocolConfig
+from nfdl.simnet import FaultEvent, NetworkModel, Scenario, run
+
+scenario = Scenario(
+    n_processes=3, config=ProtocolConfig(eta=330, alpha=670),
+    network=NetworkModel(0.0, 5.0, 0.0, "constant"), duration=60_000, seed=1,
+    faults=(FaultEvent(10_000, 2, "crash"), FaultEvent(30_000, 2, "recover")),
+    high_priority=2,
+)
+lines = qos.summary_csv_lines([qos.build_report(run(scenario))])
+assert lines[3].startswith("detection_time_ms,9"), lines
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_summary_leaves_numpy_ma_unimported():
+    # Importing numpy.ma, as np.percentile does on its first call, costs
+    # about 10 ms and a MiB inside every run's QoS phase.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", TOY_SUMMARY], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 # -- configurator -----------------------------------------------------------------
