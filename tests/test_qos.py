@@ -341,14 +341,15 @@ scenario = Scenario(
     high_priority=2,
 )
 lines = qos.summary_csv_lines([qos.build_report(run(scenario))])
-assert lines[3].startswith("detection_time_ms,9"), lines
+# quartiles ran: the detection pool is not empty
+assert lines[3].startswith("detection_time_ms,") and lines[3].split(",")[1], lines
 print("numpy.ma" in sys.modules)
 """
 
 
 def test_summary_leaves_numpy_ma_unimported():
     # Importing numpy.ma, as np.percentile does on its first call, costs
-    # about 10 ms and a MiB inside every run's QoS phase.
+    # over 10 ms and a MiB inside every run's QoS phase.
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
