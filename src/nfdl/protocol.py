@@ -32,6 +32,8 @@ from .stable_store import ClockRewindError, load_or_create_zerotime, send_label
 
 
 # Not frozen: a frozen slots dataclass pays object.__setattr__ once per field.
+# One Heartbeat is shared by every delivery of its send, next to text formatted
+# from its fields, so it must never be mutated after it is built.
 @dataclass(slots=True)
 class Heartbeat:
     """The only wire message: schedule label, sender id, sender uptime."""

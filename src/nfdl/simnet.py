@@ -902,7 +902,6 @@ class Simulator:
         sender, seq, uptime, log = hb.sender, hb.seq, hb.uptime, self._log
         # The text every message of this send shares, formatted once.
         payload = (hb, f"sender={sender} seq={seq} uptime={uptime}\n")
-        lost_text = f"\tdrop\tsender={sender} seq={seq} reason=loss\n"
         receivers = node.targets
         if receivers is None:
             self._send_counts[sender] += 1
@@ -922,7 +921,7 @@ class Simulator:
             sent[base + receiver] += 1
             if lost[receiver]:
                 dropped[base + receiver] += 1
-                log(f"{now}\t{receiver}{lost_text}")
+                log(f"{now}\t{receiver}\tdrop\tsender={sender} seq={seq} reason=loss\n")
             else:
                 heapq.heappush(heap, (now + delay[receiver], receiver, _DELIVER,
                                       self._pushes, payload))
