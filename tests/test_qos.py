@@ -319,6 +319,11 @@ QUARTILE_SAMPLES = st.lists(
 )
 
 
+@pytest.mark.skipif(
+    int(np.__version__.split(".")[0]) < 2,
+    reason="bit-for-bit agreement was checked on numpy 2; older percentile "
+    "code may round its interpolation differently",
+)
 @given(QUARTILE_SAMPLES)
 @settings(max_examples=300)
 def test_quartiles_equal_numpy_percentile(samples):
@@ -340,23 +345,26 @@ scenario = Scenario(
     faults=(FaultEvent(10_000, 2, "crash"), FaultEvent(30_000, 2, "recover")),
     high_priority=2,
 )
-lines = qos.summary_csv_lines([qos.build_report(run(scenario))])
+report = qos.build_report(run(scenario))
+before = set(sys.modules)
+lines = qos.summary_csv_lines([report])
 # quartiles ran: the detection pool is not empty
 assert lines[3].startswith("detection_time_ms,") and lines[3].split(",")[1], lines
-print("numpy.ma" in sys.modules)
+print(sorted(m for m in set(sys.modules) - before if m.startswith("numpy")))
 """
 
 
 def test_summary_leaves_numpy_ma_unimported():
-    # Importing numpy.ma, as np.percentile does on its first call, costs
-    # over 10 ms and a MiB inside every run's QoS phase.
+    # Importing numpy.ma, as np.percentile does on its first call on numpy 2,
+    # costs over 10 ms and a MiB inside every run's QoS phase.  The summary
+    # imports no numpy module at all, whichever numpy is installed.
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", TOY_SUMMARY], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    assert done.stdout == "[]\n"
 
 
 # -- configurator -----------------------------------------------------------------
