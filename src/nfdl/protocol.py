@@ -32,8 +32,7 @@ from .stable_store import ClockRewindError, load_or_create_zerotime, send_label
 
 
 # Not frozen: a frozen slots dataclass pays object.__setattr__ once per field.
-# One Heartbeat is shared by every delivery of its send, next to text formatted
-# from its fields, so it must never be mutated after it is built.
+# A send's deliveries share one Heartbeat and text made from it: never mutate it.
 @dataclass(slots=True)
 class Heartbeat:
     """The only wire message: schedule label, sender id, sender uptime."""

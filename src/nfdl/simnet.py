@@ -72,8 +72,8 @@ log site writes its own line with one f-string, byte for byte what
 :meth:`TraceEvent.line` gives, and no :class:`TraceEvent` is built.  Text
 that the messages of one send share is formatted once per send: the
 ``sender= seq= uptime=`` payload of their ``deliver`` lines, which rides in
-the queue entry with the heartbeat, the payload of loss ``drop`` lines and,
-for a unicast send, its ``send`` line up to the receiver.  The
+the queue entry with the heartbeat, and, for a unicast send, its ``send``
+line up to the receiver.  The
 line goes to the simulator's *sink* the moment it is logged, in log order,
 which is non-decreasing time.  The default sink appends it to
 ``trace.event_lines``, so :meth:`Simulator.run` returns every line.  Any
