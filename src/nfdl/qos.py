@@ -19,8 +19,8 @@ interpolation between order statistics).
 
 Scoring reads no events.  The simulator records every process's output
 history on the trace (``EventTrace.output_changes``), whether it keeps the
-event lines or hands each line to a sink, as :func:`stream_run` does to
-write the trace file without holding them.  :func:`output_timeline`
+event lines or hands them to a sink one send's batch at a time, as
+:func:`stream_run` does to write the trace file without holding them.  :func:`output_timeline`
 keeps the leader outputs of that record, and :func:`score_monitor` sweeps
 each monitor's timeline once, merged with the leader's crashes and
 recoveries in the simulator's apply order, and yields all four metrics.
@@ -80,10 +80,10 @@ def output_timeline(trace: EventTrace) -> Timelines:
 
 
 def stream_run(scenario: Scenario, trace_path: str | Path, store=None) -> EventTrace:
-    """Run ``scenario`` holding no event list: each event's line is written
-    to the trace file at ``trace_path`` as it is logged.  Returns the trace:
-    counters, output changes and final outputs, no events.  The file
-    appears only if the run succeeds."""
+    """Run ``scenario`` holding no event list: the event lines go to the
+    trace file at ``trace_path`` in one write per send's batch.  Returns
+    the trace: counters, output changes and final outputs, no events.  The
+    file appears only if the run succeeds."""
     with TraceWriter(trace_path, scenario) as writer:
         return Simulator(scenario, store=store, sink=writer.write).run()
 
@@ -209,13 +209,13 @@ def validate_config(
 def sends_per_eta(trace: EventTrace, start: int, periods: int) -> float:
     """Send events per eta inside the grid-aligned window [start, start+periods*eta).
 
-    Reads the kept trace lines: a send line is one whose kind column is
-    ``send`` (only the columns are tab-delimited), and only its time column
-    is parsed."""
+    Reads the kept trace lines one batch at a time: a send line is one
+    whose kind column is ``send`` (only the columns are tab-delimited), and
+    only its time column is parsed."""
     eta = trace.scenario.config.eta
     end = start + periods * eta
-    times = (int(line[:line.index("\t")])
-             for line in trace.event_lines if "\tsend\t" in line)
+    times = (int(line[:line.index("\t")]) for batch in trace.event_batches
+             for line in batch[:-1].split("\n") if "\tsend\t" in line)
     return sum(start <= t < end for t in times) / periods
 
 

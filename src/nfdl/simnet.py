@@ -40,10 +40,12 @@ receiver never does.
 
 ``deadline_of(key)`` is the deadline filed under ``key`` (None when
 unarmed); the node's own id keys the one it arms at start-up, if any.
-``deliver(hb, now)`` applies a delivery and returns the key whose deadline
-it moved, or None.  ``fire(key, now)`` expires and clears the deadline
-under ``key``, and ``output()`` is the value traced by ``output_change`` (a
-leader id, or a trust/suspect verdict).
+Nodes report their own changes: ``deliver(hb, now)`` applies a delivery
+and returns (whether the output changed, the key whose deadline it moved or
+None), and ``fire(key, now)`` expires and clears the deadline under ``key``
+and returns whether the output changed.  ``output()`` is the value traced
+by ``output_change`` (a leader id, or a trust/suspect verdict); the
+simulator reads it only to log a change.
 
 Timers are re-armed lazily, with at most one live heap entry per (process,
 key).  Start-up or a delivery that sets a deadline *arms* the key and takes
@@ -74,16 +76,17 @@ that the messages of one send share is formatted once per send: the
 ``sender= seq= uptime=`` payload of their ``deliver`` lines, which rides in
 the queue entry with the heartbeat, and, for a unicast send, its ``send``
 line up to the receiver.  The
-line goes to the simulator's *sink* the moment it is logged, in log order,
-which is non-decreasing time.  The default sink appends it to
-``trace.event_lines``, so :meth:`Simulator.run` returns every line.  Any
-other sink receives each line instead and the list stays empty, so a run
-holds no event list; the ``write`` method of :class:`TraceWriter` is the
-sink that writes the trace file.  The trace's counters, final outputs and
-``output_changes``, each process's logged (time, output) pairs in log order,
-are filled in either way.  ``trace.events`` parses the kept lines back into
-:class:`TraceEvent` objects with :meth:`TraceEvent.parse`, for readers that
-want fields.
+simulator keeps the lines it logs pending; at each send and at the end of
+the run it joins them and hands that text to its *sink*: one batch of whole
+newline-terminated lines per send, in log order, which is non-decreasing
+time.  The default sink appends each batch to ``trace.event_batches``, so
+:meth:`Simulator.run` returns every line.  Any other sink receives the
+batches instead and the list stays empty, so a run holds no event list; the
+``write`` method of :class:`TraceWriter` is the sink that writes the trace
+file.  The trace's counters, final outputs and ``output_changes``, each
+process's logged (time, output) pairs in log order, are filled in either
+way.  ``trace.events`` parses the kept lines back into :class:`TraceEvent`
+objects with :meth:`TraceEvent.parse`, for readers that want fields.
 """
 
 from __future__ import annotations
@@ -568,11 +571,12 @@ class EventTrace:
     output history (``output_changes``: pid -> the (time, output) pairs of
     its ``output_change`` events, in log order) and counters.
 
-    ``event_lines`` holds each logged event's trace line, newline included,
+    ``event_batches`` holds the logged events' trace lines as the simulator
+    handed them on, one string of whole newline-terminated lines per send,
     in log order (empty when the run streamed them to a sink)."""
 
     scenario: Scenario
-    event_lines: list[str] = field(default_factory=list)
+    event_batches: list[str] = field(default_factory=list)
     output_changes: dict[int, list[tuple[int, int | str | None]]] = field(
         default_factory=dict
     )
@@ -586,26 +590,28 @@ class EventTrace:
 
     @property
     def events(self) -> list[TraceEvent]:
-        """The logged events, parsed from ``event_lines`` anew on each read."""
-        return [TraceEvent.parse(line) for line in self.event_lines]
+        """The logged events, parsed from ``event_batches`` anew on each read."""
+        return [TraceEvent.parse(line) for batch in self.event_batches
+                for line in batch[:-1].split("\n")]
 
     def lines(self) -> list[str]:
         """The whole trace in memory, one string per line (tests hash it)."""
-        return _trace_header(self.scenario) + [line[:-1] for line in self.event_lines]
+        return _trace_header(self.scenario) + [
+            line for batch in self.event_batches for line in batch[:-1].split("\n")]
 
     def write(self, path: str | Path) -> None:
         """Stream the trace to ``path``; the file holds ``lines()``, each
         followed by a newline."""
         with TraceWriter(path, self.scenario) as writer:
-            writer.writelines(self.event_lines)
+            writer.writelines(self.event_batches)
 
 
 class TraceWriter:
-    """Writes a trace file one event line at a time; its ``write`` method
-    is a simulator sink.
+    """Writes a trace file one batch of event lines at a time; its
+    ``write`` method is a simulator sink.
 
-    The header goes out on opening.  ``write(line)`` writes one logged line
-    as it is, and ``writelines(lines)`` writes each of many in turn; both
+    The header goes out on opening.  ``write(batch)`` writes one batch as
+    it is, and ``writelines(batches)`` writes each of many in turn; both
     are the open file's own methods, so a sink call runs no Python code.
     Lines go to ``path`` plus ``.part``, which replaces ``path`` when the
     writer closes cleanly and is deleted when it closes on an exception, so
@@ -653,13 +659,13 @@ class _ElectionNode(NfdlProcess):
     def sends(self) -> bool:
         return self.leader == self.self_id
 
-    def deliver(self, hb: Heartbeat, now: int) -> int | None:
+    def deliver(self, hb: Heartbeat, now: int) -> tuple[bool, int | None]:
         before = self.deadline
-        self.on_heartbeat(hb, now)
-        return None if self.deadline == before else self.self_id
+        changed = self.on_heartbeat(hb, now).changed
+        return changed, None if self.deadline == before else self.self_id
 
-    def fire(self, key: int, now: int) -> None:
-        self.on_timer_fire(now)
+    def fire(self, key: int, now: int) -> bool:
+        return self.on_timer_fire(now).changed
 
     def output(self) -> int | None:
         return self.leader
@@ -694,17 +700,25 @@ class _MonitorNode:
         seq = send_label(self.zerotime, now, self.config.eta)
         return Heartbeat(seq=seq, sender=self.pid, uptime=0)
 
-    def deliver(self, hb: Heartbeat, now: int) -> int | None:
+    def deliver(self, hb: Heartbeat, now: int) -> tuple[bool, int | None]:
         monitor = self.monitors[hb.sender]
         before = monitor.deadline
         # A heartbeat can only restore trust and a timeout only revoke it.
-        if monitor.on_heartbeat(hb.seq, now) is Verdict.TRUST:
-            self.trusted |= 1 << hb.sender
-        return None if monitor.deadline == before else hb.sender
+        bit = 1 << hb.sender
+        changed = (monitor.on_heartbeat(hb.seq, now) is Verdict.TRUST
+                   and not self.trusted & bit and self._flip(bit))
+        return changed, None if monitor.deadline == before else hb.sender
 
-    def fire(self, key: int, now: int) -> None:
-        if self.monitors[key].on_timeout(now) is Verdict.SUSPECT:
-            self.trusted &= ~(1 << key)
+    def fire(self, key: int, now: int) -> bool:
+        bit = 1 << key
+        return (self.monitors[key].on_timeout(now) is Verdict.SUSPECT
+                and self.trusted & bit != 0 and self._flip(bit))
+
+    def _flip(self, bit: int) -> bool:
+        """Flip one trust bit; True iff that changed the output."""
+        before = self.output()
+        self.trusted ^= bit
+        return self.output() != before
 
     def output(self) -> int | str | None:
         if self.elect:
@@ -722,9 +736,10 @@ class _MonitorNode:
 class Simulator:
     """Single-use event loop for one scenario.
 
-    ``sink``, when given, receives every event's formatted trace line,
-    newline included, as it is logged, and ``trace.event_lines`` stays
-    empty; ``trace.output_changes`` is filled either way.  After
+    ``sink``, when given, receives the logged lines in batches, one of
+    whole newline-terminated lines per send plus one for the run's tail,
+    and ``trace.event_batches`` stays empty; ``trace.output_changes`` is
+    filled either way.  After
     :meth:`run` the per-process nodes stay inspectable via :attr:`nodes`
     (None for processes that ended the run crashed); under ``nfdl`` each
     node is an :class:`NfdlProcess`.
@@ -755,7 +770,10 @@ class Simulator:
         self.trace = EventTrace(
             scenario=scenario, output_changes={pid: [] for pid in range(n)}
         )
-        self._log = self.trace.event_lines.append if sink is None else sink
+        self._sink = self.trace.event_batches.append if sink is None else sink
+        # The lines logged since the last batch went to the sink.
+        self._lines: list[str] = []
+        self._log = self._lines.append
         self._ran = False
         for pid in range(n):
             self._start(pid, 0)
@@ -796,6 +814,8 @@ class Simulator:
             else:
                 self._log(f"{time}\t{pid}\trecover\t\n")
                 self._start(pid, time)
+        if self._lines:
+            self._sink("".join(self._lines))
         trace, n = self.trace, self._n
         trace.send_counts = {pid: c for pid, c in enumerate(self._send_counts) if c}
         trace.link_sent = _by_link(self._sent, n)
@@ -863,12 +883,10 @@ class Simulator:
             heapq.heappush(self._heap, entry)
             return
         self._pending[slot] = None
-        before = node.output()
-        node.fire(key, now)
+        changed = node.fire(key, now)
         self._log(f"{now}\t{pid}\ttimer_fire\tdeadline={deadline}\n")
-        after = node.output()
-        if after != before:
-            self._log_output_change(pid, now, after)
+        if changed:
+            self._log_output_change(pid, now, node.output())
         if node.sends() and self._ticking[pid] is not node:
             # Ticks rank after timers, so the send instant ``now`` itself
             # is still ahead: the first tick falls at or after it.
@@ -926,6 +944,8 @@ class Simulator:
                 heapq.heappush(heap, (now + delay[receiver], receiver, _DELIVER,
                                       self._pushes, payload))
                 self._pushes += 1
+        self._sink("".join(self._lines))
+        self._lines.clear()
 
     def _on_deliver(self, pid: int, now: int, payload: tuple[Heartbeat, str]) -> None:
         hb, text = payload
@@ -937,11 +957,9 @@ class Simulator:
             return
         self._delivered[link] += 1
         self._log(f"{now}\t{pid}\tdeliver\t{text}")
-        before = node.output()
-        key = node.deliver(hb, now)
-        after = node.output()
-        if after != before:
-            self._log_output_change(pid, now, after)
+        changed, key = node.deliver(hb, now)
+        if changed:
+            self._log_output_change(pid, now, node.output())
         if key is not None:
             self._arm(pid, key, node.deadline_of(key), now)
 

@@ -251,9 +251,10 @@ def test_streamed_run_matches_the_corpus(name, tmp_path):
 def test_trace_lines_round_trip_through_the_parser(name):
     # Pins every log site's own format to the reference TraceEvent.line().
     trace = run(SCENARIOS[name]())
-    assert trace.event_lines
-    for line in trace.event_lines:
-        assert TraceEvent.parse(line).line() + "\n" == line
+    assert trace.event_batches
+    for batch in trace.event_batches:
+        for line in batch.splitlines(keepends=True):
+            assert TraceEvent.parse(line).line() + "\n" == line
 
 
 def test_cli_run_artifacts(tmp_path):

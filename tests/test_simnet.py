@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -498,24 +499,47 @@ def test_trace_write_streams_one_line_at_a_time(tmp_path, monkeypatch):
     # The logged lines go out as they are: none is formatted again.
     assert calls == 0
     header = "".join(h + "\n" for h in simnet._trace_header(trace.scenario))
-    assert path.read_text() == header + "".join(trace.event_lines)
+    assert path.read_text() == header + "".join(trace.event_batches)
+
+
+def test_an_in_memory_run_holds_under_70_bytes_per_event():
+    # naive, N=10, 60 s on the measured network: 33 k events whose lines
+    # average 52 characters.  Held one string per line, they took 102 B
+    # each; the batches of one send's lines take under 50.
+    sc = scenario(algorithm="naive-reduction", n_processes=10, network=LOSSY,
+                  duration=60_000)
+    run(replace(sc, duration=5_000))  # warm-up: first-run caches
+    tracemalloc.start()
+    try:
+        trace = run(sc)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    events = len(trace.events)
+    assert events > 30_000
+    assert held < 70 * events, f"holds {held / events:.1f} B per event"
 
 
 def test_a_sink_sees_every_event_in_log_order():
     sc = scenario(network=LOSSY, duration=10_000)
     seen = []
     trace = Simulator(sc, sink=seen.append).run()
-    assert trace.event_lines == []
-    assert seen == run(sc).event_lines
+    assert trace.event_batches == []
+    # Each batch is whole lines, so never empty: one per send (every send
+    # here is one broadcast line), plus one for the run's tail.
+    assert all(batch.endswith("\n") for batch in seen)
+    sends = sum(ev.kind == "send" for ev in run(sc).events)
+    assert sends <= len(seen) <= sends + 1
+    assert "".join(seen) == "".join(run(sc).event_batches)
 
 
 def test_trace_writer_leaves_no_file_when_the_run_fails(tmp_path):
     sc = scenario(duration=10_000)
     path = tmp_path / "trace.log"
 
-    def failing(line):
-        writer.write(line)
-        if TraceEvent.parse(line).time >= 5_000:
+    def failing(batch):
+        writer.write(batch)
+        if TraceEvent.parse(batch.splitlines()[-1]).time >= 5_000:
             raise RuntimeError("sink failed")
 
     with pytest.raises(RuntimeError, match="sink failed"):
@@ -530,9 +554,11 @@ def test_trace_writer_leaves_no_file_when_the_run_fails(tmp_path):
 def test_output_change_lines_match_the_reference_format(output, payload):
     # No algorithm logs a None output today; it still formats as the
     # reference does, with an empty payload.
+    # The run logs nothing before its 1,000 ms end, the first grace
+    # deadline, so the line is handed on alone, as the run's one batch.
     sim = Simulator(scenario(duration=1_000))
     sim._log_output_change(2, 700, output)
-    logged = sim.trace.event_lines[-1]
+    [logged] = sim.run().event_batches
     assert logged == f"700\t2\toutput_change\t{payload}\n"
     assert logged == TraceEvent.parse(logged).line() + "\n"
 
@@ -846,10 +872,55 @@ def fault_schedules(draw):
     )
 
 
+class CheckedNode:
+    """Checks every ``deliver`` and ``fire`` result against ``output()`` and
+    ``deadline_of`` read before and after the call, and counts the calls."""
+
+    calls = {"deliver": 0, "fire": 0}
+
+    def deliver(self, hb, now):
+        keys = self.keys()
+        output, deadlines = self.output(), [self.deadline_of(k) for k in keys]
+        changed, key = super().deliver(hb, now)
+        assert changed == (self.output() != output)
+        moved = [k for k, d in zip(keys, deadlines) if self.deadline_of(k) != d]
+        assert moved == ([] if key is None else [key])
+        self.calls["deliver"] += 1
+        return changed, key
+
+    def fire(self, key, now):
+        output, deadline = self.output(), self.deadline_of(key)
+        changed = super().fire(key, now)
+        assert changed == (self.output() != output)
+        assert deadline is not None and deadline <= now
+        assert self.deadline_of(key) is None
+        self.calls["fire"] += 1
+        return changed
+
+
+class CheckedElectionNode(CheckedNode, simnet._ElectionNode):
+    def keys(self):
+        return [self.self_id]
+
+
+class CheckedMonitorNode(CheckedNode, _MonitorNode):
+    def keys(self):
+        return list(self.monitors)
+
+
 @given(fault_schedules())
 @settings(max_examples=40, deadline=None)
 def test_protocol_invariants_hold_under_random_fault_schedules(sc):
-    trace = run(sc)
+    # Every node reports its own output changes and moved deadlines.
+    CheckedNode.calls.update(deliver=0, fire=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simnet, "_ElectionNode", CheckedElectionNode)
+        mp.setattr(simnet, "_MonitorNode", CheckedMonitorNode)
+        trace = run(sc)
+    kinds = [ev.kind for ev in trace.events]
+    assert CheckedNode.calls == {
+        "deliver": kinds.count("deliver"), "fire": kinds.count("timer_fire")
+    }
     # one zerotime write per process lifetime, recoveries only read it back
     assert trace.store_writes == {pid: 1 for pid in range(sc.n_processes)}
     last: dict[tuple[int, int | None], int] = {}
