@@ -20,10 +20,11 @@ interpolation between order statistics).
 Scoring reads no events.  The simulator records every process's output
 history on the trace (``EventTrace.output_changes``), whether it keeps the
 event lines or hands them to a sink one send's batch at a time, as
-:func:`stream_run` does to write the trace file without holding them.  :func:`output_timeline`
-keeps the leader outputs of that record, and :func:`score_monitor` sweeps
-each monitor's timeline once, merged with the leader's crashes and
-recoveries in the simulator's apply order, and yields all four metrics.
+:func:`stream_run` does to write the trace file without holding them.
+:func:`output_timeline` keeps the leader outputs of that record, and
+:func:`score_monitor` sweeps each monitor's timeline once, merged with the
+leader's crashes and recoveries in the simulator's apply order, and yields
+all four metrics.
 
 The module also houses the requirements-driven configurator: it picks the
 largest send interval eta whose detection bound eta + alpha still meets the

@@ -474,7 +474,8 @@ def test_trace_file_round_trip(tmp_path):
 
 
 def test_trace_write_streams_one_line_at_a_time(tmp_path, monkeypatch):
-    # 16 k events, a 0.65 MB file
+    # 16 k events, a 0.65 MB file, written one kept batch (one send's
+    # lines) at a time
     trace = run(scenario(algorithm="naive-reduction", n_processes=10, network=LOSSY,
                          duration=30_000))
     line = TraceEvent.line
@@ -527,10 +528,11 @@ def test_a_sink_sees_every_event_in_log_order():
     assert trace.event_batches == []
     # Each batch is whole lines, so never empty: one per send (every send
     # here is one broadcast line), plus one for the run's tail.
+    kept = run(sc)
+    assert "".join(seen) == "".join(kept.event_batches)
     assert all(batch.endswith("\n") for batch in seen)
-    sends = sum(ev.kind == "send" for ev in run(sc).events)
+    sends = sum(ev.kind == "send" for ev in kept.events)
     assert sends <= len(seen) <= sends + 1
-    assert "".join(seen) == "".join(run(sc).event_batches)
 
 
 def test_trace_writer_leaves_no_file_when_the_run_fails(tmp_path):
