@@ -380,6 +380,11 @@ class Scenario:
 # (seed, sender, seq, receiver) alone, never on n.  Word 0 of a block is the
 # loss draw and word 1 the delay draw; words 2 and 3 are unused.
 #
+# Since no block depends on when it is drawn, a sender's next sends can be
+# drawn ahead: sample_run draws k consecutive seqs' block sets into one
+# buffer and converts them with one compare, one searchsorted and one
+# tolist, so numpy's fixed per-call cost is paid once per run, not per send.
+#
 # The delay is drawn by inverting the table of the whole-ms law actually
 # sampled (see delay_cdf), so no transcendental function runs per message.
 
@@ -456,17 +461,42 @@ def delay_cdf(network: NetworkModel) -> np.ndarray:
     return cdf
 
 
-def sample_deliveries(
-    seed: int, sender: int, seq: int, n: int, loss_prob: float, cdf: np.ndarray,
-) -> tuple[list[bool], list[int]]:
-    """Loss flags and whole-ms delays of message (sender, seq) to each
-    receiver 0..n-1, from one draw of n blocks.
+# Most consecutive sends one run draws.  A run's fixed numpy cost is about
+# 4 us; at 64 rows it is spread thin, and longer runs only hold more rows
+# (see CHANGES.md for the measurement).
+_RUN_LIMIT = 64
 
-    ``cdf`` is ``delay_cdf`` of the link law; the delay of a lost copy is
-    meaningless.  The caller adds the send instant to a delay.
+
+def sample_run(
+    seed: int, sender: int, seq: int, k: int, n: int, loss_prob: float,
+    cdf: np.ndarray,
+) -> tuple[list[list[bool]], list[list[int]]]:
+    """Loss flags and whole-ms delays of the k consecutive sends
+    ``seq .. seq+k-1`` of ``sender``, one row per send.
+
+    Row j, entry r is message (sender, seq + j) to receiver r, for the n
+    receivers 0..n-1.  Row j is one draw of n blocks from
+    ``link_stream(seed, sender, seq + j, 0)``, so it is the same whatever
+    run it is drawn in: ``k=1`` is one send's draw.  ``cdf`` is
+    ``delay_cdf`` of the link law; the delay of a lost copy is meaningless.
+    The caller adds the send instant to a delay.
     """
-    u = link_stream(seed, sender, seq, 0).random(4 * n)
-    return (u[0::4] < loss_prob).tolist(), cdf.searchsorted(u[1::4], "right").tolist()
+    u = np.empty((k, 4 * n))
+    for j in range(k):
+        link_stream(seed, sender, seq + j, 0).random(out=u[j])
+    return (u[:, 0::4] < loss_prob).tolist(), cdf.searchsorted(u[:, 1::4], "right").tolist()
+
+
+def _run_length(seq: int, previous: int, sends_left: int) -> int:
+    """Rows of a sender's run that starts at ``seq``.
+
+    Twice ``previous``, the length of the sender's last run when it ended
+    just before ``seq`` (0 otherwise), so a sender never draws more than
+    twice the seqs it sends; and at most _RUN_LIMIT, ``sends_left`` (the
+    sender's send instants before the end of the run, this one included)
+    and the 2**64 - seq keys that are left.
+    """
+    return min(max(1, 2 * previous), _RUN_LIMIT, sends_left, 2**64 - seq)
 
 
 def sample_delivery(
@@ -476,7 +506,7 @@ def sample_delivery(
 
     Draws one 4-word block from ``rng``, the message's
     ``link_stream(seed, sender, seq, receiver)``.  This is the per-message
-    reference for :func:`sample_deliveries`, which the simulator runs.
+    reference for :func:`sample_run`, which the simulator runs.
     """
     loss, delay = rng.random(4)[:2].tolist()
     if loss < network.loss_prob:
@@ -753,6 +783,8 @@ class Simulator:
         self.nodes: list[object | None] = [None] * n
         self._others = [tuple(p for p in range(n) if p != pid) for pid in range(n)]
         self._delay_cdf = delay_cdf(scenario.network)
+        # Per sender, its current run: (first seq, loss rows, delay rows).
+        self._runs: list[tuple[int, list, list]] = [(0, [], [])] * n
         # Per process, the node whose tick entry is pending, if any.
         self._ticking: list[object | None] = [None] * n
         self._heap: list[tuple] = []
@@ -929,8 +961,18 @@ class Simulator:
             self._send_counts[sender] += len(receivers)
             unicast = f"{now}\t{sender}\tsend\tseq={seq} uptime={uptime} receiver="
         n = self._n
-        lost, delay = sample_deliveries(sc.seed, sender, seq, n,
-                                        sc.network.loss_prob, self._delay_cdf)
+        first, lost_rows, delay_rows = self._runs[sender]
+        row = seq - first
+        if not 0 <= row < len(lost_rows):
+            # Draw a new run from this seq: longer when it carries on the last.
+            eta = sc.config.eta
+            k = _run_length(seq, len(lost_rows) if row == len(lost_rows) else 0,
+                            (sc.duration - 1 - now) // eta + 1)
+            lost_rows, delay_rows = sample_run(sc.seed, sender, seq, k, n,
+                                               sc.network.loss_prob, self._delay_cdf)
+            self._runs[sender] = (seq, lost_rows, delay_rows)
+            row = 0
+        lost, delay = lost_rows[row], delay_rows[row]
         heap, base = self._heap, sender * n
         sent, dropped = self._sent, self._dropped
         for receiver in receivers:

@@ -1,3 +1,4 @@
+import gc
 import json
 import tracemalloc
 
@@ -200,6 +201,11 @@ def test_run_memory_does_not_grow_with_duration(tmp_path):
 
     def peak(duration_ms):
         out = tmp_path / str(duration_ms)
+        # A full collection empties the interpreter's free lists, which
+        # tracemalloc cannot see into: without it, how much of the
+        # estimator windows' tuples each peak counts depends on what ran
+        # before.
+        gc.collect()
         tracemalloc.start()
         try:
             code = run_cli("run", "--procs", "20", *net,

@@ -12,10 +12,10 @@ import hashlib
 
 import pytest
 
-from nfdl import cli, qos
+from nfdl import cli, qos, simnet
 from nfdl.experiments import accuracy_scenario, measured_network, speed_scenario
 from nfdl.protocol import ProtocolConfig
-from nfdl.simnet import FaultEvent, NetworkModel, Scenario, TraceEvent, run
+from nfdl.simnet import FaultEvent, NetworkModel, Scenario, Simulator, TraceEvent, run
 
 CFG = ProtocolConfig(eta=330, alpha=670, window_n=100)
 QUIET = NetworkModel(loss_prob=0.0, delay_mean=5.0, delay_var=0.0, delay_dist="constant")
@@ -272,3 +272,38 @@ def test_cli_run_artifacts(tmp_path):
         if p.is_file() and p != path
     }
     assert got == CLI_EXPECTED
+
+
+DRAW_BUDGET_SCENARIOS = {
+    "nfdl-n20-two-crashes": SCENARIOS["nfdl-n20-two-crashes"],
+    "naive-n10": SCENARIOS["naive-n10"],
+    # The benchmark's churn shape: election storms at N=100.
+    "nfdl-n100-speed": lambda: speed_scenario(
+        seed=1, cycles=3, n=100, downtime=5_000, spacing=10_000
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_BUDGET_SCENARIOS))
+def test_senders_draw_at_most_twice_the_seqs_they_send(name, monkeypatch):
+    # Runs of consecutive sends are drawn ahead, so a sender that stops
+    # sending leaves part of its last run unused; doubling the run length
+    # from 1 keeps that waste below what it sent.
+    drawn = []
+    real = simnet.link_stream
+
+    def counting(seed, sender, seq, receiver):
+        drawn.append((sender, seq))
+        return real(seed, sender, seq, receiver)
+
+    monkeypatch.setattr(simnet, "link_stream", counting)
+    sc = DRAW_BUDGET_SCENARIOS[name]()
+    sim = Simulator(sc)
+    trace = sim.run()
+    sent = {(ev.process, ev.seq) for ev in trace.events if ev.kind == "send"}
+    assert sent <= set(drawn)
+    assert len(set(drawn)) == len(drawn)
+    assert len(drawn) <= 2 * len(sent)
+    # No run reaches past its sender's last send instant before the end.
+    for sender, seq in drawn:
+        assert sim.store.load_zerotime(sender) + seq * sc.config.eta < sc.duration

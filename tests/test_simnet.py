@@ -23,9 +23,10 @@ from nfdl.simnet import (
     _TIMER,
     _MonitorNode,
     link_stream,
+    _run_length,
     run,
-    sample_deliveries,
     sample_delivery,
+    sample_run,
 )
 from nfdl.stable_store import MemoryStore
 
@@ -338,7 +339,7 @@ def test_one_draw_per_send_holds_every_receivers_block(seed, sender, seq, n):
 def test_batch_sampler_matches_the_per_message_reference(net):
     cdf = simnet.delay_cdf(net)
     for seq in range(1, 40):
-        lost, delay = sample_deliveries(11, 3, seq, 6, net.loss_prob, cdf)
+        (lost,), (delay,) = sample_run(11, 3, seq, 1, 6, net.loss_prob, cdf)
         for r in range(6):
             want = sample_delivery(1000 * seq, net, link_stream(11, 3, seq, r))
             assert (None if lost[r] else 1000 * seq + delay[r]) == want
@@ -347,9 +348,52 @@ def test_batch_sampler_matches_the_per_message_reference(net):
 def test_a_messages_delivery_does_not_depend_on_n():
     cdf = simnet.delay_cdf(LOSSY)
     for seq in range(1, 200):
-        small = sample_deliveries(7, 2, seq, 5, LOSSY.loss_prob, cdf)
-        large = sample_deliveries(7, 2, seq, 200, LOSSY.loss_prob, cdf)
-        assert small == tuple(values[:5] for values in large)
+        small = sample_run(7, 2, seq, 1, 5, LOSSY.loss_prob, cdf)
+        large = sample_run(7, 2, seq, 1, 200, LOSSY.loss_prob, cdf)
+        assert small == tuple([row[:5] for row in rows] for rows in large)
+
+
+LINK_LAWS = {"quiet": QUIET, "lossy": LOSSY, "uniform": UNIFORM, "jittery": JITTERY}
+
+
+@given(KEYS, KEYS, KEYS, st.integers(min_value=1, max_value=200),
+       st.integers(min_value=1, max_value=simnet._RUN_LIMIT),
+       st.sampled_from(sorted(LINK_LAWS)))
+@settings(max_examples=30, deadline=None)
+def test_a_run_row_is_its_own_sends_draw(seed, sender, seq, n, k, law):
+    # Row j of a run is the k=1 draw at seq + j, whatever run it falls in,
+    # and every receiver's entry is the per-message reference's.
+    k = min(k, 2**64 - seq)
+    net = LINK_LAWS[law]
+    cdf = simnet.delay_cdf(net)
+    lost, delay = sample_run(seed, sender, seq, k, n, net.loss_prob, cdf)
+    assert len(lost) == len(delay) == k
+    for j in range(k):
+        (one_lost,), (one_delay,) = sample_run(seed, sender, seq + j, 1, n,
+                                               net.loss_prob, cdf)
+        assert lost[j] == one_lost and delay[j] == one_delay
+        for r in range(n):
+            want = sample_delivery(0, net, link_stream(seed, sender, seq + j, r))
+            assert (None if lost[j][r] else delay[j][r]) == want
+
+
+def test_run_lengths_double_to_the_limit_and_stop_at_the_key_bound():
+    lengths, seq, previous = [], 1, 0
+    while seq < 400:
+        previous = _run_length(seq, previous, 10**6)
+        lengths.append(previous)
+        seq += previous
+    assert lengths == [min(2**i, simnet._RUN_LIMIT) for i in range(len(lengths))]
+    # bounded by the sends left and by the keys left below 2**64
+    assert _run_length(1, 64, 3) == 3
+    for previous in range(2 * simnet._RUN_LIMIT):
+        assert _run_length(2**64 - 2, previous, 10**6) <= 2
+        for seq in range(2**64 - 2 * simnet._RUN_LIMIT, 2**64):
+            assert seq + _run_length(seq, previous, 10**6) <= 2**64
+    cdf = simnet.delay_cdf(QUIET)
+    assert len(sample_run(1, 0, 2**64 - 2, 2, 3, 0.0, cdf)[0]) == 2
+    with pytest.raises(ValueError):
+        sample_run(1, 0, 2**64 - 2, 3, 3, 0.0, cdf)
 
 
 # -- delay tables --------------------------------------------------------------
@@ -408,7 +452,7 @@ def test_sampled_delays_follow_the_table(name):
     net = LAWS[name]
     cdf = simnet.delay_cdf(net)
     delays = np.concatenate([
-        sample_deliveries(5, 1, seq, 1000, 0.0, cdf)[1] for seq in range(100)
+        sample_run(5, 1, seq, 1, 1000, 0.0, cdf)[1][0] for seq in range(100)
     ])
     expected = pmf(cdf) * len(delays)
     observed = np.bincount(delays, minlength=len(cdf)).astype(float)
