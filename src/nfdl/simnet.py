@@ -7,10 +7,11 @@ sampled, non-negative integer delay.  Every message gets its own random
 block keyed by (seed, sender, seq, receiver), so traces are a pure function
 of (scenario, seed) and editing one link or adding a process never perturbs
 the samples on another link.  The block is the first Philox block under key
-(seed, sender) at counter (receiver, 0, seq, 0).  A send draws the blocks of
-all its receivers at once, one :func:`link_stream` rekey and one vector draw
-(:func:`sample_deliveries`): word 0 of a block decides loss and word 1 picks
-the whole-ms delay from the :func:`delay_cdf` table of the link's law.  The
+(seed, sender) at counter (receiver, 0, seq, 0).  One :func:`link_stream`
+rekey yields a send's blocks for all its receivers: word 0 of a block
+decides loss and word 1 picks the whole-ms delay from the :func:`delay_cdf`
+table of the link's law.  A sender's consecutive sends are drawn a run at a
+time (:func:`sample_run`), with the same blocks as one send at a time.  The
 sampler returns delays; the simulator adds the send instant.
 
 Fault injection is a scripted schedule of crash/recover events.  A crash
@@ -380,10 +381,8 @@ class Scenario:
 # (seed, sender, seq, receiver) alone, never on n.  Word 0 of a block is the
 # loss draw and word 1 the delay draw; words 2 and 3 are unused.
 #
-# Since no block depends on when it is drawn, a sender's next sends can be
-# drawn ahead: sample_run draws k consecutive seqs' block sets into one
-# buffer and converts them with one compare, one searchsorted and one
-# tolist, so numpy's fixed per-call cost is paid once per run, not per send.
+# No block depends on when it is drawn, so a sender's next sends are drawn
+# ahead, a run at a time: numpy's fixed cost is paid per run, not per send.
 #
 # The delay is drawn by inverting the table of the whole-ms law actually
 # sampled (see delay_cdf), so no transcendental function runs per message.
@@ -461,9 +460,8 @@ def delay_cdf(network: NetworkModel) -> np.ndarray:
     return cdf
 
 
-# Most consecutive sends one run draws.  A run's fixed numpy cost is about
-# 4 us; at 64 rows it is spread thin, and longer runs only hold more rows
-# (see CHANGES.md for the measurement).
+# Most sends one run draws.  At 64 rows numpy's fixed cost per run is about
+# 2% of the per-seq cost, and longer runs only hold more rows (CHANGES.md).
 _RUN_LIMIT = 64
 
 
@@ -471,15 +469,12 @@ def sample_run(
     seed: int, sender: int, seq: int, k: int, n: int, loss_prob: float,
     cdf: np.ndarray,
 ) -> tuple[list[list[bool]], list[list[int]]]:
-    """Loss flags and whole-ms delays of the k consecutive sends
-    ``seq .. seq+k-1`` of ``sender``, one row per send.
+    """Loss flags and whole-ms delays of sends ``seq .. seq+k-1`` of
+    ``sender``: entry r of row j is message (sender, seq + j) to receiver r.
 
-    Row j, entry r is message (sender, seq + j) to receiver r, for the n
-    receivers 0..n-1.  Row j is one draw of n blocks from
-    ``link_stream(seed, sender, seq + j, 0)``, so it is the same whatever
-    run it is drawn in: ``k=1`` is one send's draw.  ``cdf`` is
-    ``delay_cdf`` of the link law; the delay of a lost copy is meaningless.
-    The caller adds the send instant to a delay.
+    Row j is n blocks of ``link_stream(seed, sender, seq + j, 0)``, the
+    same in any run; ``k=1`` is one send.  ``cdf`` is ``delay_cdf`` of the
+    link law; a lost copy's delay is meaningless.
     """
     u = np.empty((k, 4 * n))
     for j in range(k):
@@ -488,14 +483,10 @@ def sample_run(
 
 
 def _run_length(seq: int, previous: int, sends_left: int) -> int:
-    """Rows of a sender's run that starts at ``seq``.
-
-    Twice ``previous``, the length of the sender's last run when it ended
-    just before ``seq`` (0 otherwise), so a sender never draws more than
-    twice the seqs it sends; and at most _RUN_LIMIT, ``sends_left`` (the
-    sender's send instants before the end of the run, this one included)
-    and the 2**64 - seq keys that are left.
-    """
+    """Rows of a sender's run from ``seq``: twice ``previous``, the last
+    run's length if it ended just before ``seq`` (else 0), so a sender draws
+    at most twice the seqs it sends; at most _RUN_LIMIT, the ``sends_left``
+    before the end (this one included) and the keys left below 2**64."""
     return min(max(1, 2 * previous), _RUN_LIMIT, sends_left, 2**64 - seq)
 
 
@@ -965,9 +956,8 @@ class Simulator:
         row = seq - first
         if not 0 <= row < len(lost_rows):
             # Draw a new run from this seq: longer when it carries on the last.
-            eta = sc.config.eta
             k = _run_length(seq, len(lost_rows) if row == len(lost_rows) else 0,
-                            (sc.duration - 1 - now) // eta + 1)
+                            (sc.duration - 1 - now) // sc.config.eta + 1)
             lost_rows, delay_rows = sample_run(sc.seed, sender, seq, k, n,
                                                sc.network.loss_prob, self._delay_cdf)
             self._runs[sender] = (seq, lost_rows, delay_rows)
