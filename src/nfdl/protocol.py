@@ -88,6 +88,10 @@ class Verdict(enum.Enum):
     SUSPECT = "suspect"
 
 
+# Module aliases: a global load costs a quarter of the enum attribute lookup.
+_TRUST, _SUSPECT = Verdict.TRUST, Verdict.SUSPECT
+
+
 def priority_greater(a: tuple[int, int], b: tuple[int, int] | None) -> bool:
     """True iff priority (uptime, pid) ``a`` strictly beats ``b``.
 
@@ -175,20 +179,24 @@ class NfdlProcess:
         strictly beats the incumbent's, which starts a fresh monitor on its
         stream and arms the deadline from this first arrival.
         """
-        if hb.sender == self.self_id:
+        sender = hb.sender
+        if sender == self.self_id:
             return Output(self.leader, False)
-        adopted = hb.sender != self.leader
-        if adopted:
-            if not priority_greater((hb.uptime, hb.sender), self._incumbent_priority()):
-                return Output(self.leader, False)
-            self.leader = hb.sender
-            self.monitor = NfdeMonitor(self.config)
-        elif hb.seq <= self.monitor.window.last_seq:
+        monitor = self.monitor
+        if sender == self.leader:
+            if hb.seq <= monitor.window.last_seq:
+                return Output(sender, False)
+            adopted = False
+        elif priority_greater((hb.uptime, sender), self._incumbent_priority()):
+            self.leader = sender
+            self.monitor = monitor = NfdeMonitor(self.config)
+            adopted = True
+        else:
             return Output(self.leader, False)
-        self.monitor.on_heartbeat(hb.seq, now)
+        monitor.on_heartbeat(hb.seq, now)
         self.leader_uptime = hb.uptime
-        self.deadline = self.monitor.deadline
-        return Output(self.leader, adopted)
+        self.deadline = monitor.deadline
+        return Output(sender, adopted)
 
     def on_timer_fire(self, now: int) -> Output:
         """Freshness (or grace) deadline expiry: claim leadership.
@@ -247,21 +255,23 @@ class NfdeMonitor:
 
     def __init__(self, config: ProtocolConfig):
         self.config = config
+        self.eta, self.alpha = config.eta, config.alpha
         self.window = ArrivalWindow(config.window_n)
         self.deadline: int | None = None
-        self.verdict = Verdict.SUSPECT
+        self.verdict = _SUSPECT
 
     def on_heartbeat(self, seq: int, now: int) -> Verdict:
-        if seq > self.window.last_seq:
-            self.window.record(seq, now)
-            ea = self.window.expected_arrival(self.config.eta, seq + 1)
-            self.deadline = freshness_point(ea, self.config.alpha)
-            if now < self.deadline:
-                self.verdict = Verdict.TRUST
+        window = self.window
+        if seq > window.last_seq:
+            window.record(seq, now)
+            ea = window.expected_arrival(self.eta, seq + 1)
+            self.deadline = deadline = freshness_point(ea, self.alpha)
+            if now < deadline:
+                self.verdict = _TRUST
         return self.verdict
 
     def on_timeout(self, now: int) -> Verdict:
         if self.deadline is not None and now >= self.deadline:
-            self.verdict = Verdict.SUSPECT
+            self.verdict = _SUSPECT
             self.deadline = None
         return self.verdict

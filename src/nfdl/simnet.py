@@ -42,11 +42,13 @@ receiver never does.
 ``deadline_of(key)`` is the deadline filed under ``key`` (None when
 unarmed); the node's own id keys the one it arms at start-up, if any.
 Nodes report their own changes: ``deliver(hb, now)`` applies a delivery
-and returns (whether the output changed, the key whose deadline it moved or
-None), and ``fire(key, now)`` expires and clears the deadline under ``key``
-and returns whether the output changed.  ``output()`` is the value traced
-by ``output_change`` (a leader id, or a trust/suspect verdict); the
-simulator reads it only to log a change.
+and returns ``(changed, key, deadline)``: whether the output changed, and
+the key whose deadline it moved with that key's new deadline, or
+``(changed, None, None)`` when no deadline moved.  ``fire(key, now)``
+expires and clears the deadline under ``key`` and returns whether the
+output changed.  ``output()`` is the value traced by ``output_change`` (a
+leader id, or a trust/suspect verdict); the simulator reads it only to log
+a change.
 
 Timers are re-armed lazily, with at most one live heap entry per (process,
 key).  Start-up or a delivery that sets a deadline *arms* the key and takes
@@ -92,6 +94,7 @@ objects with :meth:`TraceEvent.parse`, for readers that want fields.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
@@ -490,6 +493,14 @@ def _run_length(seq: int, previous: int, sends_left: int) -> int:
     return min(max(1, 2 * previous), _RUN_LIMIT, sends_left, 2**64 - seq)
 
 
+@functools.lru_cache(maxsize=8)
+def _reference_cdf(network: NetworkModel) -> np.ndarray:
+    """``delay_cdf(network)``, built once per network and read-only."""
+    cdf = delay_cdf(network)
+    cdf.flags.writeable = False
+    return cdf
+
+
 def sample_delivery(
     send_time: int, network: NetworkModel, rng: np.random.Generator
 ) -> int | None:
@@ -497,12 +508,13 @@ def sample_delivery(
 
     Draws one 4-word block from ``rng``, the message's
     ``link_stream(seed, sender, seq, receiver)``.  This is the per-message
-    reference for :func:`sample_run`, which the simulator runs.
+    reference for :func:`sample_run`, which the simulator runs; the delay
+    table of each network is built on its first call and then reused.
     """
     loss, delay = rng.random(4)[:2].tolist()
     if loss < network.loss_prob:
         return None
-    return send_time + int(np.searchsorted(delay_cdf(network), delay, side="right"))
+    return send_time + int(_reference_cdf(network).searchsorted(delay, "right"))
 
 
 # ---------------------------------------------------------------------------
@@ -667,12 +679,16 @@ class TraceWriter:
 # The simulator
 
 _CRASH, _RECOVER, _TIMER, _TICK, _DELIVER = range(5)
+# Module aliases: a global load costs a quarter of the enum attribute lookup.
+_TRUST, _SUSPECT = Verdict.TRUST, Verdict.SUSPECT
 
 
 class _ElectionNode(NfdlProcess):
     """``NfdlProcess`` behind the node interface; the leader broadcasts.
 
-    Its one deadline, grace or freshness, is filed under its own id.
+    Its one deadline, grace or freshness, is filed under its own id, so
+    ``deliver`` hands back ``(changed, self_id, deadline)`` when a delivery
+    moved it.
     """
 
     targets = None
@@ -680,10 +696,13 @@ class _ElectionNode(NfdlProcess):
     def sends(self) -> bool:
         return self.leader == self.self_id
 
-    def deliver(self, hb: Heartbeat, now: int) -> tuple[bool, int | None]:
+    def deliver(self, hb: Heartbeat, now: int) -> tuple[bool, int | None, int | None]:
         before = self.deadline
         changed = self.on_heartbeat(hb, now).changed
-        return changed, None if self.deadline == before else self.self_id
+        deadline = self.deadline
+        if deadline == before:
+            return changed, None, None
+        return changed, self.self_id, deadline
 
     def fire(self, key: int, now: int) -> bool:
         return self.on_timer_fire(now).changed
@@ -701,7 +720,9 @@ class _MonitorNode:
     An electing node outputs the lowest id it trusts, counting itself;
     otherwise it watches at most one peer and outputs the verdict on it
     (None when it watches nobody).  Bit ``p`` of ``trusted`` is set iff the
-    monitor of peer ``p`` trusts it.
+    monitor of peer ``p`` trusts it.  Peer ``p``'s deadline is filed under
+    ``p``: ``deliver`` hands back ``(changed, sender, deadline)`` when a
+    delivery moved the sender's monitor's deadline.
     """
 
     def __init__(self, pid: int, config: ProtocolConfig, store, now: int,
@@ -721,18 +742,22 @@ class _MonitorNode:
         seq = send_label(self.zerotime, now, self.config.eta)
         return Heartbeat(seq=seq, sender=self.pid, uptime=0)
 
-    def deliver(self, hb: Heartbeat, now: int) -> tuple[bool, int | None]:
-        monitor = self.monitors[hb.sender]
+    def deliver(self, hb: Heartbeat, now: int) -> tuple[bool, int | None, int | None]:
+        sender = hb.sender
+        monitor = self.monitors[sender]
         before = monitor.deadline
         # A heartbeat can only restore trust and a timeout only revoke it.
-        bit = 1 << hb.sender
-        changed = (monitor.on_heartbeat(hb.seq, now) is Verdict.TRUST
+        bit = 1 << sender
+        changed = (monitor.on_heartbeat(hb.seq, now) is _TRUST
                    and not self.trusted & bit and self._flip(bit))
-        return changed, None if monitor.deadline == before else hb.sender
+        deadline = monitor.deadline
+        if deadline == before:
+            return changed, None, None
+        return changed, sender, deadline
 
     def fire(self, key: int, now: int) -> bool:
         bit = 1 << key
-        return (self.monitors[key].on_timeout(now) is Verdict.SUSPECT
+        return (self.monitors[key].on_timeout(now) is _SUSPECT
                 and self.trusted & bit != 0 and self._flip(bit))
 
     def _flip(self, bit: int) -> bool:
@@ -747,7 +772,7 @@ class _MonitorNode:
             return (m & -m).bit_length() - 1
         if not self.monitors:
             return None
-        return (Verdict.TRUST if self.trusted else Verdict.SUSPECT).value
+        return (_TRUST if self.trusted else _SUSPECT).value
 
     def deadline_of(self, key: int) -> int | None:
         monitor = self.monitors.get(key)
@@ -763,7 +788,9 @@ class Simulator:
     filled either way.  After
     :meth:`run` the per-process nodes stay inspectable via :attr:`nodes`
     (None for processes that ended the run crashed); under ``nfdl`` each
-    node is an :class:`NfdlProcess`.
+    node is an :class:`NfdlProcess`.  A delivery arms its timer from the
+    deadline that the node's ``deliver`` hands back, without asking the
+    node again.
     """
 
     def __init__(self, scenario: Scenario, store=None, sink=None):
@@ -989,11 +1016,11 @@ class Simulator:
             return
         self._delivered[link] += 1
         self._log(f"{now}\t{pid}\tdeliver\t{text}")
-        changed, key = node.deliver(hb, now)
+        changed, key, deadline = node.deliver(hb, now)
         if changed:
             self._log_output_change(pid, now, node.output())
         if key is not None:
-            self._arm(pid, key, node.deadline_of(key), now)
+            self._arm(pid, key, deadline, now)
 
 
 def _by_link(counts: list[int], n: int) -> dict[tuple[int, int], int]:

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfdl.estimator import ArrivalWindow, div_round_half_up, freshness_point
+from nfdl.estimator import ArrivalWindow, freshness_point
+
+
+def div_round_half_up(num, den):
+    """Exact num/den rounded half-up (ties toward +infinity), by divmod. den > 0."""
+    q, r = divmod(num, den)
+    if 2 * r >= den:
+        q += 1
+    return q
 
 
 def eq1_float(entries, eta, next_seq):
@@ -71,11 +79,38 @@ def test_freshness_point():
     assert freshness_point(0, 670) == 670
 
 
-def test_div_round_half_up_ties_up():
-    assert div_round_half_up(5, 2) == 3
-    assert div_round_half_up(-5, 2) == -2
-    assert div_round_half_up(4, 2) == 2
-    assert div_round_half_up(7, 3) == 2
+@pytest.mark.parametrize("shifts, want", [
+    ([2, 3], 3),        # mean 5/2
+    ([-3, -2], -2),     # mean -5/2
+    ([-1, 0], 0),       # mean -1/2
+    ([0, 1], 1),        # mean 1/2
+    ([2, 2], 2),
+    ([2, 2, 3], 2),     # mean 7/3
+    ([-7, 0, 0, 0], -2),  # mean -7/4
+])
+def test_expected_arrival_rounds_ties_up(shifts, want):
+    eta = 100
+    w = fill([(seq, eta * seq + d) for seq, d in enumerate(shifts, start=1)])
+    next_seq = len(shifts) + 1
+    assert w.expected_arrival(eta, next_seq) == want + next_seq * eta
+
+
+@given(st.integers(min_value=-10**6, max_value=10**6),
+       st.integers(min_value=1, max_value=30),
+       st.integers(min_value=1, max_value=2000),
+       st.integers(min_value=1, max_value=10**4),
+       st.data())
+@settings(max_examples=200)
+def test_a_mean_of_k_and_a_half_predicts_k_plus_one(k, half, eta, first, data):
+    # Window size m = 2*half with shifted sum m*k + half: the mean is k + 1/2.
+    m = 2 * half
+    shifts = data.draw(st.lists(st.integers(min_value=-5000, max_value=5000),
+                                min_size=m - 1, max_size=m - 1))
+    shifts.append(m * k + half - sum(shifts))
+    w = fill([(first + i, eta * (first + i) + d) for i, d in enumerate(shifts)],
+             capacity=m)
+    next_seq = first + m
+    assert w.expected_arrival(eta, next_seq) == k + 1 + next_seq * eta
 
 
 @st.composite

@@ -1,7 +1,9 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nfdl.estimator import ArrivalWindow
@@ -351,3 +353,143 @@ def test_labels_strictly_increase_across_crash_recover_cycles(gaps):
         now = send_at + gap  # crash here, recover after the gap
     assert labels == sorted(set(labels))
     assert all(b > a for a, b in zip(labels, labels[1:]))
+
+
+# -- reference transitions ---------------------------------------------------
+
+
+def reference_deadline(pairs, eta, alpha):
+    """Freshness point after the window ``pairs``, from the estimator's rule:
+    the exact mean of (arrival - eta*seq) rounded half-up, plus the next
+    seq's send instant, plus alpha."""
+    mean = Fraction(sum(a - eta * s for s, a in pairs), len(pairs))
+    return math.floor(mean + Fraction(1, 2)) + (pairs[-1][0] + 1) * eta + alpha
+
+
+class ReferenceMonitor:
+    """NfdeMonitor's rules restated: suspect until heard; a fresh seq enters
+    the window, re-arms the deadline and restores trust iff it arrived
+    strictly before that deadline; expiry of the deadline suspects."""
+
+    def __init__(self, config):
+        self.config = config
+        self.pairs, self.deadline, self.verdict = [], None, Verdict.SUSPECT
+
+    def on_heartbeat(self, seq, now):
+        if not self.pairs or seq > self.pairs[-1][0]:
+            self.pairs = (self.pairs + [(seq, now)])[-self.config.window_n:]
+            self.deadline = reference_deadline(self.pairs, self.config.eta,
+                                               self.config.alpha)
+            if now < self.deadline:
+                self.verdict = Verdict.TRUST
+        return self.verdict
+
+    def on_timeout(self, now):
+        if self.deadline is not None and now >= self.deadline:
+            self.verdict, self.deadline = Verdict.SUSPECT, None
+        return self.verdict
+
+
+class ReferenceProcess:
+    """NfdlProcess's rules restated from its docstrings."""
+
+    def __init__(self, self_id, config, now):
+        self.self_id, self.config = self_id, config
+        self.leader = self.leader_uptime = self.monitor = None
+        self.uptime, self.last_sent_uptime = 0, None
+        self.deadline = now + config.eta + config.alpha
+
+    def priority(self):
+        if self.leader is None:
+            return None
+        if self.leader == self.self_id:
+            sent = self.last_sent_uptime
+            return (self.uptime if sent is None else sent, self.self_id)
+        return (self.leader_uptime, self.leader)
+
+    def on_heartbeat(self, seq, sender, uptime, now):
+        if sender == self.self_id:
+            return self.leader, False
+        adopted = sender != self.leader
+        if adopted:
+            incumbent = self.priority()
+            if incumbent is not None and (uptime, sender) <= incumbent:
+                return self.leader, False
+            self.leader, self.monitor = sender, ReferenceMonitor(self.config)
+        elif seq <= self.monitor.pairs[-1][0]:
+            return self.leader, False
+        self.monitor.on_heartbeat(seq, now)
+        self.leader_uptime, self.deadline = uptime, self.monitor.deadline
+        return self.leader, adopted
+
+    def on_timer_fire(self, now):
+        if self.deadline is None or now < self.deadline:
+            return self.leader, False
+        changed = self.leader != self.self_id
+        self.leader, self.leader_uptime = self.self_id, None
+        self.monitor = self.deadline = None
+        return self.leader, changed
+
+    def next_heartbeat(self, now):
+        if self.leader != self.self_id:
+            return None
+        sent = (now // self.config.eta, self.self_id, self.uptime)
+        self.last_sent_uptime, self.uptime = self.uptime, self.uptime + 1
+        return sent
+
+
+# An instant: any ms in a short span, or one ms either side of (or at) the
+# process's current deadline, so expiries and late arrivals land exactly.
+INSTANTS = st.one_of(st.integers(min_value=0, max_value=600),
+                     st.tuples(st.just("deadline"), st.integers(min_value=-1, max_value=1)))
+STEPS = st.one_of(
+    # senders include self (0); small seqs repeat and go stale; uptimes tie
+    st.tuples(st.just("heartbeat"), st.integers(min_value=1, max_value=12),
+              st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3),
+              INSTANTS),
+    st.tuples(st.just("timer"), INSTANTS),
+    st.tuples(st.just("send"), st.integers(min_value=0, max_value=600)),
+)
+
+
+@given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=60),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=1_000),
+       st.lists(STEPS, max_size=60))
+@settings(max_examples=300)
+# A heartbeat that lands exactly on its own freshness point (2660) is late.
+@example(eta=330, alpha=670, window_n=2, start=0, steps=[
+    ("heartbeat", 1, 1, 0, 330), ("timer", 1330), ("heartbeat", 2, 1, 0, 2660)])
+def test_transitions_match_the_reference_rules(eta, alpha, window_n, start, steps):
+    config = ProtocolConfig(eta=eta, alpha=alpha, window_n=window_n)
+    proc, ref = NfdlProcess(0, config, MemoryStore(), start), ReferenceProcess(0, config, start)
+    mon, ref_mon = NfdeMonitor(config), ReferenceMonitor(config)
+
+    def instant(at):
+        if isinstance(at, int):
+            return at
+        return (start if ref.deadline is None else ref.deadline) + at[1]
+
+    for step in steps:
+        if step[0] == "heartbeat":
+            _, seq, sender, uptime, at = step
+            now = instant(at)
+            out = proc.on_heartbeat(hb(seq, sender, uptime), now)
+            assert (out.leader, out.changed) == ref.on_heartbeat(seq, sender, uptime, now)
+            assert mon.on_heartbeat(seq, now) is ref_mon.on_heartbeat(seq, now)
+        elif step[0] == "timer":
+            now = instant(step[1])
+            out = proc.on_timer_fire(now)
+            assert (out.leader, out.changed) == ref.on_timer_fire(now)
+            assert mon.on_timeout(now) is ref_mon.on_timeout(now)
+        else:
+            # a send instant of the schedule, at or after the first label
+            now = start + eta + step[1]
+            sent = proc.next_heartbeat(now)
+            want = ref.next_heartbeat(now - start)
+            assert (None if sent is None else (sent.seq, sent.sender, sent.uptime)) == want
+        assert (proc.leader, proc.leader_uptime, proc.deadline) == (
+            ref.leader, ref.leader_uptime, ref.deadline)
+        pairs = None if proc.monitor is None else list(proc.monitor.window.entries)
+        assert pairs == (None if ref.monitor is None else ref.monitor.pairs)
+        assert (mon.verdict, mon.deadline, list(mon.window.entries)) == (
+            ref_mon.verdict, ref_mon.deadline, ref_mon.pairs)

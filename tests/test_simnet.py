@@ -359,7 +359,7 @@ LINK_LAWS = {"quiet": QUIET, "lossy": LOSSY, "uniform": UNIFORM, "jittery": JITT
 @given(KEYS, KEYS, KEYS, st.integers(min_value=1, max_value=200),
        st.integers(min_value=1, max_value=simnet._RUN_LIMIT),
        st.sampled_from(sorted(LINK_LAWS)))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_a_run_row_is_its_own_sends_draw(seed, sender, seq, n, k, law):
     # Row j of a run is the k=1 draw at seq + j, whatever run it falls in,
     # and every receiver's entry is the per-message reference's.
@@ -927,12 +927,14 @@ class CheckedNode:
     def deliver(self, hb, now):
         keys = self.keys()
         output, deadlines = self.output(), [self.deadline_of(k) for k in keys]
-        changed, key = super().deliver(hb, now)
+        changed, key, deadline = super().deliver(hb, now)
         assert changed == (self.output() != output)
         moved = [k for k, d in zip(keys, deadlines) if self.deadline_of(k) != d]
         assert moved == ([] if key is None else [key])
+        # the simulator arms the timer from the deadline handed back
+        assert key is None or deadline == self.deadline_of(key)
         self.calls["deliver"] += 1
-        return changed, key
+        return changed, key, deadline
 
     def fire(self, key, now):
         output, deadline = self.output(), self.deadline_of(key)
