@@ -254,7 +254,6 @@ class NfdeMonitor:
     """
 
     def __init__(self, config: ProtocolConfig):
-        self.config = config
         self.eta, self.alpha = config.eta, config.alpha
         self.window = ArrivalWindow(config.window_n)
         self.deadline: int | None = None

@@ -43,12 +43,11 @@ receiver never does.
 unarmed); the node's own id keys the one it arms at start-up, if any.
 Nodes report their own changes: ``deliver(hb, now)`` applies a delivery
 and returns ``(changed, key, deadline)``: whether the output changed, and
-the key whose deadline it moved with that key's new deadline, or
-``(changed, None, None)`` when no deadline moved.  ``fire(key, now)``
-expires and clears the deadline under ``key`` and returns whether the
-output changed.  ``output()`` is the value traced by ``output_change`` (a
-leader id, or a trust/suspect verdict); the simulator reads it only to log
-a change.
+the key whose deadline it moved with its new deadline (both None when none
+moved).  ``fire(key, now)`` expires and clears the deadline under ``key``
+and returns whether the output changed.  ``output()`` is the value traced
+by ``output_change`` (a leader id, or a trust/suspect verdict); the
+simulator reads it only to log a change.
 
 Timers are re-armed lazily, with at most one live heap entry per (process,
 key).  Start-up or a delivery that sets a deadline *arms* the key and takes
@@ -508,8 +507,8 @@ def sample_delivery(
 
     Draws one 4-word block from ``rng``, the message's
     ``link_stream(seed, sender, seq, receiver)``.  This is the per-message
-    reference for :func:`sample_run`, which the simulator runs; the delay
-    table of each network is built on its first call and then reused.
+    reference for :func:`sample_run`, which the simulator runs; it builds each
+    network's delay table once.
     """
     loss, delay = rng.random(4)[:2].tolist()
     if loss < network.loss_prob:
@@ -679,16 +678,14 @@ class TraceWriter:
 # The simulator
 
 _CRASH, _RECOVER, _TIMER, _TICK, _DELIVER = range(5)
-# Module aliases: a global load costs a quarter of the enum attribute lookup.
-_TRUST, _SUSPECT = Verdict.TRUST, Verdict.SUSPECT
+_TRUST, _SUSPECT = Verdict.TRUST, Verdict.SUSPECT  # global loads, as in protocol
 
 
 class _ElectionNode(NfdlProcess):
     """``NfdlProcess`` behind the node interface; the leader broadcasts.
 
-    Its one deadline, grace or freshness, is filed under its own id, so
-    ``deliver`` hands back ``(changed, self_id, deadline)`` when a delivery
-    moved it.
+    Its one deadline, grace or freshness, is filed under its own id, the
+    key ``deliver`` hands back with it.
     """
 
     targets = None
@@ -721,8 +718,7 @@ class _MonitorNode:
     otherwise it watches at most one peer and outputs the verdict on it
     (None when it watches nobody).  Bit ``p`` of ``trusted`` is set iff the
     monitor of peer ``p`` trusts it.  Peer ``p``'s deadline is filed under
-    ``p``: ``deliver`` hands back ``(changed, sender, deadline)`` when a
-    delivery moved the sender's monitor's deadline.
+    ``p``.
     """
 
     def __init__(self, pid: int, config: ProtocolConfig, store, now: int,
@@ -789,8 +785,7 @@ class Simulator:
     :meth:`run` the per-process nodes stay inspectable via :attr:`nodes`
     (None for processes that ended the run crashed); under ``nfdl`` each
     node is an :class:`NfdlProcess`.  A delivery arms its timer from the
-    deadline that the node's ``deliver`` hands back, without asking the
-    node again.
+    deadline the node's ``deliver`` hands back.
     """
 
     def __init__(self, scenario: Scenario, store=None, sink=None):
