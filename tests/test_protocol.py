@@ -482,7 +482,7 @@ def test_transitions_match_the_reference_rules(eta, alpha, window_n, start, step
             assert (out.leader, out.changed) == ref.on_timer_fire(now)
             assert mon.on_timeout(now) is ref_mon.on_timeout(now)
         else:
-            # a send instant of the schedule, at or after the first label
+            # any instant from the first send label on
             now = start + eta + step[1]
             sent = proc.next_heartbeat(now)
             want = ref.next_heartbeat(now - start)
