@@ -13,7 +13,7 @@ import argparse
 import time
 from pathlib import Path
 
-from nfdl import qos
+from nfdl import qos, simnet
 from nfdl.experiments import REQUIREMENTS, accuracy_scenario, speed_scenario
 
 
@@ -33,7 +33,7 @@ def main() -> int:
     duration = int(args.accuracy_hours * 3_600_000)
     for rep in range(args.accuracy_reps):
         t0 = time.monotonic()
-        trace = qos.stream_run(
+        trace = simnet.stream_run(
             accuracy_scenario(args.seed + rep, duration=duration),
             args.out / f"accuracy_trace_{rep:03d}.log",
         )
@@ -49,7 +49,7 @@ def main() -> int:
         )
 
     t0 = time.monotonic()
-    trace = qos.stream_run(
+    trace = simnet.stream_run(
         speed_scenario(args.seed, cycles=args.speed_cycles),
         args.out / "speed_trace.log",
     )

@@ -2,55 +2,9 @@
 
 The package splits into protocol machinery (``protocol``, ``estimator``,
 ``stable_store``), a deterministic discrete-event simulator (``simnet``),
-metric extraction and configuration (``qos``), and a command-line front end
-(``cli``).
+metric extraction and configuration (``qos``), canned measurement
+scenarios (``experiments``) and a command-line front end (``cli``).
+
+The package root re-exports nothing and imports no module: import names
+from their module, as in ``from nfdl.qos import build_report``.
 """
-
-from .estimator import ArrivalWindow, freshness_point
-from .protocol import (
-    Heartbeat,
-    NfdeMonitor,
-    NfdlProcess,
-    Output,
-    ProtocolConfig,
-    Verdict,
-    naive_reduction_cost,
-    priority_greater,
-)
-from .qos import MetricsReport, QosRequirements, build_report, configure, quartiles
-from .simnet import (
-    EventTrace,
-    FaultEvent,
-    NetworkModel,
-    Scenario,
-    Simulator,
-    run,
-)
-from .stable_store import FileStore, MemoryStore, recover_seq
-
-__all__ = [
-    "ArrivalWindow",
-    "EventTrace",
-    "FaultEvent",
-    "FileStore",
-    "Heartbeat",
-    "MemoryStore",
-    "MetricsReport",
-    "NetworkModel",
-    "NfdeMonitor",
-    "NfdlProcess",
-    "Output",
-    "ProtocolConfig",
-    "QosRequirements",
-    "Scenario",
-    "Simulator",
-    "Verdict",
-    "build_report",
-    "configure",
-    "freshness_point",
-    "naive_reduction_cost",
-    "priority_greater",
-    "quartiles",
-    "recover_seq",
-    "run",
-]

@@ -91,16 +91,16 @@ def cmd_run(args) -> int:
         raise simnet.ScenarioError("reps", f"must be >= 1, got {args.reps}")
     # Check the last repetition's seed too before anything is written.
     replace(scenario, seed=scenario.seed + args.reps - 1).validate()
-    out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
     reqs = None
     if args.t_d_max_ms is not None:
         reqs = qos.QosRequirements(args.t_d_max_ms, args.t_mr_min_ms, args.t_m_max_ms)
+    out: Path = args.out
+    out.mkdir(parents=True, exist_ok=True)
     reports = []
     for rep in range(args.reps):
         rep_scenario = replace(scenario, seed=scenario.seed + rep)
         store = FileStore(args.state_dir) if args.state_dir else None
-        trace = qos.stream_run(rep_scenario, out / f"trace_{rep:03d}.log", store=store)
+        trace = simnet.stream_run(rep_scenario, out / f"trace_{rep:03d}.log", store=store)
         try:
             report = qos.build_report(trace)
         except qos.NoTrueLeaderError:

@@ -93,9 +93,7 @@ def measure_cost(
     """Steady-state sends per eta for both algorithms, with predictions."""
     if n < 2:
         raise ValueError(f"need at least 2 processes, got {n}")
-    network = NetworkModel(
-        loss_prob=0.0, delay_mean=5.0, delay_var=0.0, delay_dist="constant"
-    )
+    network = NetworkModel()
     settle = 3 * (config.eta + config.alpha)
     start = -(-settle // config.eta) * config.eta  # round up to the send grid
     periods = (duration - start) // config.eta - 1

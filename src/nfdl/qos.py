@@ -19,12 +19,12 @@ interpolation between order statistics).
 
 Scoring reads no events.  The simulator records every process's output
 history on the trace (``EventTrace.output_changes``), whether it keeps the
-event lines or hands them to a sink one send's batch at a time, as
-:func:`stream_run` does to write the trace file without holding them.
+event lines or streams them to a trace file (``simnet.stream_run``).
 :func:`output_timeline` keeps the leader outputs of that record, and
 :func:`score_monitor` sweeps each monitor's timeline once, merged with the
 leader's crashes and recoveries in the simulator's apply order, and yields
-all four metrics.
+all four metrics.  The module reads traces but never runs one, so it
+imports nothing from ``simnet`` at run time, nor numpy.
 
 The module also houses the requirements-driven configurator: it picks the
 largest send interval eta whose detection bound eta + alpha still meets the
@@ -35,12 +35,15 @@ the delay standard deviation.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .protocol import ProtocolConfig
-from .simnet import EventTrace, Scenario, Simulator, TraceWriter
-from .simnet import write_lines  # noqa: F401 (re-exported)
+
+if TYPE_CHECKING:
+    from .simnet import EventTrace, Scenario
 
 
 class InfeasibleRequirementsError(ValueError):
@@ -78,15 +81,6 @@ def output_timeline(trace: EventTrace) -> Timelines:
         pid: [(t, out) for t, out in changes if isinstance(out, int)]
         for pid, changes in trace.output_changes.items()
     }
-
-
-def stream_run(scenario: Scenario, trace_path: str | Path, store=None) -> EventTrace:
-    """Run ``scenario`` holding no event list: the event lines go to the
-    trace file at ``trace_path`` in one write per send's batch.  Returns
-    the trace: counters, output changes and final outputs, no events.  The
-    file appears only if the run succeeds."""
-    with TraceWriter(trace_path, scenario) as writer:
-        return Simulator(scenario, store=store, sink=writer.write).run()
 
 
 def _held_before(
@@ -162,12 +156,7 @@ def quartiles(samples: list[float]) -> tuple[float, float, float]:
 # Configurator
 
 
-def configure(
-    reqs: QosRequirements,
-    network,
-    margin_k: float = 8.0,
-    window_n: int = 100,
-) -> ProtocolConfig:
+def configure(reqs: QosRequirements, network, margin_k: float = 8.0) -> ProtocolConfig:
     """Derive (eta, alpha) from requirements and network behavior.
 
     Detection of a crashed leader is bounded by eta + alpha, so that sum is
@@ -183,7 +172,7 @@ def configure(
             f"the alpha floor {alpha_floor} ms "
             f"(= {margin_k} * sqrt(delay_var {network.delay_var}))"
         )
-    return ProtocolConfig(eta=eta, alpha=alpha_floor, window_n=window_n)
+    return ProtocolConfig(eta=eta, alpha=alpha_floor)
 
 
 def validate_config(
@@ -353,6 +342,14 @@ def build_report(trace: EventTrace, true_leader: int | None = None) -> MetricsRe
         ],
         sends_by_process=dict(sorted(trace.send_counts.items())),
     )
+
+
+def write_lines(lines: Iterable[str], path: str | Path) -> None:
+    """Write each of ``lines`` and a newline to ``path``, one line at a time,
+    so no copy of the whole text is ever held."""
+    with open(path, "w") as f:
+        for line in lines:
+            f.write(line + "\n")
 
 
 def _fmt(value) -> str:

@@ -85,9 +85,11 @@ time.  The default sink appends each batch to ``trace.event_batches``, so
 :meth:`Simulator.run` returns every line.  Any other sink receives the
 batches instead and the list stays empty, so a run holds no event list; the
 ``write`` method of :class:`TraceWriter` is the sink that writes the trace
-file.  The trace's counters, final outputs and ``output_changes``, each
-process's logged (time, output) pairs in log order, are filled in either
-way.  ``trace.events`` parses the kept lines back into :class:`TraceEvent`
+file, and :func:`stream_run` runs a scenario through it.  Scoring the trace
+is ``qos``'s work, which needs none of this module at run time.  The
+trace's counters, final outputs and ``output_changes``, each process's
+logged (time, output) pairs in log order, are filled in either way.
+``trace.events`` parses the kept lines back into :class:`TraceEvent`
 objects with :meth:`TraceEvent.parse`, for readers that want fields.
 """
 
@@ -98,7 +100,6 @@ import heapq
 import json
 import math
 import os
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from operator import index
 from pathlib import Path
@@ -157,38 +158,35 @@ class NetworkModel:
     delay_var: float = 0.0
     delay_dist: str = "constant"
 
-    def validate(self, fld: str = "network") -> None:
+    def validate(self) -> None:
         if not 0.0 <= self.loss_prob <= 1.0:
-            raise ScenarioError(f"{fld}.loss_prob", "must be within [0, 1]")
+            raise ScenarioError("network.loss_prob", "must be within [0, 1]")
         if not 0 <= self.delay_mean < math.inf:
-            raise ScenarioError(f"{fld}.delay_mean", "must be finite and >= 0")
+            raise ScenarioError("network.delay_mean", "must be finite and >= 0")
         if not 0 <= self.delay_var < math.inf:
-            raise ScenarioError(f"{fld}.delay_var", "must be finite and >= 0")
+            raise ScenarioError("network.delay_var", "must be finite and >= 0")
         if self.delay_dist not in DELAY_DISTS:
-            raise ScenarioError(
-                f"{fld}.delay_dist", f"must be one of {DELAY_DISTS}"
-            )
+            raise ScenarioError("network.delay_dist", f"must be one of {DELAY_DISTS}")
         if self.delay_dist == "constant" and self.delay_var != 0:
             raise ScenarioError(
-                f"{fld}.delay_var", "constant delay requires zero variance"
+                "network.delay_var", "constant delay requires zero variance"
             )
         if self.delay_dist == "uniform":
             half = math.sqrt(3.0 * self.delay_var)
             if self.delay_mean - half < 0 or not math.isfinite(self.delay_mean + half):
                 raise ScenarioError(
-                    f"{fld}.delay_var",
+                    "network.delay_var",
                     "uniform delay support must lie within [0, inf); "
                     "reduce variance or raise the mean",
                 )
         # One table entry per whole ms up to the largest delay sampled.
         if self.delay_mean + 0.5 >= MAX_DELAY_TABLE:
             raise ScenarioError(
-                f"{fld}.delay_mean",
-                f"delays must stay below {MAX_DELAY_TABLE} ms",
+                "network.delay_mean", f"delays must stay below {MAX_DELAY_TABLE} ms"
             )
         if _delay_bound(self) + 0.5 >= MAX_DELAY_TABLE:
             raise ScenarioError(
-                f"{fld}.delay_var",
+                "network.delay_var",
                 f"the delay law reaches beyond {MAX_DELAY_TABLE} ms; "
                 "reduce variance or the mean",
             )
@@ -579,14 +577,6 @@ class TraceEvent:
 
 _TEXT_FIELDS = frozenset({"verdict", "reason"})
 _INT_FIELDS = frozenset({"sender", "seq", "uptime", "receiver", "leader", "deadline"})
-
-
-def write_lines(lines: Iterable[str], path: str | Path) -> None:
-    """Write each of ``lines`` and a newline to ``path``, one line at a time,
-    so no copy of the whole text is ever held."""
-    with open(path, "w") as f:
-        for line in lines:
-            f.write(line + "\n")
 
 
 def _trace_header(scenario: Scenario) -> list[str]:
@@ -1026,3 +1016,12 @@ def _by_link(counts: list[int], n: int) -> dict[tuple[int, int], int]:
 def run(scenario: Scenario) -> EventTrace:
     """Run a scenario to completion and return its trace."""
     return Simulator(scenario).run()
+
+
+def stream_run(scenario: Scenario, trace_path: str | Path, store=None) -> EventTrace:
+    """Run ``scenario`` holding no event list: the event lines go to the
+    trace file at ``trace_path`` in one write per send's batch.  Returns
+    the trace: counters, output changes and final outputs, no events.  The
+    file appears only if the run succeeds."""
+    with TraceWriter(trace_path, scenario) as writer:
+        return Simulator(scenario, store=store, sink=writer.write).run()

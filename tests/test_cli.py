@@ -161,6 +161,14 @@ def test_run_checks_every_repetition_before_writing(tmp_path, capsys, flags, fie
     assert not out.exists()
 
 
+def test_run_checks_requirements_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli("run", "--duration-ms", "1000", "--t-d-max-ms", "-5", "--out", str(out))
+    assert code == 2
+    assert "error: t_d_max must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_state_dir_persists_zerotimes(tmp_path):
     out = tmp_path / "out"
     state = tmp_path / "state"

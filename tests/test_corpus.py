@@ -235,7 +235,7 @@ def test_streamed_run_matches_the_corpus(name, tmp_path):
     # the campaign use them, must give the in-memory trace's and report's
     # bytes.
     path = tmp_path / "trace.log"
-    trace = qos.stream_run(SCENARIOS[name](), path)
+    trace = simnet.stream_run(SCENARIOS[name](), path)
     assert trace.events == []
     trace_sha, csv_sha = EXPECTED[name]
     assert hashlib.sha256(path.read_bytes()).hexdigest() == trace_sha

@@ -367,6 +367,28 @@ def test_summary_leaves_numpy_ma_unimported():
     assert done.stdout == "[]\n"
 
 
+IMPORT_GRAPH = """
+import sys
+import nfdl
+print(sorted(m for m in sys.modules if m.startswith("nfdl.")))
+import nfdl.qos
+print(sorted(m for m in sys.modules if m == "nfdl.simnet" or m.split(".")[0] == "numpy"))
+"""
+
+
+def test_scoring_loads_neither_the_simulator_nor_numpy():
+    # Scoring reads a trace's recorded output history; it never runs the
+    # simulator, so importing it costs neither simnet nor numpy.  The package
+    # root re-exports nothing, so importing it loads no submodule.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", IMPORT_GRAPH], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n[]\n"
+
+
 # -- configurator -----------------------------------------------------------------
 
 
