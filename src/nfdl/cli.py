@@ -2,8 +2,9 @@
 
 Subcommands:
 
-* ``run`` - simulate a scenario (from a file or inline flags), write trace
-  files and metric CSVs, one repetition per seed offset.
+* ``run`` - simulate a scenario, from a file (``--scenario``) or from inline
+  flags but not both, write trace files and metric CSVs, one repetition per
+  seed offset.  Any requirement flag adds the reports' bound columns.
 * ``compare-cost`` - measure steady-state heartbeats per interval for the
   single-leader protocol and the all-pairs baseline against their analytic
   predictions.
@@ -27,31 +28,36 @@ from .protocol import ProtocolConfig
 from .stable_store import FileStore, StorageError
 
 
+_NET = simnet.NetworkModel()
+# The inline scenario flags' defaults.  On the command line each flag
+# defaults to None, so that one given beside --scenario is seen.
+_INLINE_DEFAULTS = {
+    "procs": 5, "eta_ms": experiments.ETA_MS, "alpha_ms": experiments.ALPHA_MS,
+    "window_n": simnet.schema_default(ProtocolConfig, "window_n"),
+    "loss_prob": _NET.loss_prob, "delay_mean_ms": _NET.delay_mean,
+    "delay_var_ms2": _NET.delay_var, "delay_dist": None, "seed": 0, "duration_ms": 60_000,
+    "algo": simnet.schema_default(simnet.Scenario, "algorithm"), "high_priority": None,
+}
+
+
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario", type=Path, help="scenario JSON file (overrides inline flags)")
-    p.add_argument("--procs", type=int, default=5, help="number of processes")
-    p.add_argument("--eta-ms", type=int, default=experiments.ETA_MS,
-                   help="heartbeat interval")
-    p.add_argument("--alpha-ms", type=int, default=experiments.ALPHA_MS,
-                   help="safety margin")
-    p.add_argument("--window-n", type=int, default=100, help="estimator window size")
-    p.add_argument("--loss-prob", type=float, default=0.0, help="per-message loss probability")
-    p.add_argument("--delay-mean-ms", type=float, default=5.0, help="mean link delay")
-    p.add_argument("--delay-var-ms2", type=float, default=0.0, help="link delay variance")
-    p.add_argument(
-        "--delay-dist", choices=simnet.DELAY_DISTS, default=None,
-        help="delay law (default: constant when variance is 0, else normal)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    p.add_argument("--duration-ms", type=int, default=60_000, help="simulated time")
-    p.add_argument(
-        "--algo", choices=("nfdl", "nfde-pair", "naive"), default="nfdl",
-        help="protocol to simulate",
-    )
-    p.add_argument(
-        "--high-priority", type=int, default=None, metavar="PID",
-        help="pin PID as a boosted leader that is re-elected right after recovery",
-    )
+    p.add_argument("--scenario", type=Path,
+                   help="scenario JSON file; cannot be combined with the flags below")
+    p.add_argument("--procs", type=int, help="number of processes")
+    p.add_argument("--eta-ms", type=int, help="heartbeat interval")
+    p.add_argument("--alpha-ms", type=int, help="safety margin")
+    p.add_argument("--window-n", type=int, help="estimator window size")
+    p.add_argument("--loss-prob", type=float, help="per-message loss probability")
+    p.add_argument("--delay-mean-ms", type=float, help="mean link delay")
+    p.add_argument("--delay-var-ms2", type=float, help="link delay variance")
+    p.add_argument("--delay-dist", choices=simnet.DELAY_DISTS,
+                   help="delay law (default: constant when variance is 0, else normal)")
+    p.add_argument("--seed", type=int, help="base RNG seed")
+    p.add_argument("--duration-ms", type=int, help="simulated time")
+    p.add_argument("--algo", choices=("nfdl", "nfde-pair", "naive"),
+                   help="protocol to simulate")
+    p.add_argument("--high-priority", type=int, metavar="PID",
+                   help="pin PID as a boosted leader, re-elected right after recovery")
 
 
 def _network_from_args(args, dist: str | None = None) -> simnet.NetworkModel:
@@ -68,10 +74,15 @@ def _network_from_args(args, dist: str | None = None) -> simnet.NetworkModel:
 
 
 def _scenario_from_args(args) -> simnet.Scenario:
+    given = [dest for dest in _INLINE_DEFAULTS if getattr(args, dest) is not None]
     if args.scenario is not None:
+        if given:
+            flag = "--" + given[0].replace("_", "-")
+            raise simnet.ScenarioError(flag, "cannot be combined with --scenario")
         if not args.scenario.exists():
             raise simnet.ScenarioError("scenario", f"no such file: {args.scenario}")
         return simnet.Scenario.load(args.scenario)
+    vars(args).update({d: v for d, v in _INLINE_DEFAULTS.items() if d not in given})
     scenario = simnet.Scenario(
         n_processes=args.procs,
         config=ProtocolConfig(args.eta_ms, args.alpha_ms, args.window_n),
@@ -91,9 +102,11 @@ def cmd_run(args) -> int:
         raise simnet.ScenarioError("reps", f"must be >= 1, got {args.reps}")
     # Check the last repetition's seed too before anything is written.
     replace(scenario, seed=scenario.seed + args.reps - 1).validate()
-    reqs = None
-    if args.t_d_max_ms is not None:
-        reqs = qos.QosRequirements(args.t_d_max_ms, args.t_mr_min_ms, args.t_m_max_ms)
+    # Any requirement flag adds the reports' bound columns; the suite's
+    # operating point supplies the requirements not given.
+    given = {k: getattr(args, f"{k}_ms") for k in experiments.REQUIREMENTS}
+    given = {k: v for k, v in given.items() if v is not None}
+    reqs = qos.QosRequirements(**{**experiments.REQUIREMENTS, **given}) if given else None
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     reports = []
@@ -181,10 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--state-dir", type=Path, default=None,
         help="persist zerotime records on disk instead of in memory",
     )
-    p_run.add_argument("--t-d-max-ms", type=int, default=None,
+    p_run.add_argument("--t-d-max-ms", type=int,
                        help="detection bound for report bound columns")
-    p_run.add_argument("--t-mr-min-ms", type=int, default=reqs["t_mr_min"])
-    p_run.add_argument("--t-m-max-ms", type=int, default=reqs["t_m_max"])
+    p_run.add_argument("--t-mr-min-ms", type=int)
+    p_run.add_argument("--t-m-max-ms", type=int)
     p_run.set_defaults(func=cmd_run)
 
     p_cost = sub.add_parser(
@@ -194,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cost.add_argument("--duration-ms", type=int, default=30_000)
     p_cost.add_argument("--eta-ms", type=int, default=experiments.ETA_MS)
     p_cost.add_argument("--alpha-ms", type=int, default=experiments.ALPHA_MS)
-    p_cost.add_argument("--window-n", type=int, default=100)
+    p_cost.add_argument("--window-n", type=int, default=_INLINE_DEFAULTS["window_n"])
     p_cost.add_argument("--seed", type=int, default=0)
     p_cost.set_defaults(func=cmd_compare_cost)
 
@@ -204,9 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cfg.add_argument("--t-d-max-ms", type=int, default=reqs["t_d_max"])
     p_cfg.add_argument("--t-mr-min-ms", type=int, default=reqs["t_mr_min"])
     p_cfg.add_argument("--t-m-max-ms", type=int, default=reqs["t_m_max"])
-    p_cfg.add_argument("--loss-prob", type=float, default=0.0)
-    p_cfg.add_argument("--delay-mean-ms", type=float, default=5.0)
-    p_cfg.add_argument("--delay-var-ms2", type=float, default=0.0)
+    p_cfg.add_argument("--loss-prob", type=float, default=_NET.loss_prob)
+    p_cfg.add_argument("--delay-mean-ms", type=float, default=_NET.delay_mean)
+    p_cfg.add_argument("--delay-var-ms2", type=float, default=_NET.delay_var)
     p_cfg.add_argument("--margin-k", type=float, default=8.0,
                        help="alpha floor in delay standard deviations")
     p_cfg.add_argument("--eta-ms", type=int, default=None,

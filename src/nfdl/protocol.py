@@ -48,14 +48,6 @@ class Heartbeat:
             raise ValueError(f"uptime must be >= 0, got {self.uptime}")
 
 
-class ConfigError(ValueError):
-    """A ``ProtocolConfig`` parameter is out of range; ``field`` names it."""
-
-    def __init__(self, fld: str, msg: str):
-        self.field = fld
-        super().__init__(f"{fld} {msg}")
-
-
 @dataclass(frozen=True, slots=True)
 class ProtocolConfig:
     """Timing parameters: send interval eta, safety margin alpha (both ms),
@@ -67,11 +59,11 @@ class ProtocolConfig:
 
     def __post_init__(self):
         if self.eta <= 0:
-            raise ConfigError("eta", f"must be positive, got {self.eta}")
+            raise ValueError(f"eta must be positive, got {self.eta}")
         if self.alpha < 0:
-            raise ConfigError("alpha", f"must be >= 0, got {self.alpha}")
+            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.window_n < 1:
-            raise ConfigError("window_n", f"must be >= 1, got {self.window_n}")
+            raise ValueError(f"window_n must be >= 1, got {self.window_n}")
 
 
 # Not frozen: a frozen slots dataclass pays object.__setattr__ once per field.

@@ -100,20 +100,14 @@ import heapq
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from operator import index
 from pathlib import Path
 
 import numpy as np
 
-from .protocol import (
-    ConfigError,
-    Heartbeat,
-    NfdeMonitor,
-    NfdlProcess,
-    ProtocolConfig,
-    Verdict,
-)
+from .protocol import Heartbeat, NfdeMonitor, NfdlProcess, ProtocolConfig, Verdict
 from .stable_store import MemoryStore, load_or_create_zerotime, next_send_time, send_label
 
 TRACE_FORMAT_VERSION = 3
@@ -134,11 +128,54 @@ PRIORITY_UPTIME_BOOST = 10**9
 
 
 class ScenarioError(ValueError):
-    """A scenario field failed validation; names the offending field."""
+    """A scenario field failed validation; names its file key path."""
 
     def __init__(self, fld: str, msg: str):
         self.field = fld
         super().__init__(f"{fld}: {msg}")
+
+
+_REQUIRED = object()
+
+
+@dataclass(frozen=True, slots=True)
+class _Field:
+    """One key of the scenario file and the dataclass attribute it sets.
+
+    ``kind`` is int, float or str, or the dataclass that the key's object
+    (with ``many``, each object of its list) loads into.  A number must lie
+    within [lo, hi]; a value with ``choices``, be one of them.  A key whose
+    default is not _REQUIRED is optional, and a None default admits null.
+    """
+
+    key: str
+    attr: str | None
+    kind: type
+    lo: float = -math.inf
+    hi: float = math.inf
+    choices: tuple = ()
+    default: object = _REQUIRED
+    many: bool = False
+
+    def read(self, path: str, value):
+        """The file's ``value`` at ``path``, checked; bools are not numbers."""
+        if self.kind in _SCHEMA:
+            if not self.many:
+                return _load(self.kind, value, path)
+            if not isinstance(value, list):
+                raise ScenarioError(path, "must be a list")
+            return tuple(_load(self.kind, v, f"{path}[{i}]") for i, v in enumerate(value))
+        if value is None and self.default is None:
+            return None
+        kinds = (int, float) if self.kind is float else self.kind
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ScenarioError(path, f"expected {self.kind.__name__}, got {value!r}")
+        if self.choices and value not in self.choices:
+            raise ScenarioError(path, f"must be one of {self.choices}, got {value!r}")
+        if not self.choices and not self.lo <= value <= self.hi:  # NaN fails too
+            bound = f"[{self.lo}, {self.hi}" + (")" if self.hi == math.inf else "]")
+            raise ScenarioError(path, f"must be within {bound}, got {value!r}")
+        return float(value) if self.kind is float else value
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,34 +196,28 @@ class NetworkModel:
     delay_dist: str = "constant"
 
     def validate(self) -> None:
-        if not 0.0 <= self.loss_prob <= 1.0:
-            raise ScenarioError("network.loss_prob", "must be within [0, 1]")
-        if not 0 <= self.delay_mean < math.inf:
-            raise ScenarioError("network.delay_mean", "must be finite and >= 0")
-        if not 0 <= self.delay_var < math.inf:
-            raise ScenarioError("network.delay_var", "must be finite and >= 0")
-        if self.delay_dist not in DELAY_DISTS:
-            raise ScenarioError("network.delay_dist", f"must be one of {DELAY_DISTS}")
+        """Check each value as the loader would, then the rules of the law."""
+        _load(NetworkModel, _dump(self), "network")
         if self.delay_dist == "constant" and self.delay_var != 0:
             raise ScenarioError(
-                "network.delay_var", "constant delay requires zero variance"
+                "network.delay_var_ms2", "constant delay requires zero variance"
             )
         if self.delay_dist == "uniform":
             half = math.sqrt(3.0 * self.delay_var)
             if self.delay_mean - half < 0 or not math.isfinite(self.delay_mean + half):
                 raise ScenarioError(
-                    "network.delay_var",
+                    "network.delay_var_ms2",
                     "uniform delay support must lie within [0, inf); "
                     "reduce variance or raise the mean",
                 )
         # One table entry per whole ms up to the largest delay sampled.
         if self.delay_mean + 0.5 >= MAX_DELAY_TABLE:
             raise ScenarioError(
-                "network.delay_mean", f"delays must stay below {MAX_DELAY_TABLE} ms"
+                "network.delay_mean_ms", f"delays must stay below {MAX_DELAY_TABLE} ms"
             )
         if _delay_bound(self) + 0.5 >= MAX_DELAY_TABLE:
             raise ScenarioError(
-                "network.delay_var",
+                "network.delay_var_ms2",
                 f"the delay law reaches beyond {MAX_DELAY_TABLE} ms; "
                 "reduce variance or the mean",
             )
@@ -213,44 +244,28 @@ class Scenario:
     high_priority: int | None = None
 
     def validate(self) -> None:
-        if self.n_processes < 2:
-            raise ScenarioError("n_processes", "must be >= 2")
-        if self.algorithm not in ALGORITHMS:
-            raise ScenarioError("algorithm", f"must be one of {ALGORITHMS}")
-        if self.algorithm == "nfde-pair" and self.n_processes != 2:
-            raise ScenarioError(
-                "n_processes", "nfde-pair is a two-process arrangement"
-            )
+        """Check each value as the loader would, then the cross-field rules."""
+        _load(Scenario, self.to_dict(), "")
         self.network.validate()
-        if self.duration < 1:
-            raise ScenarioError("duration", "must be >= 1 ms")
-        if not 0 <= self.seed < 2**64:
-            raise ScenarioError("seed", "must be within [0, 2**64)")
-        if self.high_priority is not None:
-            if self.algorithm != "nfdl":
-                raise ScenarioError(
-                    "high_priority", "only meaningful for the nfdl algorithm"
-                )
-            if not 0 <= self.high_priority < self.n_processes:
-                raise ScenarioError("high_priority", "not a valid process id")
+        if self.algorithm == "nfde-pair" and self.n_processes != 2:
+            raise ScenarioError("n_processes", "nfde-pair is a two-process arrangement")
+        if self.high_priority is not None and self.algorithm != "nfdl":
+            raise ScenarioError("high_priority", "only meaningful for the nfdl algorithm")
+        if self.high_priority is not None and self.high_priority >= self.n_processes:
+            raise ScenarioError("high_priority", "not a valid process id")
         # Walk the faults in apply order, naming each by its file position.
-        per_proc_down: dict[int, bool] = {}
+        down: set[int] = set()
         for i, f in self.fault_order():
             fld = f"faults[{i}]"
-            if f.kind not in ("crash", "recover"):
-                raise ScenarioError(f"{fld}.kind", "must be crash or recover")
-            if not 0 <= f.process < self.n_processes:
+            if f.process >= self.n_processes:
                 raise ScenarioError(f"{fld}.process", "not a valid process id")
-            if not 0 <= f.at < self.duration:
-                raise ScenarioError(
-                    f"{fld}.at", "fault times must fall inside [0, duration)"
-                )
-            down = per_proc_down.get(f.process, False)
-            if f.kind == "crash" and down:
-                raise ScenarioError(f"{fld}", "process is already crashed")
-            if f.kind == "recover" and not down:
-                raise ScenarioError(f"{fld}", "recover without a prior crash")
-            per_proc_down[f.process] = f.kind == "crash"
+            if f.at >= self.duration:
+                raise ScenarioError(f"{fld}.at_ms", "must be below duration_ms")
+            if f.kind == "crash" and f.process in down:
+                raise ScenarioError(fld, "process is already crashed")
+            if f.kind == "recover" and f.process not in down:
+                raise ScenarioError(fld, "recover without a prior crash")
+            down ^= {f.process}
 
     def fault_order(self) -> list[tuple[int, FaultEvent]]:
         """(file index, fault) pairs in the order the simulator applies them:
@@ -261,99 +276,11 @@ class Scenario:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "version": SCENARIO_SCHEMA_VERSION,
-            "n_processes": self.n_processes,
-            "algorithm": self.algorithm,
-            "config": {
-                "eta_ms": self.config.eta,
-                "alpha_ms": self.config.alpha,
-                "window_n": self.config.window_n,
-            },
-            "network": {
-                "loss_prob": self.network.loss_prob,
-                "delay_mean_ms": self.network.delay_mean,
-                "delay_var_ms2": self.network.delay_var,
-                "delay_dist": self.network.delay_dist,
-            },
-            "faults": [
-                {"at_ms": f.at, "process": f.process, "kind": f.kind}
-                for f in self.faults
-            ],
-            "duration_ms": self.duration,
-            "seed": self.seed,
-            "high_priority": self.high_priority,
-        }
+        return _dump(self)
 
     @staticmethod
     def from_dict(data: dict) -> "Scenario":
-        def need(mapping, key, fld, types):
-            if key not in mapping:
-                raise ScenarioError(fld, "missing required field")
-            value = mapping[key]
-            if not isinstance(value, types) or isinstance(value, bool):
-                raise ScenarioError(fld, f"expected {types}, got {value!r}")
-            return value
-
-        def real(mapping, key, fld):
-            value = need(mapping, key, fld, (int, float))
-            try:
-                return float(value)
-            except OverflowError:
-                raise ScenarioError(fld, f"out of range: {value!r}") from None
-
-        if not isinstance(data, dict):
-            raise ScenarioError("scenario", "top level must be an object")
-        version = data.get("version", SCENARIO_SCHEMA_VERSION)
-        if version != SCENARIO_SCHEMA_VERSION:
-            raise ScenarioError("version", f"unsupported schema version {version}")
-        cfg = need(data, "config", "config", dict)
-        net = need(data, "network", "network", dict)
-        eta = need(cfg, "eta_ms", "config.eta_ms", int)
-        alpha = need(cfg, "alpha_ms", "config.alpha_ms", int)
-        window_n = (
-            need(cfg, "window_n", "config.window_n", int) if "window_n" in cfg else 100
-        )
-        try:
-            config = ProtocolConfig(eta=eta, alpha=alpha, window_n=window_n)
-        except ConfigError as exc:
-            key = {"eta": "eta_ms", "alpha": "alpha_ms"}.get(exc.field, exc.field)
-            raise ScenarioError(f"config.{key}", str(exc)) from exc
-        network = NetworkModel(
-            loss_prob=real(net, "loss_prob", "network.loss_prob"),
-            delay_mean=real(net, "delay_mean_ms", "network.delay_mean_ms"),
-            delay_var=real(net, "delay_var_ms2", "network.delay_var_ms2"),
-            delay_dist=need(net, "delay_dist", "network.delay_dist", str),
-        )
-        faults = []
-        raw_faults = data.get("faults", [])
-        if not isinstance(raw_faults, list):
-            raise ScenarioError("faults", "must be a list")
-        for i, rf in enumerate(raw_faults):
-            fld = f"faults[{i}]"
-            if not isinstance(rf, dict):
-                raise ScenarioError(fld, "must be an object")
-            faults.append(
-                FaultEvent(
-                    at=need(rf, "at_ms", f"{fld}.at_ms", int),
-                    process=need(rf, "process", f"{fld}.process", int),
-                    kind=need(rf, "kind", f"{fld}.kind", str),
-                )
-            )
-        high_priority = data.get("high_priority")
-        if high_priority is not None:
-            need(data, "high_priority", "high_priority", int)
-        scenario = Scenario(
-            n_processes=need(data, "n_processes", "n_processes", int),
-            config=config,
-            network=network,
-            duration=need(data, "duration_ms", "duration_ms", int),
-            seed=need(data, "seed", "seed", int),
-            algorithm=need(data, "algorithm", "algorithm", str)
-            if "algorithm" in data else "nfdl",
-            faults=tuple(faults),
-            high_priority=high_priority,
-        )
+        scenario = _load(Scenario, data, "")
         scenario.validate()
         return scenario
 
@@ -367,6 +294,78 @@ class Scenario:
 
     def dump(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+
+
+# The scenario file schema: each dataclass's keys, in file order.  Rules
+# that join fields, such as a fault time below duration_ms, are validate()'s.
+_SCHEMA: dict[type, tuple[_Field, ...]] = {
+    Scenario: (
+        _Field("version", None, int, choices=(SCENARIO_SCHEMA_VERSION,),
+               default=SCENARIO_SCHEMA_VERSION),
+        _Field("n_processes", "n_processes", int, lo=2),
+        _Field("algorithm", "algorithm", str, choices=ALGORITHMS, default="nfdl"),
+        _Field("config", "config", ProtocolConfig),
+        _Field("network", "network", NetworkModel),
+        _Field("faults", "faults", FaultEvent, default=(), many=True),
+        _Field("duration_ms", "duration", int, lo=1),
+        _Field("seed", "seed", int, lo=0, hi=2**64 - 1),
+        _Field("high_priority", "high_priority", int, lo=0, default=None),
+    ),
+    ProtocolConfig: (
+        _Field("eta_ms", "eta", int, lo=1),
+        _Field("alpha_ms", "alpha", int, lo=0),
+        _Field("window_n", "window_n", int, lo=1, default=100),
+    ),
+    NetworkModel: (
+        _Field("loss_prob", "loss_prob", float, lo=0.0, hi=1.0),
+        _Field("delay_mean_ms", "delay_mean", float, lo=0.0, hi=sys.float_info.max),
+        _Field("delay_var_ms2", "delay_var", float, lo=0.0, hi=sys.float_info.max),
+        _Field("delay_dist", "delay_dist", str, choices=DELAY_DISTS),
+    ),
+    FaultEvent: (
+        _Field("at_ms", "at", int, lo=0),
+        _Field("process", "process", int, lo=0),
+        _Field("kind", "kind", str, choices=("crash", "recover")),
+    ),
+}
+
+
+def schema_default(cls: type, attr: str):
+    """The scenario file's default for ``cls``'s attribute ``attr``."""
+    return next(f.default for f in _SCHEMA[cls] if f.attr == attr)
+
+
+def _load(cls: type, data, path: str):
+    """A ``cls`` read from the file's object ``data`` at key path ``path``."""
+    if not isinstance(data, dict):
+        raise ScenarioError(path or "scenario", "must be an object")
+    prefix = f"{path}." if path else ""
+    known = {f.key for f in _SCHEMA[cls]}
+    for key in data:
+        if key not in known:
+            raise ScenarioError(f"{prefix}{key}", "unknown key")
+    kwargs = {}
+    for f in _SCHEMA[cls]:
+        if f.key in data:
+            value = f.read(prefix + f.key, data[f.key])
+        elif f.default is _REQUIRED:
+            raise ScenarioError(prefix + f.key, "missing required field")
+        else:
+            value = f.default
+        if f.attr is not None:
+            kwargs[f.attr] = value
+    return cls(**kwargs)
+
+
+def _dump(obj) -> dict:
+    """The file's object for ``obj``: every key of its schema, in order."""
+    out = {}
+    for f in _SCHEMA[type(obj)]:
+        value = f.default if f.attr is None else getattr(obj, f.attr)
+        if f.kind in _SCHEMA:
+            value = [_dump(v) for v in value] if f.many else _dump(value)
+        out[f.key] = value
+    return out
 
 
 # ---------------------------------------------------------------------------

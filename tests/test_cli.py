@@ -51,26 +51,54 @@ def test_run_artifacts_are_byte_identical_across_invocations(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+SCENARIO_FILE = {
+    "version": 1,
+    "n_processes": 3,
+    "algorithm": "nfdl",
+    "config": {"eta_ms": 330, "alpha_ms": 670, "window_n": 100},
+    "network": {
+        "loss_prob": 0.0, "delay_mean_ms": 5.0, "delay_var_ms2": 0.0,
+        "delay_dist": "constant",
+    },
+    "faults": [],
+    "duration_ms": 10000,
+    "seed": 5,
+    "high_priority": 1,
+}
+
+
 def test_run_accepts_a_scenario_file(tmp_path):
     out = tmp_path / "out"
     scenario_path = tmp_path / "scenario.json"
-    data = {
-        "version": 1,
-        "n_processes": 3,
-        "algorithm": "nfdl",
-        "config": {"eta_ms": 330, "alpha_ms": 670, "window_n": 100},
-        "network": {
-            "loss_prob": 0.0, "delay_mean_ms": 5.0, "delay_var_ms2": 0.0,
-            "delay_dist": "constant",
-        },
-        "faults": [],
-        "duration_ms": 10000,
-        "seed": 5,
-        "high_priority": 1,
-    }
-    scenario_path.write_text(json.dumps(data))
-    assert run_cli("run", "--scenario", str(scenario_path), "--out", str(out)) == 0
-    assert (out / "trace_000.log").exists()
+    scenario_path.write_text(json.dumps(SCENARIO_FILE))
+    # None of these flags is a scenario flag.
+    assert run_cli(
+        "run", "--scenario", str(scenario_path), "--out", str(out), "--reps", "2",
+        "--format", "csv", "--state-dir", str(tmp_path / "state"), "--t-d-max-ms", "900",
+    ) == 0
+    assert (out / "trace_001.log").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--procs", "9", "--algo", "naive"],
+    ["--algo", "naive"],
+    ["--seed", "5"],
+    ["--duration-ms", "2000"],
+    ["--window-n", "100"],
+    ["--delay-dist", "constant"],
+    ["--high-priority", "1"],
+], ids=lambda flags: flags[0])
+def test_run_rejects_scenario_flags_beside_a_scenario_file(tmp_path, capsys, flags):
+    # The file describes the whole scenario, so a flag given beside it,
+    # even at the file's own value, would be dropped without a word.
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(SCENARIO_FILE))
+    out = tmp_path / "out"
+    code = run_cli("run", "--scenario", str(scenario_path), *flags, "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {flags[0]}: cannot be combined with --scenario\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -161,12 +189,30 @@ def test_run_checks_every_repetition_before_writing(tmp_path, capsys, flags, fie
     assert not out.exists()
 
 
-def test_run_checks_requirements_before_writing(tmp_path, capsys):
+@pytest.mark.parametrize("flag, name", [
+    ("--t-d-max-ms", "t_d_max"),
+    ("--t-mr-min-ms", "t_mr_min"),
+    ("--t-m-max-ms", "t_m_max"),
+])
+def test_run_checks_requirements_before_writing(tmp_path, capsys, flag, name):
     out = tmp_path / "out"
-    code = run_cli("run", "--duration-ms", "1000", "--t-d-max-ms", "-5", "--out", str(out))
+    code = run_cli("run", "--duration-ms", "1000", flag, "-5", "--out", str(out))
     assert code == 2
-    assert "error: t_d_max must be positive" in capsys.readouterr().err
+    assert f"error: {name} must be positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_any_requirement_flag_adds_the_bound_columns(tmp_path):
+    def summary(*flags):
+        out = tmp_path / "_".join(flags or ("none",))
+        args = ("--duration-ms", "20000", "--high-priority", "0", "--out", str(out))
+        assert run_cli("run", *args, *flags) == 0
+        return (out / "summary.csv").read_text().splitlines()
+
+    # detection_time_ms's bound is t_d_max; the others take their defaults.
+    assert summary()[3].endswith(",")
+    assert summary("--t-m-max-ms", "700")[3].endswith(",1000")
+    assert summary("--t-m-max-ms", "700")[2].endswith(",700")
 
 
 def test_state_dir_persists_zerotimes(tmp_path):

@@ -1,13 +1,14 @@
 import heapq
 import json
 import math
+import re
 import tracemalloc
 import types
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nfdl import simnet
@@ -139,10 +140,16 @@ def test_scenario_load_rejects_a_bool_high_priority():
         ("config", "alpha_ms", -1, "config.alpha_ms"),
         ("config", "window_n", 0, "config.window_n"),
         ("network", "delay_var_ms2", 2.0e10, "network.delay_var"),
+        (None, "version", True, "version"),
+        (None, "version", 1.0, "version"),
+        (None, "duration", 5, "duration"),
+        ("config", "window_N", 50, "config.window_N"),
+        ("network", "los_prob", 0.5, "network.los_prob"),
     ],
     ids=["nan-mean", "nan-var", "inf-mean", "huge-loss", "str-window", "bool-window",
          "list-algorithm", "negative-seed", "seed-2**64", "zero-eta", "negative-alpha",
-         "zero-window", "oversized-normal"],
+         "zero-window", "oversized-normal", "bool-version", "float-version",
+         "unknown-top", "unknown-config", "unknown-network"],
 )
 def test_scenario_load_rejects_bad_values(section, key, value, field):
     data = scenario(network=LOSSY).to_dict()
@@ -189,14 +196,64 @@ def mangled_scenarios(draw):
     return data
 
 
+def key_paths(value, path=""):
+    """Every key path in a JSON value, as ScenarioError names fields."""
+    if isinstance(value, dict):
+        items = ((f"{path}.{k}" if path else str(k), v) for k, v in value.items())
+    elif isinstance(value, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return
+    for p, v in items:
+        yield p
+        yield from key_paths(v, p)
+
+
+def any_fault(path):
+    return re.sub(r"^faults\[\d+\]", "faults[0]", path)
+
+
+# The key paths of a scenario file, fault indices folded to 0; "scenario"
+# names the file as a whole.
+SCHEMA_PATHS = {"scenario"} | {
+    any_fault(p) for p in key_paths(scenario(faults=(FaultEvent(1, 1, "crash"),)).to_dict())
+}
+
+
 @given(st.one_of(mangled_scenarios(), JSON_VALUES))
 @settings(max_examples=300, deadline=None)
 def test_scenario_from_dict_raises_only_scenario_error(data):
     try:
         sc = Scenario.from_dict(data)
-    except ScenarioError:
+    except ScenarioError as err:
+        # A key outside the schema is named by its path in the input; any
+        # other error names a key path of the schema.
+        if str(err).endswith(": unknown key"):
+            assert err.field in set(key_paths(data))
+        else:
+            assert any_fault(err.field) in SCHEMA_PATHS
         return
     assert Scenario.from_dict(sc.to_dict()) == sc
+
+
+@given(
+    st.sampled_from(["", "config", "network", "faults[0]", "faults[1]"]),
+    st.text(max_size=8),
+    JSON_VALUES,
+)
+@settings(max_examples=200, deadline=None)
+def test_an_unknown_key_is_named_by_its_path(level, key, value):
+    data = scenario(
+        faults=(FaultEvent(1000, 2, "crash"), FaultEvent(5000, 2, "recover")),
+        network=LOSSY,
+    ).to_dict()
+    target = {"": data, "config": data["config"], "network": data["network"],
+              "faults[0]": data["faults"][0], "faults[1]": data["faults"][1]}[level]
+    assume(key not in target)
+    target[key] = value
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict(data)
+    assert err.value.field == (f"{level}.{key}" if level else key)
 
 
 def test_scenario_load_rejects_non_json(tmp_path):
