@@ -189,12 +189,19 @@ def test_run_checks_every_repetition_before_writing(tmp_path, capsys, flags, fie
     assert not out.exists()
 
 
+def test_run_checks_requirements_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli("run", "--duration-ms", "1000", "--t-d-max-ms", "-5", "--out", str(out))
+    assert code == 2
+    assert "error: t_d_max must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, name", [
-    ("--t-d-max-ms", "t_d_max"),
     ("--t-mr-min-ms", "t_mr_min"),
     ("--t-m-max-ms", "t_m_max"),
 ])
-def test_run_checks_requirements_before_writing(tmp_path, capsys, flag, name):
+def test_run_checks_each_requirement_flag_alone(tmp_path, capsys, flag, name):
     out = tmp_path / "out"
     code = run_cli("run", "--duration-ms", "1000", flag, "-5", "--out", str(out))
     assert code == 2
