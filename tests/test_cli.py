@@ -104,9 +104,9 @@ def test_run_rejects_scenario_flags_beside_a_scenario_file(tmp_path, capsys, fla
 @pytest.mark.parametrize(
     "section,key,value,field",
     [
-        ("network", "delay_mean_ms", float("nan"), "network.delay_mean"),
-        ("network", "delay_var_ms2", float("nan"), "network.delay_var"),
-        ("network", "delay_mean_ms", float("inf"), "network.delay_mean"),
+        ("network", "delay_mean_ms", float("nan"), "network.delay_mean_ms"),
+        ("network", "delay_var_ms2", float("nan"), "network.delay_var_ms2"),
+        ("network", "delay_mean_ms", float("inf"), "network.delay_mean_ms"),
         ("config", "window_n", "x", "config.window_n"),
         ("config", "window_n", True, "config.window_n"),
         (None, "seed", -5, "seed"),
@@ -114,7 +114,7 @@ def test_run_rejects_scenario_flags_beside_a_scenario_file(tmp_path, capsys, fla
         ("config", "eta_ms", 0, "config.eta_ms"),
         ("config", "alpha_ms", -1, "config.alpha_ms"),
         ("config", "window_n", 0, "config.window_n"),
-        ("network", "delay_var_ms2", 2.0e10, "network.delay_var"),
+        ("network", "delay_var_ms2", 2.0e10, "network.delay_var_ms2"),
     ],
     ids=["nan-mean", "nan-var", "inf-mean", "str-window", "bool-window",
          "negative-seed", "seed-2**64", "zero-eta", "negative-alpha", "zero-window",
@@ -158,7 +158,7 @@ def test_run_rejects_an_oversized_uniform_law_with_exit_2(tmp_path, capsys):
     scenario_path.write_text(json.dumps(data))
     out = tmp_path / "out"
     assert run_cli("run", "--scenario", str(scenario_path), "--out", str(out)) == 2
-    assert "error: network.delay_var:" in capsys.readouterr().err
+    assert "error: network.delay_var_ms2:" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -321,10 +321,13 @@ def test_configure_infeasible_requirements(capsys):
 
 
 @pytest.mark.parametrize("flag, value, field", [
-    ("--delay-var-ms2", "inf", "delay_var"),
-    ("--delay-var-ms2", "-1", "delay_var"),
+    pytest.param("--delay-var-ms2", "inf", "delay_var_ms2",
+                 id="--delay-var-ms2-inf-delay_var"),
+    pytest.param("--delay-var-ms2", "-1", "delay_var_ms2",
+                 id="--delay-var-ms2--1-delay_var"),
     ("--loss-prob", "7", "loss_prob"),
-    ("--delay-mean-ms", "-5", "delay_mean"),
+    pytest.param("--delay-mean-ms", "-5", "delay_mean_ms",
+                 id="--delay-mean-ms--5-delay_mean"),
 ])
 def test_configure_rejects_a_malformed_network(capsys, flag, value, field):
     assert run_cli("configure", flag, value) == 2

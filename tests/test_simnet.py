@@ -62,20 +62,23 @@ def scenario(**overrides):
         (dict(n_processes=1), "n_processes"),
         (dict(algorithm="gossip"), "algorithm"),
         (dict(algorithm="nfde-pair", n_processes=5), "n_processes"),
-        (dict(duration=0), "duration"),
+        pytest.param(dict(duration=0), "duration_ms", id="overrides3-duration"),
         (dict(high_priority=9), "high_priority"),
         (dict(algorithm="naive-reduction", high_priority=1), "high_priority"),
-        (dict(faults=(FaultEvent(30_000, 1, "crash"),)), "faults[0].at"),
+        pytest.param(dict(faults=(FaultEvent(30_000, 1, "crash"),)), "faults[0].at_ms",
+                     id="overrides6-faults[0].at"),
         (dict(faults=(FaultEvent(100, 1, "recover"),)), "faults[0]"),
         (
             dict(faults=(FaultEvent(100, 1, "crash"), FaultEvent(200, 1, "crash"))),
             "faults[1]",
         ),
         (dict(network=NetworkModel(loss_prob=1.5)), "network.loss_prob"),
-        (dict(network=NetworkModel(delay_var=4.0, delay_dist="constant")),
-         "network.delay_var"),
-        (dict(network=NetworkModel(delay_mean=1.0, delay_var=25.0, delay_dist="uniform")),
-         "network.delay_var"),
+        pytest.param(dict(network=NetworkModel(delay_var=4.0, delay_dist="constant")),
+                     "network.delay_var_ms2", id="overrides10-network.delay_var"),
+        pytest.param(
+            dict(network=NetworkModel(delay_mean=1.0, delay_var=25.0, delay_dist="uniform")),
+            "network.delay_var_ms2", id="overrides11-network.delay_var",
+        ),
         # faults are checked in the order the simulator applies them and
         # named by their position in the file
         (
@@ -127,9 +130,9 @@ def test_scenario_load_rejects_a_bool_high_priority():
 @pytest.mark.parametrize(
     "section,key,value,field",
     [
-        ("network", "delay_mean_ms", math.nan, "network.delay_mean"),
-        ("network", "delay_var_ms2", math.nan, "network.delay_var"),
-        ("network", "delay_mean_ms", math.inf, "network.delay_mean"),
+        ("network", "delay_mean_ms", math.nan, "network.delay_mean_ms"),
+        ("network", "delay_var_ms2", math.nan, "network.delay_var_ms2"),
+        ("network", "delay_mean_ms", math.inf, "network.delay_mean_ms"),
         ("network", "loss_prob", 10**400, "network.loss_prob"),
         ("config", "window_n", "x", "config.window_n"),
         ("config", "window_n", True, "config.window_n"),
@@ -139,7 +142,7 @@ def test_scenario_load_rejects_a_bool_high_priority():
         ("config", "eta_ms", 0, "config.eta_ms"),
         ("config", "alpha_ms", -1, "config.alpha_ms"),
         ("config", "window_n", 0, "config.window_n"),
-        ("network", "delay_var_ms2", 2.0e10, "network.delay_var"),
+        ("network", "delay_var_ms2", 2.0e10, "network.delay_var_ms2"),
         (None, "version", True, "version"),
         (None, "version", 1.0, "version"),
         (None, "duration", 5, "duration"),
@@ -527,8 +530,8 @@ def test_sampled_delays_follow_the_table(name):
 
 
 @pytest.mark.parametrize("mean,var,dist,field", [
-    (6.0e5, 1.2e11, "uniform", "network.delay_var"),
-    (2.0e6, 0.0, "constant", "network.delay_mean"),
+    (6.0e5, 1.2e11, "uniform", "network.delay_var_ms2"),
+    (2.0e6, 0.0, "constant", "network.delay_mean_ms"),
 ], ids=["uniform", "constant"])
 def test_oversized_delay_tables_fail_validation(mean, var, dist, field):
     # The normal case is "oversized-normal" in test_scenario_load_rejects_bad_values.
