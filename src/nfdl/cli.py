@@ -2,9 +2,8 @@
 
 Subcommands:
 
-* ``run`` - simulate a scenario, from a file (``--scenario``) or from inline
-  flags but not both, write trace files and metric CSVs, one repetition per
-  seed offset.  Any requirement flag adds the reports' bound columns.
+* ``run`` - simulate a scenario from a file or from inline flags, never both;
+  write trace files and metric CSVs, one repetition per seed offset.
 * ``compare-cost`` - measure steady-state heartbeats per interval for the
   single-leader protocol and the all-pairs baseline against their analytic
   predictions.
@@ -60,11 +59,10 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
                    help="pin PID as a boosted leader, re-elected right after recovery")
 
 
-def _network_from_args(args, dist: str | None = None) -> simnet.NetworkModel:
-    """The network of the link flags, unvalidated; the delay law is ``dist``,
-    by default constant when the variance is 0, else normal."""
-    if dist is None:
-        dist = "constant" if args.delay_var_ms2 == 0 else "normal"
+def _network_from_args(args) -> simnet.NetworkModel:
+    """The network of the link flags, unvalidated; the delay law is
+    ``--delay-dist``, by default constant when the variance is 0, else normal."""
+    dist = args.delay_dist or ("constant" if args.delay_var_ms2 == 0 else "normal")
     return simnet.NetworkModel(
         loss_prob=args.loss_prob,
         delay_mean=args.delay_mean_ms,
@@ -86,7 +84,7 @@ def _scenario_from_args(args) -> simnet.Scenario:
     scenario = simnet.Scenario(
         n_processes=args.procs,
         config=ProtocolConfig(args.eta_ms, args.alpha_ms, args.window_n),
-        network=_network_from_args(args, args.delay_dist),
+        network=_network_from_args(args),
         duration=args.duration_ms,
         seed=args.seed,
         algorithm={"naive": "naive-reduction"}.get(args.algo, args.algo),
@@ -226,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="validation mode: audit this eta instead of deriving")
     p_cfg.add_argument("--alpha-ms", type=int, default=None,
                        help="validation mode: audit this alpha instead of deriving")
-    p_cfg.set_defaults(func=cmd_configure)
+    p_cfg.set_defaults(func=cmd_configure, delay_dist=None)
     return parser
 
 

@@ -140,13 +140,11 @@ _REQUIRED = object()
 
 @dataclass(frozen=True, slots=True)
 class _Field:
-    """One key of the scenario file and the dataclass attribute it sets.
-
-    ``kind`` is int, float or str, or the dataclass that the key's object
-    (with ``many``, each object of its list) loads into.  A number must lie
-    within [lo, hi]; a value with ``choices``, be one of them.  A key whose
-    default is not _REQUIRED is optional, and a None default admits null.
-    """
+    """One scenario file key and the dataclass attribute it sets.  ``kind`` is
+    int, float or str, or the dataclass that the key's object (each object of
+    its list, with ``many``) loads into.  A number lies in [lo, hi] and a value
+    with ``choices`` is one of them.  A missing key reads its default, which a
+    _REQUIRED key lacks; a None default admits null."""
 
     key: str
     attr: str | None
@@ -159,6 +157,8 @@ class _Field:
 
     def read(self, path: str, value):
         """The file's ``value`` at ``path``, checked; bools are not numbers."""
+        if value is _REQUIRED:
+            raise ScenarioError(path, "missing required field")
         if self.kind in _SCHEMA:
             if not self.many:
                 return _load(self.kind, value, path)
@@ -306,7 +306,7 @@ _SCHEMA: dict[type, tuple[_Field, ...]] = {
         _Field("algorithm", "algorithm", str, choices=ALGORITHMS, default="nfdl"),
         _Field("config", "config", ProtocolConfig),
         _Field("network", "network", NetworkModel),
-        _Field("faults", "faults", FaultEvent, default=(), many=True),
+        _Field("faults", "faults", FaultEvent, default=[], many=True),
         _Field("duration_ms", "duration", int, lo=1),
         _Field("seed", "seed", int, lo=0, hi=2**64 - 1),
         _Field("high_priority", "high_priority", int, lo=0, default=None),
@@ -344,16 +344,10 @@ def _load(cls: type, data, path: str):
     for key in data:
         if key not in known:
             raise ScenarioError(f"{prefix}{key}", "unknown key")
-    kwargs = {}
-    for f in _SCHEMA[cls]:
-        if f.key in data:
-            value = f.read(prefix + f.key, data[f.key])
-        elif f.default is _REQUIRED:
-            raise ScenarioError(prefix + f.key, "missing required field")
-        else:
-            value = f.default
-        if f.attr is not None:
-            kwargs[f.attr] = value
+    kwargs = {
+        f.attr: f.read(prefix + f.key, data.get(f.key, f.default)) for f in _SCHEMA[cls]
+    }
+    kwargs.pop(None, None)  # the schema version, which sets no attribute
     return cls(**kwargs)
 
 
