@@ -170,11 +170,11 @@ class _Field:
         kinds = (int, float) if self.kind is float else self.kind
         if isinstance(value, bool) or not isinstance(value, kinds):
             raise ScenarioError(path, f"expected {self.kind.__name__}, got {value!r}")
-        if self.choices and value not in self.choices:
-            raise ScenarioError(path, f"must be one of {self.choices}, got {value!r}")
-        if not self.choices and not self.lo <= value <= self.hi:  # NaN fails too
-            bound = f"[{self.lo}, {self.hi}" + (")" if self.hi == math.inf else "]")
-            raise ScenarioError(path, f"must be within {bound}, got {value!r}")
+        if self.choices:
+            if value not in self.choices:
+                raise ScenarioError(path, f"must be one of {self.choices}, got {value!r}")
+        elif not self.lo <= value <= self.hi:  # NaN fails too
+            raise ScenarioError(path, f"must be within [{self.lo}, {self.hi}], got {value!r}")
         return float(value) if self.kind is float else value
 
 
@@ -254,7 +254,7 @@ class Scenario:
         if self.high_priority is not None and self.high_priority >= self.n_processes:
             raise ScenarioError("high_priority", "not a valid process id")
         # Walk the faults in apply order, naming each by its file position.
-        down: set[int] = set()
+        down = set()
         for i, f in self.fault_order():
             fld = f"faults[{i}]"
             if f.process >= self.n_processes:
@@ -298,7 +298,7 @@ class Scenario:
 
 # The scenario file schema: each dataclass's keys, in file order.  Rules
 # that join fields, such as a fault time below duration_ms, are validate()'s.
-_SCHEMA: dict[type, tuple[_Field, ...]] = {
+_SCHEMA = {
     Scenario: (
         _Field("version", None, int, choices=(SCENARIO_SCHEMA_VERSION,),
                default=SCENARIO_SCHEMA_VERSION),
