@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="validation mode: audit this eta instead of deriving")
     p_cfg.add_argument("--alpha-ms", type=int, default=None,
                        help="validation mode: audit this alpha instead of deriving")
-    p_cfg.set_defaults(func=cmd_configure, delay_dist=None)
+    p_cfg.set_defaults(func=cmd_configure, delay_dist=None)  # the law follows the variance
     return parser
 
 
