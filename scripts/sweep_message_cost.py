@@ -7,10 +7,12 @@ broadcast per interval regardless of size) and the all-pairs reduction
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from nfdl.experiments import ALPHA_MS, ETA_MS, measure_cost
 from nfdl.protocol import ProtocolConfig
+from nfdl.simnet import ScenarioError, load
 
 
 def main() -> int:
@@ -23,7 +25,8 @@ def main() -> int:
     parser.add_argument("--out", type=Path, default=Path("out/message_cost.csv"))
     args = parser.parse_args()
 
-    config = ProtocolConfig(args.eta_ms, args.alpha_ms)
+    # Read as a scenario file's keys, so that an error names the key.
+    config = load(ProtocolConfig, {"eta_ms": args.eta_ms, "alpha_ms": args.alpha_ms}, "config")
     lines = ["algorithm,procs,predicted_per_eta,measured_per_eta"]
     print(f"{'algorithm':<18}{'procs':>6}{'predicted/eta':>15}{'measured/eta':>14}")
     for n in range(args.min_procs, args.max_procs + 1):
@@ -43,4 +46,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        raise SystemExit(main())
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)

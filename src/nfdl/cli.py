@@ -28,14 +28,14 @@ from .stable_store import FileStore, StorageError
 
 
 _NET = simnet.NetworkModel()
-# The inline scenario flags' defaults.  On the command line each flag
-# defaults to None, so that one given beside --scenario is seen.
+# The inline scenario flags' defaults; None leaves the file key's own.  On
+# the command line each flag defaults to None, so that one given beside
+# --scenario is seen.
 _INLINE_DEFAULTS = {
     "procs": 5, "eta_ms": experiments.ETA_MS, "alpha_ms": experiments.ALPHA_MS,
-    "window_n": simnet.schema_default(ProtocolConfig, "window_n"),
-    "loss_prob": _NET.loss_prob, "delay_mean_ms": _NET.delay_mean,
+    "window_n": None, "loss_prob": _NET.loss_prob, "delay_mean_ms": _NET.delay_mean,
     "delay_var_ms2": _NET.delay_var, "delay_dist": None, "seed": 0, "duration_ms": 60_000,
-    "algo": simnet.schema_default(simnet.Scenario, "algorithm"), "high_priority": None,
+    "algo": None, "high_priority": None,
 }
 
 
@@ -59,16 +59,21 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
                    help="pin PID as a boosted leader, re-elected right after recovery")
 
 
-def _network_from_args(args) -> simnet.NetworkModel:
-    """The network of the link flags, unvalidated; the delay law is
+def _keys(**keys) -> dict:
+    """A file object of the flags' keys; a None value leaves its key out."""
+    return {key: value for key, value in keys.items() if value is not None}
+
+
+def _config_keys(args) -> dict:
+    return _keys(eta_ms=args.eta_ms, alpha_ms=args.alpha_ms, window_n=args.window_n)
+
+
+def _network_keys(args) -> dict:
+    """The file's network object of the link flags; the delay law is
     ``--delay-dist``, by default constant when the variance is 0, else normal."""
     dist = args.delay_dist or ("constant" if args.delay_var_ms2 == 0 else "normal")
-    return simnet.NetworkModel(
-        loss_prob=args.loss_prob,
-        delay_mean=args.delay_mean_ms,
-        delay_var=args.delay_var_ms2,
-        delay_dist=dist,
-    )
+    return {"loss_prob": args.loss_prob, "delay_mean_ms": args.delay_mean_ms,
+            "delay_var_ms2": args.delay_var_ms2, "delay_dist": dist}
 
 
 def _scenario_from_args(args) -> simnet.Scenario:
@@ -81,17 +86,13 @@ def _scenario_from_args(args) -> simnet.Scenario:
             raise simnet.ScenarioError("scenario", f"no such file: {args.scenario}")
         return simnet.Scenario.load(args.scenario)
     vars(args).update({d: v for d, v in _INLINE_DEFAULTS.items() if d not in given})
-    scenario = simnet.Scenario(
-        n_processes=args.procs,
-        config=ProtocolConfig(args.eta_ms, args.alpha_ms, args.window_n),
-        network=_network_from_args(args),
-        duration=args.duration_ms,
-        seed=args.seed,
-        algorithm={"naive": "naive-reduction"}.get(args.algo, args.algo),
+    # Read as a file's keys, so that an error names the key.
+    algo = {"naive": "naive-reduction"}.get(args.algo, args.algo)
+    return simnet.Scenario.from_dict(_keys(
+        n_processes=args.procs, algorithm=algo, config=_config_keys(args),
+        network=_network_keys(args), duration_ms=args.duration_ms, seed=args.seed,
         high_priority=args.high_priority,
-    )
-    scenario.validate()
-    return scenario
+    ))
 
 
 def cmd_run(args) -> int:
@@ -105,12 +106,13 @@ def cmd_run(args) -> int:
     given = {k: getattr(args, f"{k}_ms") for k in experiments.REQUIREMENTS}
     given = {k: v for k, v in given.items() if v is not None}
     reqs = qos.QosRequirements(**{**experiments.REQUIREMENTS, **given}) if given else None
+    # The repetitions share one state dir, opened before --out is made.
+    store = FileStore(args.state_dir) if args.state_dir else None
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     reports = []
     for rep in range(args.reps):
         rep_scenario = replace(scenario, seed=scenario.seed + rep)
-        store = FileStore(args.state_dir) if args.state_dir else None
         trace = simnet.stream_run(rep_scenario, out / f"trace_{rep:03d}.log", store=store)
         try:
             report = qos.build_report(trace)
@@ -132,7 +134,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare_cost(args) -> int:
-    config = ProtocolConfig(args.eta_ms, args.alpha_ms, args.window_n)
+    config = simnet.load(ProtocolConfig, _config_keys(args), "config")
     rows = experiments.measure_cost(args.procs, args.duration_ms, config, args.seed)
     print(f"{'algorithm':<18}{'procs':>6}{'predicted/eta':>15}{'measured/eta':>14}")
     for row in rows:
@@ -145,8 +147,7 @@ def cmd_compare_cost(args) -> int:
 
 def cmd_configure(args) -> int:
     reqs = qos.QosRequirements(args.t_d_max_ms, args.t_mr_min_ms, args.t_m_max_ms)
-    network = _network_from_args(args)
-    network.validate()
+    network = simnet.load(simnet.NetworkModel, _network_keys(args), "network")
     if not 0 <= args.margin_k < math.inf:
         raise simnet.ScenarioError(
             "--margin-k", f"must be finite and >= 0, got {args.margin_k}"
@@ -205,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cost.add_argument("--duration-ms", type=int, default=30_000)
     p_cost.add_argument("--eta-ms", type=int, default=experiments.ETA_MS)
     p_cost.add_argument("--alpha-ms", type=int, default=experiments.ALPHA_MS)
-    p_cost.add_argument("--window-n", type=int, default=_INLINE_DEFAULTS["window_n"])
+    p_cost.add_argument("--window-n", type=int)
     p_cost.add_argument("--seed", type=int, default=0)
     p_cost.set_defaults(func=cmd_compare_cost)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .protocol import ProtocolConfig, naive_reduction_cost
 from .qos import sends_per_eta
-from .simnet import FaultEvent, NetworkModel, Scenario, run
+from .simnet import FaultEvent, NetworkModel, Scenario, ScenarioError, run
 
 # Operating point used throughout the measurement suite.
 ETA_MS = 330
@@ -92,14 +92,14 @@ def measure_cost(
 ) -> list[dict]:
     """Steady-state sends per eta for both algorithms, with predictions."""
     if n < 2:
-        raise ValueError(f"need at least 2 processes, got {n}")
+        raise ScenarioError("n_processes", f"need at least 2 processes, got {n}")
     network = NetworkModel()
     settle = 3 * (config.eta + config.alpha)
     start = -(-settle // config.eta) * config.eta  # round up to the send grid
     periods = (duration - start) // config.eta - 1
     if periods < 1:
-        raise ValueError(
-            f"duration {duration} ms is too short to reach steady state; "
+        raise ScenarioError(
+            "duration_ms", f"{duration} ms is too short to reach steady state; "
             f"need more than {start + 2 * config.eta} ms"
         )
     rows = []

@@ -161,10 +161,10 @@ class _Field:
             raise ScenarioError(path, "missing required field")
         if self.kind in _SCHEMA:
             if not self.many:
-                return _load(self.kind, value, path)
+                return load(self.kind, value, path)
             if not isinstance(value, list):
                 raise ScenarioError(path, "must be a list")
-            return tuple(_load(self.kind, v, f"{path}[{i}]") for i, v in enumerate(value))
+            return tuple(load(self.kind, v, f"{path}[{i}]") for i, v in enumerate(value))
         if value is None and self.default is None:
             return None
         kinds = (int, float) if self.kind is float else self.kind
@@ -195,9 +195,8 @@ class NetworkModel:
     delay_var: float = 0.0
     delay_dist: str = "constant"
 
-    def validate(self) -> None:
-        """Check each value as the loader would, then the rules of the law."""
-        _load(NetworkModel, _dump(self), "network")
+    def _rules(self) -> None:
+        """The loader's last check: the law's support and delay table."""
         if self.delay_dist == "constant" and self.delay_var != 0:
             raise ScenarioError(
                 "network.delay_var_ms2", "constant delay requires zero variance"
@@ -244,9 +243,11 @@ class Scenario:
     high_priority: int | None = None
 
     def validate(self) -> None:
-        """Check each value as the loader would, then the cross-field rules."""
-        _load(Scenario, self.to_dict(), "")
-        self.network.validate()
+        """Check a scenario built in code as the loader checks a file."""
+        load(Scenario, self.to_dict())
+
+    def _rules(self) -> None:
+        """The loader's last check: the rules that join keys."""
         if self.algorithm == "nfde-pair" and self.n_processes != 2:
             raise ScenarioError("n_processes", "nfde-pair is a two-process arrangement")
         if self.high_priority is not None and self.algorithm != "nfdl":
@@ -280,9 +281,7 @@ class Scenario:
 
     @staticmethod
     def from_dict(data: dict) -> "Scenario":
-        scenario = _load(Scenario, data, "")
-        scenario.validate()
-        return scenario
+        return load(Scenario, data)
 
     @staticmethod
     def load(path: str | Path) -> "Scenario":
@@ -297,7 +296,7 @@ class Scenario:
 
 
 # The scenario file schema: each dataclass's keys, in file order.  Rules
-# that join fields, such as a fault time below duration_ms, are validate()'s.
+# that join keys, such as a fault time below duration_ms, are its _rules.
 _SCHEMA = {
     Scenario: (
         _Field("version", None, int, choices=(SCENARIO_SCHEMA_VERSION,),
@@ -330,13 +329,9 @@ _SCHEMA = {
 }
 
 
-def schema_default(cls: type, attr: str):
-    """The scenario file's default for ``cls``'s attribute ``attr``."""
-    return next(f.default for f in _SCHEMA[cls] if f.attr == attr)
-
-
-def _load(cls: type, data, path: str):
-    """A ``cls`` read from the file's object ``data`` at key path ``path``."""
+def load(cls: type, data, path: str = ""):
+    """A ``cls`` read from the file's object ``data`` at key path ``path``:
+    each key once, through the table, then the class's ``_rules`` if any."""
     if not isinstance(data, dict):
         raise ScenarioError(path or "scenario", "must be an object")
     prefix = f"{path}." if path else ""
@@ -348,7 +343,10 @@ def _load(cls: type, data, path: str):
         f.attr: f.read(prefix + f.key, data.get(f.key, f.default)) for f in _SCHEMA[cls]
     }
     kwargs.pop(None, None)  # the schema version, which sets no attribute
-    return cls(**kwargs)
+    obj = cls(**kwargs)
+    if hasattr(obj, "_rules"):
+        obj._rules()
+    return obj
 
 
 def _dump(obj) -> dict:

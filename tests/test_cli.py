@@ -189,6 +189,97 @@ def test_run_checks_every_repetition_before_writing(tmp_path, capsys, flags, fie
     assert not out.exists()
 
 
+def test_run_opens_the_state_dir_before_writing(tmp_path, capsys):
+    not_a_dir, out = tmp_path / "f", tmp_path / "out"
+    not_a_dir.touch()
+    code = run_cli("run", "--duration-ms", "1000", "--state-dir", str(not_a_dir),
+                   "--out", str(out))
+    assert code == 1
+    assert "File exists" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# The key paths of a scenario file's to_dict().
+KEY_PATHS = set(SCENARIO_FILE) | {
+    f"{section}.{key}" for section in ("config", "network") for key in SCENARIO_FILE[section]
+}
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--procs", "1", "n_processes"),
+    ("--eta-ms", "0", "config.eta_ms"),
+    ("--alpha-ms", "-1", "config.alpha_ms"),
+    ("--window-n", "0", "config.window_n"),
+    ("--loss-prob", "1.5", "network.loss_prob"),
+    ("--delay-mean-ms", "nan", "network.delay_mean_ms"),
+    ("--delay-var-ms2", "-1", "network.delay_var_ms2"),
+    ("--seed", "-1", "seed"),
+    ("--duration-ms", "0", "duration_ms"),
+    ("--high-priority", "5", "high_priority"),
+])
+def test_run_names_the_file_key_of_a_bad_inline_flag(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "out"
+    assert run_cli("run", flag, value, "--out", str(out)) == 2
+    assert field in KEY_PATHS
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--procs", "1", "n_processes"),
+    ("--duration-ms", "0", "duration_ms"),
+    ("--eta-ms", "0", "config.eta_ms"),
+    ("--alpha-ms", "-1", "config.alpha_ms"),
+    ("--window-n", "0", "config.window_n"),
+    ("--seed", "-1", "seed"),
+])
+def test_compare_cost_names_the_file_key_of_a_bad_flag(capsys, flag, value, field):
+    args = {"--procs": "3", "--duration-ms": "5000", flag: value}
+    assert run_cli("compare-cost", *(x for item in args.items() for x in item)) == 2
+    assert field in KEY_PATHS
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+INLINE_RUNS = {
+    "none": ([], Scenario(
+        n_processes=5, config=ProtocolConfig(330, 670), network=NetworkModel(),
+        duration=60_000, seed=0,
+    )),
+    "every-flag": ([
+        "--procs", "4", "--eta-ms", "100", "--alpha-ms", "50", "--window-n", "10",
+        "--loss-prob", "0.05", "--delay-mean-ms", "8", "--delay-var-ms2", "9",
+        "--delay-dist", "uniform", "--seed", "7", "--duration-ms", "10000",
+        "--algo", "nfdl", "--high-priority", "1",
+    ], Scenario(
+        n_processes=4, config=ProtocolConfig(100, 50, window_n=10),
+        network=NetworkModel(0.05, 8.0, 9.0, "uniform"), duration=10_000, seed=7,
+        high_priority=1,
+    )),
+    "naive": (["--algo", "naive", "--procs", "3", "--delay-var-ms2", "4",
+               "--duration-ms", "10000"], Scenario(
+        n_processes=3, config=ProtocolConfig(330, 670),
+        network=NetworkModel(delay_var=4.0, delay_dist="normal"), duration=10_000,
+        seed=0, algorithm="naive-reduction",
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INLINE_RUNS))
+def test_inline_flags_run_as_their_scenario_file(tmp_path, name):
+    # The inline flags are read as a scenario file's keys, so their run's
+    # artifacts, trace header included, are the file's byte for byte.
+    flags, scenario = INLINE_RUNS[name]
+    path, inline, from_file = tmp_path / "scenario.json", tmp_path / "a", tmp_path / "b"
+    scenario.dump(path)
+    assert run_cli("run", *flags, "--out", str(inline)) == 0
+    assert run_cli("run", "--scenario", str(path), "--out", str(from_file)) == 0
+    names = sorted(p.name for p in inline.iterdir())
+    assert names == sorted(p.name for p in from_file.iterdir())
+    assert "trace_000.log" in names
+    for artifact in names:
+        assert (inline / artifact).read_bytes() == (from_file / artifact).read_bytes()
+
+
 def test_run_checks_requirements_before_writing(tmp_path, capsys):
     out = tmp_path / "out"
     code = run_cli("run", "--duration-ms", "1000", "--t-d-max-ms", "-5", "--out", str(out))

@@ -54,3 +54,12 @@ def test_message_cost_script_writes_the_cost_csv(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert out.exists()
+
+
+def test_message_cost_script_names_the_key_of_a_bad_flag(tmp_path):
+    out = tmp_path / "message_cost.csv"
+    done = run_script("sweep_message_cost.py", "--eta-ms", "0", "--out", str(out),
+                      cwd=tmp_path)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: config.eta_ms: ")
+    assert not out.exists()

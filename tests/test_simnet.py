@@ -239,6 +239,24 @@ def test_scenario_from_dict_raises_only_scenario_error(data):
     assert Scenario.from_dict(sc.to_dict()) == sc
 
 
+def test_from_dict_reads_each_key_once(monkeypatch):
+    data = scenario(
+        faults=(FaultEvent(1000, 2, "crash"), FaultEvent(5000, 2, "recover")),
+        network=LOSSY, high_priority=2,
+    ).to_dict()
+    reads = []
+    read = simnet._Field.read
+
+    def counting(self, path, value):
+        reads.append(path)
+        return read(self, path, value)
+
+    monkeypatch.setattr(simnet._Field, "read", counting)
+    assert Scenario.from_dict(data).to_dict() == data
+    # Every key path once; a list position names an object, not a key.
+    assert sorted(reads) == sorted(p for p in key_paths(data) if not p.endswith("]"))
+
+
 @given(
     st.sampled_from(["", "config", "network", "faults[0]", "faults[1]"]),
     st.text(max_size=8),
@@ -544,7 +562,7 @@ def test_oversized_delay_tables_fail_validation(mean, var, dist, field):
 
 def test_every_corpus_law_fits_its_table():
     for net in LAWS.values():
-        net.validate()
+        scenario(network=net).validate()
         assert len(simnet.delay_cdf(net)) <= simnet.MAX_DELAY_TABLE
     assert len(simnet.delay_cdf(JITTERY)) == 296
 
