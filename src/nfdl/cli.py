@@ -95,6 +95,16 @@ def _scenario_from_args(args) -> simnet.Scenario:
     ))
 
 
+def _requirements(values: dict[str, int]) -> qos.QosRequirements:
+    """The requirements of ``values`` (attribute -> ms); an error names the
+    flag that gave the value."""
+    for name, value in values.items():
+        if value <= 0:
+            flag = "--" + name.replace("_", "-") + "-ms"
+            raise simnet.ScenarioError(flag, f"must be positive, got {value}")
+    return qos.QosRequirements(**values)
+
+
 def cmd_run(args) -> int:
     scenario = _scenario_from_args(args)
     if args.reps < 1:
@@ -105,7 +115,7 @@ def cmd_run(args) -> int:
     # operating point supplies the requirements not given.
     given = {k: getattr(args, f"{k}_ms") for k in experiments.REQUIREMENTS}
     given = {k: v for k, v in given.items() if v is not None}
-    reqs = qos.QosRequirements(**{**experiments.REQUIREMENTS, **given}) if given else None
+    reqs = _requirements({**experiments.REQUIREMENTS, **given}) if given else None
     # The repetitions share one state dir, opened before --out is made.
     store = FileStore(args.state_dir) if args.state_dir else None
     out: Path = args.out
@@ -146,7 +156,7 @@ def cmd_compare_cost(args) -> int:
 
 
 def cmd_configure(args) -> int:
-    reqs = qos.QosRequirements(args.t_d_max_ms, args.t_mr_min_ms, args.t_m_max_ms)
+    reqs = _requirements({k: getattr(args, f"{k}_ms") for k in experiments.REQUIREMENTS})
     network = simnet.load(simnet.NetworkModel, _network_keys(args), "network")
     if not 0 <= args.margin_k < math.inf:
         raise simnet.ScenarioError(

@@ -19,7 +19,10 @@ explicit clock argument (no internal timers, no wall clock):
 
 Drivers (the simulator, or any transport adapter) deliver heartbeats, fire
 timers at the advertised deadlines, and call for a heartbeat at every send
-instant of the process's schedule.
+instant of the process's schedule.  ``NfdlProcess`` takes a delivery two
+ways, one transition behind both: ``receive`` returns only whether the
+leader changed (a bool, which the simulator calls), and ``on_heartbeat``
+wraps that answer and the leader in an ``Output``.
 """
 
 from __future__ import annotations
@@ -106,10 +109,11 @@ class NfdlProcess:
     """One process's election state machine.
 
     State is mutated in place; every transition returns an :class:`Output`
-    reporting the current leader and whether this event changed it.  The
-    driver contract:
+    reporting the current leader and whether this event changed it, except
+    :meth:`receive`, which returns the bool alone.  The driver contract:
 
-    * deliver each received heartbeat via :meth:`on_heartbeat`;
+    * deliver each received heartbeat via :meth:`receive` (or
+      :meth:`on_heartbeat`, the same transition answering an ``Output``);
     * whenever :attr:`deadline` changes, arrange a timer and call
       :meth:`on_timer_fire` when it expires (stale timers are no-ops);
     * call :meth:`next_heartbeat` at every send instant of the process's
@@ -141,29 +145,17 @@ class NfdlProcess:
         # itself with this advertised value, not the live counter, so two
         # processes observing each other compare like for like.
         self.last_sent_uptime: int | None = None
-        self.leader_uptime: int | None = None
+        # The (uptime, pid) priority of the current leader (None while there
+        # is none): a follower's from the leader's last accepted heartbeat,
+        # a leader's own as advertised.  Set wherever either changes.
+        self.incumbent: tuple[int, int] | None = None
         # Freshness monitor of the current leader's heartbeat stream; None
         # while this process leads or has no leader yet.
         self.monitor: NfdeMonitor | None = None
         self.deadline: int | None = now + config.eta + config.alpha
 
-    def _own_priority(self) -> tuple[int, int]:
-        advertised = (
-            self.last_sent_uptime if self.last_sent_uptime is not None else self.uptime
-        )
-        return (advertised, self.self_id)
-
-    def _incumbent_priority(self) -> tuple[int, int] | None:
-        if self.leader is None:
-            return None
-        if self.leader == self.self_id:
-            return self._own_priority()
-        # leader_uptime is cached from the most recent accepted heartbeat.
-        assert self.leader_uptime is not None
-        return (self.leader_uptime, self.leader)
-
-    def on_heartbeat(self, hb: Heartbeat, now: int) -> Output:
-        """Handle a delivered heartbeat.
+    def receive(self, hb: Heartbeat, now: int) -> bool:
+        """Handle a delivered heartbeat; True iff it changed the leader.
 
         From the current leader: fresh labels feed the leader's monitor and
         advance the freshness deadline (stale ones change nothing).  From
@@ -173,22 +165,27 @@ class NfdlProcess:
         """
         sender = hb.sender
         if sender == self.self_id:
-            return Output(self.leader, False)
-        monitor = self.monitor
+            return False
         if sender == self.leader:
+            monitor = self.monitor
             if hb.seq <= monitor.window.last_seq:
-                return Output(sender, False)
+                return False
             adopted = False
-        elif priority_greater((hb.uptime, sender), self._incumbent_priority()):
+        elif priority_greater((hb.uptime, sender), self.incumbent):
             self.leader = sender
             self.monitor = monitor = NfdeMonitor(self.config)
             adopted = True
         else:
-            return Output(self.leader, False)
+            return False
         monitor.on_heartbeat(hb.seq, now)
-        self.leader_uptime = hb.uptime
+        self.incumbent = (hb.uptime, sender)
         self.deadline = monitor.deadline
-        return Output(sender, adopted)
+        return adopted
+
+    def on_heartbeat(self, hb: Heartbeat, now: int) -> Output:
+        """The :meth:`receive` transition, reported as an :class:`Output`."""
+        changed = self.receive(hb, now)
+        return Output(self.leader, changed)
 
     def on_timer_fire(self, now: int) -> Output:
         """Freshness (or grace) deadline expiry: claim leadership.
@@ -215,6 +212,7 @@ class NfdlProcess:
         hb = Heartbeat(seq=seq, sender=self.self_id, uptime=self.uptime)
         self.last_sent_uptime = self.uptime
         self.uptime += 1
+        self.incumbent = (hb.uptime, self.self_id)
         return hb
 
     def assume_leadership(self, uptime: int = 0) -> None:
@@ -228,11 +226,15 @@ class NfdlProcess:
         self._lead()
         self.uptime = uptime
         self.last_sent_uptime = None
+        self.incumbent = (uptime, self.self_id)
 
     def _lead(self) -> None:
-        """Become leader: stop watching anyone and drop the deadline."""
+        """Become leader, defending the priority last advertised (the live
+        uptime before the first send): stop watching anyone and drop the
+        deadline."""
         self.leader = self.self_id
-        self.leader_uptime = None
+        sent = self.last_sent_uptime
+        self.incumbent = (self.uptime if sent is None else sent, self.self_id)
         self.monitor = None
         self.deadline = None
 

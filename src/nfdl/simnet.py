@@ -21,22 +21,24 @@ initialization against the preserved stable store with the advanced clock.
 
 Simultaneous events are ordered by (time, process id, event kind rank) with
 kind ranks crash < recover < timer < send < deliver, then by insertion
-order.  Timer-before-deliver makes a heartbeat that lands exactly on the
-freshness deadline count as late, matching the strict "arrived before the
-deadline" reading of the monitors.
+order.  The deliveries of one send share one insertion order, the one
+after its tick's: they never tie on (time, receiver), and deliveries of
+different sends that tie keep send order.  Timer-before-deliver makes a
+heartbeat that lands exactly on the freshness deadline count as late,
+matching the strict "arrived before the deadline" reading of the monitors.
 
 Every algorithm runs behind one node interface.  ``sends()`` says whether
 the node sends heartbeats now, and only a node that sends has a tick: one
 heap entry per send instant ``zerotime + i*eta``, at most one pending per
-live node.  At each tick the node's ``next_heartbeat(now)`` returns the
-heartbeat for its ``targets``: None broadcasts it as one ``send`` event,
-a tuple sends and logs one unicast per receiver.  A tick that finds its
-node no longer sending is dropped and schedules no successor.  A node
-starts sending only at start-up, where its first tick is the first send
-instant strictly after the start, or when a timer fires: then it is the
-first send instant at or after the firing, since ticks rank after timers
-at one instant, and none is added while the node's old tick is still
-pending.  Under ``nfdl`` only the current leader ticks; the nfde-pair
+live node.  Each tick asks the node's ``next_heartbeat(now)`` once.  None
+means the node no longer sends: the tick is dropped and schedules no
+successor.  Otherwise it is the heartbeat for the node's ``targets``: None
+broadcasts it as one ``send`` event, a tuple sends and logs one unicast per
+receiver.  A node starts sending only at start-up, where its first tick is
+the first send instant strictly after the start, or when a timer fires:
+then it is the first send instant at or after the firing, since ticks rank
+after timers at one instant, and none is added while the node's old tick is
+still pending.  Under ``nfdl`` only the current leader ticks; the nfde-pair
 receiver never does.
 
 ``deadline_of(key)`` is the deadline filed under ``key`` (None when
@@ -88,7 +90,10 @@ batches instead and the list stays empty, so a run holds no event list; the
 file, and :func:`stream_run` runs a scenario through it.  Scoring the trace
 is ``qos``'s work, which needs none of this module at run time.  The
 trace's counters, final outputs and ``output_changes``, each process's
-logged (time, output) pairs in log order, are filled in either way.
+logged (time, output) pairs in log order, are filled in either way.  Links
+are counted per send: every sender sends to all the others, so
+``link_sent`` of (s, r) is s's count of sends, and ``link_delivered`` is
+that less the link's drops and its deliveries still queued at the horizon.
 ``trace.events`` parses the kept lines back into :class:`TraceEvent`
 objects with :meth:`TraceEvent.parse`, for readers that want fields.
 """
@@ -676,7 +681,7 @@ class _ElectionNode(NfdlProcess):
 
     def deliver(self, hb: Heartbeat, now: int) -> tuple[bool, int | None, int | None]:
         before = self.deadline
-        changed = self.on_heartbeat(hb, now).changed
+        changed = self.receive(hb, now)
         deadline = self.deadline
         if deadline == before:
             return changed, None, None
@@ -788,10 +793,9 @@ class Simulator:
         # of the arm that last set its deadline.
         self._pending: list[tuple | None] = [None] * (n * n)
         self._armed = [0] * (n * n)
-        # Per process, and per directed link ``sender*n + receiver``.
-        self._send_counts = [0] * n
-        self._sent = [0] * (n * n)
-        self._delivered = [0] * (n * n)
+        # Per process its sends, and per directed link ``sender*n + receiver``
+        # its drops.
+        self._sends = [0] * n
         self._dropped = [0] * (n * n)
         self.trace = EventTrace(
             scenario=scenario, output_changes={pid: [] for pid in range(n)}
@@ -820,18 +824,20 @@ class Simulator:
         for f in sc.faults:
             rank = _CRASH if f.kind == "crash" else _RECOVER
             self._push(f.at, f.process, rank, f.kind)
-        heap, duration = self._heap, sc.duration
+        heap, duration, heappop = self._heap, sc.duration, heapq.heappop
+        on_deliver, on_timer, on_tick = self._on_deliver, self._on_timer, self._on_tick
         while heap:
-            entry = heapq.heappop(heap)
+            entry = heappop(heap)
             time, pid, rank, _, payload = entry
             if time >= duration:
+                heap.append(entry)  # still queued at the horizon
                 break
             if rank == _DELIVER:
-                self._on_deliver(pid, time, payload)
+                on_deliver(pid, time, payload)
             elif rank == _TIMER:
-                self._on_timer(pid, time, entry)
+                on_timer(pid, time, entry)
             elif rank == _TICK:
-                self._on_tick(pid, time, payload)
+                on_tick(pid, time, payload)
             elif rank == _CRASH:
                 self.nodes[pid] = None
                 n = self._n
@@ -843,10 +849,17 @@ class Simulator:
         if self._lines:
             self._sink("".join(self._lines))
         trace, n = self.trace, self._n
-        trace.send_counts = {pid: c for pid, c in enumerate(self._send_counts) if c}
-        trace.link_sent = _by_link(self._sent, n)
-        trace.link_delivered = _by_link(self._delivered, n)
-        trace.link_dropped = _by_link(self._dropped, n)
+        # A broadcast logs one send line, a unicast send one per receiver.
+        per_send = 1 if sc.algorithm == "nfdl" else n - 1
+        trace.send_counts = {pid: c * per_send for pid, c in enumerate(self._sends) if c}
+        trace.link_sent = sent = {(s, r): c for s, c in enumerate(self._sends) if c
+                                  for r in self._others[s]}
+        trace.link_dropped = dropped = _by_link(self._dropped, n)
+        delivered = {link: c - dropped.get(link, 0) for link, c in sent.items()}
+        for _, pid, rank, _, payload in heap:
+            if rank == _DELIVER:
+                delivered[payload[0].sender, pid] -= 1
+        trace.link_delivered = {link: c for link, c in delivered.items() if c}
         trace.store_reads = dict(self.store.reads)
         trace.store_writes = dict(self.store.writes)
         for pid, node in enumerate(self.nodes):
@@ -937,22 +950,24 @@ class Simulator:
     def _on_tick(self, pid: int, now: int, node) -> None:
         if self.nodes[pid] is not node:
             return
-        if not node.sends():
+        hb = node.next_heartbeat(now)
+        if hb is None:
             self._ticking[pid] = None
             return
-        sc = self.scenario
-        self._push(now + sc.config.eta, pid, _TICK, node)
-        hb = node.next_heartbeat(now)
+        sc, heap, order = self.scenario, self._heap, self._pushes
+        # The next tick takes this order and all of this send's deliveries
+        # the one after it.
+        self._pushes = order + 2
+        heapq.heappush(heap, (now + sc.config.eta, pid, _TICK, order, node))
+        self._sends[pid] += 1
         sender, seq, uptime, log = hb.sender, hb.seq, hb.uptime, self._log
         # The text every message of this send shares, formatted once.
         payload = (hb, f"sender={sender} seq={seq} uptime={uptime}\n")
         receivers = node.targets
         if receivers is None:
-            self._send_counts[sender] += 1
             log(f"{now}\t{sender}\tsend\tseq={seq} uptime={uptime}\n")
             receivers, unicast = self._others[sender], None
         else:
-            self._send_counts[sender] += len(receivers)
             unicast = f"{now}\t{sender}\tsend\tseq={seq} uptime={uptime} receiver="
         n = self._n
         first, lost_rows, delay_rows = self._runs[sender]
@@ -966,31 +981,26 @@ class Simulator:
             self._runs[sender] = (seq, lost_rows, delay_rows)
             row = 0
         lost, delay = lost_rows[row], delay_rows[row]
-        heap, base = self._heap, sender * n
-        sent, dropped = self._sent, self._dropped
+        base, dropped, order = sender * n, self._dropped, order + 1
         for receiver in receivers:
             if unicast is not None:
                 log(f"{unicast}{receiver}\n")
-            sent[base + receiver] += 1
             if lost[receiver]:
                 dropped[base + receiver] += 1
                 log(f"{now}\t{receiver}\tdrop\tsender={sender} seq={seq} reason=loss\n")
             else:
                 heapq.heappush(heap, (now + delay[receiver], receiver, _DELIVER,
-                                      self._pushes, payload))
-                self._pushes += 1
+                                      order, payload))
         self._sink("".join(self._lines))
         self._lines.clear()
 
     def _on_deliver(self, pid: int, now: int, payload: tuple[Heartbeat, str]) -> None:
         hb, text = payload
         node = self.nodes[pid]
-        link = hb.sender * self._n + pid
         if node is None:
-            self._dropped[link] += 1
+            self._dropped[hb.sender * self._n + pid] += 1
             self._log(f"{now}\t{pid}\tdrop\tsender={hb.sender} seq={hb.seq} reason=down\n")
             return
-        self._delivered[link] += 1
         self._log(f"{now}\t{pid}\tdeliver\t{text}")
         changed, key, deadline = node.deliver(hb, now)
         if changed:

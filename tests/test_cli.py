@@ -284,20 +284,27 @@ def test_run_checks_requirements_before_writing(tmp_path, capsys):
     out = tmp_path / "out"
     code = run_cli("run", "--duration-ms", "1000", "--t-d-max-ms", "-5", "--out", str(out))
     assert code == 2
-    assert "error: t_d_max must be positive" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --t-d-max-ms: must be positive, got -5\n"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, name", [
-    ("--t-mr-min-ms", "t_mr_min"),
-    ("--t-m-max-ms", "t_m_max"),
-])
-def test_run_checks_each_requirement_flag_alone(tmp_path, capsys, flag, name):
+REQUIREMENT_FLAGS = ("--t-d-max-ms", "--t-mr-min-ms", "--t-m-max-ms")
+
+
+# --t-d-max-ms is the case above.
+@pytest.mark.parametrize("flag", REQUIREMENT_FLAGS[1:])
+def test_run_checks_each_requirement_flag_alone(tmp_path, capsys, flag):
     out = tmp_path / "out"
     code = run_cli("run", "--duration-ms", "1000", flag, "-5", "--out", str(out))
     assert code == 2
-    assert f"error: {name} must be positive" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {flag}: must be positive, got -5\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", REQUIREMENT_FLAGS)
+def test_configure_names_a_bad_requirement_flag(capsys, flag):
+    assert run_cli("configure", flag, "0") == 2
+    assert capsys.readouterr().err == f"error: {flag}: must be positive, got 0\n"
 
 
 def test_any_requirement_flag_adds_the_bound_columns(tmp_path):

@@ -9,6 +9,7 @@ alters output on purpose updates the hashes and says why in CHANGES.md.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -272,6 +273,46 @@ def test_cli_run_artifacts(tmp_path):
         if p.is_file() and p != path
     }
     assert got == CLI_EXPECTED
+
+
+def link_counts_of_the_lines(trace):
+    """Per-link (sent, delivered, dropped) counts of the trace lines: a send
+    line times its receivers, and the deliver and drop lines."""
+    n = trace.scenario.n_processes
+    sent, delivered, dropped = Counter(), Counter(), Counter()
+    for ev in trace.events:
+        if ev.kind == "send":
+            receivers = range(n) if ev.receiver is None else (ev.receiver,)
+            sent.update((ev.process, r) for r in receivers if r != ev.process)
+        elif ev.kind == "deliver":
+            delivered[ev.sender, ev.process] += 1
+        elif ev.kind == "drop":
+            dropped[ev.sender, ev.process] += 1
+    return dict(sent), dict(delivered), dict(dropped)
+
+
+LINK_COUNT_SCENARIOS = {
+    **SCENARIOS,
+    # Delays far beyond eta: the horizon cuts deliveries in flight, and the
+    # entry the run stops on, the first at the horizon, is a delivery.
+    "naive-jitter-cut-in-flight": lambda: scenario(
+        algorithm="naive-reduction", n_processes=4,
+        config=ProtocolConfig(20, 10, window_n=2), network=JITTERY, seed=7,
+        duration=4_009, faults=crash_recover(2, 1_000, 3_990),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINK_COUNT_SCENARIOS))
+def test_link_counters_match_the_trace_lines(name):
+    # The simulator counts sends per sender and derives each link's counts.
+    trace = run(LINK_COUNT_SCENARIOS[name]())
+    sent, delivered, dropped = link_counts_of_the_lines(trace)
+    assert trace.link_sent == sent
+    assert trace.link_delivered == delivered
+    assert trace.link_dropped == dropped
+    if name == "naive-jitter-cut-in-flight":
+        assert sum(sent.values()) > sum(delivered.values()) + sum(dropped.values())
 
 
 DRAW_BUDGET_SCENARIOS = {

@@ -160,7 +160,7 @@ def test_fresh_leader_heartbeat_advances_deadline_and_uptime_cache():
     p.on_heartbeat(hb(5, 7, 1), now=1650 + 5)
     p.on_heartbeat(hb(6, 7, 2), now=1980 + 5)
     assert p.monitor.window.last_seq == 6
-    assert p.leader_uptime == 2
+    assert p.incumbent == (2, 7)
     # window holds both arrivals, prediction is schedule plus mean delay
     assert p.deadline == 7 * 330 + 5 + 670
 
@@ -487,8 +487,9 @@ def test_transitions_match_the_reference_rules(eta, alpha, window_n, start, step
             sent = proc.next_heartbeat(now)
             want = ref.next_heartbeat(now - start)
             assert (None if sent is None else (sent.seq, sent.sender, sent.uptime)) == want
-        assert (proc.leader, proc.leader_uptime, proc.deadline) == (
-            ref.leader, ref.leader_uptime, ref.deadline)
+        # The kept priority is the one the reference rebuilds every time.
+        assert (proc.leader, proc.incumbent, proc.deadline) == (
+            ref.leader, ref.priority(), ref.deadline)
         pairs = None if proc.monitor is None else list(proc.monitor.window.entries)
         assert pairs == (None if ref.monitor is None else ref.monitor.pairs)
         assert (mon.verdict, mon.deadline, list(mon.window.entries)) == (

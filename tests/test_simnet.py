@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 import types
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -755,22 +756,68 @@ def test_every_delivery_matches_an_earlier_send():
 
 
 def test_link_conservation():
+    # Delays far beyond eta, so the horizon cuts deliveries in flight.
     sc = scenario(
-        network=LOSSY,
-        faults=(FaultEvent(6_000, 4, "crash"), FaultEvent(12_000, 4, "recover")),
-        duration=30_000,
+        network=JITTERY, config=ProtocolConfig(20, 10, window_n=2),
+        faults=(FaultEvent(2_000, 4, "crash"), FaultEvent(4_000, 4, "recover")),
+        duration=6_000,
     )
     trace = run(sc)
+    # Each message's send instant, until a deliver or drop line resolves it.
+    unresolved = {}
+    for ev in trace.events:
+        if ev.kind == "send":
+            for r in range(sc.n_processes) if ev.receiver is None else (ev.receiver,):
+                if r != ev.process:
+                    unresolved[ev.process, ev.seq, r] = ev.time
+        elif ev.kind in ("deliver", "drop"):
+            del unresolved[ev.sender, ev.seq, ev.process]
+    # Only messages still in flight at the horizon stay unresolved.
+    longest = len(simnet.delay_cdf(sc.network)) - 1
+    assert unresolved
+    assert all(sc.duration - longest <= t for t in unresolved.values())
+    in_flight = Counter((s, r) for s, _, r in unresolved)
     for link, sent in trace.link_sent.items():
         delivered = trace.link_delivered.get(link, 0)
         dropped = trace.link_dropped.get(link, 0)
-        assert sent == delivered + dropped, link
-    # only in-flight messages may remain unresolved at the horizon
-    total_sent = sum(trace.link_sent.values())
-    total_resolved = sum(trace.link_delivered.values()) + sum(
-        trace.link_dropped.values()
+        assert sent == delivered + dropped + in_flight[link], link
+    assert trace.link_dropped  # loss and the crash both drop
+
+
+@st.composite
+def jittery_scenarios(draw):
+    """Delays far beyond eta, with loss, at N 2-8: arrivals overtake each
+    other and many land on one receiver in one millisecond."""
+    algorithm = draw(st.sampled_from(["nfdl", "naive-reduction", "nfde-pair"]))
+    n = 2 if algorithm == "nfde-pair" else draw(st.integers(min_value=2, max_value=8))
+    mean = draw(st.integers(min_value=20, max_value=120))
+    dist = draw(st.sampled_from(["normal", "uniform"]))
+    # A uniform law's support must stay at or above 0.
+    var = draw(st.integers(min_value=100, max_value=mean * mean // 3 if dist == "uniform"
+                           else 3_600))
+    network = NetworkModel(loss_prob=draw(st.sampled_from([0.0, 0.05, 0.3])),
+                           delay_mean=mean, delay_var=var, delay_dist=dist)
+    return scenario(
+        n_processes=n, algorithm=algorithm, network=network,
+        config=ProtocolConfig(eta=draw(st.integers(min_value=5, max_value=20)),
+                              alpha=10, window_n=2),
+        duration=3_000, seed=draw(st.integers(min_value=0, max_value=2**32)),
     )
-    assert total_sent == total_resolved
+
+
+@given(jittery_scenarios())
+@settings(max_examples=40, deadline=None)
+def test_deliveries_that_tie_keep_send_order(sc):
+    # Deliveries at one (time, receiver) run in the order of their sends.
+    sent: dict[tuple[int, int], int] = {}
+    last: dict[tuple[int, int], int] = {}
+    for i, ev in enumerate(run(sc).events):
+        if ev.kind == "send":
+            sent.setdefault((ev.process, ev.seq), i)
+        elif ev.kind == "deliver":
+            order = sent[ev.sender, ev.seq]
+            assert order > last.get((ev.time, ev.process), -1), ev
+            last[ev.time, ev.process] = order
 
 
 # -- protocol behavior under the simulator -------------------------------------
