@@ -6,10 +6,14 @@ per-monitor mistake rates and durations.  Speed: 10 crash-recovery cycles of
 a pinned high-priority leader; reports detection and recovery-detection
 times.  Artifacts (traces, per-run metrics CSVs, pooled summary CSV, text
 report) land in the output directory.  Each run streams its trace to disk
-as it goes, so it holds no event list.
+as it goes, so it holds no event list.  An accuracy run with no true leader
+(too short to elect one) keeps its trace but gets no metrics CSV and stays
+out of the pooled summary.  A bad flag value exits 2 naming the scenario
+key it sets, before anything is written.
 """
 
 import argparse
+import sys
 import time
 from pathlib import Path
 
@@ -26,33 +30,37 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
+    duration = int(args.accuracy_hours * 3_600_000)
+    accuracy = [accuracy_scenario(args.seed + rep, duration=duration)
+                for rep in range(args.accuracy_reps)]
+    speed = speed_scenario(args.seed, cycles=args.speed_cycles)
+    for scenario in (*accuracy, speed):  # checked before anything is written
+        scenario.validate()
     args.out.mkdir(parents=True, exist_ok=True)
     reqs = qos.QosRequirements(**REQUIREMENTS)
     reports = []
 
-    duration = int(args.accuracy_hours * 3_600_000)
-    for rep in range(args.accuracy_reps):
+    for rep, scenario in enumerate(accuracy):
         t0 = time.monotonic()
-        trace = simnet.stream_run(
-            accuracy_scenario(args.seed + rep, duration=duration),
-            args.out / f"accuracy_trace_{rep:03d}.log",
-        )
-        report = qos.build_report(trace)
+        trace = simnet.stream_run(scenario, args.out / f"accuracy_trace_{rep:03d}.log")
+        try:
+            report = qos.build_report(trace)
+        except qos.NoTrueLeaderError as exc:
+            # As `nfdl run` does: the trace stays, the run is not scored.
+            print(f"accuracy rep {rep}: seed={scenario.seed} not scored: {exc}")
+            continue
         reports.append(report)
         qos.write_lines(
             qos.metrics_csv_lines(report), args.out / f"accuracy_metrics_{rep:03d}.csv"
         )
         mistakes = sum(len(m.mistake_times) for m in report.monitors)
         print(
-            f"accuracy rep {rep}: seed={args.seed + rep} "
+            f"accuracy rep {rep}: seed={scenario.seed} "
             f"mistakes={mistakes} wall={time.monotonic() - t0:.1f}s"
         )
 
     t0 = time.monotonic()
-    trace = simnet.stream_run(
-        speed_scenario(args.seed, cycles=args.speed_cycles),
-        args.out / "speed_trace.log",
-    )
+    trace = simnet.stream_run(speed, args.out / "speed_trace.log")
     speed_report = qos.build_report(trace)
     reports.append(speed_report)
     qos.write_lines(qos.metrics_csv_lines(speed_report), args.out / "speed_metrics.csv")
@@ -73,4 +81,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        raise SystemExit(main())
+    except simnet.ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)

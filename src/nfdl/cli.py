@@ -7,8 +7,9 @@ Subcommands:
 * ``compare-cost`` - measure steady-state heartbeats per interval for the
   single-leader protocol and the all-pairs baseline against their analytic
   predictions.
-* ``configure`` - derive (eta, alpha) from QoS requirements, or audit a
-  given pair in validation mode.
+* ``configure`` - derive (eta, alpha) from QoS requirements, with alpha
+  floored at eight delay standard deviations, or audit a given pair in
+  validation mode, read as a scenario file's ``config`` keys.
 
 Success exits 0; every failure path names its cause on stderr and exits
 nonzero (2 for validation problems, 1 for environment errors).
@@ -17,7 +18,6 @@ nonzero (2 for validation problems, 1 for environment errors).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -158,24 +158,18 @@ def cmd_compare_cost(args) -> int:
 def cmd_configure(args) -> int:
     reqs = _requirements({k: getattr(args, f"{k}_ms") for k in experiments.REQUIREMENTS})
     network = simnet.load(simnet.NetworkModel, _network_keys(args), "network")
-    if not 0 <= args.margin_k < math.inf:
-        raise simnet.ScenarioError(
-            "--margin-k", f"must be finite and >= 0, got {args.margin_k}"
-        )
-    if (args.eta_ms is None) != (args.alpha_ms is None):
-        print("error: validation mode needs both --eta-ms and --alpha-ms", file=sys.stderr)
-        return 2
-    if args.eta_ms is not None:
-        eta, alpha = args.eta_ms, args.alpha_ms
-        print(f"validating eta_ms={eta} alpha_ms={alpha}")
+    keys = _config_keys(args)
+    if keys:  # validation mode: the pair is read as a file's config keys
+        config = simnet.load(ProtocolConfig, keys, "config")
+        print(f"validating eta_ms={config.eta} alpha_ms={config.alpha}")
     else:
-        config = qos.configure(reqs, network, margin_k=args.margin_k)
-        eta, alpha = config.eta, config.alpha
-        print(f"eta_ms={eta} alpha_ms={alpha}")
-    ok, violations = qos.validate_config(eta, alpha, reqs)
+        config = qos.configure(reqs, network)
+        print(f"eta_ms={config.eta} alpha_ms={config.alpha}")
+    violations = qos.validate_config(config, reqs)
     print(f"constraint audit vs t_d_max={reqs.t_d_max} ms:")
-    if ok:
-        print(f"  ok: eta + alpha = {eta + alpha} ms <= {reqs.t_d_max} ms, eta > 0")
+    if not violations:
+        print(f"  ok: eta + alpha = {config.eta + config.alpha} ms <= {reqs.t_d_max} ms, "
+              "eta > 0")
         return 0
     for v in violations:
         print(f"  violated: {v}")
@@ -229,13 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cfg.add_argument("--loss-prob", type=float, default=_NET.loss_prob)
     p_cfg.add_argument("--delay-mean-ms", type=float, default=_NET.delay_mean)
     p_cfg.add_argument("--delay-var-ms2", type=float, default=_NET.delay_var)
-    p_cfg.add_argument("--margin-k", type=float, default=8.0,
-                       help="alpha floor in delay standard deviations")
     p_cfg.add_argument("--eta-ms", type=int, default=None,
                        help="validation mode: audit this eta instead of deriving")
     p_cfg.add_argument("--alpha-ms", type=int, default=None,
                        help="validation mode: audit this alpha instead of deriving")
-    p_cfg.set_defaults(func=cmd_configure, delay_dist=None)  # the law follows the variance
+    # The delay law follows the variance; the estimator window is not audited.
+    p_cfg.set_defaults(func=cmd_configure, delay_dist=None, window_n=None)
     return parser
 
 

@@ -28,8 +28,8 @@ imports nothing from ``simnet`` at run time, nor numpy.
 
 The module also houses the requirements-driven configurator: it picks the
 largest send interval eta whose detection bound eta + alpha still meets the
-requested maximum, with the safety margin alpha floored at a multiple of
-the delay standard deviation.
+requested maximum, with the safety margin alpha floored at eight standard
+deviations of the link delay.
 """
 
 from __future__ import annotations
@@ -156,40 +156,37 @@ def quartiles(samples: list[float]) -> tuple[float, float, float]:
 # Configurator
 
 
-def configure(reqs: QosRequirements, network, margin_k: float = 8.0) -> ProtocolConfig:
+# The alpha floor, in standard deviations of the link delay.
+ALPHA_FLOOR_SIGMAS = 8
+
+
+def configure(reqs: QosRequirements, network) -> ProtocolConfig:
     """Derive (eta, alpha) from requirements and network behavior.
 
     Detection of a crashed leader is bounded by eta + alpha, so that sum is
-    capped at t_d_max; alpha is floored at margin_k standard deviations of
-    the message delay to absorb dispersion; among feasible pairs the largest
-    eta wins, since fewer heartbeats cost less.
+    capped at t_d_max; alpha is floored at ALPHA_FLOOR_SIGMAS standard
+    deviations of the message delay to absorb dispersion; among feasible
+    pairs the largest eta wins, since fewer heartbeats cost less.
     """
-    alpha_floor = math.ceil(margin_k * math.sqrt(network.delay_var))
+    alpha_floor = math.ceil(ALPHA_FLOOR_SIGMAS * math.sqrt(network.delay_var))
     eta = reqs.t_d_max - alpha_floor
     if eta < 1:
         raise InfeasibleRequirementsError(
             f"t_d_max={reqs.t_d_max} ms cannot fit any positive eta on top of "
             f"the alpha floor {alpha_floor} ms "
-            f"(= {margin_k} * sqrt(delay_var {network.delay_var}))"
+            f"(= {ALPHA_FLOOR_SIGMAS} * sqrt(delay_var {network.delay_var}))"
         )
     return ProtocolConfig(eta=eta, alpha=alpha_floor)
 
 
-def validate_config(
-    eta: int, alpha: int, reqs: QosRequirements
-) -> tuple[bool, list[str]]:
-    """Audit a raw (eta, alpha) pair against the detection bound."""
-    violations = []
-    if eta <= 0:
-        violations.append(f"eta must be positive (got {eta})")
-    if alpha < 0:
-        violations.append(f"alpha must be >= 0 (got {alpha})")
-    if eta + alpha > reqs.t_d_max:
-        violations.append(
-            f"detection bound violated: eta + alpha = {eta + alpha} ms "
-            f"> t_d_max = {reqs.t_d_max} ms"
-        )
-    return (not violations, violations)
+def validate_config(config: ProtocolConfig, reqs: QosRequirements) -> list[str]:
+    """The requirements ``config`` violates: the detection bound eta + alpha
+    <= t_d_max (eta >= 1 and alpha >= 0 are ProtocolConfig's own rules)."""
+    bound = config.eta + config.alpha
+    if bound <= reqs.t_d_max:
+        return []
+    return [f"detection bound violated: eta + alpha = {bound} ms "
+            f"> t_d_max = {reqs.t_d_max} ms"]
 
 
 # ---------------------------------------------------------------------------

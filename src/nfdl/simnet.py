@@ -534,25 +534,10 @@ class TraceEvent:
 
     def line(self) -> str:
         """The event's trace line: time, process, kind, then the payload
-        fields that are set, as ``key=value`` in declaration order."""
-        parts = []
-        if self.sender is not None:
-            parts.append(f"sender={self.sender}")
-        if self.seq is not None:
-            parts.append(f"seq={self.seq}")
-        if self.uptime is not None:
-            parts.append(f"uptime={self.uptime}")
-        if self.receiver is not None:
-            parts.append(f"receiver={self.receiver}")
-        if self.leader is not None:
-            parts.append(f"leader={self.leader}")
-        if self.verdict is not None:
-            parts.append(f"verdict={self.verdict}")
-        if self.reason is not None:
-            parts.append(f"reason={self.reason}")
-        if self.deadline is not None:
-            parts.append(f"deadline={self.deadline}")
-        return f"{self.time}\t{self.process}\t{self.kind}\t{' '.join(parts)}"
+        fields that are set, as ``key=value`` in :data:`_PAYLOAD` order."""
+        payload = " ".join(f"{key}={value}" for key in _PAYLOAD
+                           if (value := getattr(self, key)) is not None)
+        return f"{self.time}\t{self.process}\t{self.kind}\t{payload}"
 
     @classmethod
     def parse(cls, line: str) -> TraceEvent:
@@ -562,17 +547,18 @@ class TraceEvent:
         ev = cls(int(time), int(process), kind)
         for item in payload.split():
             key, _, value = item.partition("=")
-            if key in _TEXT_FIELDS:
-                setattr(ev, key, value)
-            elif key in _INT_FIELDS:
-                setattr(ev, key, int(value))
-            else:
+            if key not in _PAYLOAD:
                 raise ValueError(f"unknown trace payload field {key!r} in {line!r}")
+            setattr(ev, key, _PAYLOAD[key](value))
         return ev
 
 
-_TEXT_FIELDS = frozenset({"verdict", "reason"})
-_INT_FIELDS = frozenset({"sender", "seq", "uptime", "receiver", "leader", "deadline"})
+# The payload fields of a trace line, in line order, and the type each
+# parses as.
+_PAYLOAD = {
+    "sender": int, "seq": int, "uptime": int, "receiver": int, "leader": int,
+    "verdict": str, "reason": str, "deadline": int,
+}
 
 
 def _trace_header(scenario: Scenario) -> list[str]:

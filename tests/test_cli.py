@@ -410,7 +410,8 @@ def test_configure_derives_a_feasible_pair(capsys):
     out = capsys.readouterr().out
     eta = int(out.split("eta_ms=")[1].split()[0])
     alpha = int(out.split("alpha_ms=")[1].split()[0])
-    assert eta > 0 and eta + alpha <= 1000
+    # alpha sits at its floor, ceil(8 * sqrt(25.3356)) = 41.
+    assert (eta, alpha) == (959, 41)
     assert "ok:" in out
 
 
@@ -428,16 +429,42 @@ def test_configure_infeasible_requirements(capsys):
     ("--loss-prob", "7", "loss_prob"),
     pytest.param("--delay-mean-ms", "-5", "delay_mean_ms",
                  id="--delay-mean-ms--5-delay_mean"),
+    ("--delay-var-ms2", "nan", "delay_var_ms2"),
+    ("--delay-var-ms2", "1e308", "delay_var_ms2"),
+    ("--delay-mean-ms", "1e308", "delay_mean_ms"),
+    ("--loss-prob", "nan", "loss_prob"),
 ])
 def test_configure_rejects_a_malformed_network(capsys, flag, value, field):
     assert run_cli("configure", flag, value) == 2
     assert capsys.readouterr().err.startswith(f"error: network.{field}:")
 
 
-@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
-def test_configure_rejects_a_malformed_margin_k(capsys, value):
-    assert run_cli("configure", "--delay-var-ms2", "25", "--margin-k", value) == 2
-    assert capsys.readouterr().err.startswith("error: --margin-k: must be finite")
+@pytest.mark.parametrize("flags, message", [
+    (("--eta-ms", "0", "--alpha-ms", "5"), "config.eta_ms: must be within [1, inf], got 0"),
+    (("--eta-ms", "330", "--alpha-ms", "-1"),
+     "config.alpha_ms: must be within [0, inf], got -1"),
+    (("--eta-ms", "330"), "config.alpha_ms: missing required field"),
+    (("--alpha-ms", "670"), "config.eta_ms: missing required field"),
+], ids=["eta-0", "alpha-minus-1", "eta-alone", "alpha-alone"])
+def test_configure_validation_mode_names_the_config_key(capsys, flags, message):
+    # The pair is read as a scenario file's config keys, before any audit.
+    assert run_cli("configure", *flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+# With the requirement, network and validation-mode cases above, every flag
+# of configure has a malformed value that exits 2 without a traceback.
+@pytest.mark.parametrize("flags", [
+    ("--margin-k", "1e308", "--delay-var-ms2", "25"),
+    ("--window-n", "5"),
+], ids=["margin-k", "window-n"])
+def test_configure_rejects_an_unknown_flag(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("configure", *flags)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags[:2])}" in capsys.readouterr().err
 
 
 def test_configure_validation_mode_accepts_the_field_pair(capsys):

@@ -55,6 +55,20 @@ def test_heartbeats_with_equal_fields_compare_equal():
     assert hb(3, 1, 7) != hb(3, 2, 7)
 
 
+# -- timing parameters -------------------------------------------------------
+
+
+# Each case sits just past its bound: eta >= 1, alpha >= 0, window_n >= 1.
+@pytest.mark.parametrize("fields, name", [
+    pytest.param({"eta": 0, "alpha": 500}, "eta", id="eta-0"),
+    pytest.param({"eta": 330, "alpha": -1}, "alpha", id="alpha-minus-1"),
+    pytest.param({"eta": 330, "alpha": 670, "window_n": 0}, "window_n", id="window_n-0"),
+])
+def test_protocol_config_rejects_a_field_out_of_range(fields, name):
+    with pytest.raises(ValueError, match=name):
+        ProtocolConfig(**fields)
+
+
 # -- initialization ----------------------------------------------------------
 
 

@@ -400,13 +400,11 @@ def test_configure_meets_the_detection_bound():
     config = qos.configure(REQS, MEASURED)
     assert config.eta > 0
     assert config.eta + config.alpha <= REQS.t_d_max
-    ok, violations = qos.validate_config(config.eta, config.alpha, REQS)
-    assert ok, violations
+    assert qos.validate_config(config, REQS) == []
 
 
 def test_operating_point_from_the_field_passes_validation():
-    ok, violations = qos.validate_config(330, 670, REQS)
-    assert ok and violations == []
+    assert qos.validate_config(ProtocolConfig(330, 670), REQS) == []
 
 
 def test_configure_zero_variance_matches_exhaustive_search():
@@ -433,32 +431,24 @@ def test_configure_infeasible_when_nothing_fits():
 
 
 def test_validate_config_rejects_bound_violations():
-    ok, violations = qos.validate_config(500, 600, REQS)
-    assert not ok
-    assert any("1100" in v for v in violations)
-
-
-def test_validate_config_rejects_non_positive_eta():
-    ok, violations = qos.validate_config(0, 500, REQS)
-    assert not ok
-    assert any("eta" in v for v in violations)
+    violations = qos.validate_config(ProtocolConfig(500, 600), REQS)
+    assert len(violations) == 1 and "1100" in violations[0]
 
 
 @given(
     st.integers(min_value=1, max_value=5000),
     st.floats(min_value=0.0, max_value=500.0),
-    st.floats(min_value=1.0, max_value=16.0),
 )
-def test_configure_output_always_validates(t_d_max, var, k):
+def test_configure_output_always_validates(t_d_max, var):
+    k = 8  # the alpha floor, in delay standard deviations
     reqs = qos.QosRequirements(t_d_max, 3_600_000, 1000)
     net = NetworkModel(0.0, 5.0, var, "normal")
     try:
-        config = qos.configure(reqs, net, margin_k=k)
+        config = qos.configure(reqs, net)
     except qos.InfeasibleRequirementsError:
         assert t_d_max - math.ceil(k * math.sqrt(var)) < 1
         return
-    ok, violations = qos.validate_config(config.eta, config.alpha, reqs)
-    assert ok, violations
+    assert qos.validate_config(config, reqs) == []
     assert config.alpha >= k * math.sqrt(var) - 1e-9
 
 

@@ -46,6 +46,34 @@ def test_qos_campaign_script_writes_summary_and_report(tmp_path):
     assert got == CAMPAIGN_EXPECTED
 
 
+def test_qos_campaign_script_names_the_key_of_a_bad_flag(tmp_path):
+    out = tmp_path / "qos"
+    done = run_script("run_qos_experiments.py", "--out", str(out),
+                      "--accuracy-hours", "0", cwd=tmp_path)
+    assert done.returncode == 2
+    assert done.stderr == "error: duration_ms: must be within [1, inf], got 0\n"
+    assert not out.exists()
+
+
+def test_qos_campaign_script_leaves_a_run_with_no_true_leader_unscored(tmp_path):
+    # 360 ms is too short to elect a leader: the accuracy run keeps its trace
+    # but gets no metrics CSV, and the pooled reports hold the speed run alone.
+    out = tmp_path / "qos"
+    done = run_script(
+        "run_qos_experiments.py", "--out", str(out), "--accuracy-reps", "1",
+        "--accuracy-hours", "0.0001", "--speed-cycles", "1", cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "accuracy rep 0: seed=0 not scored: no unanimous final leader" in done.stdout
+    assert sorted(p.name for p in out.iterdir()) == [
+        "accuracy_trace_000.log", "report.txt", "speed_metrics.csv", "speed_trace.log",
+        "summary.csv",
+    ]
+    runs = [line for line in (out / "report.txt").read_text().splitlines()
+            if line.startswith("run ")]
+    assert len(runs) == 1 and "true_leader=2" in runs[0]
+
+
 def test_message_cost_script_writes_the_cost_csv(tmp_path):
     out = tmp_path / "message_cost.csv"
     done = run_script(
@@ -53,7 +81,10 @@ def test_message_cost_script_writes_the_cost_csv(tmp_path):
         "--out", str(out), cwd=tmp_path,
     )
     assert done.returncode == 0, done.stderr
-    assert out.exists()
+    # The measured costs come from simulation, so the bytes are pinned.
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "11f57118ae9f50aa46eed5da0883b420a16e7482677b2aba232ee1cc354dcb35"
+    )
 
 
 def test_message_cost_script_names_the_key_of_a_bad_flag(tmp_path):
