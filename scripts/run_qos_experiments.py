@@ -13,6 +13,7 @@ key it sets, before anything is written.
 """
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -30,7 +31,12 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    duration = int(args.accuracy_hours * 3_600_000)
+    duration_ms = args.accuracy_hours * 3_600_000
+    if not math.isfinite(duration_ms):  # NaN, inf, or too long to count in ms
+        raise simnet.ScenarioError(
+            "--accuracy-hours", f"must be finite in ms, got {args.accuracy_hours!r}"
+        )
+    duration = int(duration_ms)
     accuracy = [accuracy_scenario(args.seed + rep, duration=duration)
                 for rep in range(args.accuracy_reps)]
     speed = speed_scenario(args.seed, cycles=args.speed_cycles)

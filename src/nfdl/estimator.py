@@ -18,6 +18,13 @@ The window holds its sequence numbers and arrival times in two bounded int
 deques, with no tuple per heartbeat, and keeps running integer sums of both,
 updated by each recorded value less the one it evicts, so the numerator
 ``sum(arrival) - eta * sum(seq)`` costs the same at any window size.
+
+A monitor makes one window call per accepted heartbeat: ``record`` stores
+the arrival and returns the expected arrival of the next heartbeat, so the
+hot path neither calls ``expected_arrival`` nor re-checks what ``record``
+has just ensured.  ``record`` holds the estimate's one copy;
+``expected_arrival`` checks its arguments and reads the estimate back through
+it.
 """
 
 from __future__ import annotations
@@ -53,22 +60,29 @@ class ArrivalWindow:
         """The window's (seq, arrival) pairs, oldest first (a copy)."""
         return tuple(zip(self.seqs, self.arrivals))
 
-    def record(self, seq: int, arrival: int) -> None:
-        """Append a fresh arrival, evicting the oldest entry when full."""
+    def record(self, seq: int, arrival: int, eta: int = 0) -> int:
+        """Append a fresh arrival, evicting the oldest entry when full, and
+        return the expected arrival of heartbeat ``seq + 1`` for heartbeats
+        sent every ``eta`` ms: ``expected_arrival(eta, seq + 1)`` of the
+        window this leaves."""
         if seq <= self.last_seq:
             raise ValueError(
                 f"stale arrival: seq {seq} <= newest recorded {self.last_seq}"
             )
         seqs, arrivals = self.seqs, self.arrivals
-        if len(seqs) == self.capacity:
-            self.seq_sum += seq - seqs[0]
-            self.arrival_sum += arrival - arrivals[0]
+        m = len(seqs)
+        if m == self.capacity:
+            self.seq_sum = seq_sum = self.seq_sum + seq - seqs[0]
+            self.arrival_sum = arrival_sum = self.arrival_sum + arrival - arrivals[0]
         else:
-            self.seq_sum += seq
-            self.arrival_sum += arrival
+            m += 1
+            self.seq_sum = seq_sum = self.seq_sum + seq
+            self.arrival_sum = arrival_sum = self.arrival_sum + arrival
         seqs.append(seq)
         arrivals.append(arrival)
         self.last_seq = seq
+        s = arrival_sum - eta * seq_sum
+        return (2 * s + m) // (2 * m) + (seq + 1) * eta
 
     def expected_arrival(self, eta: int, next_seq: int) -> int:
         """Predicted arrival time of heartbeat ``next_seq``, in ms.
@@ -77,17 +91,25 @@ class ArrivalWindow:
         next_seq*eta.  The window must be non-empty and next_seq must be the
         successor of the newest recorded sequence number.
         """
-        m = len(self.seqs)
-        if not m:
+        if not self.seqs:
             raise ValueError("expected_arrival undefined on an empty window")
         if next_seq != self.last_seq + 1:
             raise ValueError(
                 f"next_seq must be {self.last_seq + 1}, got {next_seq}"
             )
-        s = self.arrival_sum - eta * self.seq_sum
-        return (2 * s + m) // (2 * m) + next_seq * eta
+        # Take the newest entry back out and record it again: with that
+        # entry out the window has room, so recording it evicts nothing and
+        # leaves the window as it was.
+        seq, arrival = self.seqs.pop(), self.arrivals.pop()
+        self.seq_sum -= seq
+        self.arrival_sum -= arrival
+        self.last_seq = seq - 1
+        return self.record(seq, arrival, eta)
 
 
 def freshness_point(expected_arrival: int, alpha: int) -> int:
-    """Deadline by which the next heartbeat must arrive: prediction + margin."""
+    """Deadline by which the next heartbeat must arrive: prediction + margin.
+
+    ``NfdeMonitor`` adds its margin to ``record``'s prediction without this
+    call; the tests hold its deadline to this rule."""
     return expected_arrival + alpha

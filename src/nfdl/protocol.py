@@ -19,10 +19,13 @@ explicit clock argument (no internal timers, no wall clock):
 
 Drivers (the simulator, or any transport adapter) deliver heartbeats, fire
 timers at the advertised deadlines, and call for a heartbeat at every send
-instant of the process's schedule.  ``NfdlProcess`` takes a delivery two
-ways, one transition behind both: ``receive`` returns only whether the
-leader changed (a bool, which the simulator calls), and ``on_heartbeat``
-wraps that answer and the leader in an ``Output``.
+instant of the process's schedule.  ``NfdlProcess`` takes a delivery three
+ways, one transition behind all: ``deliver`` is the transition itself and
+reports whether the leader changed and the deadline it moved (the simulator
+calls it, one call per delivery), ``receive`` answers only whether the
+leader changed, and ``on_heartbeat`` wraps that answer and the leader in an
+``Output``.  A follower's accepted heartbeat costs two calls below
+``deliver``: its monitor's ``on_heartbeat`` and the window's ``record``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .estimator import ArrivalWindow, freshness_point
+from .estimator import ArrivalWindow
 from .stable_store import ClockRewindError, load_or_create_zerotime, send_label
 
 
@@ -87,17 +90,6 @@ class Verdict(enum.Enum):
 _TRUST, _SUSPECT = Verdict.TRUST, Verdict.SUSPECT
 
 
-def priority_greater(a: tuple[int, int], b: tuple[int, int] | None) -> bool:
-    """True iff priority (uptime, pid) ``a`` strictly beats ``b``.
-
-    An unknown incumbent (None) loses to everything, so the first heartbeat
-    seen before any election is always adopted.
-    """
-    if b is None:
-        return True
-    return a > b
-
-
 def naive_reduction_cost(n_processes: int) -> int:
     """Heartbeats per eta for the all-pairs reduction: one per directed link."""
     if n_processes < 2:
@@ -110,10 +102,11 @@ class NfdlProcess:
 
     State is mutated in place; every transition returns an :class:`Output`
     reporting the current leader and whether this event changed it, except
-    :meth:`receive`, which returns the bool alone.  The driver contract:
+    :meth:`deliver` and :meth:`receive` (see each).  The driver contract:
 
-    * deliver each received heartbeat via :meth:`receive` (or
-      :meth:`on_heartbeat`, the same transition answering an ``Output``);
+    * deliver each received heartbeat via :meth:`deliver`, which also
+      reports the deadline it moved, or via :meth:`receive` (the bool
+      alone) or :meth:`on_heartbeat` (an ``Output``), the same transition;
     * whenever :attr:`deadline` changes, arrange a timer and call
       :meth:`on_timer_fire` when it expires (stale timers are no-ops);
     * call :meth:`next_heartbeat` at every send instant of the process's
@@ -154,33 +147,51 @@ class NfdlProcess:
         self.monitor: NfdeMonitor | None = None
         self.deadline: int | None = now + config.eta + config.alpha
 
-    def receive(self, hb: Heartbeat, now: int) -> bool:
-        """Handle a delivered heartbeat; True iff it changed the leader.
+    def deliver(
+        self, hb: Heartbeat, now: int
+    ) -> tuple[bool, int | None, int | None]:
+        """Handle a delivered heartbeat: ``(changed, key, deadline)``.
+
+        ``changed`` is True iff the leader changed.  When the freshness
+        deadline moved, ``key`` is this process's id, the one key its
+        deadline is filed under, and ``deadline`` the new deadline; both are
+        None when it did not move.
 
         From the current leader: fresh labels feed the leader's monitor and
         advance the freshness deadline (stale ones change nothing).  From
         anyone else: the sender takes over iff its (uptime, pid) priority
         strictly beats the incumbent's, which starts a fresh monitor on its
-        stream and arms the deadline from this first arrival.
+        stream and arms the deadline from this first arrival.  Priorities
+        compare as tuples, so a higher uptime wins and the pid breaks ties;
+        no incumbent (None) loses to everything, so the first heartbeat seen
+        before any election is always adopted.
         """
         sender = hb.sender
         if sender == self.self_id:
-            return False
+            return False, None, None
         if sender == self.leader:
             monitor = self.monitor
             if hb.seq <= monitor.window.last_seq:
-                return False
+                return False, None, None
             adopted = False
-        elif priority_greater((hb.uptime, sender), self.incumbent):
+        else:
+            incumbent = self.incumbent
+            if incumbent is not None and (hb.uptime, sender) <= incumbent:
+                return False, None, None
             self.leader = sender
             self.monitor = monitor = NfdeMonitor(self.config)
             adopted = True
-        else:
-            return False
         monitor.on_heartbeat(hb.seq, now)
         self.incumbent = (hb.uptime, sender)
-        self.deadline = monitor.deadline
-        return adopted
+        deadline = monitor.deadline
+        if deadline == self.deadline:
+            return adopted, None, None
+        self.deadline = deadline
+        return adopted, self.self_id, deadline
+
+    def receive(self, hb: Heartbeat, now: int) -> bool:
+        """The :meth:`deliver` transition; True iff it changed the leader."""
+        return self.deliver(hb, now)[0]
 
     def on_heartbeat(self, hb: Heartbeat, now: int) -> Output:
         """The :meth:`receive` transition, reported as an :class:`Output`."""
@@ -208,8 +219,9 @@ class NfdlProcess:
         """
         if self.leader != self.self_id:
             return None
-        seq = send_label(self.zerotime, now, self.config.eta)
-        hb = Heartbeat(seq=seq, sender=self.self_id, uptime=self.uptime)
+        # Positional fields: keywords cost a third more per heartbeat.
+        hb = Heartbeat(send_label(self.zerotime, now, self.config.eta),
+                       self.self_id, self.uptime)
         self.last_sent_uptime = self.uptime
         self.uptime += 1
         self.incumbent = (hb.uptime, self.self_id)
@@ -256,9 +268,9 @@ class NfdeMonitor:
     def on_heartbeat(self, seq: int, now: int) -> Verdict:
         window = self.window
         if seq > window.last_seq:
-            window.record(seq, now)
-            ea = window.expected_arrival(self.eta, seq + 1)
-            self.deadline = deadline = freshness_point(ea, self.alpha)
+            # The freshness point: one window call records the arrival and
+            # predicts the next, and the margin goes on top.
+            self.deadline = deadline = window.record(seq, now, self.eta) + self.alpha
             if now < deadline:
                 self.verdict = _TRUST
         return self.verdict

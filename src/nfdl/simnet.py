@@ -49,20 +49,30 @@ the key whose deadline it moved with its new deadline (both None when none
 moved).  ``fire(key, now)`` expires and clears the deadline under ``key``
 and returns whether the output changed.  ``output()`` is the value traced
 by ``output_change`` (a leader id, or a trust/suspect verdict); the
-simulator reads it only to log a change.
+simulator reads it only to log a change.  :meth:`Simulator.run` handles a
+delivery and the timer arm that follows it, and a timer entry, in its own
+loop, so the loop makes one call per delivery, ``deliver``, and one per
+timer entry that is not stale, ``deadline_of``.  Under ``nfdl`` ``deliver``
+is ``NfdlProcess.deliver`` itself, which calls on into the leader's monitor,
+and the monitor into its arrival window, only for a fresh heartbeat from
+the leader or a takeover.
 
 Timers are re-armed lazily, with at most one live heap entry per (process,
-key).  Start-up or a delivery that sets a deadline *arms* the key and takes
-the next push order, whether or not it pushes.  It pushes
-``(max(now, deadline), pid, timer, order, key)`` only when no entry is
-pending or the deadline moved earlier than the pending entry's instant;
-the entry it replaces goes stale.  A deadline moved later pushes nothing:
-the pending entry pops early, sees that a later arm set the deadline, and
-pushes itself again at that deadline under that arm's order.  So a timer
-fires at its deadline and in the place the last arm's own entry would
-have had: two timers of one process at one instant fire in the order
-their deadlines were last set.  A crash drops its process's live entries,
-which then pop as no-ops.
+key), each kept in slot ``pid*stride + key``.  An election node files only
+under its own id, so ``nfdl`` has stride 0 and n slots; the all-pairs node
+files under each peer it watches, in n slots per process.  A delivery that
+sets a deadline *arms* the key and takes the next push order, whether or
+not it pushes.  It pushes ``(max(now, deadline), pid, timer, order, key)``
+only when no entry is pending or the deadline moved earlier than the
+pending entry's instant; the entry it replaces goes stale.  A deadline
+moved later pushes nothing: the pending entry pops early, sees that a later
+arm set the deadline, and pushes itself again at that deadline under that
+arm's order.  So a timer fires at its deadline and in the place the last
+arm's own entry would have had: two timers of one process at one instant
+fire in the order their deadlines were last set.  A start-up deadline files
+its entry at once under its own push order, since the process has no entry
+pending.  A crash drops its process's live entries, which then pop as
+no-ops.
 
 ``nfdl`` runs ``NfdlProcess`` through a thin subclass.  Both baselines are
 one all-pairs node that sends to its targets and runs an ``NfdeMonitor``
@@ -657,21 +667,13 @@ class _ElectionNode(NfdlProcess):
     """``NfdlProcess`` behind the node interface; the leader broadcasts.
 
     Its one deadline, grace or freshness, is filed under its own id, the
-    key ``deliver`` hands back with it.
+    key ``NfdlProcess.deliver`` hands back with it.
     """
 
     targets = None
 
     def sends(self) -> bool:
         return self.leader == self.self_id
-
-    def deliver(self, hb: Heartbeat, now: int) -> tuple[bool, int | None, int | None]:
-        before = self.deadline
-        changed = self.receive(hb, now)
-        deadline = self.deadline
-        if deadline == before:
-            return changed, None, None
-        return changed, self.self_id, deadline
 
     def fire(self, key: int, now: int) -> bool:
         return self.on_timer_fire(now).changed
@@ -707,8 +709,7 @@ class _MonitorNode:
         return bool(self.targets)
 
     def next_heartbeat(self, now: int) -> Heartbeat:
-        seq = send_label(self.zerotime, now, self.config.eta)
-        return Heartbeat(seq=seq, sender=self.pid, uptime=0)
+        return Heartbeat(send_label(self.zerotime, now, self.config.eta), self.pid, 0)
 
     def deliver(self, hb: Heartbeat, now: int) -> tuple[bool, int | None, int | None]:
         sender = hb.sender
@@ -757,7 +758,7 @@ class Simulator:
     :meth:`run` the per-process nodes stay inspectable via :attr:`nodes`
     (None for processes that ended the run crashed); under ``nfdl`` each
     node is an :class:`NfdlProcess`.  A delivery arms its timer from the
-    deadline the node's ``deliver`` hands back.
+    deadline the node's ``deliver`` hands back, inside :meth:`run`.
     """
 
     def __init__(self, scenario: Scenario, store=None, sink=None):
@@ -774,11 +775,15 @@ class Simulator:
         self._ticking: list[object | None] = [None] * n
         self._heap: list[tuple] = []
         self._pushes = 0
-        # Per timer slot ``pid*n + key``: the heap entry that will fire or
-        # re-file that timer (None when none is pending), and the push order
-        # of the arm that last set its deadline.
-        self._pending: list[tuple | None] = [None] * (n * n)
-        self._armed = [0] * (n * n)
+        # Per timer slot ``pid*stride + key``: the heap entry that will fire
+        # or re-file that timer (None when none is pending), and the push
+        # order of the arm that last set its deadline.  An election node
+        # files only under its own id, so nfdl takes stride 0 and n slots;
+        # an all-pairs node files under each peer, in n slots of its own.
+        self._stride = 0 if scenario.algorithm == "nfdl" else n
+        slots = n * (self._stride or 1)
+        self._pending: list[tuple | None] = [None] * slots
+        self._armed = [0] * slots
         # Per process its sends, and per directed link ``sender*n + receiver``
         # its drops.
         self._sends = [0] * n
@@ -796,9 +801,11 @@ class Simulator:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _push(self, time: int, pid: int, rank: int, payload) -> None:
-        heapq.heappush(self._heap, (time, pid, rank, self._pushes, payload))
+    def _push(self, time: int, pid: int, rank: int, payload) -> tuple:
+        entry = (time, pid, rank, self._pushes, payload)
+        heapq.heappush(self._heap, entry)
         self._pushes += 1
+        return entry
 
     # -- run ---------------------------------------------------------------
 
@@ -810,31 +817,80 @@ class Simulator:
         for f in sc.faults:
             rank = _CRASH if f.kind == "crash" else _RECOVER
             self._push(f.at, f.process, rank, f.kind)
-        heap, duration, heappop = self._heap, sc.duration, heapq.heappop
-        on_deliver, on_timer, on_tick = self._on_deliver, self._on_timer, self._on_tick
+        heap, duration, n = self._heap, sc.duration, self._n
+        heappush, heappop = heapq.heappush, heapq.heappop
+        nodes, log, drops = self.nodes, self._log, self._dropped
+        pendings, armed, stride = self._pending, self._armed, self._stride
+        on_tick = self._on_tick
         while heap:
             entry = heappop(heap)
-            time, pid, rank, _, payload = entry
+            time, pid, rank, order, payload = entry
             if time >= duration:
                 heap.append(entry)  # still queued at the horizon
                 break
             if rank == _DELIVER:
-                on_deliver(pid, time, payload)
+                hb, text = payload
+                node = nodes[pid]
+                if node is None:
+                    drops[hb.sender * n + pid] += 1
+                    log(f"{time}\t{pid}\tdrop\tsender={hb.sender} seq={hb.seq} reason=down\n")
+                    continue
+                log(f"{time}\t{pid}\tdeliver\t{text}")
+                changed, key, deadline = node.deliver(hb, time)
+                if changed:
+                    self._log_output_change(pid, time, node.output())
+                if key is None:
+                    continue
+                # Arm the timer of (pid, key) for the deadline its node just
+                # set.  A pending entry due no later than the deadline
+                # re-files itself under ``order`` when it pops (see below).
+                slot = pid * stride + key
+                order = self._pushes
+                self._pushes = order + 1
+                armed[slot] = order
+                pending = pendings[slot]
+                if pending is None or deadline < pending[0]:
+                    pendings[slot] = entry = (
+                        deadline if deadline > time else time, pid, _TIMER, order, key
+                    )
+                    heappush(heap, entry)
             elif rank == _TIMER:
-                on_timer(pid, time, entry)
+                # A timer entry's payload is its key.
+                slot = pid * stride + payload
+                # Stale once superseded by an earlier deadline, or its
+                # process crashed.
+                if pendings[slot] is not entry:
+                    continue
+                node = nodes[pid]
+                deadline = node.deadline_of(payload)
+                if armed[slot] != order:
+                    # A later arm set the deadline, no earlier than now.
+                    pendings[slot] = entry = (deadline, pid, _TIMER, armed[slot], payload)
+                    heappush(heap, entry)
+                    continue
+                pendings[slot] = None
+                changed = node.fire(payload, time)
+                log(f"{time}\t{pid}\ttimer_fire\tdeadline={deadline}\n")
+                if changed:
+                    self._log_output_change(pid, time, node.output())
+                if node.sends() and self._ticking[pid] is not node:
+                    # Ticks rank after timers, so the send instant ``time``
+                    # itself is still ahead: the first tick falls at or after it.
+                    self._tick(pid, node, time + (node.zerotime - time) % sc.config.eta)
             elif rank == _TICK:
                 on_tick(pid, time, payload)
             elif rank == _CRASH:
-                self.nodes[pid] = None
-                n = self._n
-                self._pending[pid * n:(pid + 1) * n] = [None] * n
-                self._log(f"{time}\t{pid}\tcrash\t\n")
+                nodes[pid] = None
+                # The process's slots: its own id under nfdl, else n of them.
+                width = stride or 1
+                pendings[pid * width:(pid + 1) * width] = [None] * width
+                log(f"{time}\t{pid}\tcrash\t\n")
             else:
-                self._log(f"{time}\t{pid}\trecover\t\n")
+                log(f"{time}\t{pid}\trecover\t\n")
                 self._start(pid, time)
         if self._lines:
             self._sink("".join(self._lines))
-        trace, n = self.trace, self._n
+        trace = self.trace
         # A broadcast logs one send line, a unicast send one per receiver.
         per_send = 1 if sc.algorithm == "nfdl" else n - 1
         trace.send_counts = {pid: c * per_send for pid, c in enumerate(self._sends) if c}
@@ -874,49 +930,14 @@ class Simulator:
             self._tick(pid, node, next_send_time(node.zerotime, now, sc.config.eta))
         deadline = node.deadline_of(pid)
         if deadline is not None:
-            self._arm(pid, pid, deadline, now)
+            # A starting process has no timer pending (none has been armed,
+            # or its crash cleared its slots), and its start-up deadline lies
+            # ahead: it files at once, under the order of its own push.
+            slot = pid * self._stride + pid
+            entry = self._pending[slot] = self._push(deadline, pid, _TIMER, pid)
+            self._armed[slot] = entry[3]
 
-    # -- timers ------------------------------------------------------------
-
-    def _arm(self, pid: int, key: int, deadline: int, now: int) -> None:
-        """Arm the timer of (pid, key) for the deadline its node just set."""
-        slot = pid * self._n + key
-        order = self._pushes
-        self._pushes = order + 1
-        self._armed[slot] = order
-        pending = self._pending[slot]
-        # A pending entry due no later than the deadline re-files itself
-        # under ``order`` when it pops (see _on_timer).
-        if pending is None or deadline < pending[0]:
-            self._pending[slot] = entry = (
-                deadline if deadline > now else now, pid, _TIMER, order, key
-            )
-            heapq.heappush(self._heap, entry)
-
-    def _on_timer(self, pid: int, now: int, entry: tuple) -> None:
-        _, _, _, order, key = entry
-        slot = pid * self._n + key
-        # Stale once superseded by an earlier deadline, or its process crashed.
-        if self._pending[slot] is not entry:
-            return
-        node = self.nodes[pid]
-        deadline = node.deadline_of(key)
-        armed = self._armed[slot]
-        if armed != order:
-            # A later arm set the deadline, no earlier than this instant.
-            self._pending[slot] = entry = (deadline, pid, _TIMER, armed, key)
-            heapq.heappush(self._heap, entry)
-            return
-        self._pending[slot] = None
-        changed = node.fire(key, now)
-        self._log(f"{now}\t{pid}\ttimer_fire\tdeadline={deadline}\n")
-        if changed:
-            self._log_output_change(pid, now, node.output())
-        if node.sends() and self._ticking[pid] is not node:
-            # Ticks rank after timers, so the send instant ``now`` itself
-            # is still ahead: the first tick falls at or after it.
-            eta = self.scenario.config.eta
-            self._tick(pid, node, now + (node.zerotime - now) % eta)
+    # -- output changes ----------------------------------------------------
 
     def _log_output_change(self, pid: int, now: int, after) -> None:
         self.trace.output_changes[pid].append((now, after))
@@ -979,20 +1000,6 @@ class Simulator:
                                       order, payload))
         self._sink("".join(self._lines))
         self._lines.clear()
-
-    def _on_deliver(self, pid: int, now: int, payload: tuple[Heartbeat, str]) -> None:
-        hb, text = payload
-        node = self.nodes[pid]
-        if node is None:
-            self._dropped[hb.sender * self._n + pid] += 1
-            self._log(f"{now}\t{pid}\tdrop\tsender={hb.sender} seq={hb.seq} reason=down\n")
-            return
-        self._log(f"{now}\t{pid}\tdeliver\t{text}")
-        changed, key, deadline = node.deliver(hb, now)
-        if changed:
-            self._log_output_change(pid, now, node.output())
-        if key is not None:
-            self._arm(pid, key, deadline, now)
 
 
 def _by_link(counts: list[int], n: int) -> dict[tuple[int, int], int]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nfdl.estimator import ArrivalWindow
+from nfdl.estimator import ArrivalWindow, freshness_point
 from nfdl.protocol import (
     Heartbeat,
     NfdeMonitor,
@@ -14,7 +14,6 @@ from nfdl.protocol import (
     ProtocolConfig,
     Verdict,
     naive_reduction_cost,
-    priority_greater,
 )
 from nfdl.stable_store import (
     ClockRewindError,
@@ -116,21 +115,28 @@ def test_init_fails_on_clock_rewind():
 # -- priority ----------------------------------------------------------------
 
 
+def takes_over(incumbent, challenger):
+    """Whether a follower of ``incumbent``, an (uptime, pid) priority,
+    adopts the challenger's first heartbeat; None is no leader yet."""
+    p = make_proc(self_id=0)
+    if incumbent is not None:
+        p.receive(hb(1, incumbent[1], incumbent[0]), now=330)
+    uptime, sender = challenger
+    return p.receive(hb(2, sender, uptime), now=400)
+
+
 def test_priority_higher_uptime_dominates():
-    assert priority_greater((5, 2), (3, 9))
+    assert takes_over((3, 9), (5, 2))
+    assert not takes_over((5, 2), (3, 9))
 
 
 def test_priority_pid_breaks_uptime_ties():
-    assert priority_greater((4, 7), (4, 3))
-    assert not priority_greater((4, 3), (4, 7))
-
-
-def test_priority_is_strict():
-    assert not priority_greater((4, 3), (4, 3))
+    assert takes_over((4, 3), (4, 7))
+    assert not takes_over((4, 7), (4, 3))
 
 
 def test_priority_none_loses_to_everything():
-    assert priority_greater((0, 0), None)
+    assert takes_over(None, (0, 1))
 
 
 # -- receive handling --------------------------------------------------------
@@ -319,6 +325,35 @@ def test_election_monitor_matches_the_pair_monitor():
             proc.on_heartbeat(hb(seq, 0, 1), now=arrival)
             mon.on_heartbeat(seq, now=arrival)
             assert proc.deadline == mon.deadline
+
+
+@given(st.integers(min_value=1, max_value=1000), st.integers(min_value=0, max_value=1000),
+       st.integers(min_value=1, max_value=6),
+       st.lists(st.tuples(st.integers(min_value=1, max_value=4),
+                          st.integers(min_value=-1500, max_value=3000), st.booleans()),
+                min_size=1, max_size=40))
+@settings(max_examples=300)
+def test_monitor_deadline_is_the_freshness_point_of_a_reference_window(
+        eta, alpha, window_n, steps):
+    # The monitor makes one window call per fresh heartbeat; a reference
+    # window filled through record() and asked through expected_arrival()
+    # must predict the same deadline, and trust follows from it.  Expiries
+    # between heartbeats bring the monitor back to suspecting.
+    mon = NfdeMonitor(ProtocolConfig(eta=eta, alpha=alpha, window_n=window_n))
+    ref, seq, verdict = ArrivalWindow(window_n), 0, Verdict.SUSPECT
+    for gap, jitter, expire in steps:
+        if expire and mon.deadline is not None:
+            assert mon.on_timeout(mon.deadline) is Verdict.SUSPECT
+            verdict = Verdict.SUSPECT
+        seq += gap
+        now = seq * eta + jitter
+        got = mon.on_heartbeat(seq, now)
+        ref.record(seq, now)
+        deadline = freshness_point(ref.expected_arrival(eta, seq + 1), alpha)
+        if now < deadline:
+            verdict = Verdict.TRUST
+        assert (mon.deadline, got, mon.verdict) == (deadline, verdict, verdict)
+        assert mon.window.entries == ref.entries
 
 
 # -- properties --------------------------------------------------------------

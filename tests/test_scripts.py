@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -52,6 +54,18 @@ def test_qos_campaign_script_names_the_key_of_a_bad_flag(tmp_path):
                       "--accuracy-hours", "0", cwd=tmp_path)
     assert done.returncode == 2
     assert done.stderr == "error: duration_ms: must be within [1, inf], got 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("hours", ["nan", "inf", "1e308"])
+def test_qos_campaign_script_rejects_hours_with_no_finite_duration(tmp_path, hours):
+    out = tmp_path / "qos"
+    done = run_script("run_qos_experiments.py", "--out", str(out),
+                      "--accuracy-hours", hours, cwd=tmp_path)
+    assert done.returncode == 2
+    assert done.stderr == (
+        f"error: --accuracy-hours: must be finite in ms, got {float(hours)!r}\n"
+    )
     assert not out.exists()
 
 

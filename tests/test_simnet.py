@@ -2,6 +2,7 @@ import heapq
 import json
 import math
 import re
+import sys
 import tracemalloc
 import types
 from collections import Counter
@@ -13,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nfdl import simnet
+from nfdl.experiments import speed_scenario
 from nfdl.protocol import Heartbeat, NfdlProcess, ProtocolConfig, Verdict
 from nfdl.qos import sends_per_eta
 from nfdl.simnet import (
@@ -642,6 +644,47 @@ def test_an_in_memory_run_holds_under_70_bytes_per_event():
     events = len(trace.events)
     assert events > 30_000
     assert held < 70 * events, f"holds {held / events:.1f} B per event"
+
+
+# Python calls per simulated message, counted with sys.setprofile.
+# Simulator.run handles deliveries and timer entries in its own loop: a
+# delivery costs one call when the election rejects it and three when a
+# monitor accepts it (node, monitor, window).  Counts do not depend on host
+# speed.  The bounds are the counts measured when the delivery path was
+# collapsed, rounded up.
+@pytest.mark.parametrize("sc, bound", [
+    pytest.param(scenario(network=LOSSY, duration=120_000), 4.9, id="nfdl"),
+    pytest.param(scenario(algorithm="naive-reduction", n_processes=10, network=LOSSY,
+                          duration=30_000), 4.0, id="naive"),
+    pytest.param(speed_scenario(1, cycles=1, n=30, downtime=5_000, spacing=10_000), 3.3,
+                 id="churn"),
+])
+def test_python_calls_per_message_stay_bounded(sc, bound):
+    sim = Simulator(sc)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        trace = sim.run()
+    finally:
+        sys.setprofile(None)
+    messages = sum(trace.link_sent.values())
+    assert messages > 1_000
+    assert calls / messages <= bound, f"{calls} calls for {messages} messages"
+
+
+@pytest.mark.parametrize("algorithm, n, slots", [
+    ("nfdl", 6, 6), ("naive-reduction", 6, 36), ("nfde-pair", 2, 4),
+])
+def test_timer_slots_are_sized_by_what_a_node_files(algorithm, n, slots):
+    # An election node files only under its own id; an all-pairs node
+    # files under each peer it watches.
+    sim = Simulator(scenario(algorithm=algorithm, n_processes=n))
+    assert len(sim._pending) == len(sim._armed) == slots
 
 
 def test_a_sink_sees_every_event_in_log_order():
