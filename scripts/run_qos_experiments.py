@@ -9,7 +9,8 @@ report) land in the output directory.  Each run streams its trace to disk
 as it goes, so it holds no event list.  An accuracy run with no true leader
 (too short to elect one) keeps its trace but gets no metrics CSV and stays
 out of the pooled summary.  A bad flag value exits 2 naming the scenario
-key it sets, before anything is written.
+key it sets, or the flag for a count below 1 or an --accuracy-hours with
+no finite duration, before anything is written.
 """
 
 import argparse
@@ -31,6 +32,10 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
+    for flag, count in (("--accuracy-reps", args.accuracy_reps),
+                        ("--speed-cycles", args.speed_cycles)):
+        if count < 1:
+            raise simnet.ScenarioError(flag, f"must be >= 1, got {count}")
     duration_ms = args.accuracy_hours * 3_600_000
     if not math.isfinite(duration_ms):  # NaN, inf, or too long to count in ms
         raise simnet.ScenarioError(

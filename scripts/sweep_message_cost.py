@@ -4,6 +4,8 @@
 Sweeps the process count and runs both the single-leader protocol (one
 broadcast per interval regardless of size) and the all-pairs reduction
 (N^2 - N unicasts per interval), writing a CSV alongside the printed table.
+A bad flag value exits 2 naming the scenario key it sets, or the flag for a
+--max-procs below --min-procs, before anything is written.
 """
 
 import argparse
@@ -25,6 +27,10 @@ def main() -> int:
     parser.add_argument("--out", type=Path, default=Path("out/message_cost.csv"))
     args = parser.parse_args()
 
+    if args.max_procs < args.min_procs:
+        raise ScenarioError(
+            "--max-procs", f"must be >= --min-procs ({args.min_procs}), got {args.max_procs}"
+        )
     # Read as a scenario file's keys, so that an error names the key.
     config = load(ProtocolConfig, {"eta_ms": args.eta_ms, "alpha_ms": args.alpha_ms}, "config")
     lines = ["algorithm,procs,predicted_per_eta,measured_per_eta"]

@@ -19,13 +19,14 @@ explicit clock argument (no internal timers, no wall clock):
 
 Drivers (the simulator, or any transport adapter) deliver heartbeats, fire
 timers at the advertised deadlines, and call for a heartbeat at every send
-instant of the process's schedule.  ``NfdlProcess`` takes a delivery three
-ways, one transition behind all: ``deliver`` is the transition itself and
-reports whether the leader changed and the deadline it moved (the simulator
-calls it, one call per delivery), ``receive`` answers only whether the
-leader changed, and ``on_heartbeat`` wraps that answer and the leader in an
-``Output``.  A follower's accepted heartbeat costs two calls below
-``deliver``: its monitor's ``on_heartbeat`` and the window's ``record``.
+instant of the process's schedule.  ``NfdlProcess`` has one transition per
+input: ``deliver`` takes a heartbeat and reports whether the leader changed
+and the deadline it moved, and ``on_timer_fire`` takes the expiry of that
+deadline and reports whether the leader changed.  The simulator runs it
+as its ``nfdl`` node.  ``on_heartbeat`` reports a delivery as an
+``Output``, the leader with the answer.  A follower's accepted heartbeat
+costs two calls below ``deliver``: its monitor's ``on_heartbeat`` and the
+window's ``record``.
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ class ProtocolConfig:
 # Not frozen: a frozen slots dataclass pays object.__setattr__ once per field.
 @dataclass(slots=True)
 class Output:
-    """Locally elected leader and whether this event changed it."""
+    """Locally elected leader and whether a delivery changed it, as
+    :meth:`NfdlProcess.on_heartbeat` reports them."""
 
     leader: int | None
     changed: bool
@@ -100,17 +102,21 @@ def naive_reduction_cost(n_processes: int) -> int:
 class NfdlProcess:
     """One process's election state machine.
 
-    State is mutated in place; every transition returns an :class:`Output`
-    reporting the current leader and whether this event changed it, except
-    :meth:`deliver` and :meth:`receive` (see each).  The driver contract:
+    State is mutated in place by one transition per input.  The driver
+    contract:
 
-    * deliver each received heartbeat via :meth:`deliver`, which also
-      reports the deadline it moved, or via :meth:`receive` (the bool
-      alone) or :meth:`on_heartbeat` (an ``Output``), the same transition;
+    * deliver each received heartbeat via :meth:`deliver`, which reports
+      whether the leader changed and the deadline it moved
+      (:meth:`on_heartbeat` reports the same transition as an ``Output``);
     * whenever :attr:`deadline` changes, arrange a timer and call
-      :meth:`on_timer_fire` when it expires (stale timers are no-ops);
+      :meth:`on_timer_fire` when it expires, which reports whether the
+      leader changed (stale timers are no-ops);
     * call :meth:`next_heartbeat` at every send instant of the process's
       schedule (``zerotime + i*eta``); non-leaders return None.
+
+    It is the simulator's node for ``nfdl``: the leader broadcasts (no
+    ``targets``), its output is the leader, and its one deadline, grace or
+    freshness, is filed under its own id.
 
     A follower watches its leader with the same :class:`NfdeMonitor` the
     all-pairs node runs per peer, started afresh on every adoption.
@@ -121,6 +127,8 @@ class NfdlProcess:
     next broadcast always beats that deadline, so recoveries do not disturb
     a running system.
     """
+
+    targets = None
 
     def __init__(self, self_id: int, config: ProtocolConfig, store, now: int):
         self.self_id = self_id
@@ -146,6 +154,16 @@ class NfdlProcess:
         # while this process leads or has no leader yet.
         self.monitor: NfdeMonitor | None = None
         self.deadline: int | None = now + config.eta + config.alpha
+
+    def sends(self) -> bool:
+        return self.leader == self.self_id
+
+    def output(self) -> int | None:
+        return self.leader
+
+    def deadline_of(self, key: int) -> int | None:
+        """The deadline; ``key`` is always this process's id."""
+        return self.deadline
 
     def deliver(
         self, hb: Heartbeat, now: int
@@ -189,26 +207,23 @@ class NfdlProcess:
         self.deadline = deadline
         return adopted, self.self_id, deadline
 
-    def receive(self, hb: Heartbeat, now: int) -> bool:
-        """The :meth:`deliver` transition; True iff it changed the leader."""
-        return self.deliver(hb, now)[0]
-
     def on_heartbeat(self, hb: Heartbeat, now: int) -> Output:
-        """The :meth:`receive` transition, reported as an :class:`Output`."""
-        changed = self.receive(hb, now)
+        """The :meth:`deliver` transition, reported as an :class:`Output`."""
+        changed = self.deliver(hb, now)[0]
         return Output(self.leader, changed)
 
-    def on_timer_fire(self, now: int) -> Output:
+    def on_timer_fire(self, now: int, key: int | None = None) -> bool:
         """Freshness (or grace) deadline expiry: claim leadership.
 
-        A timer that fires before the current deadline is stale (a fresh
-        heartbeat advanced it) and is reported as unchanged.
+        True iff the leader changed.  A timer that fires before the current
+        deadline is stale (a fresh heartbeat advanced it) and changes
+        nothing.  ``key``, when given, is this process's id.
         """
         if self.deadline is None or now < self.deadline:
-            return Output(self.leader, False)
+            return False
         changed = self.leader != self.self_id
         self._lead()
-        return Output(self.leader, changed)
+        return changed
 
     def next_heartbeat(self, now: int) -> Heartbeat | None:
         """Heartbeat for the send instant ``now``, or None when not leader.

@@ -46,16 +46,16 @@ unarmed); the node's own id keys the one it arms at start-up, if any.
 Nodes report their own changes: ``deliver(hb, now)`` applies a delivery
 and returns ``(changed, key, deadline)``: whether the output changed, and
 the key whose deadline it moved with its new deadline (both None when none
-moved).  ``fire(key, now)`` expires and clears the deadline under ``key``
-and returns whether the output changed.  ``output()`` is the value traced
-by ``output_change`` (a leader id, or a trust/suspect verdict); the
+moved).  ``on_timer_fire(now, key)`` expires and clears the deadline under
+``key`` and returns whether the output changed.  ``output()`` is the value
+traced by ``output_change`` (a leader id, or a trust/suspect verdict); the
 simulator reads it only to log a change.  :meth:`Simulator.run` handles a
 delivery and the timer arm that follows it, and a timer entry, in its own
 loop, so the loop makes one call per delivery, ``deliver``, and one per
-timer entry that is not stale, ``deadline_of``.  Under ``nfdl`` ``deliver``
-is ``NfdlProcess.deliver`` itself, which calls on into the leader's monitor,
-and the monitor into its arrival window, only for a fresh heartbeat from
-the leader or a takeover.
+timer entry that is not stale, ``deadline_of``.  Under ``nfdl`` the node is
+the ``NfdlProcess`` itself: its ``deliver`` calls on into the leader's
+monitor, and the monitor into its arrival window, only for a fresh
+heartbeat from the leader or a takeover.
 
 Timers are re-armed lazily, with at most one live heap entry per (process,
 key), each kept in slot ``pid*stride + key``.  An election node files only
@@ -74,9 +74,10 @@ its entry at once under its own push order, since the process has no entry
 pending.  A crash drops its process's live entries, which then pop as
 no-ops.
 
-``nfdl`` runs ``NfdlProcess`` through a thin subclass.  Both baselines are
-one all-pairs node that sends to its targets and runs an ``NfdeMonitor``
-per watched peer:
+``nfdl`` runs one ``NfdlProcess`` per process, whose leader broadcasts and
+which files its one deadline under its own id.  Both baselines are one
+all-pairs node that sends to its targets and runs an ``NfdeMonitor`` per
+watched peer:
 
 * ``naive-reduction`` - every process sends to and watches all others and
   outputs the lowest id it trusts, counting itself;
@@ -663,28 +664,6 @@ _CRASH, _RECOVER, _TIMER, _TICK, _DELIVER = range(5)
 _TRUST, _SUSPECT = Verdict.TRUST, Verdict.SUSPECT  # global loads, as in protocol
 
 
-class _ElectionNode(NfdlProcess):
-    """``NfdlProcess`` behind the node interface; the leader broadcasts.
-
-    Its one deadline, grace or freshness, is filed under its own id, the
-    key ``NfdlProcess.deliver`` hands back with it.
-    """
-
-    targets = None
-
-    def sends(self) -> bool:
-        return self.leader == self.self_id
-
-    def fire(self, key: int, now: int) -> bool:
-        return self.on_timer_fire(now).changed
-
-    def output(self) -> int | None:
-        return self.leader
-
-    def deadline_of(self, key: int) -> int | None:
-        return self.deadline
-
-
 class _MonitorNode:
     """All-pairs monitor: heartbeats to ``targets``, one monitor per watched peer.
 
@@ -724,7 +703,7 @@ class _MonitorNode:
             return changed, None, None
         return changed, sender, deadline
 
-    def fire(self, key: int, now: int) -> bool:
+    def on_timer_fire(self, now: int, key: int) -> bool:
         bit = 1 << key
         return (self.monitors[key].on_timeout(now) is _SUSPECT
                 and self.trusted & bit != 0 and self._flip(bit))
@@ -869,7 +848,7 @@ class Simulator:
                     heappush(heap, entry)
                     continue
                 pendings[slot] = None
-                changed = node.fire(payload, time)
+                changed = node.on_timer_fire(time, payload)
                 log(f"{time}\t{pid}\ttimer_fire\tdeadline={deadline}\n")
                 if changed:
                     self._log_output_change(pid, time, node.output())
@@ -914,7 +893,7 @@ class Simulator:
     def _start(self, pid: int, now: int) -> None:
         sc = self.scenario
         if sc.algorithm == "nfdl":
-            node = _ElectionNode(pid, sc.config, self.store, now)
+            node = NfdlProcess(pid, sc.config, self.store, now)
             if sc.high_priority == pid:
                 node.assume_leadership(PRIORITY_UPTIME_BOOST)
         elif sc.algorithm == "nfde-pair":

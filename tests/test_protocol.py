@@ -120,9 +120,9 @@ def takes_over(incumbent, challenger):
     adopts the challenger's first heartbeat; None is no leader yet."""
     p = make_proc(self_id=0)
     if incumbent is not None:
-        p.receive(hb(1, incumbent[1], incumbent[0]), now=330)
+        p.deliver(hb(1, incumbent[1], incumbent[0]), now=330)
     uptime, sender = challenger
-    return p.receive(hb(2, sender, uptime), now=400)
+    return p.deliver(hb(2, sender, uptime), now=400)[0]
 
 
 def test_priority_higher_uptime_dominates():
@@ -208,31 +208,29 @@ def test_own_heartbeat_is_ignored():
 def test_deadline_expiry_elects_self():
     p = make_proc(self_id=4, now=0)
     p.on_heartbeat(hb(1, 7, 1), now=330)  # deadline 1330
-    out = p.on_timer_fire(now=1330)
-    assert out.changed and out.leader == 4
-    assert p.deadline is None
+    assert p.on_timer_fire(now=1330)
+    assert p.leader == 4 and p.deadline is None
 
 
 def test_stale_timer_is_a_no_op():
     p = make_proc(self_id=4, now=0)
     p.on_heartbeat(hb(1, 7, 1), now=330)   # deadline 1330
     p.on_heartbeat(hb(2, 7, 1), now=660)   # deadline advanced
-    out = p.on_timer_fire(now=1330 - 330)
-    assert not out.changed
+    assert not p.on_timer_fire(now=1330 - 330)
     assert p.leader == 7
 
 
 def test_silent_system_triggers_self_election_after_grace():
     p = make_proc(self_id=2, now=1000)
-    out = p.on_timer_fire(now=1000 + 330 + 670)
-    assert out.changed and p.leader == 2
+    assert p.on_timer_fire(now=1000 + 330 + 670)
+    assert p.leader == 2
 
 
 def test_timer_after_election_reports_unchanged():
     p = make_proc(self_id=2, now=0)
     p.on_timer_fire(now=1000)
-    out = p.on_timer_fire(now=2000)
-    assert not out.changed and out.leader == 2
+    assert not p.on_timer_fire(now=2000)
+    assert p.leader == 2
 
 
 # -- sending -----------------------------------------------------------------
@@ -522,13 +520,17 @@ def test_transitions_match_the_reference_rules(eta, alpha, window_n, start, step
         if step[0] == "heartbeat":
             _, seq, sender, uptime, at = step
             now = instant(at)
-            out = proc.on_heartbeat(hb(seq, sender, uptime), now)
-            assert (out.leader, out.changed) == ref.on_heartbeat(seq, sender, uptime, now)
+            before = ref.deadline
+            changed, key, deadline = proc.deliver(hb(seq, sender, uptime), now)
+            assert (proc.leader, changed) == ref.on_heartbeat(seq, sender, uptime, now)
+            # The simulator arms its timer from the deadline handed back.
+            moved = ref.deadline != before
+            assert (key, deadline) == ((0, ref.deadline) if moved else (None, None))
             assert mon.on_heartbeat(seq, now) is ref_mon.on_heartbeat(seq, now)
         elif step[0] == "timer":
             now = instant(step[1])
-            out = proc.on_timer_fire(now)
-            assert (out.leader, out.changed) == ref.on_timer_fire(now)
+            changed = proc.on_timer_fire(now, 0)
+            assert (proc.leader, changed) == ref.on_timer_fire(now)
             assert mon.on_timeout(now) is ref_mon.on_timeout(now)
         else:
             # any instant from the first send label on

@@ -69,6 +69,16 @@ def test_qos_campaign_script_rejects_hours_with_no_finite_duration(tmp_path, hou
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, count", [("--accuracy-reps", "-2"), ("--speed-cycles", "0")])
+def test_qos_campaign_script_rejects_a_count_that_selects_no_run(tmp_path, flag, count):
+    out = tmp_path / "qos"
+    done = run_script("run_qos_experiments.py", "--out", str(out), flag, count,
+                      cwd=tmp_path)
+    assert done.returncode == 2
+    assert done.stderr == f"error: {flag}: must be >= 1, got {count}\n"
+    assert not out.exists()
+
+
 def test_qos_campaign_script_leaves_a_run_with_no_true_leader_unscored(tmp_path):
     # 360 ms is too short to elect a leader: the accuracy run keeps its trace
     # but gets no metrics CSV, and the pooled reports hold the speed run alone.
@@ -107,4 +117,13 @@ def test_message_cost_script_names_the_key_of_a_bad_flag(tmp_path):
                       cwd=tmp_path)
     assert done.returncode == 2
     assert done.stderr.startswith("error: config.eta_ms: ")
+    assert not out.exists()
+
+
+def test_message_cost_script_rejects_an_empty_process_range(tmp_path):
+    out = tmp_path / "message_cost.csv"
+    done = run_script("sweep_message_cost.py", "--min-procs", "5", "--max-procs", "3",
+                      "--out", str(out), cwd=tmp_path)
+    assert done.returncode == 2
+    assert done.stderr == "error: --max-procs: must be >= --min-procs (5), got 3\n"
     assert not out.exists()

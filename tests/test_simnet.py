@@ -1,4 +1,6 @@
+import gc
 import heapq
+import importlib.util
 import json
 import math
 import re
@@ -7,6 +9,7 @@ import tracemalloc
 import types
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -651,7 +654,8 @@ def test_an_in_memory_run_holds_under_70_bytes_per_event():
 # delivery costs one call when the election rejects it and three when a
 # monitor accepts it (node, monitor, window).  Counts do not depend on host
 # speed.  The bounds are the counts measured when the delivery path was
-# collapsed, rounded up.
+# collapsed, rounded up.  The cyclic collector stays off during the run: it
+# would run finalizers of garbage left by earlier tests inside the count.
 @pytest.mark.parametrize("sc, bound", [
     pytest.param(scenario(network=LOSSY, duration=120_000), 4.9, id="nfdl"),
     pytest.param(scenario(algorithm="naive-reduction", n_processes=10, network=LOSSY,
@@ -667,14 +671,50 @@ def test_python_calls_per_message_stay_bounded(sc, bound):
         nonlocal calls
         calls += event == "call"
 
+    gc.collect()
+    gc.disable()
     sys.setprofile(count)
     try:
         trace = sim.run()
     finally:
         sys.setprofile(None)
+        gc.enable()
     messages = sum(trace.link_sent.values())
     assert messages > 1_000
     assert calls / messages <= bound, f"{calls} calls for {messages} messages"
+
+
+# The traced benchmark replaces each attribute in bench/spans.py's
+# ENTRY_POINTS with a span recorder, looked up by name, so a renamed entry
+# point, or a simulator that stops calling one through its class, would
+# otherwise show only in the benchmark's own run.
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def test_every_traced_entry_point_of_the_bench_resolves():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for _name, _layer, owner, attr, _outcome in spans.ENTRY_POINTS:
+        module, _, cls = owner.partition(":")
+        target = importlib.import_module(module)
+        if cls:
+            target = getattr(target, cls)
+        assert callable(getattr(target, attr, None)), f"{owner} has no {attr}"
+
+
+def test_the_simulator_fires_nfdl_timers_through_the_class_attribute(monkeypatch):
+    fired = 0
+    on_timer_fire = NfdlProcess.on_timer_fire
+
+    def counting(*args):
+        nonlocal fired
+        fired += 1
+        return on_timer_fire(*args)
+
+    monkeypatch.setattr(NfdlProcess, "on_timer_fire", counting)
+    trace = run(speed_scenario(1, cycles=2, n=5, downtime=5_000, spacing=10_000))
+    assert fired == sum(ev.kind == "timer_fire" for ev in trace.events) > 0
 
 
 @pytest.mark.parametrize("algorithm, n, slots", [
@@ -1040,7 +1080,7 @@ def test_electing_monitor_node_outputs_the_lowest_trusted_id(n, data):
             seq = data.draw(st.integers(min_value=1, max_value=40))
             node.deliver(Heartbeat(seq=seq, sender=peer, uptime=0), now)
         else:
-            node.fire(peer, now)
+            node.on_timer_fire(now, peer)
         trusted = [p for p, m in node.monitors.items() if m.verdict is Verdict.TRUST]
         assert node.output() == min([pid, *trusted])
 
@@ -1087,10 +1127,11 @@ def fault_schedules(draw):
 
 
 class CheckedNode:
-    """Checks every ``deliver`` and ``fire`` result against ``output()`` and
-    ``deadline_of`` read before and after the call, and counts the calls."""
+    """Checks every ``deliver`` and ``on_timer_fire`` result against
+    ``output()`` and ``deadline_of`` read before and after the call, and
+    counts the calls."""
 
-    calls = {"deliver": 0, "fire": 0}
+    calls = {"deliver": 0, "timer_fire": 0}
 
     def deliver(self, hb, now):
         keys = self.keys()
@@ -1104,17 +1145,17 @@ class CheckedNode:
         self.calls["deliver"] += 1
         return changed, key, deadline
 
-    def fire(self, key, now):
+    def on_timer_fire(self, now, key):
         output, deadline = self.output(), self.deadline_of(key)
-        changed = super().fire(key, now)
+        changed = super().on_timer_fire(now, key)
         assert changed == (self.output() != output)
         assert deadline is not None and deadline <= now
         assert self.deadline_of(key) is None
-        self.calls["fire"] += 1
+        self.calls["timer_fire"] += 1
         return changed
 
 
-class CheckedElectionNode(CheckedNode, simnet._ElectionNode):
+class CheckedElectionNode(CheckedNode, NfdlProcess):
     def keys(self):
         return [self.self_id]
 
@@ -1128,14 +1169,14 @@ class CheckedMonitorNode(CheckedNode, _MonitorNode):
 @settings(max_examples=40, deadline=None)
 def test_protocol_invariants_hold_under_random_fault_schedules(sc):
     # Every node reports its own output changes and moved deadlines.
-    CheckedNode.calls.update(deliver=0, fire=0)
+    CheckedNode.calls.update(deliver=0, timer_fire=0)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simnet, "_ElectionNode", CheckedElectionNode)
+        mp.setattr(simnet, "NfdlProcess", CheckedElectionNode)
         mp.setattr(simnet, "_MonitorNode", CheckedMonitorNode)
         trace = run(sc)
     kinds = [ev.kind for ev in trace.events]
     assert CheckedNode.calls == {
-        "deliver": kinds.count("deliver"), "fire": kinds.count("timer_fire")
+        "deliver": kinds.count("deliver"), "timer_fire": kinds.count("timer_fire")
     }
     # one zerotime write per process lifetime, recoveries only read it back
     assert trace.store_writes == {pid: 1 for pid in range(sc.n_processes)}
