@@ -95,27 +95,22 @@ def _scenario_from_args(args) -> simnet.Scenario:
     ))
 
 
-def _requirements(values: dict[str, int]) -> qos.QosRequirements:
-    """The requirements of ``values`` (attribute -> ms); an error names the
-    flag that gave the value."""
-    for name, value in values.items():
-        if value <= 0:
-            flag = "--" + name.replace("_", "-") + "-ms"
-            raise simnet.ScenarioError(flag, f"must be positive, got {value}")
-    return qos.QosRequirements(**values)
+def _requirement_keys(args) -> dict:
+    """The requirement flags given, as keys ``t_d_max_ms`` and the like."""
+    return _keys(**{f"{k}_ms": getattr(args, f"{k}_ms") for k in experiments.REQUIREMENTS})
 
 
 def cmd_run(args) -> int:
     scenario = _scenario_from_args(args)
     if args.reps < 1:
-        raise simnet.ScenarioError("reps", f"must be >= 1, got {args.reps}")
+        raise simnet.ScenarioError("--reps", f"must be >= 1, got {args.reps}")
     # Check the last repetition's seed too before anything is written.
     replace(scenario, seed=scenario.seed + args.reps - 1).validate()
     # Any requirement flag adds the reports' bound columns; the suite's
     # operating point supplies the requirements not given.
-    given = {k: getattr(args, f"{k}_ms") for k in experiments.REQUIREMENTS}
-    given = {k: v for k, v in given.items() if v is not None}
-    reqs = _requirements({**experiments.REQUIREMENTS, **given}) if given else None
+    given = _requirement_keys(args)
+    defaults = {f"{k}_ms": v for k, v in experiments.REQUIREMENTS.items()}
+    reqs = simnet.load(qos.QosRequirements, {**defaults, **given}) if given else None
     # The repetitions share one state dir, opened before --out is made.
     store = FileStore(args.state_dir) if args.state_dir else None
     out: Path = args.out
@@ -156,7 +151,7 @@ def cmd_compare_cost(args) -> int:
 
 
 def cmd_configure(args) -> int:
-    reqs = _requirements({k: getattr(args, f"{k}_ms") for k in experiments.REQUIREMENTS})
+    reqs = simnet.load(qos.QosRequirements, _requirement_keys(args))
     network = simnet.load(simnet.NetworkModel, _network_keys(args), "network")
     keys = _config_keys(args)
     if keys:  # validation mode: the pair is read as a file's config keys

@@ -4,8 +4,9 @@ A monitor keeps a sliding window of the last ``n`` accepted heartbeats as
 (sequence number, local arrival time) pairs.  Shifting each arrival back by
 ``seq * eta`` collapses the periodic send schedule, so the window mean of the
 shifted values is a smoothed one-way transit estimate.  The next heartbeat is
-then expected at that estimate plus its own scheduled send instant, and the
-freshness deadline adds a fixed safety margin on top.
+then expected at that estimate plus its own scheduled send instant.  The
+freshness deadline adds a fixed safety margin on top; ``NfdeMonitor`` adds
+it to ``record``'s prediction, so this module holds no deadline rule.
 
 Timestamps are integer milliseconds.  The window mean is evaluated exactly
 and rounded half-up: with ``s`` the numerator below and ``m`` the window
@@ -105,11 +106,3 @@ class ArrivalWindow:
         self.arrival_sum -= arrival
         self.last_seq = seq - 1
         return self.record(seq, arrival, eta)
-
-
-def freshness_point(expected_arrival: int, alpha: int) -> int:
-    """Deadline by which the next heartbeat must arrive: prediction + margin.
-
-    ``NfdeMonitor`` adds its margin to ``record``'s prediction without this
-    call; the tests hold its deadline to this rule."""
-    return expected_arrival + alpha

@@ -102,9 +102,8 @@ file, and :func:`stream_run` runs a scenario through it.  Scoring the trace
 is ``qos``'s work, which needs none of this module at run time.  The
 trace's counters, final outputs and ``output_changes``, each process's
 logged (time, output) pairs in log order, are filled in either way.  Links
-are counted per send: every sender sends to all the others, so
-``link_sent`` of (s, r) is s's count of sends, and ``link_delivered`` is
-that less the link's drops and its deliveries still queued at the horizon.
+are counted as sends only: every sender sends to all the others, so
+``link_sent`` of (s, r) is s's count of sends.
 ``trace.events`` parses the kept lines back into :class:`TraceEvent`
 objects with :meth:`TraceEvent.parse`, for readers that want fields.
 """
@@ -124,6 +123,7 @@ from pathlib import Path
 import numpy as np
 
 from .protocol import Heartbeat, NfdeMonitor, NfdlProcess, ProtocolConfig, Verdict
+from .qos import QosRequirements
 from .stable_store import MemoryStore, load_or_create_zerotime, next_send_time, send_label
 
 TRACE_FORMAT_VERSION = 3
@@ -311,8 +311,9 @@ class Scenario:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
-# The scenario file schema: each dataclass's keys, in file order.  Rules
-# that join keys, such as a fault time below duration_ms, are its _rules.
+# The scenario file schema, and the keys the CLI reads QoS requirements as:
+# each dataclass's keys, in file order.  Rules that join keys, such as a
+# fault time below duration_ms, are its _rules.
 _SCHEMA = {
     Scenario: (
         _Field("version", None, int, choices=(SCENARIO_SCHEMA_VERSION,),
@@ -341,6 +342,11 @@ _SCHEMA = {
         _Field("at_ms", "at", int, lo=0),
         _Field("process", "process", int, lo=0),
         _Field("kind", "kind", str, choices=("crash", "recover")),
+    ),
+    QosRequirements: (
+        _Field("t_d_max_ms", "t_d_max", int, lo=1),
+        _Field("t_mr_min_ms", "t_mr_min", int, lo=1),
+        _Field("t_m_max_ms", "t_m_max", int, lo=1),
     ),
 }
 
@@ -584,7 +590,8 @@ def _trace_header(scenario: Scenario) -> list[str]:
 class EventTrace:
     """Everything observable about one run: the event log, every process's
     output history (``output_changes``: pid -> the (time, output) pairs of
-    its ``output_change`` events, in log order) and counters.
+    its ``output_change`` events, in log order) and counters.  Links are
+    counted as sends only: ``link_sent`` of (s, r) is s's send count.
 
     ``event_batches`` holds the logged events' trace lines as the simulator
     handed them on, one string of whole newline-terminated lines per send,
@@ -597,8 +604,6 @@ class EventTrace:
     )
     send_counts: dict[int, int] = field(default_factory=dict)
     link_sent: dict[tuple[int, int], int] = field(default_factory=dict)
-    link_delivered: dict[tuple[int, int], int] = field(default_factory=dict)
-    link_dropped: dict[tuple[int, int], int] = field(default_factory=dict)
     store_reads: dict[int, int] = field(default_factory=dict)
     store_writes: dict[int, int] = field(default_factory=dict)
     final_outputs: dict[int, int | str | None] = field(default_factory=dict)
@@ -763,10 +768,8 @@ class Simulator:
         slots = n * (self._stride or 1)
         self._pending: list[tuple | None] = [None] * slots
         self._armed = [0] * slots
-        # Per process its sends, and per directed link ``sender*n + receiver``
-        # its drops.
+        # Per process its sends.
         self._sends = [0] * n
-        self._dropped = [0] * (n * n)
         self.trace = EventTrace(
             scenario=scenario, output_changes={pid: [] for pid in range(n)}
         )
@@ -796,22 +799,20 @@ class Simulator:
         for f in sc.faults:
             rank = _CRASH if f.kind == "crash" else _RECOVER
             self._push(f.at, f.process, rank, f.kind)
-        heap, duration, n = self._heap, sc.duration, self._n
+        heap, duration = self._heap, sc.duration
         heappush, heappop = heapq.heappush, heapq.heappop
-        nodes, log, drops = self.nodes, self._log, self._dropped
+        nodes, log = self.nodes, self._log
         pendings, armed, stride = self._pending, self._armed, self._stride
         on_tick = self._on_tick
         while heap:
             entry = heappop(heap)
             time, pid, rank, order, payload = entry
             if time >= duration:
-                heap.append(entry)  # still queued at the horizon
                 break
             if rank == _DELIVER:
                 hb, text = payload
                 node = nodes[pid]
                 if node is None:
-                    drops[hb.sender * n + pid] += 1
                     log(f"{time}\t{pid}\tdrop\tsender={hb.sender} seq={hb.seq} reason=down\n")
                     continue
                 log(f"{time}\t{pid}\tdeliver\t{text}")
@@ -871,16 +872,10 @@ class Simulator:
             self._sink("".join(self._lines))
         trace = self.trace
         # A broadcast logs one send line, a unicast send one per receiver.
-        per_send = 1 if sc.algorithm == "nfdl" else n - 1
+        per_send = 1 if sc.algorithm == "nfdl" else self._n - 1
         trace.send_counts = {pid: c * per_send for pid, c in enumerate(self._sends) if c}
-        trace.link_sent = sent = {(s, r): c for s, c in enumerate(self._sends) if c
-                                  for r in self._others[s]}
-        trace.link_dropped = dropped = _by_link(self._dropped, n)
-        delivered = {link: c - dropped.get(link, 0) for link, c in sent.items()}
-        for _, pid, rank, _, payload in heap:
-            if rank == _DELIVER:
-                delivered[payload[0].sender, pid] -= 1
-        trace.link_delivered = {link: c for link, c in delivered.items() if c}
+        trace.link_sent = {(s, r): c for s, c in enumerate(self._sends) if c
+                           for r in self._others[s]}
         trace.store_reads = dict(self.store.reads)
         trace.store_writes = dict(self.store.writes)
         for pid, node in enumerate(self.nodes):
@@ -955,35 +950,28 @@ class Simulator:
             receivers, unicast = self._others[sender], None
         else:
             unicast = f"{now}\t{sender}\tsend\tseq={seq} uptime={uptime} receiver="
-        n = self._n
         first, lost_rows, delay_rows = self._runs[sender]
         row = seq - first
         if not 0 <= row < len(lost_rows):
             # Draw a new run from this seq: longer when it carries on the last.
             k = _run_length(seq, len(lost_rows) if row == len(lost_rows) else 0,
                             (sc.duration - 1 - now) // sc.config.eta + 1)
-            lost_rows, delay_rows = sample_run(sc.seed, sender, seq, k, n,
+            lost_rows, delay_rows = sample_run(sc.seed, sender, seq, k, self._n,
                                                sc.network.loss_prob, self._delay_cdf)
             self._runs[sender] = (seq, lost_rows, delay_rows)
             row = 0
         lost, delay = lost_rows[row], delay_rows[row]
-        base, dropped, order = sender * n, self._dropped, order + 1
+        order += 1
         for receiver in receivers:
             if unicast is not None:
                 log(f"{unicast}{receiver}\n")
             if lost[receiver]:
-                dropped[base + receiver] += 1
                 log(f"{now}\t{receiver}\tdrop\tsender={sender} seq={seq} reason=loss\n")
             else:
                 heapq.heappush(heap, (now + delay[receiver], receiver, _DELIVER,
                                       order, payload))
         self._sink("".join(self._lines))
         self._lines.clear()
-
-
-def _by_link(counts: list[int], n: int) -> dict[tuple[int, int], int]:
-    """Flat per-link counts as {(sender, receiver): count}, nonzero only."""
-    return {divmod(link, n): c for link, c in enumerate(counts) if c}
 
 
 def run(scenario: Scenario) -> EventTrace:

