@@ -103,14 +103,23 @@ is ``qos``'s work, which needs none of this module at run time.  The
 trace's counters, final outputs and ``output_changes``, each process's
 logged (time, output) pairs in log order, are filled in either way.  Links
 are counted as sends only: every sender sends to all the others, so
-``link_sent`` of (s, r) is s's count of sends.
+``link_sent`` of (s, r) is s's count of sends, derived from the per-sender
+counts each time it is read; a run stores no per-link count.
 ``trace.events`` parses the kept lines back into :class:`TraceEvent`
 objects with :meth:`TraceEvent.parse`, for readers that want fields.
+
+The loop runs with CPython's cyclic garbage collector off, and restores the
+caller's setting when it ends or raises, as :mod:`timeit` does.  A run makes
+no reference cycles: its queue entries, heartbeats, nodes and lines form
+trees, so reference counting frees each of them once it is dropped.  With
+the collector on, a run of many processes would pay for full passes over
+its event heap that free nothing.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import heapq
 import json
 import math
@@ -578,6 +587,12 @@ _PAYLOAD = {
 }
 
 
+def _lines_per_send(scenario: Scenario) -> int:
+    """Send lines one send logs: one for a broadcast, one per receiver for
+    the unicast sends of the all-pairs algorithms."""
+    return 1 if scenario.algorithm == "nfdl" else scenario.n_processes - 1
+
+
 def _trace_header(scenario: Scenario) -> list[str]:
     return [
         f"# trace v{TRACE_FORMAT_VERSION}",
@@ -591,7 +606,8 @@ class EventTrace:
     """Everything observable about one run: the event log, every process's
     output history (``output_changes``: pid -> the (time, output) pairs of
     its ``output_change`` events, in log order) and counters.  Links are
-    counted as sends only: ``link_sent`` of (s, r) is s's send count.
+    counted as sends only: ``link_sent`` of (s, r) is s's send count, built
+    from ``send_counts`` on each read, so the trace holds no n(n-1) dict.
 
     ``event_batches`` holds the logged events' trace lines as the simulator
     handed them on, one string of whole newline-terminated lines per send,
@@ -603,10 +619,18 @@ class EventTrace:
         default_factory=dict
     )
     send_counts: dict[int, int] = field(default_factory=dict)
-    link_sent: dict[tuple[int, int], int] = field(default_factory=dict)
     store_reads: dict[int, int] = field(default_factory=dict)
     store_writes: dict[int, int] = field(default_factory=dict)
     final_outputs: dict[int, int | str | None] = field(default_factory=dict)
+
+    @property
+    def link_sent(self) -> dict[tuple[int, int], int]:
+        """Sends per link (s, r), built from ``send_counts`` on each read:
+        every sender sends to all the others, so each of its links carries
+        its every send."""
+        n, per_send = self.scenario.n_processes, _lines_per_send(self.scenario)
+        return {(s, r): c // per_send for s, c in self.send_counts.items()
+                for r in range(n) if r != s}
 
     @property
     def events(self) -> list[TraceEvent]:
@@ -743,6 +767,10 @@ class Simulator:
     (None for processes that ended the run crashed); under ``nfdl`` each
     node is an :class:`NfdlProcess`.  A delivery arms its timer from the
     deadline the node's ``deliver`` hands back, inside :meth:`run`.
+
+    :meth:`run` turns the cyclic garbage collector off for its loop and
+    then restores the caller's setting.  ``gc`` is process-global, so on a
+    threaded host every thread sees its collector paused while a run lasts.
     """
 
     def __init__(self, scenario: Scenario, store=None, sink=None):
@@ -751,7 +779,9 @@ class Simulator:
         self.store = store if store is not None else MemoryStore()
         n = self._n = scenario.n_processes
         self.nodes: list[object | None] = [None] * n
-        self._others = [tuple(p for p in range(n) if p != pid) for pid in range(n)]
+        # Slices of one id tuple: every receiver tuple shares one int per id.
+        ids = tuple(range(n))
+        self._others = [ids[:pid] + ids[pid + 1:] for pid in ids]
         self._delay_cdf = delay_cdf(scenario.network)
         # Per sender, its current run: (first seq, loss rows, delay rows).
         self._runs: list[tuple[int, list, list]] = [(0, [], [])] * n
@@ -770,15 +800,13 @@ class Simulator:
         self._armed = [0] * slots
         # Per process its sends.
         self._sends = [0] * n
-        self.trace = EventTrace(
-            scenario=scenario, output_changes={pid: [] for pid in range(n)}
-        )
+        self.trace = EventTrace(scenario, output_changes={pid: [] for pid in ids})
         self._sink = self.trace.event_batches.append if sink is None else sink
         # The lines logged since the last batch went to the sink.
         self._lines: list[str] = []
         self._log = self._lines.append
         self._ran = False
-        for pid in range(n):
+        for pid in ids:
             self._start(pid, 0)
 
     # -- plumbing ----------------------------------------------------------
@@ -796,86 +824,91 @@ class Simulator:
             raise RuntimeError("a Simulator instance runs exactly once")
         self._ran = True
         sc = self.scenario
-        for f in sc.faults:
-            rank = _CRASH if f.kind == "crash" else _RECOVER
-            self._push(f.at, f.process, rank, f.kind)
-        heap, duration = self._heap, sc.duration
-        heappush, heappop = heapq.heappush, heapq.heappop
-        nodes, log = self.nodes, self._log
-        pendings, armed, stride = self._pending, self._armed, self._stride
-        on_tick = self._on_tick
-        while heap:
-            entry = heappop(heap)
-            time, pid, rank, order, payload = entry
-            if time >= duration:
-                break
-            if rank == _DELIVER:
-                hb, text = payload
-                node = nodes[pid]
-                if node is None:
-                    log(f"{time}\t{pid}\tdrop\tsender={hb.sender} seq={hb.seq} reason=down\n")
-                    continue
-                log(f"{time}\t{pid}\tdeliver\t{text}")
-                changed, key, deadline = node.deliver(hb, time)
-                if changed:
-                    self._log_output_change(pid, time, node.output())
-                if key is None:
-                    continue
-                # Arm the timer of (pid, key) for the deadline its node just
-                # set.  A pending entry due no later than the deadline
-                # re-files itself under ``order`` when it pops (see below).
-                slot = pid * stride + key
-                order = self._pushes
-                self._pushes = order + 1
-                armed[slot] = order
-                pending = pendings[slot]
-                if pending is None or deadline < pending[0]:
-                    pendings[slot] = entry = (
-                        deadline if deadline > time else time, pid, _TIMER, order, key
-                    )
-                    heappush(heap, entry)
-            elif rank == _TIMER:
-                # A timer entry's payload is its key.
-                slot = pid * stride + payload
-                # Stale once superseded by an earlier deadline, or its
-                # process crashed.
-                if pendings[slot] is not entry:
-                    continue
-                node = nodes[pid]
-                deadline = node.deadline_of(payload)
-                if armed[slot] != order:
-                    # A later arm set the deadline, no earlier than now.
-                    pendings[slot] = entry = (deadline, pid, _TIMER, armed[slot], payload)
-                    heappush(heap, entry)
-                    continue
-                pendings[slot] = None
-                changed = node.on_timer_fire(time, payload)
-                log(f"{time}\t{pid}\ttimer_fire\tdeadline={deadline}\n")
-                if changed:
-                    self._log_output_change(pid, time, node.output())
-                if node.sends() and self._ticking[pid] is not node:
-                    # Ticks rank after timers, so the send instant ``time``
-                    # itself is still ahead: the first tick falls at or after it.
-                    self._tick(pid, node, time + (node.zerotime - time) % sc.config.eta)
-            elif rank == _TICK:
-                on_tick(pid, time, payload)
-            elif rank == _CRASH:
-                nodes[pid] = None
-                # The process's slots: its own id under nfdl, else n of them.
-                width = stride or 1
-                pendings[pid * width:(pid + 1) * width] = [None] * width
-                log(f"{time}\t{pid}\tcrash\t\n")
-            else:
-                log(f"{time}\t{pid}\trecover\t\n")
-                self._start(pid, time)
-        if self._lines:
-            self._sink("".join(self._lines))
+        # Reference counting frees all that a run makes (see the module
+        # docstring), so the cyclic collector would only rescan the heap.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for f in sc.faults:
+                rank = _CRASH if f.kind == "crash" else _RECOVER
+                self._push(f.at, f.process, rank, f.kind)
+            heap, duration = self._heap, sc.duration
+            heappush, heappop = heapq.heappush, heapq.heappop
+            nodes, log = self.nodes, self._log
+            pendings, armed, stride = self._pending, self._armed, self._stride
+            on_tick = self._on_tick
+            while heap:
+                entry = heappop(heap)
+                time, pid, rank, order, payload = entry
+                if time >= duration:
+                    break
+                if rank == _DELIVER:
+                    hb, text = payload
+                    node = nodes[pid]
+                    if node is None:
+                        log(f"{time}\t{pid}\tdrop\tsender={hb.sender} seq={hb.seq} reason=down\n")
+                        continue
+                    log(f"{time}\t{pid}\tdeliver\t{text}")
+                    changed, key, deadline = node.deliver(hb, time)
+                    if changed:
+                        self._log_output_change(pid, time, node.output())
+                    if key is None:
+                        continue
+                    # Arm the timer of (pid, key) for the deadline its node just
+                    # set.  A pending entry due no later than the deadline
+                    # re-files itself under ``order`` when it pops (see below).
+                    slot = pid * stride + key
+                    order = self._pushes
+                    self._pushes = order + 1
+                    armed[slot] = order
+                    pending = pendings[slot]
+                    if pending is None or deadline < pending[0]:
+                        pendings[slot] = entry = (
+                            deadline if deadline > time else time, pid, _TIMER, order, key
+                        )
+                        heappush(heap, entry)
+                elif rank == _TIMER:
+                    # A timer entry's payload is its key.
+                    slot = pid * stride + payload
+                    # Stale once superseded by an earlier deadline, or its
+                    # process crashed.
+                    if pendings[slot] is not entry:
+                        continue
+                    node = nodes[pid]
+                    deadline = node.deadline_of(payload)
+                    if armed[slot] != order:
+                        # A later arm set the deadline, no earlier than now.
+                        pendings[slot] = entry = (deadline, pid, _TIMER, armed[slot], payload)
+                        heappush(heap, entry)
+                        continue
+                    pendings[slot] = None
+                    changed = node.on_timer_fire(time, payload)
+                    log(f"{time}\t{pid}\ttimer_fire\tdeadline={deadline}\n")
+                    if changed:
+                        self._log_output_change(pid, time, node.output())
+                    if node.sends() and self._ticking[pid] is not node:
+                        # Ticks rank after timers, so the send instant ``time``
+                        # itself is still ahead: the first tick falls at or after it.
+                        self._tick(pid, node, time + (node.zerotime - time) % sc.config.eta)
+                elif rank == _TICK:
+                    on_tick(pid, time, payload)
+                elif rank == _CRASH:
+                    nodes[pid] = None
+                    # The process's slots: its own id under nfdl, else n of them.
+                    width = stride or 1
+                    pendings[pid * width:(pid + 1) * width] = [None] * width
+                    log(f"{time}\t{pid}\tcrash\t\n")
+                else:
+                    log(f"{time}\t{pid}\trecover\t\n")
+                    self._start(pid, time)
+            if self._lines:
+                self._sink("".join(self._lines))
+        finally:
+            if collecting:
+                gc.enable()
         trace = self.trace
-        # A broadcast logs one send line, a unicast send one per receiver.
-        per_send = 1 if sc.algorithm == "nfdl" else self._n - 1
+        per_send = _lines_per_send(sc)
         trace.send_counts = {pid: c * per_send for pid, c in enumerate(self._sends) if c}
-        trace.link_sent = {(s, r): c for s, c in enumerate(self._sends) if c
-                           for r in self._others[s]}
         trace.store_reads = dict(self.store.reads)
         trace.store_writes = dict(self.store.writes)
         for pid, node in enumerate(self.nodes):

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nfdl import simnet
-from nfdl.experiments import speed_scenario
+from nfdl.experiments import accuracy_scenario, speed_scenario
 from nfdl.protocol import Heartbeat, NfdlProcess, ProtocolConfig, Verdict
 from nfdl.qos import sends_per_eta
 from nfdl.simnet import (
@@ -34,7 +34,7 @@ from nfdl.simnet import (
     sample_delivery,
     sample_run,
 )
-from nfdl.stable_store import MemoryStore
+from nfdl.stable_store import FileStore, MemoryStore, StorageError
 
 CFG = ProtocolConfig(eta=330, alpha=670, window_n=100)
 QUIET = NetworkModel(loss_prob=0.0, delay_mean=5.0, delay_var=0.0, delay_dist="constant")
@@ -56,6 +56,10 @@ def scenario(**overrides):
     )
     base.update(overrides)
     return Scenario(**base)
+
+
+def crash_recover(pid, down, up):
+    return (FaultEvent(down, pid, "crash"), FaultEvent(up, pid, "recover"))
 
 
 # -- validation ---------------------------------------------------------------
@@ -653,8 +657,10 @@ def test_an_in_memory_run_holds_under_70_bytes_per_event():
 # delivery costs one call when the election rejects it and three when a
 # monitor accepts it (node, monitor, window).  Counts do not depend on host
 # speed.  The bounds are the counts measured when the delivery path was
-# collapsed, rounded up.  The cyclic collector stays off during the run: it
-# would run finalizers of garbage left by earlier tests inside the count.
+# collapsed, rounded up.  The run turns the cyclic collector off itself; the
+# test turns it off before it starts counting too, so that no collection
+# between setprofile and the loop runs finalizers of garbage left by earlier
+# tests inside the count.
 @pytest.mark.parametrize("sc, bound", [
     pytest.param(scenario(network=LOSSY, duration=120_000), 4.9, id="nfdl"),
     pytest.param(scenario(algorithm="naive-reduction", n_processes=10, network=LOSSY,
@@ -681,6 +687,80 @@ def test_python_calls_per_message_stay_bounded(sc, bound):
     messages = sum(trace.link_sent.values())
     assert messages > 1_000
     assert calls / messages <= bound, f"{calls} calls for {messages} messages"
+
+
+def leader_crash_and_recovery(tmp_path):
+    return run(scenario(network=LOSSY, high_priority=2, duration=20_000,
+                        faults=crash_recover(2, 5_000, 15_000)))
+
+
+def naive_with_faults(tmp_path):
+    faults = crash_recover(1, 5_000, 12_000) + crash_recover(3, 8_000, 9_000)
+    return run(scenario(algorithm="naive-reduction", network=LOSSY, duration=20_000,
+                        faults=faults))
+
+
+def nfde_pair_monitor_restart(tmp_path):
+    return run(scenario(algorithm="nfde-pair", n_processes=2, network=LOSSY,
+                        duration=20_000, faults=crash_recover(1, 5_000, 12_000)))
+
+
+def streamed_on_a_file_store(tmp_path):
+    sc = scenario(network=LOSSY, high_priority=2, duration=20_000,
+                  faults=crash_recover(2, 5_000, 15_000))
+    return simnet.stream_run(sc, tmp_path / "trace.log", store=FileStore(tmp_path / "state"))
+
+
+# Simulator.run keeps the cyclic collector off, since reference counting
+# alone frees what a run makes.  A cycle that a node, the queue or the trace
+# starts to make would then stay unfreed until a collection after the run;
+# here that collection must find nothing.
+@pytest.mark.parametrize("run_one", [
+    leader_crash_and_recovery, naive_with_faults, nfde_pair_monitor_restart,
+    streamed_on_a_file_store,
+])
+def test_a_run_leaves_no_cyclic_garbage(tmp_path, run_one):
+    gc.collect()
+    assert gc.isenabled()
+    trace = run_one(tmp_path)
+    assert trace.send_counts
+    del trace
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_run_restores_the_callers_collector_setting(tmp_path, enabled):
+    # Process 1's recovery reads its record, which is corrupt by then.
+    sc = scenario(duration=10_000, faults=crash_recover(1, 3_000, 6_000))
+    ok = Simulator(sc)
+    failing = Simulator(sc, store=FileStore(tmp_path))
+    (tmp_path / "zerotime.1").write_bytes(b"garbage")
+    (gc.enable if enabled else gc.disable)()
+    try:
+        ok.run()
+        assert gc.isenabled() is enabled
+        with pytest.raises(StorageError, match="corrupt"):
+            failing.run()
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_start_up_holds_under_12_bytes_per_ordered_pair():
+    # nfdl at N=500: each process's receiver tuple holds a pointer per peer.
+    # Sliced from one id tuple, they share one int per id: 9.3 B per pair.
+    # An int object per slot would take 24.8 B.
+    Simulator(accuracy_scenario(1, duration=1_000))  # warm-up: first-run caches
+    sc = accuracy_scenario(1, duration=1_000, n=500)
+    tracemalloc.start()
+    try:
+        sim = Simulator(sc)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pairs = sc.n_processes * (sc.n_processes - 1)
+    assert len(sim.nodes) == sc.n_processes
+    assert held < 12 * pairs, f"holds {held / pairs:.1f} B per ordered pair"
 
 
 # The traced benchmark replaces each attribute in bench/spans.py's
