@@ -118,6 +118,19 @@ SCENARIOS = {
         faults=crash_recover(1, 1_225, 4_033) + crash_recover(0, 1_765, 4_156)
         + crash_recover(2, 4_788, 4_838),
     ),
+    # An election storm: at 11,220 ms all 99 survivors of the pinned
+    # leader's crash time out and broadcast in one instant, so 99 sends'
+    # deliveries are in flight together and tie on many (time, receiver).
+    "nfdl-n100-storm": lambda: speed_scenario(
+        seed=1, cycles=1, n=100, downtime=5_000, spacing=10_000
+    ),
+    # Zero delay: each delivery falls in the instant of its send, among
+    # the 20 start-up senders and the 19 that take over from the crashed
+    # leader 19 in one instant.
+    "nfdl-n20-instant-takeover": lambda: scenario(
+        n_processes=20, network=INSTANT, duration=12_000,
+        faults=crash_recover(19, 4_000, 9_000),
+    ),
 }
 
 # (trace sha256, metrics CSV sha256 or "ValueError" when build_report refuses)
@@ -171,6 +184,14 @@ EXPECTED = {
     "nfdl-on-grid-handoffs": (
         "c04de26820db945f5301fb78611c8eea1e2be6314f1d676f0ad64f9081f7ea29",
         "dfaa0d52d999df5610034b3b838861ce3bfa54b621f131ff47c820111dace795",
+    ),
+    "nfdl-n100-storm": (
+        "e168c25408de757136f12f23249c54dad181f04b99042deba8b35184c4a51023",
+        "61cfe5139b6e7e8ab8da6d1ffdb46aac267bf74a3e83ba9d5375904cf60b2ce8",
+    ),
+    "nfdl-n20-instant-takeover": (
+        "525052da3544d7c8bbc6c16e4605e9a26529e3827e54290655e22d625f919994",
+        "bc9d31dd1ac4f50ebdcf0327c1bbb3ea97c391712c111c077340d2f23c1f7b69",
     ),
     "nfdl-n20-two-crashes": (
         "0fc2905452851a0c19fdb751d1e7e0a20757bb3a75b7d8233a73d8580b15b9c6",
