@@ -27,6 +27,29 @@ different sends that tie keep send order.  Timer-before-deliver makes a
 heartbeat that lands exactly on the freshness deadline count as late,
 matching the strict "arrived before the deadline" reading of the monitors.
 
+The event heap holds no entry per message.  The deliveries that the sends of
+one instant ``now`` make with a delay of at least 1 ms are collected in one
+list, the instant's *delivery run*, each as the very entry the heap would
+hold.  The first send at ``now`` opens the run and pushes one opening entry
+at ``(now + 1, -1, ...)``, which sorts after every event at ``now`` and
+before every entry of a later instant.  When it pops, every send of the
+instant has been made, and the run is put in order once, latest first.  A
+run of under 16 entries is sorted as it is; a longer one takes two stable
+sorts on int keys, receiver and then time, and a reversal, so entries that
+tie on (time, receiver) keep their append order, which is their send
+order.  The loop then compares the run's last entry, its next due, with the
+heap's head ``heap[0]``.  While the run's entry is the smaller, the loop
+pops it with ``list.pop`` and delivers it in place, so each entry is freed
+as it is delivered.  Otherwise the run waits in the heap under a copy of
+that entry's key whose payload is the run.  The keys are the heap's own, so
+the merge keeps the order that a heap entry per message would give, byte
+for byte.  A delivery with delay 0 is due at the send instant itself,
+possibly before a later tick at it, so it goes into the heap at once, as a
+run of its own.  Every delivery thus leaves through a run.  A horizon entry
+at ``(duration, -1, ...)`` sorts before every entry due at or after the
+end, so the heap never empties while the loop runs and no delivery due at
+the end is made.
+
 Every algorithm runs behind one node interface.  ``sends()`` says whether
 the node sends heartbeats now, and only a node that sends has a tick: one
 heap entry per send instant ``zerotime + i*eta``, at most one pending per
@@ -110,10 +133,12 @@ objects with :meth:`TraceEvent.parse`, for readers that want fields.
 
 The loop runs with CPython's cyclic garbage collector off, and restores the
 caller's setting when it ends or raises, as :mod:`timeit` does.  A run makes
-no reference cycles: its queue entries, heartbeats, nodes and lines form
-trees, so reference counting frees each of them once it is dropped.  With
-the collector on, a run of many processes would pay for full passes over
-its event heap that free nothing.
+no reference cycles: its queue entries, delivery runs, heartbeats, nodes and
+lines form trees, so reference counting frees each of them once it is
+dropped.  No entry of a delivery run points back at it; only the heap entry
+that carries it does, so one cut off at the horizon is freed with its
+entries.  With the collector on, a run of many processes would pay for full
+passes over its event heap that free nothing.
 """
 
 from __future__ import annotations
@@ -126,7 +151,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from operator import index
+from operator import index, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -690,6 +715,8 @@ class TraceWriter:
 # The simulator
 
 _CRASH, _RECOVER, _TIMER, _TICK, _DELIVER = range(5)
+# Sort keys of a delivery run's entries.
+_time, _receiver = itemgetter(0), itemgetter(1)
 _TRUST, _SUSPECT = Verdict.TRUST, Verdict.SUSPECT  # global loads, as in protocol
 
 
@@ -768,6 +795,12 @@ class Simulator:
     node is an :class:`NfdlProcess`.  A delivery arms its timer from the
     deadline the node's ``deliver`` hands back, inside :meth:`run`.
 
+    The deliveries of one send instant wait in that instant's delivery
+    run, a list outside the event heap, which one opening entry at the next
+    millisecond sorts; :meth:`run` merges it against the heap's head, one
+    entry at a time (see the module docstring).  So the heap holds ticks,
+    timers, faults and one entry per delivery run in flight.
+
     :meth:`run` turns the cyclic garbage collector off for its loop and
     then restores the caller's setting.  ``gc`` is process-global, so on a
     threaded host every thread sees its collector paused while a run lasts.
@@ -800,6 +833,10 @@ class Simulator:
         self._armed = [0] * slots
         # Per process its sends.
         self._sends = [0] * n
+        # The send instant whose delivery run is open, and that run: the
+        # deliveries its sends made with a delay of at least 1 ms.
+        self._run_at = -1
+        self._run: list[tuple] = []
         self.trace = EventTrace(scenario, output_changes={pid: [] for pid in ids})
         self._sink = self.trace.event_batches.append if sink is None else sink
         # The lines logged since the last batch went to the sink.
@@ -834,16 +871,21 @@ class Simulator:
                 self._push(f.at, f.process, rank, f.kind)
             heap, duration = self._heap, sc.duration
             heappush, heappop = heapq.heappush, heapq.heappop
+            # The horizon: it sorts before every entry due at or after the
+            # end, so the heap never empties while the loop runs.
+            heappush(heap, (duration, -1, _CRASH, 0, None))
             nodes, log = self.nodes, self._log
             pendings, armed, stride = self._pending, self._armed, self._stride
             on_tick = self._on_tick
-            while heap:
-                entry = heappop(heap)
-                time, pid, rank, order, payload = entry
-                if time >= duration:
-                    break
-                if rank == _DELIVER:
-                    hb, text = payload
+            # The delivery run being delivered from, while its next entry is
+            # due before the heap's head.
+            run = None
+            while True:
+                if run and run[-1] < heap[0]:
+                    # The delivery run's next entry is due first: deliver it
+                    # in place.  The horizon is in the heap, so it is due
+                    # before the end.
+                    time, pid, _, _, (hb, text) = run.pop()
                     node = nodes[pid]
                     if node is None:
                         log(f"{time}\t{pid}\tdrop\tsender={hb.sender} seq={hb.seq} reason=down\n")
@@ -867,6 +909,32 @@ class Simulator:
                             deadline if deadline > time else time, pid, _TIMER, order, key
                         )
                         heappush(heap, entry)
+                    continue
+                if run:
+                    # The heap's head is due first: the run waits in the heap
+                    # under its next entry's key.
+                    head = run[-1]
+                    heappush(heap, (head[0], head[1], _DELIVER, head[3], run))
+                    run = None
+                entry = heappop(heap)
+                time, pid, rank, order, payload = entry
+                if time >= duration:
+                    break
+                if rank == _DELIVER:
+                    # A delivery run's opening entry, which sorts it, or the
+                    # entry that carries it through the heap.
+                    run = payload
+                    if pid < 0:
+                        # Latest first.  A short run sorts fastest in one call.
+                        # In a longer one int keys compare faster than the
+                        # entries, which often tie on time; the sorts are
+                        # stable, so ties on (time, receiver) keep send order.
+                        if len(run) < 16:
+                            run.sort(reverse=True)
+                        else:
+                            run.sort(key=_receiver)
+                            run.sort(key=_time)
+                            run.reverse()
                 elif rank == _TIMER:
                     # A timer entry's payload is its key.
                     slot = pid * stride + payload
@@ -995,14 +1063,26 @@ class Simulator:
             row = 0
         lost, delay = lost_rows[row], delay_rows[row]
         order += 1
+        if self._run_at != now:
+            # The first send of this instant opens its delivery run.  The
+            # opening entry sorts after every event at ``now`` and before
+            # every entry of a later instant; the run is sorted when it pops.
+            self._run_at = now
+            self._run = []
+            heapq.heappush(heap, (now + 1, -1, _DELIVER, order, self._run))
+        append = self._run.append
         for receiver in receivers:
             if unicast is not None:
                 log(f"{unicast}{receiver}\n")
             if lost[receiver]:
                 log(f"{now}\t{receiver}\tdrop\tsender={sender} seq={seq} reason=loss\n")
+            elif d := delay[receiver]:
+                append((now + d, receiver, _DELIVER, order, payload))
             else:
-                heapq.heappush(heap, (now + delay[receiver], receiver, _DELIVER,
-                                      order, payload))
+                # Due at this instant, maybe before a later tick at it: a run
+                # of its own, in the heap at once.
+                heapq.heappush(heap, (now, receiver, _DELIVER, order,
+                                      [(now, receiver, _DELIVER, order, payload)]))
         self._sink("".join(self._lines))
         self._lines.clear()
 

@@ -711,13 +711,26 @@ def streamed_on_a_file_store(tmp_path):
     return simnet.stream_run(sc, tmp_path / "trace.log", store=FileStore(tmp_path / "state"))
 
 
+def storm_cut_at_the_horizon(tmp_path):
+    # The 29 survivors of the leader's crash take over together at 11,220 ms
+    # and the run ends 4 ms later, while their run is still being merged:
+    # it holds hundreds of entries when the loop stops.
+    sc = speed_scenario(1, cycles=1, n=30, downtime=5_000, spacing=10_000)
+    sim = Simulator(replace(sc, duration=11_224, faults=sc.faults[:1]))
+    trace = sim.run()
+    assert len(sim._run) > 100
+    return trace
+
+
 # Simulator.run keeps the cyclic collector off, since reference counting
 # alone frees what a run makes.  A cycle that a node, the queue or the trace
 # starts to make would then stay unfreed until a collection after the run;
-# here that collection must find nothing.
+# here that collection must find nothing.  A run of deliveries cut at the
+# horizon is dropped with its entries still in it, so an entry that pointed
+# back at its run would leave a cycle behind.
 @pytest.mark.parametrize("run_one", [
     leader_crash_and_recovery, naive_with_faults, nfde_pair_monitor_restart,
-    streamed_on_a_file_store,
+    streamed_on_a_file_store, storm_cut_at_the_horizon,
 ])
 def test_a_run_leaves_no_cyclic_garbage(tmp_path, run_one):
     gc.collect()
@@ -744,6 +757,28 @@ def test_a_run_restores_the_callers_collector_setting(tmp_path, enabled):
         assert gc.isenabled() is enabled
     finally:
         gc.enable()
+
+
+def test_the_event_heap_grows_with_sends_not_messages(monkeypatch):
+    # At an N=200 start-up every process broadcasts once in one instant, so
+    # 39,800 deliveries are in flight together.  They wait in that instant's
+    # run; the heap holds the ticks, the timers and an entry per run.  With
+    # an entry per message it peaked at 38,275.
+    high = 0
+
+    def heappush(heap, entry):
+        nonlocal high
+        heapq.heappush(heap, entry)
+        high = max(high, len(heap))
+
+    monkeypatch.setattr(
+        simnet, "heapq",
+        types.SimpleNamespace(heappush=heappush, heappop=heapq.heappop),
+    )
+    n = 200
+    trace = run(accuracy_scenario(1, duration=20_000, n=n))
+    assert sum(trace.link_sent.values()) > n * (n - 1)
+    assert high <= 4 * n, f"the heap peaked at {high} entries"
 
 
 def test_start_up_holds_under_12_bytes_per_ordered_pair():
