@@ -10,16 +10,17 @@ as it goes, so it holds no event list.  An accuracy run with no true leader
 (too short to elect one) keeps its trace but gets no metrics CSV and stays
 out of the pooled summary.  A bad flag value exits 2 naming the scenario
 key it sets, or the flag for a count below 1 or an --accuracy-hours with
-no finite duration, before anything is written.
+no finite duration, before anything is written; an output directory that
+cannot be made exits 1.  Both print one ``error:`` line, as ``nfdl`` does.
 """
 
 import argparse
 import math
-import sys
 import time
 from pathlib import Path
 
 from nfdl import qos, simnet
+from nfdl.cli import exit_code
 from nfdl.experiments import REQUIREMENTS, accuracy_scenario, speed_scenario
 
 
@@ -48,7 +49,7 @@ def main() -> int:
     for scenario in (*accuracy, speed):  # checked before anything is written
         scenario.validate()
     args.out.mkdir(parents=True, exist_ok=True)
-    reqs = qos.QosRequirements(**REQUIREMENTS)
+    reqs = simnet.load(qos.QosRequirements, REQUIREMENTS)
     reports = []
 
     for rep, scenario in enumerate(accuracy):
@@ -92,8 +93,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    try:
-        raise SystemExit(main())
-    except simnet.ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+    raise SystemExit(exit_code(main))

@@ -5,14 +5,15 @@ Sweeps the process count and runs both the single-leader protocol (one
 broadcast per interval regardless of size) and the all-pairs reduction
 (N^2 - N unicasts per interval), writing a CSV alongside the printed table.
 A bad flag value exits 2 naming the scenario key it sets, or the flag for a
---max-procs below --min-procs, before anything is written.
+--max-procs below --min-procs, before anything is written; a CSV that cannot
+be written exits 1.  Both print one ``error:`` line, as ``nfdl`` does.
 """
 
 import argparse
-import sys
 from pathlib import Path
 
-from nfdl.experiments import ALPHA_MS, ETA_MS, measure_cost
+from nfdl.cli import exit_code
+from nfdl.experiments import ALPHA_MS, COST_TABLE_HEADER, ETA_MS, cost_table_row, measure_cost
 from nfdl.protocol import ProtocolConfig
 from nfdl.simnet import ScenarioError, load
 
@@ -34,17 +35,14 @@ def main() -> int:
     # Read as a scenario file's keys, so that an error names the key.
     config = load(ProtocolConfig, {"eta_ms": args.eta_ms, "alpha_ms": args.alpha_ms}, "config")
     lines = ["algorithm,procs,predicted_per_eta,measured_per_eta"]
-    print(f"{'algorithm':<18}{'procs':>6}{'predicted/eta':>15}{'measured/eta':>14}")
+    print(COST_TABLE_HEADER)
     for n in range(args.min_procs, args.max_procs + 1):
         for row in measure_cost(n, args.duration_ms, config):
             lines.append(
                 f"{row['algorithm']},{row['procs']},"
                 f"{row['predicted_per_eta']},{row['measured_per_eta']:g}"
             )
-            print(
-                f"{row['algorithm']:<18}{row['procs']:>6}"
-                f"{row['predicted_per_eta']:>15}{row['measured_per_eta']:>14g}"
-            )
+            print(cost_table_row(row))
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text("\n".join(lines) + "\n")
     print(f"\nwrote {args.out}")
@@ -52,8 +50,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    try:
-        raise SystemExit(main())
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+    raise SystemExit(exit_code(main))

@@ -11,8 +11,10 @@ Subcommands:
   floored at eight delay standard deviations, or audit a given pair in
   validation mode, read as a scenario file's ``config`` keys.
 
-Success exits 0; every failure path names its cause on stderr and exits
-nonzero (2 for validation problems, 1 for environment errors).
+Success exits 0; every failure path names its cause in one ``error: ...``
+line on stderr and exits nonzero (2 for validation problems, 1 for
+environment errors).  :func:`exit_code` holds that rule, and the two
+campaign scripts under ``scripts/`` run their ``main`` through it too.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ def _scenario_from_args(args) -> simnet.Scenario:
 
 def _requirement_keys(args) -> dict:
     """The requirement flags given, as keys ``t_d_max_ms`` and the like."""
-    return _keys(**{f"{k}_ms": getattr(args, f"{k}_ms") for k in experiments.REQUIREMENTS})
+    return _keys(**{key: getattr(args, key) for key in experiments.REQUIREMENTS})
 
 
 def cmd_run(args) -> int:
@@ -109,8 +111,8 @@ def cmd_run(args) -> int:
     # Any requirement flag adds the reports' bound columns; the suite's
     # operating point supplies the requirements not given.
     given = _requirement_keys(args)
-    defaults = {f"{k}_ms": v for k, v in experiments.REQUIREMENTS.items()}
-    reqs = simnet.load(qos.QosRequirements, {**defaults, **given}) if given else None
+    reqs = (simnet.load(qos.QosRequirements, {**experiments.REQUIREMENTS, **given})
+            if given else None)
     # The repetitions share one state dir, opened before --out is made.
     store = FileStore(args.state_dir) if args.state_dir else None
     out: Path = args.out
@@ -141,12 +143,9 @@ def cmd_run(args) -> int:
 def cmd_compare_cost(args) -> int:
     config = simnet.load(ProtocolConfig, _config_keys(args), "config")
     rows = experiments.measure_cost(args.procs, args.duration_ms, config, args.seed)
-    print(f"{'algorithm':<18}{'procs':>6}{'predicted/eta':>15}{'measured/eta':>14}")
+    print(experiments.COST_TABLE_HEADER)
     for row in rows:
-        print(
-            f"{row['algorithm']:<18}{row['procs']:>6}"
-            f"{row['predicted_per_eta']:>15}{row['measured_per_eta']:>14g}"
-        )
+        print(experiments.cost_table_row(row))
     return 0
 
 
@@ -177,8 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="leader-election simulator and QoS measurement suite",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Requirement defaults: the measurement suite's operating point.
-    reqs = experiments.REQUIREMENTS
 
     p_run = sub.add_parser("run", help="simulate a scenario and write artifacts")
     _add_scenario_flags(p_run)
@@ -212,9 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cfg = sub.add_parser(
         "configure", help="derive (eta, alpha) from requirements, or audit a pair"
     )
-    p_cfg.add_argument("--t-d-max-ms", type=int, default=reqs["t_d_max"])
-    p_cfg.add_argument("--t-mr-min-ms", type=int, default=reqs["t_mr_min"])
-    p_cfg.add_argument("--t-m-max-ms", type=int, default=reqs["t_m_max"])
+    p_cfg.add_argument("--t-d-max-ms", type=int)
+    p_cfg.add_argument("--t-mr-min-ms", type=int)
+    p_cfg.add_argument("--t-m-max-ms", type=int)
     p_cfg.add_argument("--loss-prob", type=float, default=_NET.loss_prob)
     p_cfg.add_argument("--delay-mean-ms", type=float, default=_NET.delay_mean)
     p_cfg.add_argument("--delay-var-ms2", type=float, default=_NET.delay_var)
@@ -222,22 +219,30 @@ def build_parser() -> argparse.ArgumentParser:
                        help="validation mode: audit this eta instead of deriving")
     p_cfg.add_argument("--alpha-ms", type=int, default=None,
                        help="validation mode: audit this alpha instead of deriving")
+    # The requirements default to the measurement suite's operating point.
     # The delay law follows the variance; the estimator window is not audited.
-    p_cfg.set_defaults(func=cmd_configure, delay_dist=None, window_n=None)
+    p_cfg.set_defaults(func=cmd_configure, delay_dist=None, window_n=None,
+                       **experiments.REQUIREMENTS)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def exit_code(command, *args) -> int:
+    """The exit status of ``command(*args)``, which returns its own on
+    success.  A failure is printed as one ``error: ...`` line on stderr and
+    exits 2 for invalid input, 1 for an environment error."""
     try:
-        return args.func(args)
+        return command(*args)
     except (simnet.ScenarioError, qos.InfeasibleRequirementsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, StorageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    return exit_code(args.func, args)
 
 
 def entrypoint() -> None:

@@ -15,7 +15,9 @@ far past the last heartbeat the crash lands, so sweeping the phase probes
 the full latency range instead of sampling one lucky point.
 
 ``measure_cost`` counts steady-state heartbeats per eta for the election
-and the all-pairs reduction, next to their analytic predictions.
+and the all-pairs reduction, next to their analytic predictions;
+``nfdl compare-cost`` and ``scripts/sweep_message_cost.py`` print its rows
+as one table, ``COST_TABLE_HEADER`` over ``cost_table_row`` lines.
 """
 
 from __future__ import annotations
@@ -31,7 +33,11 @@ LOSS_PROB = 0.0175917
 DELAY_MEAN_MS = 5.0
 DELAY_VAR_MS2 = 25.3356
 
-REQUIREMENTS = {"t_d_max": 1000, "t_mr_min": 3_600_000, "t_m_max": 1000}
+# The suite's QoS requirements, keyed as in a file read by
+# ``simnet.load(QosRequirements, ...)``.
+REQUIREMENTS = {"t_d_max_ms": 1000, "t_mr_min_ms": 3_600_000, "t_m_max_ms": 1000}
+
+COST_TABLE_HEADER = f"{'algorithm':<18}{'procs':>6}{'predicted/eta':>15}{'measured/eta':>14}"
 
 
 def measured_network() -> NetworkModel:
@@ -126,3 +132,9 @@ def measure_cost(
             }
         )
     return rows
+
+
+def cost_table_row(row: dict) -> str:
+    """One ``measure_cost`` row as a line of the printed cost table."""
+    return (f"{row['algorithm']:<18}{row['procs']:>6}"
+            f"{row['predicted_per_eta']:>15}{row['measured_per_eta']:>14g}")

@@ -35,7 +35,7 @@ import enum
 from dataclasses import dataclass
 
 from .estimator import ArrivalWindow
-from .stable_store import ClockRewindError, load_or_create_zerotime, send_label
+from .stable_store import load_or_create_zerotime, send_label
 
 
 # Not frozen: a frozen slots dataclass pays object.__setattr__ once per field.
@@ -122,10 +122,10 @@ class NfdlProcess:
     all-pairs node runs per peer, started afresh on every adoption.
 
     Initialization loads the persisted zerotime (writing it exactly once on
-    first startup) and arms a one-shot grace deadline of eta + alpha: a
-    process that hears no leader by then elects itself.  An active leader's
-    next broadcast always beats that deadline, so recoveries do not disturb
-    a running system.
+    first startup, refusing a clock earlier than it) and arms a one-shot
+    grace deadline of eta + alpha: a process that hears no leader by then
+    elects itself.  An active leader's next broadcast always beats that
+    deadline, so recoveries do not disturb a running system.
     """
 
     targets = None
@@ -134,11 +134,6 @@ class NfdlProcess:
         self.self_id = self_id
         self.config = config
         self.zerotime = load_or_create_zerotime(store, self_id, now)
-        if now < self.zerotime:
-            raise ClockRewindError(
-                f"initialization clock {now} is earlier than stored zerotime "
-                f"{self.zerotime}"
-            )
         self.leader: int | None = None
         self.uptime = 0
         # Priority carried by the most recent heartbeat this process sent;

@@ -196,13 +196,13 @@ def validate_config(config: ProtocolConfig, reqs: QosRequirements) -> list[str]:
 def sends_per_eta(trace: EventTrace, start: int, periods: int) -> float:
     """Send events per eta inside the grid-aligned window [start, start+periods*eta).
 
-    Reads the kept trace lines one batch at a time: a send line is one
-    whose kind column is ``send`` (only the columns are tab-delimited), and
-    only its time column is parsed."""
+    Reads the kept trace lines from ``trace.event_lines()``: a send line is
+    one whose kind column is ``send`` (only the columns are tab-delimited),
+    and only its time column is parsed."""
     eta = trace.scenario.config.eta
     end = start + periods * eta
-    times = (int(line[:line.index("\t")]) for batch in trace.event_batches
-             for line in batch[:-1].split("\n") if "\tsend\t" in line)
+    times = (int(line[:line.index("\t")]) for line in trace.event_lines()
+             if "\tsend\t" in line)
     return sum(start <= t < end for t in times) / periods
 
 

@@ -128,8 +128,10 @@ logged (time, output) pairs in log order, are filled in either way.  Links
 are counted as sends only: every sender sends to all the others, so
 ``link_sent`` of (s, r) is s's count of sends, derived from the per-sender
 counts each time it is read; a run stores no per-link count.
-``trace.events`` parses the kept lines back into :class:`TraceEvent`
-objects with :meth:`TraceEvent.parse`, for readers that want fields.
+``trace.event_lines()`` yields the kept lines in log order, and is the one
+reader that splits the batches; ``trace.events`` parses its lines back into
+:class:`TraceEvent` objects with :meth:`TraceEvent.parse`, for readers that
+want fields.
 
 The loop runs with CPython's cyclic garbage collector off, and restores the
 caller's setting when it ends or raises, as :mod:`timeit` does.  A run makes
@@ -150,6 +152,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from operator import index, itemgetter
 from pathlib import Path
@@ -657,16 +660,19 @@ class EventTrace:
         return {(s, r): c // per_send for s, c in self.send_counts.items()
                 for r in range(n) if r != s}
 
+    def event_lines(self) -> Iterator[str]:
+        """The kept event lines, without their newlines, in log order."""
+        for batch in self.event_batches:
+            yield from batch[:-1].split("\n")
+
     @property
     def events(self) -> list[TraceEvent]:
-        """The logged events, parsed from ``event_batches`` anew on each read."""
-        return [TraceEvent.parse(line) for batch in self.event_batches
-                for line in batch[:-1].split("\n")]
+        """The logged events, parsed from the kept lines anew on each read."""
+        return [TraceEvent.parse(line) for line in self.event_lines()]
 
     def lines(self) -> list[str]:
         """The whole trace in memory, one string per line (tests hash it)."""
-        return _trace_header(self.scenario) + [
-            line for batch in self.event_batches for line in batch[:-1].split("\n")]
+        return _trace_header(self.scenario) + list(self.event_lines())
 
     def write(self, path: str | Path) -> None:
         """Stream the trace to ``path``; the file holds ``lines()``, each

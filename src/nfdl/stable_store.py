@@ -5,7 +5,9 @@ exactly once, on its very first initialization.  Every later recovery reads
 the value back, and ``send_label`` derives heartbeat labels from elapsed time
 alone, which keeps them strictly increasing across crashes without persisting
 a counter.  Stores count reads and writes, so tests can assert the one-write
-economy.
+economy.  :func:`load_or_create_zerotime` is where a rewound clock is
+refused: a stored zerotime later than the initialization clock raises
+:class:`ClockRewindError` for every node kind, before it sends or watches.
 
 Two interchangeable backends: an in-memory map for simulations (with
 injectable corruption) and a file-per-process directory layout for real use
@@ -139,11 +141,15 @@ def load_or_create_zerotime(store, process: int, now: int) -> int:
     """Initialization-time zerotime fetch: read the record, write it once.
 
     Returns the persisted zerotime, creating it from ``now`` on the very
-    first startup.  Storage failures propagate; a process that cannot reach
-    its stable store must not join.
+    first startup.  Storage failures propagate, and so does a stored
+    zerotime later than ``now``; a process that cannot reach its stable
+    store, or whose clock has gone back, must not join.
     """
     zerotime = store.load_zerotime(process)
     if zerotime is None:
         zerotime = now
         store.store_zerotime(process, zerotime)
+    elif now < zerotime:
+        raise ClockRewindError(f"process {process}: clock reads {now}, earlier than "
+                               f"its stored zerotime {zerotime}")
     return zerotime

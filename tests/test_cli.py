@@ -355,6 +355,22 @@ def test_run_exits_1_on_a_corrupt_zerotime_record(tmp_path, capsys, raw):
     assert list((tmp_path / "out").iterdir()) == []
 
 
+@pytest.mark.parametrize("algo", ["nfdl", "naive", "nfde-pair"])
+def test_run_exits_2_on_a_zerotime_stored_after_the_start(tmp_path, capsys, algo):
+    # Every node kind refuses the record where it is loaded, with one
+    # message: the nfde-pair receiver never sends, so no send label would.
+    state = tmp_path / "state"
+    state.mkdir()
+    (state / "zerotime.1").write_text("5000\n")
+    code = run_cli("run", "--algo", algo, "--procs", "2", "--state-dir", str(state),
+                   "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: process 1: clock reads 0, earlier than its stored zerotime 5000\n"
+    )
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_run_memory_does_not_grow_with_duration(tmp_path):
     # nfdl, N=20, on the measured lossy network.  The estimator windows are
     # full after 100 heartbeats (33 s), but a run still warms up past that:

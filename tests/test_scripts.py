@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from nfdl.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -127,3 +129,24 @@ def test_message_cost_script_rejects_an_empty_process_range(tmp_path):
     assert done.returncode == 2
     assert done.stderr == "error: --max-procs: must be >= --min-procs (5), got 3\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, out, args", [
+    ("run_qos_experiments.py", "qos", ()),
+    ("sweep_message_cost.py", "message_cost.csv", ("--max-procs", "2", "--duration-ms", "5000")),
+])
+def test_scripts_exit_1_on_an_out_under_a_regular_file(tmp_path, name, out, args):
+    # A path under a file, not a permission bit, which root would ignore.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    done = run_script(name, "--out", str(blocker / out), *args, cwd=tmp_path)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error: ")
+    assert blocker.read_text() == ""
+
+
+def test_compare_cost_prints_nothing_before_it_fails(capsys):
+    assert main(["compare-cost", "--procs", "3", "--duration-ms", "1000"]) == 2
+    assert capsys.readouterr().out == ""

@@ -805,16 +805,66 @@ def test_start_up_holds_under_12_bytes_per_ordered_pair():
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
+def _bench_entry_points(spans):
+    """(owner, owning object, attribute) of each of the bench's entry points."""
+    for _name, _layer, owner, attr, _outcome in spans.ENTRY_POINTS:
+        module, _, cls = owner.partition(":")
+        target = importlib.import_module(module)
+        yield owner, getattr(target, cls) if cls else target, attr
+
+
 def test_every_traced_entry_point_of_the_bench_resolves():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    for _name, _layer, owner, attr, _outcome in spans.ENTRY_POINTS:
-        module, _, cls = owner.partition(":")
-        target = importlib.import_module(module)
-        if cls:
-            target = getattr(target, cls)
+    for owner, target, attr in _bench_entry_points(spans):
         assert callable(getattr(target, attr, None)), f"{owner} has no {attr}"
+
+
+# The per-layer metrics a traced bench run reads as 0 (seed 1, scale 0.02).
+# Zero by construction: accuracy and naive run the Simulator directly, so
+# no cli.main span exists and the in-memory store is read and written only
+# in set-up, before the measured window; naive never runs an NfdlProcess,
+# so no tick of one is useful.  Every other zero is drift: the simulator no
+# longer calls the wrapped entry point (ROADMAP items 7 and 16).  It calls
+# link_stream, not sample_delivery; a monitor's window call is record, not
+# expected_arrival; it delivers through NfdlProcess.deliver, not
+# on_heartbeat; it formats lines without TraceEvent.line.  churn streams its
+# trace to a file, so it keeps no event lines (events, and queue.useful_ratio
+# of them) and never calls EventTrace.write.  An entry point that drifts away
+# from the bench adds a zero here and fails by name.
+_BENCH_DRIFT_ZEROS = {
+    "simnet.link.sample_us", "simnet.link.drop_ratio", "estimator.expected_arrival_us",
+    "protocol.on_heartbeat.calls", "protocol.on_heartbeat_us", "protocol.adoptions",
+    "simnet.trace.line_us",
+}
+BENCH_ZERO_METRICS = {
+    "accuracy": _BENCH_DRIFT_ZEROS | {"cli.run_s", "stable_store.self_s"},
+    "naive": _BENCH_DRIFT_ZEROS | {
+        "cli.run_s", "stable_store.self_s", "protocol.tick_useful_ratio"},
+    "churn": _BENCH_DRIFT_ZEROS | {
+        "simnet.queue.useful_ratio", "simnet.trace.events", "simnet.trace.write_s",
+        "simnet.trace.self_s"},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_ZERO_METRICS))
+def test_the_bench_reads_zero_only_on_the_pinned_metrics(workload, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(SPANS.parent))
+    child = importlib.import_module("child")
+    workloads = importlib.import_module("workloads")
+    # A traced run wraps every entry point, the simulator's heap calls and
+    # Simulator.__init__ in place; monkeypatch puts each back afterwards.
+    for _owner, target, attr in _bench_entry_points(child.spans):
+        monkeypatch.setattr(target, attr, getattr(target, attr))
+    monkeypatch.setattr(simnet, "heapq", simnet.heapq)
+    monkeypatch.setattr(Simulator, "__init__", Simulator.__init__)
+    path = tmp_path / "scenario.json"
+    workloads.WORKLOADS[workload](1, 0.02).dump(path)
+    result = child.run_once(workload, path, tmp_path, traced=True)
+    assert result["failures"] == []
+    zeros = {name for name, value in result["layers"].items() if value == 0}
+    assert zeros == BENCH_ZERO_METRICS[workload]
 
 
 def test_the_simulator_fires_nfdl_timers_through_the_class_attribute(monkeypatch):
