@@ -131,6 +131,14 @@ SCENARIOS = {
         n_processes=20, network=INSTANT, duration=12_000,
         faults=crash_recover(19, 4_000, 9_000),
     ),
+    # Leader 0 is the only sender, and process 2 crashes at one of its send
+    # instants and recovers at another.  The fault sorts after the send at
+    # that instant, so the send's deliveries, due 5 ms later, find process 2
+    # down at 2,005 ms and up again at 3,005 ms.
+    "nfdl-lone-sender-shared-instant": lambda: scenario(
+        n_processes=3, config=ProtocolConfig(100, 50), network=QUIET, seed=2,
+        duration=5_000, high_priority=0, faults=crash_recover(2, 2_000, 3_000),
+    ),
 }
 
 # (trace sha256, metrics CSV sha256 or "ValueError" when build_report refuses)
@@ -184,6 +192,10 @@ EXPECTED = {
     "nfdl-on-grid-handoffs": (
         "c04de26820db945f5301fb78611c8eea1e2be6314f1d676f0ad64f9081f7ea29",
         "dfaa0d52d999df5610034b3b838861ce3bfa54b621f131ff47c820111dace795",
+    ),
+    "nfdl-lone-sender-shared-instant": (
+        "9a8164d7844b01dab20080d55c5774962528041c33645d0d1ff263eae0b0b41e",
+        "027933040cf1f2e4c038c099ea408a3a85e147086843c4731977dd81008e84a3",
     ),
     "nfdl-n100-storm": (
         "e168c25408de757136f12f23249c54dad181f04b99042deba8b35184c4a51023",
