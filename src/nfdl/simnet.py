@@ -30,25 +30,30 @@ matching the strict "arrived before the deadline" reading of the monitors.
 The event heap holds no entry per message.  The deliveries that the sends of
 one instant ``now`` make with a delay of at least 1 ms are collected in one
 list, the instant's *delivery run*, each as the very entry the heap would
-hold.  The first send at ``now`` opens the run and pushes one opening entry
-at ``(now + 1, -1, ...)``, which sorts after every event at ``now`` and
-before every entry of a later instant.  When it pops, every send of the
-instant has been made, and the run is put in order once, latest first.  A
-run of under 16 entries is sorted as it is; a longer one takes two stable
-sorts on int keys, receiver and then time, and a reversal, so entries that
-tie on (time, receiver) keep their append order, which is their send
-order.  The loop then compares the run's last entry, its next due, with the
-heap's head ``heap[0]``.  While the run's entry is the smaller, the loop
-pops it with ``list.pop`` and delivers it in place, so each entry is freed
-as it is delivered.  Otherwise the run waits in the heap under a copy of
-that entry's key whose payload is the run.  The keys are the heap's own, so
-the merge keeps the order that a heap entry per message would give, byte
-for byte.  A delivery with delay 0 is due at the send instant itself,
-possibly before a later tick at it, so it goes into the heap at once, as a
-run of its own.  Every delivery thus leaves through a run.  A horizon entry
-at ``(duration, -1, ...)`` sorts before every entry due at or after the
-end, so the heap never empties while the loop runs and no delivery due at
-the end is made.
+hold.  The first send at ``now`` opens the run.  The run is whole once no
+more sends can come at ``now``, and it is then put in order once, latest
+first.  When a send ends and the heap's head is due after ``now``, nothing
+more happens at ``now``: every event due then is already in the heap, a
+delivery with delay 0 included.  So when the instant's first send ends that
+way, the run is sorted at once and delivered from.  Otherwise that send
+pushes one opening entry at ``(now + 1, -1, ...)``, which sorts after every
+event at ``now`` and before every entry of a later instant, and the run is
+sorted when it pops.  An instant with one sender and nothing else thus costs
+the heap no entry for its run.  A run of under 16 entries is sorted as it
+is; a longer one takes two stable sorts on int keys, receiver and then time,
+and a reversal, so entries that tie on (time, receiver) keep their append
+order, which is their send order.  The loop then compares the run's last
+entry, its next due, with the heap's head ``heap[0]``.  While the run's
+entry is the smaller, the loop pops it with ``list.pop`` and delivers it in
+place, so each entry is freed as it is delivered.  Otherwise the run waits
+in the heap under a copy of that entry's key whose payload is the run.  The
+keys are the heap's own, so the merge keeps the order that a heap entry per
+message would give, byte for byte.  A delivery with delay 0 is due at the
+send instant itself, possibly before a later tick at it, so it goes into the
+heap at once, as a run of its own.  Every delivery thus leaves through a
+run.  A horizon entry at ``(duration, -1, ...)`` sorts before every entry
+due at or after the end, so the heap never empties while the loop runs and
+no delivery due at the end is made.
 
 Every algorithm runs behind one node interface.  ``sends()`` says whether
 the node sends heartbeats now, and only a node that sends has a tick: one
@@ -75,7 +80,8 @@ traced by ``output_change`` (a leader id, or a trust/suspect verdict); the
 simulator reads it only to log a change.  :meth:`Simulator.run` handles a
 delivery and the timer arm that follows it, and a timer entry, in its own
 loop, so the loop makes one call per delivery, ``deliver``, and one per
-timer entry that is not stale, ``deadline_of``.  Under ``nfdl`` the node is
+timer entry that is not stale, ``deadline_of``.  It makes a send in the
+loop too, whose one call is ``next_heartbeat``.  Under ``nfdl`` the node is
 the ``NfdlProcess`` itself: its ``deliver`` calls on into the leader's
 monitor, and the monitor into its arrival window, only for a fresh
 heartbeat from the leader or a takeover.
@@ -113,25 +119,26 @@ log site writes its own line with one f-string, byte for byte what
 that the messages of one send share is formatted once per send: the
 ``sender= seq= uptime=`` payload of their ``deliver`` lines, which rides in
 the queue entry with the heartbeat, and, for a unicast send, its ``send``
-line up to the receiver.  The
-simulator keeps the lines it logs pending; at each send and at the end of
-the run it joins them and hands that text to its *sink*: one batch of whole
-newline-terminated lines per send, in log order, which is non-decreasing
-time.  The default sink appends each batch to ``trace.event_batches``, so
-:meth:`Simulator.run` returns every line.  Any other sink receives the
-batches instead and the list stays empty, so a run holds no event list; the
-``write`` method of :class:`TraceWriter` is the sink that writes the trace
-file, and :func:`stream_run` runs a scenario through it.  Scoring the trace
-is ``qos``'s work, which needs none of this module at run time.  The
-trace's counters, final outputs and ``output_changes``, each process's
-logged (time, output) pairs in log order, are filled in either way.  Links
-are counted as sends only: every sender sends to all the others, so
-``link_sent`` of (s, r) is s's count of sends, derived from the per-sender
-counts each time it is read; a run stores no per-link count.
-``trace.event_lines()`` yields the kept lines in log order, and is the one
-reader that splits the batches; ``trace.events`` parses its lines back into
-:class:`TraceEvent` objects with :meth:`TraceEvent.parse`, for readers that
-want fields.
+line up to the receiver.  Each process's part of the ``send`` and
+``deliver`` lines, of the payload and of a unicast's receiver is formatted
+once per run.  The simulator keeps the lines it logs pending; at each send
+and at the end of the run it joins them and hands that text to its *sink*:
+one batch of whole newline-terminated lines per send, in log order, which is
+non-decreasing time.  The default sink appends each batch to
+``trace.event_batches``, so :meth:`Simulator.run` returns every line.  Any
+other sink receives the batches instead and the list stays empty, so a run
+holds no event list; the ``write`` method of :class:`TraceWriter` is the
+sink that writes the trace file, and :func:`stream_run` runs a scenario
+through it.  Scoring the trace is ``qos``'s work, which needs none of this
+module at run time.  The trace's counters, final outputs and
+``output_changes``, each process's logged (time, output) pairs in log order,
+are filled in either way.  Links are counted as sends only: every sender
+sends to all the others, so ``link_sent`` of (s, r) is s's count of sends,
+derived from the per-sender counts each time it is read; a run stores no
+per-link count.  ``trace.event_lines()`` yields the kept lines in log order,
+and is the one reader that splits the batches; ``trace.events`` parses its
+lines back into :class:`TraceEvent` objects with :meth:`TraceEvent.parse`,
+for readers that want fields.
 
 The loop runs with CPython's cyclic garbage collector off, and restores the
 caller's setting when it ends or raises, as :mod:`timeit` does.  A run makes
@@ -801,11 +808,14 @@ class Simulator:
     node is an :class:`NfdlProcess`.  A delivery arms its timer from the
     deadline the node's ``deliver`` hands back, inside :meth:`run`.
 
-    The deliveries of one send instant wait in that instant's delivery
-    run, a list outside the event heap, which one opening entry at the next
-    millisecond sorts; :meth:`run` merges it against the heap's head, one
-    entry at a time (see the module docstring).  So the heap holds ticks,
-    timers, faults and one entry per delivery run in flight.
+    :meth:`run` makes each send itself, at its tick; there is no send
+    method.  The deliveries of one send instant wait in that instant's
+    delivery run, a list outside the event heap.  The run is sorted when
+    the instant's last send ends, if nothing else is due at that instant,
+    and otherwise when an opening entry at the next millisecond pops;
+    :meth:`run` merges it against the heap's head, one entry at a time (see
+    the module docstring).  So the heap holds ticks, timers, faults and one
+    entry per delivery run in flight.
 
     :meth:`run` turns the cyclic garbage collector off for its loop and
     then restores the caller's setting.  ``gc`` is process-global, so on a
@@ -839,9 +849,8 @@ class Simulator:
         self._armed = [0] * slots
         # Per process its sends.
         self._sends = [0] * n
-        # The send instant whose delivery run is open, and that run: the
-        # deliveries its sends made with a delay of at least 1 ms.
-        self._run_at = -1
+        # The delivery run opened last: the deliveries that the sends of one
+        # instant made with a delay of at least 1 ms.
         self._run: list[tuple] = []
         self.trace = EventTrace(scenario, output_changes={pid: [] for pid in ids})
         self._sink = self.trace.event_batches.append if sink is None else sink
@@ -880,12 +889,22 @@ class Simulator:
             # The horizon: it sorts before every entry due at or after the
             # end, so the heap never empties while the loop runs.
             heappush(heap, (duration, -1, _CRASH, 0, None))
-            nodes, log = self.nodes, self._log
+            nodes, log, lines, sink = self.nodes, self._log, self._lines, self._sink
             pendings, armed, stride = self._pending, self._armed, self._stride
-            on_tick = self._on_tick
+            ticking, sends, runs, others = self._ticking, self._sends, self._runs, self._others
+            n, seed, eta = self._n, sc.seed, sc.config.eta
+            loss, cdf = sc.network.loss_prob, self._delay_cdf
+            # Each process's part of its lines, formatted once per run.
+            send_text = [f"\t{p}\tsend\t" for p in range(n)]
+            deliver_text = [f"\t{p}\tdeliver\t" for p in range(n)]
+            sender_text = [f"sender={p} " for p in range(n)]
+            receiver_text = [f"{p}\n" for p in range(n)]
             # The delivery run being delivered from, while its next entry is
             # due before the heap's head.
             run = None
+            # The send instant whose run waits under an opening entry, if
+            # any, and the run the sends of the current instant append to.
+            opened_at, opened = -1, None
             while True:
                 if run and run[-1] < heap[0]:
                     # The delivery run's next entry is due first: deliver it
@@ -896,7 +915,7 @@ class Simulator:
                     if node is None:
                         log(f"{time}\t{pid}\tdrop\tsender={hb.sender} seq={hb.seq} reason=down\n")
                         continue
-                    log(f"{time}\t{pid}\tdeliver\t{text}")
+                    log(f"{time}{deliver_text[pid]}{text}")
                     changed, key, deadline = node.deliver(hb, time)
                     if changed:
                         self._log_output_change(pid, time, node.output())
@@ -927,20 +946,78 @@ class Simulator:
                 if time >= duration:
                     break
                 if rank == _DELIVER:
-                    # A delivery run's opening entry, which sorts it, or the
-                    # entry that carries it through the heap.
+                    # The entry that carries a run through the heap, or an
+                    # instant's opening entry, whose run is sorted below.
                     run = payload
-                    if pid < 0:
-                        # Latest first.  A short run sorts fastest in one call.
-                        # In a longer one int keys compare faster than the
-                        # entries, which often tie on time; the sorts are
-                        # stable, so ties on (time, receiver) keep send order.
-                        if len(run) < 16:
-                            run.sort(reverse=True)
+                    if pid >= 0:
+                        continue
+                elif rank == _TICK:
+                    # A tick's payload is the node that filed it, which a
+                    # crash or a recovery since may have replaced.
+                    node = payload
+                    if nodes[pid] is not node:
+                        continue
+                    hb = node.next_heartbeat(time)
+                    if hb is None:
+                        ticking[pid] = None
+                        continue
+                    # The next tick takes this order and all of this send's
+                    # deliveries the one after it.
+                    order = self._pushes
+                    self._pushes = order + 2
+                    heappush(heap, (time + eta, pid, _TICK, order, node))
+                    order += 1
+                    sends[pid] += 1
+                    # A node's heartbeat names the node's own id as sender.
+                    seq = hb.seq
+                    # The text that the send's lines share, formatted once.
+                    label = f"seq={seq} uptime={hb.uptime}"
+                    payload = (hb, f"{sender_text[pid]}{label}\n")
+                    receivers = node.targets
+                    if receivers is None:
+                        log(f"{time}{send_text[pid]}{label}\n")
+                        receivers, unicast = others[pid], None
+                    else:
+                        unicast = f"{time}{send_text[pid]}{label} receiver="
+                    first, lost_rows, delay_rows = runs[pid]
+                    row = seq - first
+                    if not 0 <= row < len(lost_rows):
+                        # Draw a new run from this seq: longer when it carries on the last.
+                        k = _run_length(seq, len(lost_rows) if row == len(lost_rows) else 0,
+                                        (duration - 1 - time) // eta + 1)
+                        lost_rows, delay_rows = sample_run(seed, pid, seq, k, n, loss, cdf)
+                        runs[pid] = (seq, lost_rows, delay_rows)
+                        row = 0
+                    lost, delay = lost_rows[row], delay_rows[row]
+                    if opened_at != time:
+                        # The first send of this instant opens its delivery run.
+                        opened = self._run = []
+                    append = opened.append
+                    for receiver in receivers:
+                        if unicast is not None:
+                            log(unicast + receiver_text[receiver])
+                        if lost[receiver]:
+                            log(f"{time}\t{receiver}\tdrop\tsender={pid} seq={seq} reason=loss\n")
+                        elif d := delay[receiver]:
+                            append((time + d, receiver, _DELIVER, order, payload))
                         else:
-                            run.sort(key=_receiver)
-                            run.sort(key=_time)
-                            run.reverse()
+                            # Due at this instant, maybe before a later tick at it: a run
+                            # of its own, in the heap at once.
+                            heappush(heap, (time, receiver, _DELIVER, order,
+                                            [(time, receiver, _DELIVER, order, payload)]))
+                    sink("".join(lines))
+                    lines.clear()
+                    if opened_at == time:
+                        continue
+                    if heap[0][0] == time:
+                        # More happens at this instant, maybe another send:
+                        # the opening entry sorts after every event at it and
+                        # before every entry of a later instant.
+                        opened_at = time
+                        heappush(heap, (time + 1, -1, _DELIVER, order, opened))
+                        continue
+                    # Nothing more happens at this instant: its run is whole.
+                    run = opened
                 elif rank == _TIMER:
                     # A timer entry's payload is its key.
                     slot = pid * stride + payload
@@ -960,23 +1037,34 @@ class Simulator:
                     log(f"{time}\t{pid}\ttimer_fire\tdeadline={deadline}\n")
                     if changed:
                         self._log_output_change(pid, time, node.output())
-                    if node.sends() and self._ticking[pid] is not node:
+                    if node.sends() and ticking[pid] is not node:
                         # Ticks rank after timers, so the send instant ``time``
                         # itself is still ahead: the first tick falls at or after it.
-                        self._tick(pid, node, time + (node.zerotime - time) % sc.config.eta)
-                elif rank == _TICK:
-                    on_tick(pid, time, payload)
+                        self._tick(pid, node, time + (node.zerotime - time) % eta)
+                    continue
                 elif rank == _CRASH:
                     nodes[pid] = None
                     # The process's slots: its own id under nfdl, else n of them.
                     width = stride or 1
                     pendings[pid * width:(pid + 1) * width] = [None] * width
                     log(f"{time}\t{pid}\tcrash\t\n")
+                    continue
                 else:
                     log(f"{time}\t{pid}\trecover\t\n")
                     self._start(pid, time)
-            if self._lines:
-                self._sink("".join(self._lines))
+                    continue
+                # An instant's run, whole: latest first.  A short run sorts
+                # fastest in one call.  In a longer one int keys compare
+                # faster than the entries, which often tie on time; the sorts
+                # are stable, so ties on (time, receiver) keep send order.
+                if len(run) < 16:
+                    run.sort(reverse=True)
+                else:
+                    run.sort(key=_receiver)
+                    run.sort(key=_time)
+                    run.reverse()
+            if lines:
+                sink("".join(lines))
         finally:
             if collecting:
                 gc.enable()
@@ -1034,63 +1122,6 @@ class Simulator:
     def _tick(self, pid: int, node, at: int) -> None:
         self._ticking[pid] = node
         self._push(at, pid, _TICK, node)
-
-    def _on_tick(self, pid: int, now: int, node) -> None:
-        if self.nodes[pid] is not node:
-            return
-        hb = node.next_heartbeat(now)
-        if hb is None:
-            self._ticking[pid] = None
-            return
-        sc, heap, order = self.scenario, self._heap, self._pushes
-        # The next tick takes this order and all of this send's deliveries
-        # the one after it.
-        self._pushes = order + 2
-        heapq.heappush(heap, (now + sc.config.eta, pid, _TICK, order, node))
-        self._sends[pid] += 1
-        sender, seq, uptime, log = hb.sender, hb.seq, hb.uptime, self._log
-        # The text every message of this send shares, formatted once.
-        payload = (hb, f"sender={sender} seq={seq} uptime={uptime}\n")
-        receivers = node.targets
-        if receivers is None:
-            log(f"{now}\t{sender}\tsend\tseq={seq} uptime={uptime}\n")
-            receivers, unicast = self._others[sender], None
-        else:
-            unicast = f"{now}\t{sender}\tsend\tseq={seq} uptime={uptime} receiver="
-        first, lost_rows, delay_rows = self._runs[sender]
-        row = seq - first
-        if not 0 <= row < len(lost_rows):
-            # Draw a new run from this seq: longer when it carries on the last.
-            k = _run_length(seq, len(lost_rows) if row == len(lost_rows) else 0,
-                            (sc.duration - 1 - now) // sc.config.eta + 1)
-            lost_rows, delay_rows = sample_run(sc.seed, sender, seq, k, self._n,
-                                               sc.network.loss_prob, self._delay_cdf)
-            self._runs[sender] = (seq, lost_rows, delay_rows)
-            row = 0
-        lost, delay = lost_rows[row], delay_rows[row]
-        order += 1
-        if self._run_at != now:
-            # The first send of this instant opens its delivery run.  The
-            # opening entry sorts after every event at ``now`` and before
-            # every entry of a later instant; the run is sorted when it pops.
-            self._run_at = now
-            self._run = []
-            heapq.heappush(heap, (now + 1, -1, _DELIVER, order, self._run))
-        append = self._run.append
-        for receiver in receivers:
-            if unicast is not None:
-                log(f"{unicast}{receiver}\n")
-            if lost[receiver]:
-                log(f"{now}\t{receiver}\tdrop\tsender={sender} seq={seq} reason=loss\n")
-            elif d := delay[receiver]:
-                append((now + d, receiver, _DELIVER, order, payload))
-            else:
-                # Due at this instant, maybe before a later tick at it: a run
-                # of its own, in the heap at once.
-                heapq.heappush(heap, (now, receiver, _DELIVER, order,
-                                      [(now, receiver, _DELIVER, order, payload)]))
-        self._sink("".join(self._lines))
-        self._lines.clear()
 
 
 def run(scenario: Scenario) -> EventTrace:
