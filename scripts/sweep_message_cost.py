@@ -5,8 +5,9 @@ Sweeps the process count and runs both the single-leader protocol (one
 broadcast per interval regardless of size) and the all-pairs reduction
 (N^2 - N unicasts per interval), writing a CSV alongside the printed table.
 A bad flag value exits 2 naming the scenario key it sets, or the flag for a
---max-procs below --min-procs, before anything is written; a CSV that cannot
-be written exits 1.  Both print one ``error:`` line, as ``nfdl`` does.
+--max-procs below --min-procs, before anything is written; an --out whose
+directory cannot be made exits 1 before the sweep starts, and a CSV that
+cannot be written exits 1.  Both print one ``error:`` line, as ``nfdl`` does.
 """
 
 import argparse
@@ -34,6 +35,8 @@ def main() -> int:
         )
     # Read as a scenario file's keys, so that an error names the key.
     config = load(ProtocolConfig, {"eta_ms": args.eta_ms, "alpha_ms": args.alpha_ms}, "config")
+    # Before the sweep, so that an --out that cannot be made fails at once.
+    args.out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["algorithm,procs,predicted_per_eta,measured_per_eta"]
     print(COST_TABLE_HEADER)
     for n in range(args.min_procs, args.max_procs + 1):
@@ -43,7 +46,6 @@ def main() -> int:
                 f"{row['predicted_per_eta']},{row['measured_per_eta']:g}"
             )
             print(cost_table_row(row))
-    args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text("\n".join(lines) + "\n")
     print(f"\nwrote {args.out}")
     return 0

@@ -147,6 +147,17 @@ def test_scripts_exit_1_on_an_out_under_a_regular_file(tmp_path, name, out, args
     assert blocker.read_text() == ""
 
 
+def test_message_cost_script_fails_on_its_out_before_the_sweep(tmp_path):
+    # The CSV's directory is made before the first process count runs, as
+    # the campaign makes its --out before its first run.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    done = run_script("sweep_message_cost.py", "--max-procs", "2", "--duration-ms", "5000",
+                      "--out", str(blocker / "cost.csv"), cwd=tmp_path)
+    assert done.returncode == 1
+    assert done.stdout == ""
+
+
 def test_compare_cost_prints_nothing_before_it_fails(capsys):
     assert main(["compare-cost", "--procs", "3", "--duration-ms", "1000"]) == 2
     assert capsys.readouterr().out == ""
