@@ -808,14 +808,14 @@ class Simulator:
     node is an :class:`NfdlProcess`.  A delivery arms its timer from the
     deadline the node's ``deliver`` hands back, inside :meth:`run`.
 
-    :meth:`run` makes each send itself, at its tick; there is no send
-    method.  The deliveries of one send instant wait in that instant's
-    delivery run, a list outside the event heap.  The run is sorted when
-    the instant's last send ends, if nothing else is due at that instant,
-    and otherwise when an opening entry at the next millisecond pops;
-    :meth:`run` merges it against the heap's head, one entry at a time (see
-    the module docstring).  So the heap holds ticks, timers, faults and one
-    entry per delivery run in flight.
+    :meth:`run` makes each send in its own loop, at the send's tick, as it
+    makes deliveries and fires timers.  The deliveries of one send instant
+    wait in that instant's delivery run, a list outside the event heap.
+    The run is sorted when the instant's last send ends, if nothing else is
+    due at that instant, and otherwise when an opening entry at the next
+    millisecond pops; :meth:`run` merges it against the heap's head, one
+    entry at a time (see the module docstring).  So the heap holds ticks,
+    timers, faults and one entry per delivery run in flight.
 
     :meth:`run` turns the cyclic garbage collector off for its loop and
     then restores the caller's setting.  ``gc`` is process-global, so on a
