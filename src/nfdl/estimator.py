@@ -5,8 +5,9 @@ A monitor keeps a sliding window of the last ``n`` accepted heartbeats as
 ``seq * eta`` collapses the periodic send schedule, so the window mean of the
 shifted values is a smoothed one-way transit estimate.  The next heartbeat is
 then expected at that estimate plus its own scheduled send instant.  The
-freshness deadline adds a fixed safety margin on top; ``NfdeMonitor`` adds
-it to ``record``'s prediction, so this module holds no deadline rule.
+freshness deadline adds a fixed safety margin on top; the window's caller,
+an ``NfdeMonitor`` or an ``NfdlProcess`` following its leader, adds it to
+``record``'s prediction, so this module holds no deadline rule.
 
 Timestamps are integer milliseconds.  The window mean is evaluated exactly
 and rounded half-up: with ``s`` the numerator below and ``m`` the window
@@ -20,7 +21,7 @@ deques, with no tuple per heartbeat, and keeps running integer sums of both,
 updated by each recorded value less the one it evicts, so the numerator
 ``sum(arrival) - eta * sum(seq)`` costs the same at any window size.
 
-A monitor makes one window call per accepted heartbeat: ``record`` stores
+A caller makes one window call per accepted heartbeat: ``record`` stores
 the arrival and returns the expected arrival of the next heartbeat, so the
 hot path neither calls ``expected_arrival`` nor re-checks what ``record``
 has just ensured.  ``record`` holds the estimate's one copy;

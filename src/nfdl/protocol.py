@@ -5,14 +5,15 @@ explicit clock argument (no internal timers, no wall clock):
 
 * ``NfdlProcess`` - single-leader election for crash-recovery processes.
   Only the process that currently believes itself leader broadcasts
-  heartbeats; everyone else watches the leader's heartbeat stream with an
-  ``NfdeMonitor`` and self-elects when its freshness deadline expires.
+  heartbeats; everyone else keeps the leader's heartbeat arrivals in an
+  ``ArrivalWindow`` and self-elects when its freshness deadline expires.
   Leadership challenges are settled by priority: higher uptime wins,
   process id breaks ties.
 * ``NfdeMonitor`` - the classic two-valued trust/suspect monitor of a single
-  remote heartbeat source.  The election runs one on its current leader;
-  the simulator's all-pairs node runs one per watched peer, for both the
-  two-process baseline and the all-pairs reduction.
+  remote heartbeat source.  The simulator's all-pairs node runs one per
+  watched peer, for both the two-process baseline and the all-pairs
+  reduction.  The election needs no verdict, only the freshness point, so
+  a follower keeps its leader's window itself.
 * ``naive_reduction_cost`` - the message bill of building leader election
   from all-pairs monitoring, kept as the analytic cross-check for the
   simulator's counters.
@@ -25,8 +26,7 @@ and the deadline it moved, and ``on_timer_fire`` takes the expiry of that
 deadline and reports whether the leader changed.  The simulator runs it
 as its ``nfdl`` node.  ``on_heartbeat`` reports a delivery as an
 ``Output``, the leader with the answer.  A follower's accepted heartbeat
-costs two calls below ``deliver``: its monitor's ``on_heartbeat`` and the
-window's ``record``.
+costs one call below ``deliver``: the window's ``record``.
 """
 
 from __future__ import annotations
@@ -118,8 +118,10 @@ class NfdlProcess:
     ``targets``), its output is the leader, and its one deadline, grace or
     freshness, is filed under its own id.
 
-    A follower watches its leader with the same :class:`NfdeMonitor` the
-    all-pairs node runs per peer, started afresh on every adoption.
+    A follower keeps its leader's arrivals in an :class:`ArrivalWindow`,
+    started afresh on every adoption, and sets its freshness deadline to
+    the window's expected arrival plus alpha, the point at which an
+    :class:`NfdeMonitor` of the same stream would suspect.
 
     Initialization loads the persisted zerotime (writing it exactly once on
     first startup, refusing a clock earlier than it) and arms a one-shot
@@ -133,6 +135,7 @@ class NfdlProcess:
     def __init__(self, self_id: int, config: ProtocolConfig, store, now: int):
         self.self_id = self_id
         self.config = config
+        self.eta, self.alpha = config.eta, config.alpha
         self.zerotime = load_or_create_zerotime(store, self_id, now)
         self.leader: int | None = None
         self.uptime = 0
@@ -145,9 +148,9 @@ class NfdlProcess:
         # is none): a follower's from the leader's last accepted heartbeat,
         # a leader's own as advertised.  Set wherever either changes.
         self.incumbent: tuple[int, int] | None = None
-        # Freshness monitor of the current leader's heartbeat stream; None
+        # Arrival window of the current leader's heartbeat stream; None
         # while this process leads or has no leader yet.
-        self.monitor: NfdeMonitor | None = None
+        self.window: ArrivalWindow | None = None
         self.deadline: int | None = now + config.eta + config.alpha
 
     def sends(self) -> bool:
@@ -170,10 +173,10 @@ class NfdlProcess:
         deadline is filed under, and ``deadline`` the new deadline; both are
         None when it did not move.
 
-        From the current leader: fresh labels feed the leader's monitor and
+        From the current leader: fresh labels enter the leader's window and
         advance the freshness deadline (stale ones change nothing).  From
         anyone else: the sender takes over iff its (uptime, pid) priority
-        strictly beats the incumbent's, which starts a fresh monitor on its
+        strictly beats the incumbent's, which starts a fresh window on its
         stream and arms the deadline from this first arrival.  Priorities
         compare as tuples, so a higher uptime wins and the pid breaks ties;
         no incumbent (None) loses to everything, so the first heartbeat seen
@@ -183,8 +186,8 @@ class NfdlProcess:
         if sender == self.self_id:
             return False, None, None
         if sender == self.leader:
-            monitor = self.monitor
-            if hb.seq <= monitor.window.last_seq:
+            window = self.window
+            if hb.seq <= window.last_seq:
                 return False, None, None
             adopted = False
         else:
@@ -192,11 +195,12 @@ class NfdlProcess:
             if incumbent is not None and (hb.uptime, sender) <= incumbent:
                 return False, None, None
             self.leader = sender
-            self.monitor = monitor = NfdeMonitor(self.config)
+            self.window = window = ArrivalWindow(self.config.window_n)
             adopted = True
-        monitor.on_heartbeat(hb.seq, now)
+        # The freshness point: the expected arrival of the next heartbeat
+        # plus the margin.
+        deadline = window.record(hb.seq, now, self.eta) + self.alpha
         self.incumbent = (hb.uptime, sender)
-        deadline = monitor.deadline
         if deadline == self.deadline:
             return adopted, None, None
         self.deadline = deadline
@@ -257,7 +261,7 @@ class NfdlProcess:
         self.leader = self.self_id
         sent = self.last_sent_uptime
         self.incumbent = (self.uptime if sent is None else sent, self.self_id)
-        self.monitor = None
+        self.window = None
         self.deadline = None
 
 

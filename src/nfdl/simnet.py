@@ -11,8 +11,10 @@ the samples on another link.  The block is the first Philox block under key
 rekey yields a send's blocks for all its receivers: word 0 of a block
 decides loss and word 1 picks the whole-ms delay from the :func:`delay_cdf`
 table of the link's law.  A sender's consecutive sends are drawn a run at a
-time (:func:`sample_run`), with the same blocks as one send at a time.  The
-sampler returns delays; the simulator adds the send instant.
+time (:func:`sample_run`), with the same blocks as one send at a time.  A
+run checks its keys and installs the key (seed, sender) with one
+:func:`link_stream` call; each further row only rewrites the counter's seq
+word.  The sampler returns delays; the simulator adds the send instant.
 
 Fault injection is a scripted schedule of crash/recover events.  A crash
 discards the process's volatile state and silences it; messages still in
@@ -83,8 +85,8 @@ loop, so the loop makes one call per delivery, ``deliver``, and one per
 timer entry that is not stale, ``deadline_of``.  It makes a send in the
 loop too, whose one call is ``next_heartbeat``.  Under ``nfdl`` the node is
 the ``NfdlProcess`` itself: its ``deliver`` calls on into the leader's
-monitor, and the monitor into its arrival window, only for a fresh
-heartbeat from the leader or a takeover.
+arrival window, which the process keeps itself, only for a fresh heartbeat
+from the leader or a takeover.
 
 Timers are re-armed lazily, with at most one live heap entry per (process,
 key), each kept in slot ``pid*stride + key``.  An election node files only
@@ -445,8 +447,9 @@ def _dump(obj) -> dict:
 # sampled (see delay_cdf), so no transcendental function runs per message.
 
 _STREAM = np.random.Generator(np.random.Philox(0))
-# The state every rekey installs; link_stream overwrites only _KEYS, and the
-# Philox state setter copies the values out without keeping the mapping.
+# The state every rekey installs; link_stream and sample_run overwrite only
+# _KEYS, and the Philox state setter copies the values out without keeping
+# the mapping.
 _KEYS = {"counter": (0, 0, 0, 0), "key": (0, 0)}
 _STATE = {
     "bit_generator": "Philox",
@@ -530,12 +533,25 @@ def sample_run(
     ``sender``: entry r of row j is message (sender, seq + j) to receiver r.
 
     Row j is n blocks of ``link_stream(seed, sender, seq + j, 0)``, the
-    same in any run; ``k=1`` is one send.  ``cdf`` is ``delay_cdf`` of the
-    link law; a lost copy's delay is meaningless.
+    same in any run; ``k=1`` is one send, and k is at least 1.  ``cdf`` is
+    ``delay_cdf`` of the link law; a lost copy's delay is meaningless.  The
+    keys are checked once per run, as :func:`link_stream` checks them, the
+    first and the last row's seq included, before any row is drawn.
     """
+    seq = index(seq)
+    if (seq | seq + k - 1) >> 64:
+        raise ValueError(f"keys must be within [0, 2**64), got seqs {seq} to {seq + k - 1}")
+    # One link_stream call checks the other keys and installs the key
+    # (seed, sender) that every row shares; a further row differs only in
+    # the counter's seq word, so it rewrites that and draws.
+    stream = link_stream(seed, sender, seq, 0)
     u = np.empty((k, 4 * n))
-    for j in range(k):
-        link_stream(seed, sender, seq + j, 0).random(out=u[j])
+    stream.random(out=u[0])
+    bit_generator, keys, state = stream.bit_generator, _KEYS, _STATE
+    for j in range(1, k):
+        keys["counter"] = (0, 0, seq + j, 0)
+        bit_generator.state = state
+        stream.random(out=u[j])
     return (u[:, 0::4] < loss_prob).tolist(), cdf.searchsorted(u[:, 1::4], "right").tolist()
 
 

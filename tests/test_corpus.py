@@ -362,13 +362,13 @@ def test_senders_draw_at_most_twice_the_seqs_they_send(name, monkeypatch):
     # sending leaves part of its last run unused; doubling the run length
     # from 1 keeps that waste below what it sent.
     drawn = []
-    real = simnet.link_stream
+    real = simnet.sample_run
 
-    def counting(seed, sender, seq, receiver):
-        drawn.append((sender, seq))
-        return real(seed, sender, seq, receiver)
+    def counting(seed, sender, seq, k, *args):
+        drawn.extend((sender, seq + j) for j in range(k))
+        return real(seed, sender, seq, k, *args)
 
-    monkeypatch.setattr(simnet, "link_stream", counting)
+    monkeypatch.setattr(simnet, "sample_run", counting)
     sc = DRAW_BUDGET_SCENARIOS[name]()
     sim = Simulator(sc)
     trace = sim.run()

@@ -172,14 +172,14 @@ def test_stale_leader_heartbeat_leaves_deadline_alone():
     out = p.on_heartbeat(hb(4, 7, 1), now=500)
     assert not out.changed
     assert p.deadline == deadline
-    assert p.monitor.window.last_seq == 5
+    assert p.window.last_seq == 5
 
 
 def test_fresh_leader_heartbeat_advances_deadline_and_uptime_cache():
     p = make_proc(self_id=0, now=0)
     p.on_heartbeat(hb(5, 7, 1), now=1650 + 5)
     p.on_heartbeat(hb(6, 7, 2), now=1980 + 5)
-    assert p.monitor.window.last_seq == 6
+    assert p.window.last_seq == 6
     assert p.incumbent == (2, 7)
     # window holds both arrivals, prediction is schedule plus mean delay
     assert p.deadline == 7 * 330 + 5 + 670
@@ -189,9 +189,9 @@ def test_adoption_resets_the_arrival_window():
     p = make_proc(self_id=0, now=0)
     for seq in range(1, 6):
         p.on_heartbeat(hb(seq, 7, 1), now=330 * seq + 5)
-    assert len(p.monitor.window) == 5
+    assert len(p.window) == 5
     p.on_heartbeat(hb(50, 9, 99), now=2000)
-    assert len(p.monitor.window) == 1
+    assert len(p.window) == 1
     assert p.leader == 9
     assert p.deadline == 2000 + 330 + 670
 
@@ -546,7 +546,7 @@ def test_transitions_match_the_reference_rules(eta, alpha, window_n, start, step
         # The kept priority is the one the reference rebuilds every time.
         assert (proc.leader, proc.incumbent, proc.deadline) == (
             ref.leader, ref.priority(), ref.deadline)
-        pairs = None if proc.monitor is None else list(proc.monitor.window.entries)
+        pairs = None if proc.window is None else list(proc.window.entries)
         assert pairs == (None if ref.monitor is None else ref.monitor.pairs)
         assert (mon.verdict, mon.deadline, list(mon.window.entries)) == (
             ref_mon.verdict, ref_mon.deadline, ref_mon.pairs)

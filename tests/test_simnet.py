@@ -395,6 +395,28 @@ def test_link_stream_rejects_negative_keys(key):
         link_stream(*key)
 
 
+def _stream_state():
+    state = simnet._STREAM.bit_generator.state
+    return state["state"]["key"].tolist(), state["state"]["counter"].tolist(), state["buffer_pos"]
+
+
+@pytest.mark.parametrize("seed, sender, seq", [
+    (1.0, 0, 1), (1, "0", 1), (1, 0, 1.0),
+    (-1, 0, 1), (1, 2**64, 1), (1, 0, -1), (1, 0, 2**64),
+    (1, 0, 2**64 - 2),  # the last of its 3 rows would be seq 2**64
+])
+def test_a_run_checks_its_keys_before_it_draws(seed, sender, seq):
+    # A run checks its keys once, as link_stream does: a failed call leaves
+    # the shared stream as the last draw left it, neither rekeyed nor drawn.
+    error = ValueError if all(isinstance(k, int) for k in (seed, sender, seq)) else TypeError
+    cdf = simnet.delay_cdf(QUIET)
+    link_stream(5, 6, 7, 0).random(3)
+    before = _stream_state()
+    with pytest.raises(error):
+        sample_run(seed, sender, seq, 3, 4, 0.0, cdf)
+    assert _stream_state() == before
+
+
 GOLDEN_DELIVERIES = [
     1003, 2008, 3014, 4001, 5005, 6007, 7010, 8004, 9001, 10005, None, 12006,
     13004, 14010, 15005, 16007, 17001, 18004, 19003, None, 21006, None, 23006,
@@ -654,19 +676,22 @@ def test_an_in_memory_run_holds_under_70_bytes_per_event():
 
 # Python calls per simulated message, counted with sys.setprofile.
 # Simulator.run handles sends, deliveries and timer entries in its own loop:
-# a delivery costs one call when the election rejects it and three when a
+# a delivery costs one call when the election rejects it and two when a
+# follower accepts it (node, window), or three when an all-pairs node's
 # monitor accepts it (node, monitor, window), and a send costs the node's
-# next_heartbeat.  Counts do not depend on host speed.  The bounds are the
-# counts measured when the send path moved into the loop (4.589, 3.888 and
-# 3.233), rounded up.  The run turns the cyclic collector off itself; the
-# test turns it off before it starts counting too, so that no collection
-# between setprofile and the loop runs finalizers of garbage left by earlier
-# tests inside the count.
+# next_heartbeat.  A sender's run of sends checks its keys and rekeys the
+# stream once, with one link_stream call.  Counts do not depend on host
+# speed.  The bounds are the counts measured when a follower came to keep
+# its leader's window itself and a run came to check its keys once (3.372,
+# 3.786 and 2.387), rounded up.  The run turns the cyclic collector off
+# itself; the test turns it off before it starts counting too, so that no
+# collection between setprofile and the loop runs finalizers of garbage left
+# by earlier tests inside the count.
 @pytest.mark.parametrize("sc, bound", [
-    pytest.param(scenario(network=LOSSY, duration=120_000), 4.59, id="nfdl"),
+    pytest.param(scenario(network=LOSSY, duration=120_000), 3.38, id="nfdl"),
     pytest.param(scenario(algorithm="naive-reduction", n_processes=10, network=LOSSY,
-                          duration=30_000), 3.89, id="naive"),
-    pytest.param(speed_scenario(1, cycles=1, n=30, downtime=5_000, spacing=10_000), 3.24,
+                          duration=30_000), 3.79, id="naive"),
+    pytest.param(speed_scenario(1, cycles=1, n=30, downtime=5_000, spacing=10_000), 2.39,
                  id="churn"),
 ])
 def test_python_calls_per_message_stay_bounded(sc, bound):
@@ -854,7 +879,9 @@ def test_every_traced_entry_point_of_the_bench_resolves():
 # longer calls the wrapped entry point (ROADMAP items 7 and 16).  It calls
 # link_stream, not sample_delivery; a monitor's window call is record, not
 # expected_arrival; it delivers through NfdlProcess.deliver, not
-# on_heartbeat; it formats lines without TraceEvent.line.  churn streams its
+# on_heartbeat; it formats lines without TraceEvent.line.  An nfdl follower
+# keeps its leader's window itself, so accuracy and churn run no
+# NfdeMonitor and read protocol.monitor_us as 0.  churn streams its
 # trace to a file, so it keeps no event lines (events, and queue.useful_ratio
 # of them) and never calls EventTrace.write.  An entry point that drifts away
 # from the bench adds a zero here and fails by name.
@@ -864,11 +891,12 @@ _BENCH_DRIFT_ZEROS = {
     "simnet.trace.line_us",
 }
 BENCH_ZERO_METRICS = {
-    "accuracy": _BENCH_DRIFT_ZEROS | {"cli.run_s", "stable_store.self_s"},
+    "accuracy": _BENCH_DRIFT_ZEROS | {
+        "cli.run_s", "stable_store.self_s", "protocol.monitor_us"},
     "naive": _BENCH_DRIFT_ZEROS | {
         "cli.run_s", "stable_store.self_s", "protocol.tick_useful_ratio"},
     "churn": _BENCH_DRIFT_ZEROS | {
-        "simnet.queue.useful_ratio", "simnet.trace.events", "simnet.trace.write_s",
+        "protocol.monitor_us", "simnet.queue.useful_ratio", "simnet.trace.events", "simnet.trace.write_s",
         "simnet.trace.self_s"},
 }
 
