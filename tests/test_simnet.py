@@ -896,8 +896,8 @@ BENCH_ZERO_METRICS = {
     "naive": _BENCH_DRIFT_ZEROS | {
         "cli.run_s", "stable_store.self_s", "protocol.tick_useful_ratio"},
     "churn": _BENCH_DRIFT_ZEROS | {
-        "protocol.monitor_us", "simnet.queue.useful_ratio", "simnet.trace.events", "simnet.trace.write_s",
-        "simnet.trace.self_s"},
+        "protocol.monitor_us", "simnet.queue.useful_ratio", "simnet.trace.events",
+        "simnet.trace.write_s", "simnet.trace.self_s"},
 }
 
 
