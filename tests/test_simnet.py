@@ -20,6 +20,7 @@ from nfdl.experiments import accuracy_scenario, speed_scenario
 from nfdl.protocol import Heartbeat, NfdlProcess, ProtocolConfig, Verdict
 from nfdl.qos import sends_per_eta
 from nfdl.simnet import (
+    ALGORITHMS,
     FaultEvent,
     NetworkModel,
     Scenario,
@@ -35,6 +36,7 @@ from nfdl.simnet import (
     sample_run,
 )
 from nfdl.stable_store import FileStore, MemoryStore, StorageError
+from reference_simulator import ReferenceSimulator
 
 CFG = ProtocolConfig(eta=330, alpha=670, window_n=100)
 QUIET = NetworkModel(loss_prob=0.0, delay_mean=5.0, delay_var=0.0, delay_dist="constant")
@@ -1114,6 +1116,77 @@ def test_deliveries_that_tie_keep_send_order(sc):
             order = sent[ev.sender, ev.seq]
             assert order > last.get((ev.time, ev.process), -1), ev
             last[ev.time, ev.process] = order
+
+
+@st.composite
+def reference_scenarios(draw):
+    """N 2-9 under all three algorithms, on zero, constant, uniform and
+    normal delays (jitter beyond eta included) with loss, with crash and
+    recover instants (at 0 and zero-length ones included) and, under nfdl,
+    maybe a pinned leader."""
+    algorithm = draw(st.sampled_from(ALGORITHMS))
+    n = 2 if algorithm == "nfde-pair" else draw(st.integers(min_value=2, max_value=9))
+    eta = draw(st.integers(min_value=20, max_value=200))
+    law = draw(st.sampled_from(["zero", "constant", "uniform", "normal"]))
+    mean = 0 if law == "zero" else draw(st.integers(min_value=1, max_value=2 * eta))
+    var = draw(st.integers(min_value=1, max_value=mean * mean // 3)) if (
+        law == "uniform" and mean >= 2) else (eta * eta if law == "normal" else 0)
+    network = NetworkModel(loss_prob=draw(st.sampled_from([0.0, 0.05, 0.3])),
+                           delay_mean=mean, delay_var=var,
+                           delay_dist="uniform" if var and law == "uniform"
+                           else "normal" if var else "constant")
+    duration = draw(st.integers(min_value=1, max_value=25)) * eta
+    faults = []
+    for pid in range(n):
+        # Down spans in order, each after the last recovery; a span of 0 is
+        # a crash and a recovery at one instant.
+        at = -1
+        for gap, down in draw(st.lists(st.tuples(st.integers(0, 4 * eta),
+                                                 st.integers(0, 4 * eta)), max_size=2)):
+            at += 1 + gap
+            if at >= duration:
+                break
+            faults.append(FaultEvent(at, pid, "crash"))
+            at += down
+            if at >= duration:
+                break
+            faults.append(FaultEvent(at, pid, "recover"))
+    pinned = algorithm == "nfdl" and draw(st.booleans())
+    return scenario(
+        n_processes=n, algorithm=algorithm, network=network, duration=duration,
+        config=ProtocolConfig(eta=eta, alpha=draw(st.integers(min_value=0, max_value=eta)),
+                              window_n=draw(st.integers(min_value=1, max_value=4))),
+        seed=draw(st.integers(min_value=0, max_value=2**32)), faults=tuple(faults),
+        high_priority=draw(st.integers(min_value=0, max_value=n - 1)) if pinned else None,
+    )
+
+
+@given(reference_scenarios())
+@settings(max_examples=200, deadline=None)
+def test_the_simulator_matches_the_naive_reference(sc):
+    # The simulator's queue (lazy timer re-files, per-instant delivery runs,
+    # delay-0 runs of one, the horizon entry) must give the trace of one
+    # heap entry per message and per timer arm.  A queue that stops popping
+    # fails on the step bound rather than hanging.
+    ref = ReferenceSimulator(sc).run()
+    pops = 0
+
+    def heappop(heap):
+        nonlocal pops
+        pops += 1
+        if pops > 50 * ref.steps + 100:
+            raise AssertionError(f"no end after {pops} heap pops")
+        return heapq.heappop(heap)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simnet, "heapq",
+                   types.SimpleNamespace(heappush=heapq.heappush, heappop=heappop))
+        trace = run(sc)
+    assert "".join(trace.event_batches) == "".join(line + "\n" for line in ref.lines)
+    assert trace.output_changes == ref.output_changes
+    assert trace.final_outputs == ref.final_outputs
+    assert trace.send_counts == ref.send_counts
+    assert (trace.store_reads, trace.store_writes) == (ref.reads, ref.writes)
 
 
 # -- protocol behavior under the simulator -------------------------------------
