@@ -746,6 +746,8 @@ class TraceWriter:
 _CRASH, _RECOVER, _TIMER, _TICK, _DELIVER = range(5)
 # Sort keys of a delivery run's entries.
 _time, _receiver = itemgetter(0), itemgetter(1)
+# Most lines the loop holds before it hands them on, besides one event's.
+_BATCH = 1024
 _TRUST, _SUSPECT = Verdict.TRUST, Verdict.SUSPECT  # global loads, as in protocol
 
 
@@ -921,7 +923,12 @@ class Simulator:
             # The send instant whose run waits under an opening entry, if
             # any, and the run the sends of the current instant append to.
             opened_at, opened = -1, None
+            batch = _BATCH
             while True:
+                if len(lines) > batch:
+                    # A storm's lines go on in bounded batches.
+                    sink("".join(lines))
+                    lines.clear()
                 if run and run[-1] < heap[0]:
                     # The delivery run's next entry is due first: deliver it
                     # in place.  The horizon is in the heap, so it is due
