@@ -44,7 +44,16 @@ sorted when it pops.  An instant with one sender and nothing else thus costs
 the heap no entry for its run.  A run of under 16 entries is sorted as it
 is; a longer one takes two stable sorts on int keys, receiver and then time,
 and a reversal, so entries that tie on (time, receiver) keep their append
-order, which is their send order.  The loop then compares the run's last
+order, which is their send order.  A run that holds more than _PACK (8,192)
+tuples after a send is *packed*, as it grows: each tuple becomes one int64,
+``((time - now) * n + receiver) * n + send``, where ``send`` indexes the
+instant's (order, payload) pairs in send order, and the tuples the next
+sends append are packed in their turn.  A process sends at most once per
+instant, so the keys are unique and one sort of them gives the order of
+(time, receiver, send order).  A packed run builds its tuples again _BATCH
+(1,024) at a time, as they come due, and what is left waits in the heap
+under its next entry's key.  A key takes 8 B where a tuple takes about
+120.  The loop then compares the run's last
 entry, its next due, with the heap's head ``heap[0]``.  While the run's
 entry is the smaller, the loop pops it with ``list.pop`` and delivers it in
 place, so each entry is freed as it is delivered.  Otherwise the run waits
@@ -123,10 +132,12 @@ that the messages of one send share is formatted once per send: the
 the queue entry with the heartbeat, and, for a unicast send, its ``send``
 line up to the receiver.  Each process's part of the ``send`` and
 ``deliver`` lines, of the payload and of a unicast's receiver is formatted
-once per run.  The simulator keeps the lines it logs pending; at each send
-and at the end of the run it joins them and hands that text to its *sink*:
-one batch of whole newline-terminated lines per send, in log order, which is
-non-decreasing time.  The default sink appends each batch to
+once per run.  The simulator keeps the lines it logs pending.  At each send,
+whenever more than _BATCH lines wait after an event, and at the end of the
+run it joins them and hands that text to its *sink*: batches of whole
+newline-terminated lines, in log order, which is non-decreasing time.  So a
+start-up storm's lines go on while its deliveries are made, not all at the
+next send.  The default sink appends each batch to
 ``trace.event_batches``, so :meth:`Simulator.run` returns every line.  Any
 other sink receives the batches instead and the list stays empty, so a run
 holds no event list; the ``write`` method of :class:`TraceWriter` is the
@@ -146,10 +157,10 @@ The loop runs with CPython's cyclic garbage collector off, and restores the
 caller's setting when it ends or raises, as :mod:`timeit` does.  A run makes
 no reference cycles: its queue entries, delivery runs, heartbeats, nodes and
 lines form trees, so reference counting frees each of them once it is
-dropped.  No entry of a delivery run points back at it; only the heap entry
-that carries it does, so one cut off at the horizon is freed with its
-entries.  With the collector on, a run of many processes would pay for full
-passes over its event heap that free nothing.
+dropped.  No entry of a delivery run, and nothing a packed run holds, points
+back at it; only the heap entry that carries it does, so one cut off at the
+horizon is freed with its entries.  With the collector on, a run of many
+processes would pay for full passes over its event heap that free nothing.
 """
 
 from __future__ import annotations
@@ -661,8 +672,9 @@ class EventTrace:
     from ``send_counts`` on each read, so the trace holds no n(n-1) dict.
 
     ``event_batches`` holds the logged events' trace lines as the simulator
-    handed them on, one string of whole newline-terminated lines per send,
-    in log order (empty when the run streamed them to a sink)."""
+    handed them on, strings of whole newline-terminated lines in log order,
+    one per send and one per _BATCH lines between sends (empty when the
+    run streamed them to a sink)."""
 
     scenario: Scenario
     event_batches: list[str] = field(default_factory=list)
@@ -706,7 +718,8 @@ class EventTrace:
 
 class TraceWriter:
     """Writes a trace file one batch of event lines at a time; its
-    ``write`` method is a simulator sink.
+    ``write`` method is a simulator sink, whose batches hold at most
+    _BATCH lines plus the lines of one event.
 
     The header goes out on opening.  ``write(batch)`` writes one batch as
     it is, and ``writelines(batches)`` writes each of many in turn; both
@@ -744,10 +757,64 @@ class TraceWriter:
 # The simulator
 
 _CRASH, _RECOVER, _TIMER, _TICK, _DELIVER = range(5)
-# Sort keys of a delivery run's entries.
-_time, _receiver = itemgetter(0), itemgetter(1)
-# Most lines the loop holds before it hands them on, besides one event's.
+# Fields of a delivery run's entries: a tuple run's sort keys, and what a
+# packed run keeps.
+_time, _receiver, _order = itemgetter(0), itemgetter(1), itemgetter(3)
+# Most lines the loop holds before it hands them on, besides one event's,
+# and most entries a packed run builds at a time.
 _BATCH = 1024
+# Longest delivery run held as tuples after a send; a longer one is packed.
+# Packing a run of 5,000 costs about 12% more CPU than sorting its tuples,
+# one of 10,000 about the same, and it saves 18% at 40,000 (CHANGES.md).
+_PACK = 8192
+
+
+class _PackedRun:
+    """A long delivery run of the send instant ``now``: one int64 key per
+    entry, ``((time - now) * n + receiver) * n + send``, where ``send``
+    indexes ``pairs``, the instant's ``(order, payload)`` per send in send
+    order (see the module docstring)."""
+
+    __slots__ = ("now", "n", "keys", "pairs", "at")
+
+    def __init__(self, now: int, n: int):
+        self.now, self.n, self.keys, self.pairs, self.at = now, n, [], [], 0
+
+    def __len__(self) -> int:
+        """Entries not yet built."""
+        return len(self.keys) - self.at
+
+    def add(self, entries: list) -> None:
+        """Pack and clear ``entries``, the run's tuples in append order."""
+        count, n = len(entries), self.n
+        times, receivers, orders = (np.fromiter(map(get, entries), np.int64, count)
+                                    for get in (_time, _receiver, _order))
+        first = np.diff(orders, prepend=-1) != 0  # each send's first entry
+        sends = first.cumsum() + (len(self.pairs) - 1)
+        self.pairs += [entries[i][3:] for i in np.flatnonzero(first).tolist()]
+        self.keys.append(((times - self.now) * n + receivers) * n + sends)
+        entries.clear()
+
+    def sort(self) -> None:
+        """Order the whole run; its keys are unique."""
+        self.keys = np.concatenate(self.keys)
+        self.keys.sort()
+
+    def take(self, heap: list) -> list:
+        """The next entries as tuples, latest first; what is left waits in
+        ``heap`` under its head's key."""
+        at, n, now, pairs = self.at, self.n, self.now, self.pairs
+        end = self.at = at + _BATCH
+        rest, sends = np.divmod(self.keys[at:end], n)
+        times, receivers = np.divmod(rest, n)
+        times += now
+        entries = [(t, r, _DELIVER) + pairs[s] for t, r, s in
+                   zip(times.tolist(), receivers.tolist(), sends.tolist())]
+        entries.reverse()
+        if end < len(self.keys):
+            rest, s = divmod(int(self.keys[end]), n)
+            heapq.heappush(heap, (now + rest // n, rest % n, _DELIVER, pairs[s][0], self))
+        return entries
 _TRUST, _SUSPECT = Verdict.TRUST, Verdict.SUSPECT  # global loads, as in protocol
 
 
@@ -817,10 +884,10 @@ class _MonitorNode:
 class Simulator:
     """Single-use event loop for one scenario.
 
-    ``sink``, when given, receives the logged lines in batches, one of
-    whole newline-terminated lines per send plus one for the run's tail,
-    and ``trace.event_batches`` stays empty; ``trace.output_changes`` is
-    filled either way.  After
+    ``sink``, when given, receives the logged lines in batches of whole
+    newline-terminated lines: one at each send, one whenever more than
+    _BATCH lines wait, and one for the run's tail; ``trace.event_batches``
+    then stays empty.  ``trace.output_changes`` is filled either way.  After
     :meth:`run` the per-process nodes stay inspectable via :attr:`nodes`
     (None for processes that ended the run crashed); under ``nfdl`` each
     node is an :class:`NfdlProcess`.  A delivery arms its timer from the
@@ -828,7 +895,8 @@ class Simulator:
 
     :meth:`run` makes each send in its own loop, at the send's tick, as it
     makes deliveries and fires timers.  The deliveries of one send instant
-    wait in that instant's delivery run, a list outside the event heap.
+    wait in that instant's delivery run, a list outside the event heap,
+    packed into int keys once it grows long.
     The run is sorted when the instant's last send ends, if nothing else is
     due at that instant, and otherwise when an opening entry at the next
     millisecond pops; :meth:`run` merges it against the heap's head, one
@@ -923,7 +991,8 @@ class Simulator:
             # The send instant whose run waits under an opening entry, if
             # any, and the run the sends of the current instant append to.
             opened_at, opened = -1, None
-            batch = _BATCH
+            # The open instant's packed entries, once its run grew long.
+            packed, pack, batch = None, _PACK, _BATCH
             while True:
                 if len(lines) > batch:
                     # A storm's lines go on in bounded batches.
@@ -969,10 +1038,13 @@ class Simulator:
                 if time >= duration:
                     break
                 if rank == _DELIVER:
-                    # The entry that carries a run through the heap, or an
-                    # instant's opening entry, whose run is sorted below.
+                    # The entry that carries a run through the heap, or what
+                    # is left of a packed run, or an instant's opening entry,
+                    # whose run is sorted below.
                     run = payload
                     if pid >= 0:
+                        if run.__class__ is _PackedRun:
+                            run = run.take(heap)
                         continue
                 elif rank == _TICK:
                     # A tick's payload is the node that filed it, which a
@@ -1028,6 +1100,10 @@ class Simulator:
                             # of its own, in the heap at once.
                             heappush(heap, (time, receiver, _DELIVER, order,
                                             [(time, receiver, _DELIVER, order, payload)]))
+                    if len(opened) > pack:
+                        if packed is None:
+                            packed = _PackedRun(time, n)
+                        packed.add(opened)
                     sink("".join(lines))
                     lines.clear()
                     if opened_at == time:
@@ -1080,7 +1156,13 @@ class Simulator:
                 # fastest in one call.  In a longer one int keys compare
                 # faster than the entries, which often tie on time; the sorts
                 # are stable, so ties on (time, receiver) keep send order.
-                if len(run) < 16:
+                if packed is not None:
+                    if run:
+                        packed.add(run)
+                    packed.sort()
+                    run = packed.take(heap)
+                    self._run, packed = packed, None
+                elif len(run) < 16:
                     run.sort(reverse=True)
                 else:
                     run.sort(key=_receiver)
@@ -1154,7 +1236,8 @@ def run(scenario: Scenario) -> EventTrace:
 
 def stream_run(scenario: Scenario, trace_path: str | Path, store=None) -> EventTrace:
     """Run ``scenario`` holding no event list: the event lines go to the
-    trace file at ``trace_path`` in one write per send's batch.  Returns
+    trace file at ``trace_path`` in one write per batch, at each send and
+    whenever more than _BATCH lines wait.  Returns
     the trace: counters, output changes and final outputs, no events.  The
     file appears only if the run succeeds."""
     with TraceWriter(trace_path, scenario) as writer:

@@ -739,14 +739,30 @@ def streamed_on_a_file_store(tmp_path):
     return simnet.stream_run(sc, tmp_path / "trace.log", store=FileStore(tmp_path / "state"))
 
 
-def storm_cut_at_the_horizon(tmp_path):
+def cut_storm():
     # The 29 survivors of the leader's crash take over together at 11,220 ms
-    # and the run ends 4 ms later, while their run is still being merged:
-    # it holds hundreds of entries when the loop stops.
+    # and the run ends 4 ms later, while their run is still being merged.
     sc = speed_scenario(1, cycles=1, n=30, downtime=5_000, spacing=10_000)
     sim = Simulator(replace(sc, duration=11_224, faults=sc.faults[:1]))
-    trace = sim.run()
+    return sim, sim.run()
+
+
+def storm_cut_at_the_horizon(tmp_path):
+    # The run holds hundreds of entries when the loop stops.
+    sim, trace = cut_storm()
     assert len(sim._run) > 100
+    return trace
+
+
+def packed_storm_cut_at_the_horizon(tmp_path):
+    # The same run packed into int arrays and built 100 entries at a time:
+    # hundreds are still unbuilt when the loop stops, in the packed run that
+    # a heap entry carries.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simnet, "_PACK", 100)
+        mp.setattr(simnet, "_BATCH", 100)
+        sim, trace = cut_storm()
+    assert type(sim._run) is simnet._PackedRun and len(sim._run) > 100
     return trace
 
 
@@ -754,11 +770,12 @@ def storm_cut_at_the_horizon(tmp_path):
 # alone frees what a run makes.  A cycle that a node, the queue or the trace
 # starts to make would then stay unfreed until a collection after the run;
 # here that collection must find nothing.  A run of deliveries cut at the
-# horizon is dropped with its entries still in it, so an entry that pointed
-# back at its run would leave a cycle behind.
+# horizon is dropped with its entries still in it, as tuples or packed, so
+# an entry or a packed run that pointed back at what carries it would leave
+# a cycle behind.
 @pytest.mark.parametrize("run_one", [
     leader_crash_and_recovery, naive_with_faults, nfde_pair_monitor_restart,
-    streamed_on_a_file_store, storm_cut_at_the_horizon,
+    streamed_on_a_file_store, storm_cut_at_the_horizon, packed_storm_cut_at_the_horizon,
 ])
 def test_a_run_leaves_no_cyclic_garbage(tmp_path, run_one):
     gc.collect()
@@ -848,6 +865,26 @@ def test_start_up_holds_under_12_bytes_per_ordered_pair():
     pairs = sc.n_processes * (sc.n_processes - 1)
     assert len(sim.nodes) == sc.n_processes
     assert held < 12 * pairs, f"holds {held / pairs:.1f} B per ordered pair"
+
+
+def test_a_streamed_start_up_holds_under_110_bytes_per_ordered_pair(tmp_path):
+    # nfdl at N=200 streaming to a file: all 200 processes broadcast at one
+    # instant, so 39,800 deliveries wait in one run.  With the run held as
+    # tuples and every deliver line kept until the next send, the traced
+    # peak was 225 B per ordered pair; lines handed on in bounded batches
+    # took it to 171 B, and the run packed at 8 B per entry to 79 B.
+    simnet.stream_run(accuracy_scenario(1, duration=2_000), tmp_path / "warm.log")
+    n = 200
+    tracemalloc.start()
+    try:
+        trace = simnet.stream_run(accuracy_scenario(1, duration=2_000, n=n),
+                                  tmp_path / "trace.log")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pairs = n * (n - 1)
+    assert sum(trace.link_sent.values()) >= pairs
+    assert peak < 110 * pairs, f"peaked at {peak / pairs:.1f} B per ordered pair"
 
 
 # The traced benchmark replaces each attribute in bench/spans.py's
@@ -958,6 +995,78 @@ def test_a_sink_sees_every_event_in_log_order():
     assert all(batch.endswith("\n") for batch in seen)
     sends = sum(ev.kind == "send" for ev in kept.events)
     assert sends <= len(seen) <= sends + 1
+
+
+class PopBound:
+    """A stand-in for simnet's heapq that counts heap pops and fails once
+    there are more than ``bound``, so a queue that never ends fails rather
+    than hangs."""
+
+    heappush = staticmethod(heapq.heappush)
+
+    def __init__(self, bound=math.inf):
+        self.pops, self.bound = 0, bound
+
+    def heappop(self, heap):
+        self.pops += 1
+        if self.pops > self.bound:
+            raise AssertionError(f"no end after {self.pops} heap pops")
+        return heapq.heappop(heap)
+
+
+@st.composite
+def storm_scenarios(draw):
+    """nfdl at N 5-40 on the measured network: the start-up storm, and the
+    storm after the pinned leader crashes."""
+    n = draw(st.integers(min_value=5, max_value=40))
+    leader = draw(st.integers(min_value=0, max_value=n - 1))
+    crash = draw(st.integers(min_value=0, max_value=4_000))
+    sc = accuracy_scenario(draw(st.integers(min_value=0, max_value=2**32)),
+                           duration=crash + 2_000, n=n)
+    return replace(sc, high_priority=leader, faults=(FaultEvent(crash, leader, "crash"),))
+
+
+def starts_an_event(line):
+    """False for the lines that follow their event's first: an output
+    change, and a send's losses."""
+    return line.split("\t")[2] != "output_change" and not line.endswith("reason=loss")
+
+
+@given(storm_scenarios())
+@settings(max_examples=25, deadline=None)
+def test_batch_and_pack_thresholds_move_no_byte(sc):
+    # A run hands its lines on once more than _BATCH wait, and packs a
+    # delivery run longer than _PACK, whose tuples it builds _BATCH at a
+    # time.  At both extremes, and with every run packed and built whole,
+    # the bytes are the in-memory trace's, and a batch is at most _BATCH
+    # lines plus the lines of the one event that passed it.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simnet, "heapq", counted_pops := PopBound())
+        # Compared as lists of lines: pytest diffs two long strings slowly.
+        kept = "".join(run(sc).event_batches).split("\n")
+    packs = 0
+    sort = simnet._PackedRun.sort
+
+    def counted(self):
+        nonlocal packs
+        packs += 1
+        sort(self)
+
+    for limit, pack in ((1, 1), (10**9, 1), (10**9, 10**9)):
+        seen, packs = [], 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simnet, "_BATCH", limit)
+            mp.setattr(simnet, "_PACK", pack)
+            mp.setattr(simnet._PackedRun, "sort", counted)
+            mp.setattr(simnet, "heapq", PopBound(50 * counted_pops.pops + 100))
+            Simulator(sc, sink=seen.append).run()
+        assert "".join(seen).split("\n") == kept
+        for batch in seen:
+            starts = [i for i, line in enumerate(batch[:-1].split("\n"))
+                      if starts_an_event(line)]
+            assert starts[0] == 0 and starts[-1] <= limit, batch
+        # The crash storm's run is packed at _PACK 1, and no run at 10**9.
+        assert (packs > 0) == (pack == 1)
 
 
 def test_trace_writer_leaves_no_file_when_the_run_fails(tmp_path):
@@ -1166,23 +1275,14 @@ def reference_scenarios(draw):
 def test_the_simulator_matches_the_naive_reference(sc):
     # The simulator's queue (lazy timer re-files, per-instant delivery runs,
     # delay-0 runs of one, the horizon entry) must give the trace of one
-    # heap entry per message and per timer arm.  A queue that stops popping
-    # fails on the step bound rather than hanging.
+    # heap entry per message and per timer arm.
     ref = ReferenceSimulator(sc).run()
-    pops = 0
-
-    def heappop(heap):
-        nonlocal pops
-        pops += 1
-        if pops > 50 * ref.steps + 100:
-            raise AssertionError(f"no end after {pops} heap pops")
-        return heapq.heappop(heap)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simnet, "heapq",
-                   types.SimpleNamespace(heappush=heapq.heappush, heappop=heappop))
+        mp.setattr(simnet, "heapq", PopBound(50 * ref.steps + 100))
         trace = run(sc)
-    assert "".join(trace.event_batches) == "".join(line + "\n" for line in ref.lines)
+    # Byte for byte, compared as lists of lines: pytest diffs two long
+    # strings slowly.
+    assert "".join(trace.event_batches).split("\n") == ref.lines + [""]
     assert trace.output_changes == ref.output_changes
     assert trace.final_outputs == ref.final_outputs
     assert trace.send_counts == ref.send_counts
