@@ -1157,8 +1157,7 @@ class Simulator:
                 # faster than the entries, which often tie on time; the sorts
                 # are stable, so ties on (time, receiver) keep send order.
                 if packed is not None:
-                    if run:
-                        packed.add(run)
+                    packed.add(run)
                     packed.sort()
                     run = packed.take(heap)
                     self._run, packed = packed, None

@@ -1040,11 +1040,11 @@ def test_batch_and_pack_thresholds_move_no_byte(sc):
     # time.  At both extremes, and with every run packed and built whole,
     # the bytes are the in-memory trace's, and a batch is at most _BATCH
     # lines plus the lines of the one event that passed it.
+    default = PopBound()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simnet, "heapq", counted_pops := PopBound())
+        mp.setattr(simnet, "heapq", default)
         # Compared as lists of lines: pytest diffs two long strings slowly.
         kept = "".join(run(sc).event_batches).split("\n")
-    packs = 0
     sort = simnet._PackedRun.sort
 
     def counted(self):
@@ -1058,7 +1058,7 @@ def test_batch_and_pack_thresholds_move_no_byte(sc):
             mp.setattr(simnet, "_BATCH", limit)
             mp.setattr(simnet, "_PACK", pack)
             mp.setattr(simnet._PackedRun, "sort", counted)
-            mp.setattr(simnet, "heapq", PopBound(50 * counted_pops.pops + 100))
+            mp.setattr(simnet, "heapq", PopBound(50 * default.pops + 100))
             Simulator(sc, sink=seen.append).run()
         assert "".join(seen).split("\n") == kept
         for batch in seen:
