@@ -44,22 +44,22 @@ sorted when it pops.  An instant with one sender and nothing else thus costs
 the heap no entry for its run.  A run of under 16 entries is sorted as it
 is; a longer one takes two stable sorts on int keys, receiver and then time,
 and a reversal, so entries that tie on (time, receiver) keep their append
-order, which is their send order.  A run that holds more than _PACK (8,192)
-tuples after a send is *packed*, as it grows: each tuple becomes one int64,
-``((time - now) * n + receiver) * n + send``, where ``send`` indexes the
-instant's (order, payload) pairs in send order, and the tuples the next
-sends append are packed in their turn.  A process sends at most once per
-instant, so the keys are unique and one sort of them gives the order of
-(time, receiver, send order).  A packed run builds its tuples again _BATCH
-(1,024) at a time, as they come due, and what is left waits in the heap
-under its next entry's key.  A key takes 8 B where a tuple takes about
-120.  The loop then compares the run's last
+order, which is their send order.  The loop then compares the run's last
 entry, its next due, with the heap's head ``heap[0]``.  While the run's
 entry is the smaller, the loop pops it with ``list.pop`` and delivers it in
 place, so each entry is freed as it is delivered.  Otherwise the run waits
 in the heap under a copy of that entry's key whose payload is the run.  The
 keys are the heap's own, so the merge keeps the order that a heap entry per
-message would give, byte for byte.  A delivery with delay 0 is due at the
+message would give, byte for byte.  A run that holds more than _PACK
+(8,192) tuples after a send is *packed* as it grows: each tuple becomes one
+int64, ``((time - now) * n + receiver) * n + send``, where ``send`` indexes
+the instant's (order, payload) pairs in send order, and the tuples later
+sends append are packed in their turn.  A process sends at most once per
+instant, so the keys are unique and one sort of them gives the order of
+(time, receiver, send order).  A packed run builds its tuples again _BATCH
+(1,024) at a time, as they come due, and hands them to the loop as a run;
+what is left waits in the heap under its next entry's key.  A key takes 8 B
+where a tuple takes about 120.  A delivery with delay 0 is due at the
 send instant itself, possibly before a later tick at it, so it goes into the
 heap at once, as a run of its own.  Every delivery thus leaves through a
 run.  A horizon entry at ``(duration, -1, ...)`` sorts before every entry

@@ -21,6 +21,7 @@ from nfdl.protocol import Heartbeat, NfdlProcess, ProtocolConfig, Verdict
 from nfdl.qos import sends_per_eta
 from nfdl.simnet import (
     ALGORITHMS,
+    DELAY_DISTS,
     FaultEvent,
     NetworkModel,
     Scenario,
@@ -1229,21 +1230,19 @@ def test_deliveries_that_tie_keep_send_order(sc):
 
 @st.composite
 def reference_scenarios(draw):
-    """N 2-9 under all three algorithms, on zero, constant, uniform and
-    normal delays (jitter beyond eta included) with loss, with crash and
-    recover instants (at 0 and zero-length ones included) and, under nfdl,
-    maybe a pinned leader."""
+    """N 2-9 under all three algorithms, on constant (zero included),
+    uniform and normal delays (jitter beyond eta included) with loss, with
+    crash and recover instants (at 0 and zero-length ones included) and,
+    under nfdl, maybe a pinned leader."""
     algorithm = draw(st.sampled_from(ALGORITHMS))
     n = 2 if algorithm == "nfde-pair" else draw(st.integers(min_value=2, max_value=9))
     eta = draw(st.integers(min_value=20, max_value=200))
-    law = draw(st.sampled_from(["zero", "constant", "uniform", "normal"]))
-    mean = 0 if law == "zero" else draw(st.integers(min_value=1, max_value=2 * eta))
-    var = draw(st.integers(min_value=1, max_value=mean * mean // 3)) if (
-        law == "uniform" and mean >= 2) else (eta * eta if law == "normal" else 0)
+    law = draw(st.sampled_from(DELAY_DISTS))
+    mean = draw(st.integers(min_value=0, max_value=2 * eta))
+    var = (0 if law == "constant" else eta * eta if law == "normal"
+           else draw(st.integers(min_value=0, max_value=mean * mean // 3)))
     network = NetworkModel(loss_prob=draw(st.sampled_from([0.0, 0.05, 0.3])),
-                           delay_mean=mean, delay_var=var,
-                           delay_dist="uniform" if var and law == "uniform"
-                           else "normal" if var else "constant")
+                           delay_mean=mean, delay_var=var, delay_dist=law)
     duration = draw(st.integers(min_value=1, max_value=25)) * eta
     faults = []
     for pid in range(n):
