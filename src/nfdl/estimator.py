@@ -57,11 +57,6 @@ class ArrivalWindow:
     def __len__(self) -> int:
         return len(self.seqs)
 
-    @property
-    def entries(self) -> tuple[tuple[int, int], ...]:
-        """The window's (seq, arrival) pairs, oldest first (a copy)."""
-        return tuple(zip(self.seqs, self.arrivals))
-
     def record(self, seq: int, arrival: int, eta: int = 0) -> int:
         """Append a fresh arrival, evicting the oldest entry when full, and
         return the expected arrival of heartbeat ``seq + 1`` for heartbeats

@@ -14,7 +14,8 @@ table of the link's law.  A sender's consecutive sends are drawn a run at a
 time (:func:`sample_run`), with the same blocks as one send at a time.  A
 run checks its keys and installs the key (seed, sender) with one
 :func:`link_stream` call; each further row only rewrites the counter's seq
-word.  The sampler returns delays; the simulator adds the send instant.
+word.  A run is one row of delays per send, -1 for a lost copy; it is
+dropped when its sender stops sending.  The simulator adds the send instant.
 
 Fault injection is a scripted schedule of crash/recover events.  A crash
 discards the process's volatile state and silences it; messages still in
@@ -132,12 +133,12 @@ that the messages of one send share is formatted once per send: the
 the queue entry with the heartbeat, and, for a unicast send, its ``send``
 line up to the receiver.  Each process's part of the ``send`` and
 ``deliver`` lines, of the payload and of a unicast's receiver is formatted
-once per run.  The simulator keeps the lines it logs pending.  At each send,
-whenever more than _BATCH lines wait after an event, and at the end of the
-run it joins them and hands that text to its *sink*: batches of whole
-newline-terminated lines, in log order, which is non-decreasing time.  So a
-start-up storm's lines go on while its deliveries are made, not all at the
-next send.  The default sink appends each batch to
+once per run.  The simulator keeps the lines it logs pending.  Whenever
+more than _BATCH lines wait after an event, and at the end of the run, it
+joins them and hands that text to its *sink*: batches of whole
+newline-terminated lines, in log order, which is non-decreasing time, each
+of at most _BATCH lines plus one event's.  So a start-up storm's lines go
+on while its deliveries are made.  The default sink appends each batch to
 ``trace.event_batches``, so :meth:`Simulator.run` returns every line.  Any
 other sink receives the batches instead and the list stays empty, so a run
 holds no event list; the ``write`` method of :class:`TraceWriter` is the
@@ -539,13 +540,13 @@ _RUN_LIMIT = 64
 def sample_run(
     seed: int, sender: int, seq: int, k: int, n: int, loss_prob: float,
     cdf: np.ndarray,
-) -> tuple[list[list[bool]], list[list[int]]]:
-    """Loss flags and whole-ms delays of sends ``seq .. seq+k-1`` of
-    ``sender``: entry r of row j is message (sender, seq + j) to receiver r.
+) -> list[list[int]]:
+    """Whole-ms delays of sends ``seq .. seq+k-1`` of ``sender``, -1 for a
+    lost copy: entry r of row j is message (sender, seq + j) to receiver r.
 
     Row j is n blocks of ``link_stream(seed, sender, seq + j, 0)``, the
     same in any run; ``k=1`` is one send, and k is at least 1.  ``cdf`` is
-    ``delay_cdf`` of the link law; a lost copy's delay is meaningless.  The
+    ``delay_cdf`` of the link law, whose delays are never negative.  The
     keys are checked once per run, as :func:`link_stream` checks them, the
     first and the last row's seq included, before any row is drawn.
     """
@@ -563,7 +564,9 @@ def sample_run(
         keys["counter"] = (0, 0, seq + j, 0)
         bit_generator.state = state
         stream.random(out=u[j])
-    return (u[:, 0::4] < loss_prob).tolist(), cdf.searchsorted(u[:, 1::4], "right").tolist()
+    delays = cdf.searchsorted(u[:, 1::4], "right")
+    delays[u[:, 0::4] < loss_prob] = -1
+    return delays.tolist()
 
 
 def _run_length(seq: int, previous: int, sends_left: int) -> int:
@@ -673,8 +676,8 @@ class EventTrace:
 
     ``event_batches`` holds the logged events' trace lines as the simulator
     handed them on, strings of whole newline-terminated lines in log order,
-    one per send and one per _BATCH lines between sends (empty when the
-    run streamed them to a sink)."""
+    each of at most _BATCH lines plus one event's (empty when the run
+    streamed them to a sink)."""
 
     scenario: Scenario
     event_batches: list[str] = field(default_factory=list)
@@ -718,8 +721,9 @@ class EventTrace:
 
 class TraceWriter:
     """Writes a trace file one batch of event lines at a time; its
-    ``write`` method is a simulator sink, whose batches hold at most
-    _BATCH lines plus the lines of one event.
+    ``write`` method is a simulator sink, which hands its lines on once
+    more than _BATCH wait and at the end of the run, so a batch holds at
+    most _BATCH lines plus the lines of one event.
 
     The header goes out on opening.  ``write(batch)`` writes one batch as
     it is, and ``writelines(batches)`` writes each of many in turn; both
@@ -885,8 +889,8 @@ class Simulator:
     """Single-use event loop for one scenario.
 
     ``sink``, when given, receives the logged lines in batches of whole
-    newline-terminated lines: one at each send, one whenever more than
-    _BATCH lines wait, and one for the run's tail; ``trace.event_batches``
+    newline-terminated lines: one whenever more than _BATCH lines wait
+    after an event, and one for the run's tail; ``trace.event_batches``
     then stays empty.  ``trace.output_changes`` is filled either way.  After
     :meth:`run` the per-process nodes stay inspectable via :attr:`nodes`
     (None for processes that ended the run crashed); under ``nfdl`` each
@@ -918,8 +922,8 @@ class Simulator:
         ids = tuple(range(n))
         self._others = [ids[:pid] + ids[pid + 1:] for pid in ids]
         self._delay_cdf = delay_cdf(scenario.network)
-        # Per sender, its current run: (first seq, loss rows, delay rows).
-        self._runs: list[tuple[int, list, list]] = [(0, [], [])] * n
+        # Per sending process, its current run: (first seq, delay rows).
+        self._runs: list[tuple[int, list]] = [(0, [])] * n
         # Per process, the node whose tick entry is pending, if any.
         self._ticking: list[object | None] = [None] * n
         self._heap: list[tuple] = []
@@ -995,7 +999,7 @@ class Simulator:
             packed, pack, batch = None, _PACK, _BATCH
             while True:
                 if len(lines) > batch:
-                    # A storm's lines go on in bounded batches.
+                    # The loop's only flush: lines go on in bounded batches.
                     sink("".join(lines))
                     lines.clear()
                 if run and run[-1] < heap[0]:
@@ -1054,7 +1058,7 @@ class Simulator:
                         continue
                     hb = node.next_heartbeat(time)
                     if hb is None:
-                        ticking[pid] = None
+                        ticking[pid], runs[pid] = None, (0, [])
                         continue
                     # The next tick takes this order and all of this send's
                     # deliveries the one after it.
@@ -1074,16 +1078,16 @@ class Simulator:
                         receivers, unicast = others[pid], None
                     else:
                         unicast = f"{time}{send_text[pid]}{label} receiver="
-                    first, lost_rows, delay_rows = runs[pid]
+                    first, rows = runs[pid]
                     row = seq - first
-                    if not 0 <= row < len(lost_rows):
+                    if not 0 <= row < len(rows):
                         # Draw a new run from this seq: longer when it carries on the last.
-                        k = _run_length(seq, len(lost_rows) if row == len(lost_rows) else 0,
+                        k = _run_length(seq, len(rows) if row == len(rows) else 0,
                                         (duration - 1 - time) // eta + 1)
-                        lost_rows, delay_rows = sample_run(seed, pid, seq, k, n, loss, cdf)
-                        runs[pid] = (seq, lost_rows, delay_rows)
+                        rows = sample_run(seed, pid, seq, k, n, loss, cdf)
+                        runs[pid] = (seq, rows)
                         row = 0
-                    lost, delay = lost_rows[row], delay_rows[row]
+                    delay = rows[row]
                     if opened_at != time:
                         # The first send of this instant opens its delivery run.
                         opened = self._run = []
@@ -1091,10 +1095,10 @@ class Simulator:
                     for receiver in receivers:
                         if unicast is not None:
                             log(unicast + receiver_text[receiver])
-                        if lost[receiver]:
-                            log(f"{time}\t{receiver}\tdrop\tsender={pid} seq={seq} reason=loss\n")
-                        elif d := delay[receiver]:
+                        if (d := delay[receiver]) > 0:
                             append((time + d, receiver, _DELIVER, order, payload))
+                        elif d:
+                            log(f"{time}\t{receiver}\tdrop\tsender={pid} seq={seq} reason=loss\n")
                         else:
                             # Due at this instant, maybe before a later tick at it: a run
                             # of its own, in the heap at once.
@@ -1104,8 +1108,6 @@ class Simulator:
                         if packed is None:
                             packed = _PackedRun(time, n)
                         packed.add(opened)
-                    sink("".join(lines))
-                    lines.clear()
                     if opened_at == time:
                         continue
                     if heap[0][0] == time:
@@ -1235,9 +1237,9 @@ def run(scenario: Scenario) -> EventTrace:
 
 def stream_run(scenario: Scenario, trace_path: str | Path, store=None) -> EventTrace:
     """Run ``scenario`` holding no event list: the event lines go to the
-    trace file at ``trace_path`` in one write per batch, at each send and
-    whenever more than _BATCH lines wait.  Returns
-    the trace: counters, output changes and final outputs, no events.  The
-    file appears only if the run succeeds."""
+    trace file at ``trace_path`` in one write per batch, whenever more than
+    _BATCH lines wait and at the end.  Returns the trace: counters, output
+    changes and final outputs, no events.  The file appears only if the run
+    succeeds."""
     with TraceWriter(trace_path, scenario) as writer:
         return Simulator(scenario, store=store, sink=writer.write).run()

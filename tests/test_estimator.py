@@ -16,6 +16,11 @@ def div_round_half_up(num, den):
     return q
 
 
+def pairs_of(window):
+    """The window's (seq, arrival) pairs, oldest first."""
+    return list(zip(window.seqs, window.arrivals))
+
+
 def eq1_float(entries, eta, next_seq):
     """Independent re-evaluation of the prediction in plain float arithmetic."""
     shifted = [arrival - eta * seq for seq, arrival in entries]
@@ -39,7 +44,7 @@ def test_record_evicts_oldest_at_capacity():
     w = fill([(1, 100), (2, 200), (3, 300)], capacity=3)
     w.record(4, 400)
     assert len(w) == 3
-    assert list(w.entries) == [(2, 200), (3, 300), (4, 400)]
+    assert pairs_of(w) == [(2, 200), (3, 300), (4, 400)]
     assert w.last_seq == 4
 
 
@@ -176,7 +181,7 @@ def test_eviction_matches_a_window_of_the_last_entries(data, capacity):
     entries += [(last + k, eta * (last + k) + 7 * k) for k in range(1, capacity + 2)]
     kept = entries[-capacity:]
     w = fill(entries, capacity=capacity)
-    assert list(w.entries) == kept
+    assert pairs_of(w) == kept
     next_seq = entries[-1][0] + 1
     shifted_sum = sum(a - eta * s for s, a in kept)
     want = div_round_half_up(shifted_sum, capacity) + next_seq * eta

@@ -21,6 +21,7 @@ from nfdl.stable_store import (
     StorageError,
     next_send_time,
 )
+from test_estimator import pairs_of
 
 CFG = ProtocolConfig(eta=330, alpha=670, window_n=100)
 
@@ -356,7 +357,7 @@ def test_monitor_deadline_is_the_freshness_point_of_a_reference_window(
         if now < deadline:
             verdict = Verdict.TRUST
         assert (mon.deadline, got, mon.verdict) == (deadline, verdict, verdict)
-        assert mon.window.entries == ref.entries
+        assert pairs_of(mon.window) == pairs_of(ref)
 
 
 # -- properties --------------------------------------------------------------
@@ -546,7 +547,7 @@ def test_transitions_match_the_reference_rules(eta, alpha, window_n, start, step
         # The kept priority is the one the reference rebuilds every time.
         assert (proc.leader, proc.incumbent, proc.deadline) == (
             ref.leader, ref.priority(), ref.deadline)
-        pairs = None if proc.window is None else list(proc.window.entries)
+        pairs = None if proc.window is None else pairs_of(proc.window)
         assert pairs == (None if ref.monitor is None else ref.monitor.pairs)
-        assert (mon.verdict, mon.deadline, list(mon.window.entries)) == (
+        assert (mon.verdict, mon.deadline, pairs_of(mon.window)) == (
             ref_mon.verdict, ref_mon.deadline, ref_mon.pairs)

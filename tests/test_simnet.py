@@ -451,10 +451,10 @@ def test_one_draw_per_send_holds_every_receivers_block(seed, sender, seq, n):
 def test_batch_sampler_matches_the_per_message_reference(net):
     cdf = simnet.delay_cdf(net)
     for seq in range(1, 40):
-        (lost,), (delay,) = sample_run(11, 3, seq, 1, 6, net.loss_prob, cdf)
+        (delay,) = sample_run(11, 3, seq, 1, 6, net.loss_prob, cdf)
         for r in range(6):
             want = sample_delivery(1000 * seq, net, link_stream(11, 3, seq, r))
-            assert (None if lost[r] else 1000 * seq + delay[r]) == want
+            assert (None if delay[r] < 0 else 1000 * seq + delay[r]) == want
 
 
 def test_a_messages_delivery_does_not_depend_on_n():
@@ -462,7 +462,7 @@ def test_a_messages_delivery_does_not_depend_on_n():
     for seq in range(1, 200):
         small = sample_run(7, 2, seq, 1, 5, LOSSY.loss_prob, cdf)
         large = sample_run(7, 2, seq, 1, 200, LOSSY.loss_prob, cdf)
-        assert small == tuple([row[:5] for row in rows] for rows in large)
+        assert small == [row[:5] for row in large]
 
 
 LINK_LAWS = {"quiet": QUIET, "lossy": LOSSY, "uniform": UNIFORM, "jittery": JITTERY}
@@ -478,15 +478,13 @@ def test_a_run_row_is_its_own_sends_draw(seed, sender, seq, n, k, law):
     k = min(k, 2**64 - seq)
     net = LINK_LAWS[law]
     cdf = simnet.delay_cdf(net)
-    lost, delay = sample_run(seed, sender, seq, k, n, net.loss_prob, cdf)
-    assert len(lost) == len(delay) == k
+    rows = sample_run(seed, sender, seq, k, n, net.loss_prob, cdf)
+    assert len(rows) == k
     for j in range(k):
-        (one_lost,), (one_delay,) = sample_run(seed, sender, seq + j, 1, n,
-                                               net.loss_prob, cdf)
-        assert lost[j] == one_lost and delay[j] == one_delay
+        assert sample_run(seed, sender, seq + j, 1, n, net.loss_prob, cdf) == [rows[j]]
         for r in range(n):
             want = sample_delivery(0, net, link_stream(seed, sender, seq + j, r))
-            assert (None if lost[j][r] else delay[j][r]) == want
+            assert (None if rows[j][r] < 0 else rows[j][r]) == want
 
 
 def test_run_lengths_double_to_the_limit_and_stop_at_the_key_bound():
@@ -503,7 +501,7 @@ def test_run_lengths_double_to_the_limit_and_stop_at_the_key_bound():
         for seq in range(2**64 - 2 * simnet._RUN_LIMIT, 2**64):
             assert seq + _run_length(seq, previous, 10**6) <= 2**64
     cdf = simnet.delay_cdf(QUIET)
-    assert len(sample_run(1, 0, 2**64 - 2, 2, 3, 0.0, cdf)[0]) == 2
+    assert len(sample_run(1, 0, 2**64 - 2, 2, 3, 0.0, cdf)) == 2
     with pytest.raises(ValueError):
         sample_run(1, 0, 2**64 - 2, 3, 3, 0.0, cdf)
 
@@ -564,7 +562,7 @@ def test_sampled_delays_follow_the_table(name):
     net = LAWS[name]
     cdf = simnet.delay_cdf(net)
     delays = np.concatenate([
-        sample_run(5, 1, seq, 1, 1000, 0.0, cdf)[1][0] for seq in range(100)
+        sample_run(5, 1, seq, 1, 1000, 0.0, cdf)[0] for seq in range(100)
     ])
     expected = pmf(cdf) * len(delays)
     observed = np.bincount(delays, minlength=len(cdf)).astype(float)
@@ -630,8 +628,8 @@ def test_trace_file_round_trip(tmp_path):
 
 
 def test_trace_write_streams_one_line_at_a_time(tmp_path, monkeypatch):
-    # 16 k events, a 0.65 MB file, written one kept batch (one send's
-    # lines) at a time
+    # 16 k events, a 0.65 MB file, written one kept batch (at most 1,024
+    # lines plus one event's) at a time
     trace = run(scenario(algorithm="naive-reduction", n_processes=10, network=LOSSY,
                          duration=30_000))
     line = TraceEvent.line
@@ -662,7 +660,8 @@ def test_trace_write_streams_one_line_at_a_time(tmp_path, monkeypatch):
 def test_an_in_memory_run_holds_under_70_bytes_per_event():
     # naive, N=10, 60 s on the measured network: 33 k events whose lines
     # average 52 characters.  Held one string per line, they took 102 B
-    # each; the batches of one send's lines take under 50.
+    # each, and in a batch per send 44 B; in batches of over 1,024 lines
+    # they take 41 B.
     sc = scenario(algorithm="naive-reduction", n_processes=10, network=LOSSY,
                   duration=60_000)
     run(replace(sc, duration=5_000))  # warm-up: first-run caches
@@ -851,6 +850,19 @@ def test_a_lone_sender_instant_pushes_no_opening_entry(monkeypatch):
     assert pushes <= 3.0 * sends, f"{pushes} heap pushes for {sends} sends"
 
 
+def test_only_live_senders_hold_drawn_rows():
+    # At an N=200 start-up every process draws a one-row run for its first
+    # broadcast, and then only the leader sends on.  A sender's tick that
+    # gets no heartbeat drops its rows; the 199 finished runs kept to the
+    # end took 0.74 MiB.
+    sim = Simulator(accuracy_scenario(1, duration=20_000, n=200))
+    sim.run()
+    holding = [pid for pid, (_, rows) in enumerate(sim._runs) if rows]
+    assert holding
+    for pid in holding:
+        assert sim.nodes[pid] is not None and sim._ticking[pid] is sim.nodes[pid]
+
+
 def test_start_up_holds_under_12_bytes_per_ordered_pair():
     # nfdl at N=500: each process's receiver tuple holds a pointer per peer.
     # Sliced from one id tuple, they share one int per id: 9.3 B per pair.
@@ -984,18 +996,23 @@ def test_timer_slots_are_sized_by_what_a_node_files(algorithm, n, slots):
     assert len(sim._pending) == len(sim._armed) == slots
 
 
-def test_a_sink_sees_every_event_in_log_order():
+def test_a_sink_sees_every_event_in_log_order(monkeypatch):
     sc = scenario(network=LOSSY, duration=10_000)
+    kept = run(sc)
+    monkeypatch.setattr(simnet, "_BATCH", 20)
     seen = []
     trace = Simulator(sc, sink=seen.append).run()
     assert trace.event_batches == []
-    # Each batch is whole lines, so never empty: one per send (every send
-    # here is one broadcast line), plus one for the run's tail.
-    kept = run(sc)
     assert "".join(seen) == "".join(kept.event_batches)
+    # Each batch is whole lines, so never empty.  Lines go on once more than
+    # _BATCH wait, and at the end: every batch but the run's tail holds more
+    # than _BATCH, and none more than _BATCH plus one event's lines, at most
+    # n here (a broadcast and its losses).
     assert all(batch.endswith("\n") for batch in seen)
-    sends = sum(ev.kind == "send" for ev in kept.events)
-    assert sends <= len(seen) <= sends + 1
+    sizes = [batch.count("\n") for batch in seen]
+    assert len(sizes) > 2
+    assert all(20 < size for size in sizes[:-1])
+    assert all(0 < size <= 20 + sc.n_processes for size in sizes)
 
 
 class PopBound:
