@@ -32,40 +32,37 @@ matching the strict "arrived before the deadline" reading of the monitors.
 
 The event heap holds no entry per message.  The deliveries that the sends of
 one instant ``now`` make with a delay of at least 1 ms are collected in one
-list, the instant's *delivery run*, each as the very entry the heap would
-hold.  The first send at ``now`` opens the run.  The run is whole once no
-more sends can come at ``now``, and it is then put in order once, latest
-first.  When a send ends and the heap's head is due after ``now``, nothing
-more happens at ``now``: every event due then is already in the heap, a
-delivery with delay 0 included.  So when the instant's first send ends that
-way, the run is sorted at once and delivered from.  Otherwise that send
-pushes one opening entry at ``(now + 1, -1, ...)``, which sorts after every
-event at ``now`` and before every entry of a later instant, and the run is
-sorted when it pops.  An instant with one sender and nothing else thus costs
-the heap no entry for its run.  A run of under 16 entries is sorted as it
-is; a longer one takes two stable sorts on int keys, receiver and then time,
-and a reversal, so entries that tie on (time, receiver) keep their append
-order, which is their send order.  The loop then compares the run's last
-entry, its next due, with the heap's head ``heap[0]``.  While the run's
-entry is the smaller, the loop pops it with ``list.pop`` and delivers it in
-place, so each entry is freed as it is delivered.  Otherwise the run waits
-in the heap under a copy of that entry's key whose payload is the run.  The
+list, the instant's *delivery run*, each as one int key, ``delay << 2*b |
+receiver << b | send`` with ``b = n.bit_length()``, where ``send`` indexes
+the instant's (order, heartbeat, text) per send, in send order.  A process
+sends at most once per instant, so the keys are unique, and their int order
+is the heap's: time, then receiver, then send order.  Delays stay below
+MAX_DELAY_TABLE (2**20), so for n below 2**21 a key fits in an int64.  The
+first send at ``now`` opens the run.  The run is whole once no more sends
+can come at ``now``, and it is then sorted once, latest first.  When a send
+ends and the heap's head is due after ``now``, nothing more happens at
+``now``: every event due then is already in the heap, a delivery with delay
+0 included.  So when the instant's first send ends that way, the run is
+sorted at once and delivered from.  Otherwise that send pushes one opening
+entry at ``(now + 1, -1, ...)``, which sorts after every event at ``now``
+and before every entry of a later instant, and the run is sorted when it
+pops.  An instant with one sender and nothing else thus costs the heap no
+entry for its run.  A run
+that holds more than _PACK (8,192) keys after a send moves into an int64
+``array``, 8 B a key where a list takes about 36, and later sends of the
+instant append there; numpy sorts it in place.  The loop then pops the run's
+last key, its next due, and compares the entry it decodes with the heap's
+head ``heap[0]``.  While the run's entry is the smaller, the loop delivers
+it; otherwise the key goes back and the run waits in the heap under that
+entry's key, ``(time, receiver, deliver, order, (now, sends, run))``.  The
 keys are the heap's own, so the merge keeps the order that a heap entry per
-message would give, byte for byte.  A run that holds more than _PACK
-(8,192) tuples after a send is *packed* as it grows: each tuple becomes one
-int64, ``((time - now) * n + receiver) * n + send``, where ``send`` indexes
-the instant's (order, payload) pairs in send order, and the tuples later
-sends append are packed in their turn.  A process sends at most once per
-instant, so the keys are unique and one sort of them gives the order of
-(time, receiver, send order).  A packed run builds its tuples again _BATCH
-(1,024) at a time, as they come due, and hands them to the loop as a run;
-what is left waits in the heap under its next entry's key.  A key takes 8 B
-where a tuple takes about 120.  A delivery with delay 0 is due at the
-send instant itself, possibly before a later tick at it, so it goes into the
-heap at once, as a run of its own.  Every delivery thus leaves through a
-run.  A horizon entry at ``(duration, -1, ...)`` sorts before every entry
-due at or after the end, so the heap never empties while the loop runs and
-no delivery due at the end is made.
+message would give, byte for byte.  A send's deliveries with delay 0 are due
+at the send instant itself, possibly before a later tick at it, so they go
+into the heap at once, as one run of their own under the first receiver's
+key.  Every delivery thus leaves through a run.  A horizon entry at
+``(duration, -1, ...)`` sorts before every entry due at or after the end, so
+the heap never empties while the loop runs and no delivery due at the end is
+made.
 
 Every algorithm runs behind one node interface.  ``sends()`` says whether
 the node sends heartbeats now, and only a node that sends has a tick: one
@@ -158,10 +155,10 @@ The loop runs with CPython's cyclic garbage collector off, and restores the
 caller's setting when it ends or raises, as :mod:`timeit` does.  A run makes
 no reference cycles: its queue entries, delivery runs, heartbeats, nodes and
 lines form trees, so reference counting frees each of them once it is
-dropped.  No entry of a delivery run, and nothing a packed run holds, points
-back at it; only the heap entry that carries it does, so one cut off at the
-horizon is freed with its entries.  With the collector on, a run of many
-processes would pay for full passes over its event heap that free nothing.
+dropped.  A delivery run holds ints, and only the heap entry that carries it
+points at it, so one cut off at the horizon is freed with its keys.  With
+the collector on, a run of many processes would pay for full passes over its
+event heap that free nothing.
 """
 
 from __future__ import annotations
@@ -173,9 +170,10 @@ import json
 import math
 import os
 import sys
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from operator import index, itemgetter
+from operator import index
 from pathlib import Path
 
 import numpy as np
@@ -761,64 +759,11 @@ class TraceWriter:
 # The simulator
 
 _CRASH, _RECOVER, _TIMER, _TICK, _DELIVER = range(5)
-# Fields of a delivery run's entries: a tuple run's sort keys, and what a
-# packed run keeps.
-_time, _receiver, _order = itemgetter(0), itemgetter(1), itemgetter(3)
-# Most lines the loop holds before it hands them on, besides one event's,
-# and most entries a packed run builds at a time.
+# Most lines the loop holds before it hands them on, besides one event's.
 _BATCH = 1024
-# Longest delivery run held as tuples after a send; a longer one is packed.
-# Packing a run of 5,000 costs about 12% more CPU than sorting its tuples,
-# one of 10,000 about the same, and it saves 18% at 40,000 (CHANGES.md).
+# Longest delivery run held as a list of int keys after a send; a longer one
+# moves into an int64 array, 8 B a key where the list takes about 36.
 _PACK = 8192
-
-
-class _PackedRun:
-    """A long delivery run of the send instant ``now``: one int64 key per
-    entry, ``((time - now) * n + receiver) * n + send``, where ``send``
-    indexes ``pairs``, the instant's ``(order, payload)`` per send in send
-    order (see the module docstring)."""
-
-    __slots__ = ("now", "n", "keys", "pairs", "at")
-
-    def __init__(self, now: int, n: int):
-        self.now, self.n, self.keys, self.pairs, self.at = now, n, [], [], 0
-
-    def __len__(self) -> int:
-        """Entries not yet built."""
-        return len(self.keys) - self.at
-
-    def add(self, entries: list) -> None:
-        """Pack and clear ``entries``, the run's tuples in append order."""
-        count, n = len(entries), self.n
-        times, receivers, orders = (np.fromiter(map(get, entries), np.int64, count)
-                                    for get in (_time, _receiver, _order))
-        first = np.diff(orders, prepend=-1) != 0  # each send's first entry
-        sends = first.cumsum() + (len(self.pairs) - 1)
-        self.pairs += [entries[i][3:] for i in np.flatnonzero(first).tolist()]
-        self.keys.append(((times - self.now) * n + receivers) * n + sends)
-        entries.clear()
-
-    def sort(self) -> None:
-        """Order the whole run; its keys are unique."""
-        self.keys = np.concatenate(self.keys)
-        self.keys.sort()
-
-    def take(self, heap: list) -> list:
-        """The next entries as tuples, latest first; what is left waits in
-        ``heap`` under its head's key."""
-        at, n, now, pairs = self.at, self.n, self.now, self.pairs
-        end = self.at = at + _BATCH
-        rest, sends = np.divmod(self.keys[at:end], n)
-        times, receivers = np.divmod(rest, n)
-        times += now
-        entries = [(t, r, _DELIVER) + pairs[s] for t, r, s in
-                   zip(times.tolist(), receivers.tolist(), sends.tolist())]
-        entries.reverse()
-        if end < len(self.keys):
-            rest, s = divmod(int(self.keys[end]), n)
-            heapq.heappush(heap, (now + rest // n, rest % n, _DELIVER, pairs[s][0], self))
-        return entries
 _TRUST, _SUSPECT = Verdict.TRUST, Verdict.SUSPECT  # global loads, as in protocol
 
 
@@ -899,13 +844,14 @@ class Simulator:
 
     :meth:`run` makes each send in its own loop, at the send's tick, as it
     makes deliveries and fires timers.  The deliveries of one send instant
-    wait in that instant's delivery run, a list outside the event heap,
-    packed into int keys once it grows long.
-    The run is sorted when the instant's last send ends, if nothing else is
-    due at that instant, and otherwise when an opening entry at the next
-    millisecond pops; :meth:`run` merges it against the heap's head, one
-    entry at a time (see the module docstring).  So the heap holds ticks,
-    timers, faults and one entry per delivery run in flight.
+    wait in that instant's delivery run outside the event heap, one int key
+    each, in a list or, once it grows long, an int64 array; a send's
+    deliveries with delay 0 wait in a run of their own.  An instant's run is
+    sorted when its last send ends, if nothing else is due at that instant,
+    and otherwise when an opening entry at the next millisecond pops;
+    :meth:`run` merges each run against the heap's head, one entry at a time
+    (see the module docstring).  So the heap holds ticks, timers, faults and
+    one entry per delivery run in flight.
 
     :meth:`run` turns the cyclic garbage collector off for its loop and
     then restores the caller's setting.  ``gc`` is process-global, so on a
@@ -939,9 +885,6 @@ class Simulator:
         self._armed = [0] * slots
         # Per process its sends.
         self._sends = [0] * n
-        # The delivery run opened last: the deliveries that the sends of one
-        # instant made with a delay of at least 1 ms.
-        self._run: list[tuple] = []
         self.trace = EventTrace(scenario, output_changes={pid: [] for pid in ids})
         self._sink = self.trace.event_batches.append if sink is None else sink
         # The lines logged since the last batch went to the sink.
@@ -989,66 +932,69 @@ class Simulator:
             deliver_text = [f"\t{p}\tdeliver\t" for p in range(n)]
             sender_text = [f"sender={p} " for p in range(n)]
             receiver_text = [f"{p}\n" for p in range(n)]
+            # A delivery run's keys, ``delay << 2*b | receiver << b | send``.
+            b = n.bit_length()
+            shift, mask = 2 * b, (1 << b) - 1
             # The delivery run being delivered from, while its next entry is
-            # due before the heap's head.
-            run = None
-            # The send instant whose run waits under an opening entry, if
-            # any, and the run the sends of the current instant append to.
-            opened_at, opened = -1, None
-            # The open instant's packed entries, once its run grew long.
-            packed, pack, batch = None, _PACK, _BATCH
+            # due before the heap's head: its send instant, that instant's
+            # (order, hb, text) per send, and its keys, latest first.
+            base, pairs, run = 0, None, None
+            # The last send instant, its run's keys and its sends.
+            opened_at, opened, sent = -1, None, None
+            pack, batch = _PACK, _BATCH
             while True:
                 if len(lines) > batch:
                     # The loop's only flush: lines go on in bounded batches.
                     sink("".join(lines))
                     lines.clear()
-                if run and run[-1] < heap[0]:
-                    # The delivery run's next entry is due first: deliver it
-                    # in place.  The horizon is in the heap, so it is due
-                    # before the end.
-                    time, pid, _, _, (hb, text) = run.pop()
-                    node = nodes[pid]
-                    if node is None:
-                        log(f"{time}\t{pid}\tdrop\tsender={hb.sender} seq={hb.seq} reason=down\n")
-                        continue
-                    log(f"{time}{deliver_text[pid]}{text}")
-                    changed, key, deadline = node.deliver(hb, time)
-                    if changed:
-                        self._log_output_change(pid, time, node.output())
-                    if key is None:
-                        continue
-                    # Arm the timer of (pid, key) for the deadline its node just
-                    # set.  A pending entry due no later than the deadline
-                    # re-files itself under ``order`` when it pops (see below).
-                    slot = pid * stride + key
-                    order = self._pushes
-                    self._pushes = order + 1
-                    armed[slot] = order
-                    pending = pendings[slot]
-                    if pending is None or deadline < pending[0]:
-                        pendings[slot] = entry = (
-                            deadline if deadline > time else time, pid, _TIMER, order, key
-                        )
-                        heappush(heap, entry)
-                    continue
                 if run:
+                    key = run.pop()
+                    time, pid = base + (key >> shift), key >> b & mask
+                    order, hb, text = pairs[key & mask]
+                    if time < heap[0][0] or (time, pid, _DELIVER, order) < heap[0]:
+                        # The run's next entry is due first: deliver it in
+                        # place.  The horizon is in the heap, so it is due
+                        # before the end.
+                        node = nodes[pid]
+                        if node is None:
+                            log(f"{time}\t{pid}\tdrop\tsender={hb.sender} seq={hb.seq}"
+                                " reason=down\n")
+                            continue
+                        log(f"{time}{deliver_text[pid]}{text}")
+                        changed, key, deadline = node.deliver(hb, time)
+                        if changed:
+                            self._log_output_change(pid, time, node.output())
+                        if key is None:
+                            continue
+                        # Arm the timer of (pid, key) for the deadline its node just
+                        # set.  A pending entry due no later than the deadline
+                        # re-files itself under ``order`` when it pops (see below).
+                        slot = pid * stride + key
+                        order = self._pushes
+                        self._pushes = order + 1
+                        armed[slot] = order
+                        pending = pendings[slot]
+                        if pending is None or deadline < pending[0]:
+                            pendings[slot] = entry = (
+                                deadline if deadline > time else time, pid, _TIMER, order, key
+                            )
+                            heappush(heap, entry)
+                        continue
                     # The heap's head is due first: the run waits in the heap
                     # under its next entry's key.
-                    head = run[-1]
-                    heappush(heap, (head[0], head[1], _DELIVER, head[3], run))
+                    run.append(key)
+                    heappush(heap, (time, pid, _DELIVER, order, (base, pairs, run)))
                     run = None
                 entry = heappop(heap)
                 time, pid, rank, order, payload = entry
                 if time >= duration:
                     break
                 if rank == _DELIVER:
-                    # The entry that carries a run through the heap, or what
-                    # is left of a packed run, or an instant's opening entry,
-                    # whose run is sorted below.
-                    run = payload
                     if pid >= 0:
-                        if run.__class__ is _PackedRun:
-                            run = run.take(heap)
+                        # The entry that carries a run through the heap.  An
+                        # instant's opening entry has pid -1: its run is
+                        # sorted below.
+                        base, pairs, run = payload
                         continue
                 elif rank == _TICK:
                     # A tick's payload is the node that filed it, which a
@@ -1071,7 +1017,6 @@ class Simulator:
                     seq = hb.seq
                     # The text that the send's lines share, formatted once.
                     label = f"seq={seq} uptime={hb.uptime}"
-                    payload = (hb, f"{sender_text[pid]}{label}\n")
                     receivers = node.targets
                     if receivers is None:
                         log(f"{time}{send_text[pid]}{label}\n")
@@ -1090,35 +1035,40 @@ class Simulator:
                     delay = rows[row]
                     if opened_at != time:
                         # The first send of this instant opens its delivery run.
-                        opened = self._run = []
-                    append = opened.append
+                        opened_at, opened, sent = time, [], []
+                    s = len(sent)
+                    sent.append((order, hb, f"{sender_text[pid]}{label}\n"))
+                    append, zeros = opened.append, None
                     for receiver in receivers:
                         if unicast is not None:
                             log(unicast + receiver_text[receiver])
                         if (d := delay[receiver]) > 0:
-                            append((time + d, receiver, _DELIVER, order, payload))
+                            append(d << shift | receiver << b | s)
                         elif d:
                             log(f"{time}\t{receiver}\tdrop\tsender={pid} seq={seq} reason=loss\n")
+                        elif zeros:
+                            zeros.append(receiver << b | s)
                         else:
-                            # Due at this instant, maybe before a later tick at it: a run
-                            # of its own, in the heap at once.
-                            heappush(heap, (time, receiver, _DELIVER, order,
-                                            [(time, receiver, _DELIVER, order, payload)]))
-                    if len(opened) > pack:
-                        if packed is None:
-                            packed = _PackedRun(time, n)
-                        packed.add(opened)
-                    if opened_at == time:
+                            zeros = [receiver << b | s]
+                    if zeros:
+                        # Due at this instant, maybe before a later tick at it:
+                        # a run of their own, in the heap at once.  Receivers
+                        # ascend, so the reversed keys are latest first.
+                        zeros.reverse()
+                        heappush(heap, (time, zeros[-1] >> b, _DELIVER, order,
+                                        (time, sent, zeros)))
+                    if len(opened) > pack and opened.__class__ is list:
+                        opened = array("q", opened)
+                    if s:
+                        # A later send of this instant: its opening entry waits.
                         continue
                     if heap[0][0] == time:
                         # More happens at this instant, maybe another send:
                         # the opening entry sorts after every event at it and
                         # before every entry of a later instant.
-                        opened_at = time
-                        heappush(heap, (time + 1, -1, _DELIVER, order, opened))
+                        heappush(heap, (time + 1, -1, _DELIVER, order, None))
                         continue
                     # Nothing more happens at this instant: its run is whole.
-                    run = opened
                 elif rank == _TIMER:
                     # A timer entry's payload is its key.
                     slot = pid * stride + payload
@@ -1154,21 +1104,14 @@ class Simulator:
                     log(f"{time}\t{pid}\trecover\t\n")
                     self._start(pid, time)
                     continue
-                # An instant's run, whole: latest first.  A short run sorts
-                # fastest in one call.  In a longer one int keys compare
-                # faster than the entries, which often tie on time; the sorts
-                # are stable, so ties on (time, receiver) keep send order.
-                if packed is not None:
-                    packed.add(run)
-                    packed.sort()
-                    run = packed.take(heap)
-                    self._run, packed = packed, None
-                elif len(run) < 16:
-                    run.sort(reverse=True)
-                else:
-                    run.sort(key=_receiver)
-                    run.sort(key=_time)
+                # An instant's run, whole: latest first.  Its keys are unique
+                # and their order is the heap's; past _PACK they are an array.
+                base, pairs, run = opened_at, sent, opened
+                if len(run) > pack:
+                    np.frombuffer(run, np.int64).sort()
                     run.reverse()
+                else:
+                    run.sort(reverse=True)
             if lines:
                 sink("".join(lines))
         finally:

@@ -7,6 +7,7 @@ import re
 import sys
 import tracemalloc
 import types
+from array import array
 from dataclasses import replace
 from pathlib import Path
 
@@ -747,22 +748,29 @@ def cut_storm():
     return sim, sim.run()
 
 
+def cut_run(sim):
+    """The delivery run that the horizon cut: the longest run a heap entry
+    still carries when the loop stops."""
+    return max((entry[4][2] for entry in sim._heap if entry[2] == simnet._DELIVER
+                and entry[1] >= 0), key=len)
+
+
 def storm_cut_at_the_horizon(tmp_path):
-    # The run holds hundreds of entries when the loop stops.
+    # The run holds hundreds of keys when the loop stops.
     sim, trace = cut_storm()
-    assert len(sim._run) > 100
+    run = cut_run(sim)
+    assert type(run) is list and len(run) > 100
     return trace
 
 
 def packed_storm_cut_at_the_horizon(tmp_path):
-    # The same run packed into int arrays and built 100 entries at a time:
-    # hundreds are still unbuilt when the loop stops, in the packed run that
-    # a heap entry carries.
+    # The same run moved into an int64 array: hundreds of its keys are still
+    # there when the loop stops, in the array that a heap entry carries.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simnet, "_PACK", 100)
-        mp.setattr(simnet, "_BATCH", 100)
         sim, trace = cut_storm()
-    assert type(sim._run) is simnet._PackedRun and len(sim._run) > 100
+    run = cut_run(sim)
+    assert type(run) is simnet.array and len(run) > 100
     return trace
 
 
@@ -770,9 +778,8 @@ def packed_storm_cut_at_the_horizon(tmp_path):
 # alone frees what a run makes.  A cycle that a node, the queue or the trace
 # starts to make would then stay unfreed until a collection after the run;
 # here that collection must find nothing.  A run of deliveries cut at the
-# horizon is dropped with its entries still in it, as tuples or packed, so
-# an entry or a packed run that pointed back at what carries it would leave
-# a cycle behind.
+# horizon is dropped with its keys still in it, as a list or an int64 array,
+# so a run that pointed back at what carries it would leave a cycle behind.
 @pytest.mark.parametrize("run_one", [
     leader_crash_and_recovery, naive_with_faults, nfde_pair_monitor_restart,
     streamed_on_a_file_store, storm_cut_at_the_horizon, packed_storm_cut_at_the_horizon,
@@ -804,11 +811,8 @@ def test_a_run_restores_the_callers_collector_setting(tmp_path, enabled):
         gc.enable()
 
 
-def test_the_event_heap_grows_with_sends_not_messages(monkeypatch):
-    # At an N=200 start-up every process broadcasts once in one instant, so
-    # 39,800 deliveries are in flight together.  They wait in that instant's
-    # run; the heap holds the ticks, the timers and an entry per run.  With
-    # an entry per message it peaked at 38,275.
+def heap_high_water(monkeypatch, sc):
+    """The trace of ``sc`` and the most entries its event heap held."""
     high = 0
 
     def heappush(heap, entry):
@@ -820,8 +824,33 @@ def test_the_event_heap_grows_with_sends_not_messages(monkeypatch):
         simnet, "heapq",
         types.SimpleNamespace(heappush=heappush, heappop=heapq.heappop),
     )
+    return run(sc), high
+
+
+def test_the_event_heap_grows_with_sends_not_messages(monkeypatch):
+    # At an N=200 start-up every process broadcasts once in one instant, so
+    # 39,800 deliveries are in flight together.  They wait in that instant's
+    # run; the heap holds the ticks, the timers and an entry per run.  With
+    # an entry per message it peaked at 38,275.
     n = 200
-    trace = run(accuracy_scenario(1, duration=20_000, n=n))
+    trace, high = heap_high_water(monkeypatch, accuracy_scenario(1, duration=20_000, n=n))
+    assert sum(trace.link_sent.values()) > n * (n - 1)
+    assert high <= 4 * n, f"the heap peaked at {high} entries"
+
+
+@pytest.mark.parametrize("law", [
+    {"delay_mean": 1.0, "delay_var": 1 / 3, "delay_dist": "uniform"},  # [0, 2] ms
+    {"delay_mean": 0.0, "delay_var": 0.0, "delay_dist": "constant"},
+], ids=["uniform-0-to-2", "constant-0"])
+def test_delay_0_deliveries_take_one_heap_entry_per_send(monkeypatch, law):
+    # At an N=200 start-up every process broadcasts at one instant, and a
+    # quarter of the deliveries (uniform) or all of them (constant 0) are
+    # due at that instant itself.  A send's delay-0 deliveries wait in one
+    # run of their own, so the heap peaks at 575 and 599 entries; with a
+    # heap entry per delay-0 delivery it peaked at 2,804 and 10,329.
+    n = 200
+    sc = accuracy_scenario(1, duration=5_000, n=n)
+    trace, high = heap_high_water(monkeypatch, replace(sc, network=replace(sc.network, **law)))
     assert sum(trace.link_sent.values()) > n * (n - 1)
     assert high <= 4 * n, f"the heap peaked at {high} entries"
 
@@ -880,12 +909,14 @@ def test_start_up_holds_under_12_bytes_per_ordered_pair():
     assert held < 12 * pairs, f"holds {held / pairs:.1f} B per ordered pair"
 
 
-def test_a_streamed_start_up_holds_under_110_bytes_per_ordered_pair(tmp_path):
+def test_a_streamed_start_up_holds_under_70_bytes_per_ordered_pair(tmp_path):
     # nfdl at N=200 streaming to a file: all 200 processes broadcast at one
     # instant, so 39,800 deliveries wait in one run.  With the run held as
     # tuples and every deliver line kept until the next send, the traced
     # peak was 225 B per ordered pair; lines handed on in bounded batches
-    # took it to 171 B, and the run packed at 8 B per entry to 79 B.
+    # took it to 171 B, tuples packed past 8,192 entries to 72 B, and one
+    # int key per entry, in an int64 array past 8,192, to 49 B.  Keys held
+    # in a list alone would take 76 B.
     simnet.stream_run(accuracy_scenario(1, duration=2_000), tmp_path / "warm.log")
     n = 200
     tracemalloc.start()
@@ -897,7 +928,7 @@ def test_a_streamed_start_up_holds_under_110_bytes_per_ordered_pair(tmp_path):
         tracemalloc.stop()
     pairs = n * (n - 1)
     assert sum(trace.link_sent.values()) >= pairs
-    assert peak < 110 * pairs, f"peaked at {peak / pairs:.1f} B per ordered pair"
+    assert peak < 70 * pairs, f"peaked at {peak / pairs:.1f} B per ordered pair"
 
 
 # The traced benchmark replaces each attribute in bench/spans.py's
@@ -1053,29 +1084,28 @@ def starts_an_event(line):
 @given(storm_scenarios())
 @settings(max_examples=25, deadline=None)
 def test_batch_and_pack_thresholds_move_no_byte(sc):
-    # A run hands its lines on once more than _BATCH wait, and packs a
-    # delivery run longer than _PACK, whose tuples it builds _BATCH at a
-    # time.  At both extremes, and with every run packed and built whole,
-    # the bytes are the in-memory trace's, and a batch is at most _BATCH
-    # lines plus the lines of the one event that passed it.
+    # A run hands its lines on once more than _BATCH wait, and moves a
+    # delivery run longer than _PACK keys after a send into an int64 array.
+    # At both extremes and in between, the bytes are the in-memory trace's,
+    # and a batch is at most _BATCH lines plus the lines of the one event
+    # that passed it.
     default = PopBound()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simnet, "heapq", default)
         # Compared as lists of lines: pytest diffs two long strings slowly.
         kept = "".join(run(sc).event_batches).split("\n")
-    sort = simnet._PackedRun.sort
 
-    def counted(self):
-        nonlocal packs
-        packs += 1
-        sort(self)
+    def counted(typecode, keys):
+        packed.append(len(keys))
+        return array(typecode, keys)
 
-    for limit, pack in ((1, 1), (10**9, 1), (10**9, 10**9)):
-        seen, packs = [], 0
+    n = sc.n_processes
+    for limit, pack in ((1, 1), (7, 50), (10**9, 1), (10**9, 10**9)):
+        seen, packed = [], []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simnet, "_BATCH", limit)
             mp.setattr(simnet, "_PACK", pack)
-            mp.setattr(simnet._PackedRun, "sort", counted)
+            mp.setattr(simnet, "array", counted)
             mp.setattr(simnet, "heapq", PopBound(50 * default.pops + 100))
             Simulator(sc, sink=seen.append).run()
         assert "".join(seen).split("\n") == kept
@@ -1083,8 +1113,15 @@ def test_batch_and_pack_thresholds_move_no_byte(sc):
             starts = [i for i, line in enumerate(batch[:-1].split("\n"))
                       if starts_an_event(line)]
             assert starts[0] == 0 and starts[-1] <= limit, batch
-        # The crash storm's run is packed at _PACK 1, and no run at 10**9.
-        assert (packs > 0) == (pack == 1)
+        # A run moves only once it holds more than _PACK keys, and holds at
+        # most the n(n-1) deliveries of one instant.  The start-up storm's
+        # run holds nearly all of them, so it moves whenever _PACK is at
+        # most half that.
+        assert all(size > pack for size in packed)
+        if n * (n - 1) <= pack:
+            assert not packed
+        if n * (n - 1) >= 2 * pack:
+            assert packed
 
 
 def test_trace_writer_leaves_no_file_when_the_run_fails(tmp_path):
