@@ -11,10 +11,13 @@ Subcommands:
   floored at eight delay standard deviations, or audit a given pair in
   validation mode, read as a scenario file's ``config`` keys.
 
-Success exits 0; every failure path names its cause in one ``error: ...``
-line on stderr and exits nonzero (2 for validation problems, 1 for
-environment errors).  :func:`exit_code` holds that rule, and the two
-campaign scripts under ``scripts/`` run their ``main`` through it too.
+Success exits 0.  Invalid input (a ``ScenarioError``, an
+``InfeasibleRequirementsError`` or a ``ClockRewindError``) exits 2, and an
+environment error (an ``OSError`` or a ``StorageError``) exits 1, each named
+in one ``error: ...`` line on stderr.  Any other exception is a bug in the
+program and propagates with its traceback.  :func:`exit_code` holds that
+rule, and the two campaign scripts under ``scripts/`` run their ``main``
+through it too.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from pathlib import Path
 
 from . import experiments, qos, simnet
 from .protocol import ProtocolConfig
-from .stable_store import FileStore, StorageError
+from .stable_store import ClockRewindError, FileStore, StorageError
 
 
 _NET = simnet.NetworkModel()
@@ -228,11 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def exit_code(command, *args) -> int:
     """The exit status of ``command(*args)``, which returns its own on
-    success.  A failure is printed as one ``error: ...`` line on stderr and
-    exits 2 for invalid input, 1 for an environment error."""
+    success.  A named failure is printed as one ``error: ...`` line on
+    stderr: invalid input exits 2, an environment error 1.  Any other
+    exception, a ``ValueError`` included, is a bug and propagates."""
     try:
         return command(*args)
-    except (simnet.ScenarioError, qos.InfeasibleRequirementsError, ValueError) as exc:
+    except (simnet.ScenarioError, qos.InfeasibleRequirementsError, ClockRewindError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, StorageError) as exc:

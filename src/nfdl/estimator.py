@@ -16,10 +16,12 @@ exactly for any integer ``s`` and ``m`` > 0.  So predictions are reproducible
 across platforms and shifting every arrival by a constant shifts the
 prediction by exactly that constant.
 
-The window holds its sequence numbers and arrival times in two bounded int
+The window holds its sequence numbers and arrival times in two plain int
 deques, with no tuple per heartbeat, and keeps running integer sums of both,
 updated by each recorded value less the one it evicts, so the numerator
-``sum(arrival) - eta * sum(seq)`` costs the same at any window size.
+``sum(arrival) - eta * sum(seq)`` costs the same at any window size.  The
+window's bound lives in ``capacity`` alone: ``record`` drops the oldest entry
+itself once the window is full, so any capacity >= 1 is valid, however large.
 
 A caller makes one window call per accepted heartbeat: ``record`` stores
 the arrival and returns the expected arrival of the next heartbeat, so the
@@ -35,7 +37,8 @@ from collections import deque
 
 
 class ArrivalWindow:
-    """Bounded history of accepted (seq, arrival) pairs, newest last.
+    """History of the last ``capacity`` accepted (seq, arrival) pairs,
+    newest last, in two plain deques that ``record`` keeps at that bound.
 
     Only strictly fresh sequence numbers may be recorded; the caller is
     responsible for freshness screening, so a stale insert is a bug and
@@ -48,8 +51,8 @@ class ArrivalWindow:
         if capacity < 1:
             raise ValueError(f"window capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.seqs: deque[int] = deque(maxlen=capacity)
-        self.arrivals: deque[int] = deque(maxlen=capacity)
+        self.seqs: deque[int] = deque()
+        self.arrivals: deque[int] = deque()
         self.last_seq = -1
         self.seq_sum = 0
         self.arrival_sum = 0
@@ -69,8 +72,8 @@ class ArrivalWindow:
         seqs, arrivals = self.seqs, self.arrivals
         m = len(seqs)
         if m == self.capacity:
-            self.seq_sum = seq_sum = self.seq_sum + seq - seqs[0]
-            self.arrival_sum = arrival_sum = self.arrival_sum + arrival - arrivals[0]
+            self.seq_sum = seq_sum = self.seq_sum + seq - seqs.popleft()
+            self.arrival_sum = arrival_sum = self.arrival_sum + arrival - arrivals.popleft()
         else:
             m += 1
             self.seq_sum = seq_sum = self.seq_sum + seq

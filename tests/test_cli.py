@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from nfdl import qos
 from nfdl.cli import main
 from nfdl.protocol import ProtocolConfig
 from nfdl.simnet import FaultEvent, NetworkModel, Scenario
@@ -238,6 +239,30 @@ def test_compare_cost_names_the_file_key_of_a_bad_flag(capsys, flag, value, fiel
     assert run_cli("compare-cost", *(x for item in args.items() for x in item)) == 2
     assert field in KEY_PATHS
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--duration-ms", "20000"],
+    ["compare-cost", "--procs", "3"],
+], ids=["run", "compare-cost"])
+def test_a_window_past_any_index_size_runs(tmp_path, argv):
+    # The schema bounds window_n below only, and the window keeps its bound
+    # itself, so 2**63 runs like any other size.
+    argv = [*argv, "--window-n", str(2**63)]
+    if argv[0] == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert run_cli(*argv) == 0
+
+
+def test_a_value_error_inside_a_run_propagates(tmp_path, monkeypatch):
+    # Only the named input and environment errors exit with a status; any
+    # other exception is a bug and keeps its traceback.
+    def broken(trace):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setattr(qos, "build_report", broken)
+    with pytest.raises(ValueError, match="a bug, not bad input"):
+        run_cli("run", "--duration-ms", "5000", "--out", str(tmp_path / "out"))
 
 
 INLINE_RUNS = {

@@ -252,6 +252,67 @@ def test_scenario_from_dict_raises_only_scenario_error(data):
     assert Scenario.from_dict(sc.to_dict()) == sc
 
 
+# Ints at and past the schema's bounds: 2**63 and above fit no index-sized
+# integer, and 2**64 - 1 is the largest seed.
+BOUNDARY_INTS = st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**64 - 1])
+
+
+def ints_up_to_the_bounds(lo, hi):
+    return st.integers(min_value=lo, max_value=hi) | BOUNDARY_INTS
+
+
+@st.composite
+def runnable_scenario_files(draw):
+    """A scenario file of at most 6 processes (2 for nfde-pair) and 10 s,
+    its other ints drawn up to the schema's bounds, with faults at 0,
+    zero-length crashes and pinned leaders.  A run stays within
+    milliseconds: at most 2,000 send instants per process, and a delay law
+    whose table ends within 10**4 ms."""
+    algorithm = draw(st.sampled_from(ALGORITHMS))
+    n = 2 if algorithm == "nfde-pair" else draw(st.integers(2, 6))
+    eta = draw(ints_up_to_the_bounds(1, 1000))
+    duration = draw(st.integers(1, max(1, min(10_000, 2000 * eta))))
+    dist = draw(st.sampled_from(DELAY_DISTS))
+    sd = 0.0 if dist == "constant" else draw(st.floats(0.0, 500.0))
+    faults = []
+    for pid in draw(st.lists(ints_up_to_the_bounds(0, n - 1), unique=True, max_size=3)):
+        at = draw(st.just(0) | ints_up_to_the_bounds(0, duration - 1))
+        for kind in ("crash", "recover", "crash", "recover")[:draw(st.integers(1, 4))]:
+            faults.append({"at_ms": at, "process": pid, "kind": kind})
+            # A recovery may share its crash's instant: a zero-length crash.
+            at += draw(st.just(0) | st.integers(0, duration)) + (kind == "recover")
+    high_priority = None
+    if algorithm == "nfdl" and draw(st.booleans()):
+        high_priority = draw(ints_up_to_the_bounds(0, n - 1))
+    return {
+        "n_processes": n,
+        "algorithm": algorithm,
+        "config": {"eta_ms": eta, "alpha_ms": draw(ints_up_to_the_bounds(0, 1000)),
+                   "window_n": draw(ints_up_to_the_bounds(1, 200))},
+        "network": {"loss_prob": draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+                    "delay_mean_ms": draw(st.floats(0.0, 5000.0)),
+                    "delay_var_ms2": sd * sd, "delay_dist": dist},
+        "faults": draw(st.permutations(faults)),
+        "duration_ms": duration,
+        "seed": draw(ints_up_to_the_bounds(0, 2**64 - 1)),
+        "high_priority": high_priority,
+    }
+
+
+@given(runnable_scenario_files())
+@settings(max_examples=100, deadline=None)
+def test_every_accepted_scenario_runs(data):
+    try:
+        sc = Scenario.from_dict(data)
+    except ScenarioError:
+        return
+    trace = Simulator(sc, sink=len).run()
+    down = set()
+    for _, f in sc.fault_order():
+        down ^= {f.process}
+    assert set(trace.final_outputs) == set(range(sc.n_processes)) - down
+
+
 def test_from_dict_reads_each_key_once(monkeypatch):
     data = scenario(
         faults=(FaultEvent(1000, 2, "crash"), FaultEvent(5000, 2, "recover")),
