@@ -16,22 +16,9 @@ import pytest
 from nfdl import cli, qos, simnet
 from nfdl.experiments import accuracy_scenario, measured_network, speed_scenario
 from nfdl.protocol import ProtocolConfig
-from nfdl.simnet import FaultEvent, NetworkModel, Scenario, Simulator, TraceEvent, run
-
-CFG = ProtocolConfig(eta=330, alpha=670, window_n=100)
-QUIET = NetworkModel(loss_prob=0.0, delay_mean=5.0, delay_var=0.0, delay_dist="constant")
-LOSSY = NetworkModel(
-    loss_prob=0.0175917, delay_mean=5.0, delay_var=25.3356, delay_dist="normal"
-)
-INSTANT = NetworkModel(loss_prob=0.0, delay_mean=0.0, delay_var=0.0, delay_dist="constant")
-UNIFORM = NetworkModel(
-    loss_prob=0.01, delay_mean=6.0, delay_var=9.0, delay_dist="uniform"
-)
-# Delay jitter far beyond eta: arrivals overtake each other and a delivery
-# can move a freshness deadline earlier, not only later.
-JITTERY = NetworkModel(
-    loss_prob=0.05, delay_mean=40.0, delay_var=900.0, delay_dist="normal"
-)
+from nfdl.simnet import FaultEvent, Scenario, Simulator, TraceEvent, run
+from catalogue import CFG, INSTANT, JITTERY, LOSSY, QUIET, UNIFORM, crash_recover
+from queue_probe import watch_draws
 
 
 def scenario(**overrides):
@@ -41,10 +28,6 @@ def scenario(**overrides):
     )
     base.update(overrides)
     return Scenario(**base)
-
-
-def crash_recover(pid, down, up):
-    return (FaultEvent(down, pid, "crash"), FaultEvent(up, pid, "recover"))
 
 
 SCENARIOS = {
@@ -361,14 +344,7 @@ def test_senders_draw_at_most_twice_the_seqs_they_send(name, monkeypatch):
     # Runs of consecutive sends are drawn ahead, so a sender that stops
     # sending leaves part of its last run unused; doubling the run length
     # from 1 keeps that waste below what it sent.
-    drawn = []
-    real = simnet.sample_run
-
-    def counting(seed, sender, seq, k, *args):
-        drawn.extend((sender, seq + j) for j in range(k))
-        return real(seed, sender, seq, k, *args)
-
-    monkeypatch.setattr(simnet, "sample_run", counting)
+    drawn = watch_draws(monkeypatch)
     sc = DRAW_BUDGET_SCENARIOS[name]()
     sim = Simulator(sc)
     trace = sim.run()

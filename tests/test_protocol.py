@@ -21,9 +21,8 @@ from nfdl.stable_store import (
     StorageError,
     next_send_time,
 )
+from catalogue import CFG
 from test_estimator import pairs_of
-
-CFG = ProtocolConfig(eta=330, alpha=670, window_n=100)
 
 
 def make_proc(self_id=0, now=0, store=None, config=CFG):

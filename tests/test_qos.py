@@ -12,16 +12,14 @@ from hypothesis import strategies as st
 from nfdl import qos
 from nfdl.protocol import ProtocolConfig
 from nfdl.simnet import EventTrace, FaultEvent, NetworkModel, Scenario, run
-
-CFG = ProtocolConfig(eta=330, alpha=670)
-NET = NetworkModel(0.0, 5.0, 0.0, "constant")
+from catalogue import CFG, LOSSY, QUIET
 
 
 def make_trace(changes, faults=(), n=3, duration=100_000, high_priority=2):
     """Synthetic trace holding only an output history: changes is a list of
     (time, process, leader), kept in list order within an instant."""
     sc = Scenario(
-        n_processes=n, config=CFG, network=NET, duration=duration, seed=0,
+        n_processes=n, config=CFG, network=QUIET, duration=duration, seed=0,
         faults=tuple(faults), high_priority=high_priority,
     )
     record = {pid: [] for pid in range(n)}
@@ -393,11 +391,10 @@ def test_scoring_loads_neither_the_simulator_nor_numpy():
 
 
 REQS = qos.QosRequirements(t_d_max=1000, t_mr_min=3_600_000, t_m_max=1000)
-MEASURED = NetworkModel(0.0175917, 5.0, 25.3356, "normal")
 
 
 def test_configure_meets_the_detection_bound():
-    config = qos.configure(REQS, MEASURED)
+    config = qos.configure(REQS, LOSSY)
     assert config.eta > 0
     assert config.eta + config.alpha <= REQS.t_d_max
     assert qos.validate_config(config, REQS) == []
@@ -409,8 +406,7 @@ def test_operating_point_from_the_field_passes_validation():
 
 def test_configure_zero_variance_matches_exhaustive_search():
     reqs = qos.QosRequirements(1000, 3_600_000, 1000)
-    quiet = NetworkModel(0.0, 5.0, 0.0, "constant")
-    config = qos.configure(reqs, quiet)
+    config = qos.configure(reqs, QUIET)
     # exhaustive search over ms pairs: maximize eta, alpha at its floor
     floor = 0
     best = max(
@@ -427,7 +423,7 @@ def test_configure_infeasible_when_nothing_fits():
         qos.QosRequirements(0, 1, 1)
     tight = qos.QosRequirements(30, 3_600_000, 1000)
     with pytest.raises(qos.InfeasibleRequirementsError):
-        qos.configure(tight, MEASURED)
+        qos.configure(tight, LOSSY)
 
 
 def test_validate_config_rejects_bound_violations():
@@ -529,7 +525,7 @@ def test_fault_file_order_does_not_change_the_report():
     early, late = FaultEvent(50, 1, "crash"), FaultEvent(100, 2, "crash")
     late_first, early_first = (
         qos.build_report(run(Scenario(
-            n_processes=3, config=CFG, network=NET, duration=5_000, seed=0,
+            n_processes=3, config=CFG, network=QUIET, duration=5_000, seed=0,
             faults=faults,
         )))
         for faults in ([late, early], [early, late])
@@ -570,7 +566,7 @@ def test_unpinned_naive_true_leader_counts_start_of_run_outputs():
     # Process 0 elects itself from the start and never logs an output
     # change; the leader every process holds before follower 3 crashes is 0.
     sc = Scenario(
-        n_processes=5, config=CFG, network=NET, duration=15_000, seed=1,
+        n_processes=5, config=CFG, network=QUIET, duration=15_000, seed=1,
         algorithm="naive-reduction",
         faults=(FaultEvent(5_000, 3, "crash"), FaultEvent(9_000, 3, "recover")),
     )

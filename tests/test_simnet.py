@@ -1,13 +1,10 @@
 import gc
-import heapq
 import importlib.util
 import json
 import math
 import re
 import sys
 import tracemalloc
-import types
-from array import array
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,16 +35,10 @@ from nfdl.simnet import (
     sample_run,
 )
 from nfdl.stable_store import FileStore, MemoryStore, StorageError
+from catalogue import CFG, INSTANT, JITTERY, LOSSY, QUIET, UNIFORM, crash_recover
+from queue_probe import cut_run, holding_rows, ticking, timer_slots, watch_heap, watch_packs
 from reference_simulator import ReferenceSimulator
 
-CFG = ProtocolConfig(eta=330, alpha=670, window_n=100)
-QUIET = NetworkModel(loss_prob=0.0, delay_mean=5.0, delay_var=0.0, delay_dist="constant")
-LOSSY = NetworkModel(
-    loss_prob=0.0175917, delay_mean=5.0, delay_var=25.3356, delay_dist="normal"
-)
-INSTANT = NetworkModel(loss_prob=0.0, delay_mean=0.0, delay_var=0.0, delay_dist="constant")
-UNIFORM = NetworkModel(loss_prob=0.01, delay_mean=6.0, delay_var=9.0, delay_dist="uniform")
-JITTERY = NetworkModel(loss_prob=0.05, delay_mean=40.0, delay_var=900.0, delay_dist="normal")
 # alpha 0: every deadline is an expected arrival, which lands on the send grid
 # under INSTANT, so timer takeovers and handoffs coincide with send instants.
 ON_GRID = ProtocolConfig(eta=100, alpha=0)
@@ -60,10 +51,6 @@ def scenario(**overrides):
     )
     base.update(overrides)
     return Scenario(**base)
-
-
-def crash_recover(pid, down, up):
-    return (FaultEvent(down, pid, "crash"), FaultEvent(up, pid, "recover"))
 
 
 # -- validation ---------------------------------------------------------------
@@ -809,13 +796,6 @@ def cut_storm():
     return sim, sim.run()
 
 
-def cut_run(sim):
-    """The delivery run that the horizon cut: the longest run a heap entry
-    still carries when the loop stops."""
-    return max((entry[4][2] for entry in sim._heap if entry[2] == simnet._DELIVER
-                and entry[1] >= 0), key=len)
-
-
 def storm_cut_at_the_horizon(tmp_path):
     # The run holds hundreds of keys when the loop stops.
     sim, trace = cut_storm()
@@ -872,29 +852,14 @@ def test_a_run_restores_the_callers_collector_setting(tmp_path, enabled):
         gc.enable()
 
 
-def heap_high_water(monkeypatch, sc):
-    """The trace of ``sc`` and the most entries its event heap held."""
-    high = 0
-
-    def heappush(heap, entry):
-        nonlocal high
-        heapq.heappush(heap, entry)
-        high = max(high, len(heap))
-
-    monkeypatch.setattr(
-        simnet, "heapq",
-        types.SimpleNamespace(heappush=heappush, heappop=heapq.heappop),
-    )
-    return run(sc), high
-
-
 def test_the_event_heap_grows_with_sends_not_messages(monkeypatch):
     # At an N=200 start-up every process broadcasts once in one instant, so
     # 39,800 deliveries are in flight together.  They wait in that instant's
     # run; the heap holds the ticks, the timers and an entry per run.  With
     # an entry per message it peaked at 38,275.
     n = 200
-    trace, high = heap_high_water(monkeypatch, accuracy_scenario(1, duration=20_000, n=n))
+    heap = watch_heap(monkeypatch)
+    trace, high = run(accuracy_scenario(1, duration=20_000, n=n)), heap.high
     assert sum(trace.link_sent.values()) > n * (n - 1)
     assert high <= 4 * n, f"the heap peaked at {high} entries"
 
@@ -911,7 +876,8 @@ def test_delay_0_deliveries_take_one_heap_entry_per_send(monkeypatch, law):
     # heap entry per delay-0 delivery it peaked at 2,804 and 10,329.
     n = 200
     sc = accuracy_scenario(1, duration=5_000, n=n)
-    trace, high = heap_high_water(monkeypatch, replace(sc, network=replace(sc.network, **law)))
+    heap = watch_heap(monkeypatch)
+    trace, high = run(replace(sc, network=replace(sc.network, **law))), heap.high
     assert sum(trace.link_sent.values()) > n * (n - 1)
     assert high <= 4 * n, f"the heap peaked at {high} entries"
 
@@ -923,18 +889,9 @@ def test_a_lone_sender_instant_pushes_no_opening_entry(monkeypatch):
     # re-files and an opening entry at the instants that hold more, such as
     # a delivery with delay 0.  That is 968 pushes for 364 sends; with an
     # opening entry at every send instant it was 1,291.
-    pushes = 0
-
-    def heappush(heap, entry):
-        nonlocal pushes
-        pushes += 1
-        heapq.heappush(heap, entry)
-
-    monkeypatch.setattr(
-        simnet, "heapq",
-        types.SimpleNamespace(heappush=heappush, heappop=heapq.heappop),
-    )
+    heap = watch_heap(monkeypatch)
     trace = run(accuracy_scenario(1, duration=120_000))
+    pushes = sum(heap.pushes.values())
     sends = sum(line.split("\t")[2] == "send" for line in trace.event_lines())
     assert sends > 300
     assert pushes <= 3.0 * sends, f"{pushes} heap pushes for {sends} sends"
@@ -947,10 +904,10 @@ def test_only_live_senders_hold_drawn_rows():
     # end took 0.74 MiB.
     sim = Simulator(accuracy_scenario(1, duration=20_000, n=200))
     sim.run()
-    holding = [pid for pid, (_, rows) in enumerate(sim._runs) if rows]
+    holding = holding_rows(sim)
     assert holding
     for pid in holding:
-        assert sim.nodes[pid] is not None and sim._ticking[pid] is sim.nodes[pid]
+        assert sim.nodes[pid] is not None and ticking(sim, pid) is sim.nodes[pid]
 
 
 def test_start_up_holds_under_12_bytes_per_ordered_pair():
@@ -1085,7 +1042,8 @@ def test_timer_slots_are_sized_by_what_a_node_files(algorithm, n, slots):
     # An election node files only under its own id; an all-pairs node
     # files under each peer it watches.
     sim = Simulator(scenario(algorithm=algorithm, n_processes=n))
-    assert len(sim._pending) == len(sim._armed) == slots
+    pending, armed = timer_slots(sim)
+    assert pending == armed == slots
 
 
 def test_a_sink_sees_every_event_in_log_order(monkeypatch):
@@ -1105,23 +1063,6 @@ def test_a_sink_sees_every_event_in_log_order(monkeypatch):
     assert len(sizes) > 2
     assert all(20 < size for size in sizes[:-1])
     assert all(0 < size <= 20 + sc.n_processes for size in sizes)
-
-
-class PopBound:
-    """A stand-in for simnet's heapq that counts heap pops and fails once
-    there are more than ``bound``, so a queue that never ends fails rather
-    than hangs."""
-
-    heappush = staticmethod(heapq.heappush)
-
-    def __init__(self, bound=math.inf):
-        self.pops, self.bound = 0, bound
-
-    def heappop(self, heap):
-        self.pops += 1
-        if self.pops > self.bound:
-            raise AssertionError(f"no end after {self.pops} heap pops")
-        return heapq.heappop(heap)
 
 
 @st.composite
@@ -1150,24 +1091,19 @@ def test_batch_and_pack_thresholds_move_no_byte(sc):
     # At both extremes and in between, the bytes are the in-memory trace's,
     # and a batch is at most _BATCH lines plus the lines of the one event
     # that passed it.
-    default = PopBound()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simnet, "heapq", default)
+        default = watch_heap(mp)
         # Compared as lists of lines: pytest diffs two long strings slowly.
         kept = "".join(run(sc).event_batches).split("\n")
 
-    def counted(typecode, keys):
-        packed.append(len(keys))
-        return array(typecode, keys)
-
     n = sc.n_processes
     for limit, pack in ((1, 1), (7, 50), (10**9, 1), (10**9, 10**9)):
-        seen, packed = [], []
+        seen = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simnet, "_BATCH", limit)
             mp.setattr(simnet, "_PACK", pack)
-            mp.setattr(simnet, "array", counted)
-            mp.setattr(simnet, "heapq", PopBound(50 * default.pops + 100))
+            packed = watch_packs(mp)
+            watch_heap(mp, 50 * default.pops + 100)
             Simulator(sc, sink=seen.append).run()
         assert "".join(seen).split("\n") == kept
         for batch in seen:
@@ -1392,7 +1328,7 @@ def test_the_simulator_matches_the_naive_reference(sc):
     # heap entry per message and per timer arm.
     ref = ReferenceSimulator(sc).run()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simnet, "heapq", PopBound(50 * ref.steps + 100))
+        watch_heap(mp, 50 * ref.steps + 100)
         trace = run(sc)
     # Byte for byte, compared as lists of lines: pytest diffs two long
     # strings slowly.
@@ -1542,18 +1478,9 @@ def test_the_nfde_pair_receiver_never_ticks(monkeypatch):
 
 def test_a_moving_deadline_keeps_one_pending_timer(monkeypatch):
     # Wrap the simulator's heap calls the way the benchmark's traced run does.
-    timer_pushes = 0
-
-    def heappush(heap, entry):
-        nonlocal timer_pushes
-        timer_pushes += entry[2] == _TIMER
-        heapq.heappush(heap, entry)
-
-    monkeypatch.setattr(
-        simnet, "heapq",
-        types.SimpleNamespace(heappush=heappush, heappop=heapq.heappop),
-    )
+    heap = watch_heap(monkeypatch)
     trace = run(scenario())
+    timer_pushes = heap.pushes[_TIMER]
     deliveries = sum(ev.kind == "deliver" for ev in trace.events)
     # Each delivery moves its follower's deadline later; the timer already
     # pending re-files itself instead of a new entry per delivery.
