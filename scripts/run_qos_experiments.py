@@ -14,18 +14,17 @@ no finite duration, before anything is written; an output directory that
 cannot be made exits 1.  Both print one ``error:`` line, as ``nfdl`` does.
 """
 
-import argparse
 import math
 import time
 from pathlib import Path
 
 from nfdl import qos, simnet
-from nfdl.cli import exit_code
+from nfdl.cli import Parser, exit_code
 from nfdl.experiments import REQUIREMENTS, accuracy_scenario, speed_scenario
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = Parser(description=__doc__)
     parser.add_argument("--out", type=Path, default=Path("out/qos"))
     parser.add_argument("--accuracy-reps", type=int, default=6)
     parser.add_argument("--accuracy-hours", type=float, default=1.0)

@@ -10,17 +10,18 @@ directory cannot be made exits 1 before the sweep starts, and a CSV that
 cannot be written exits 1.  Both print one ``error:`` line, as ``nfdl`` does.
 """
 
-import argparse
 from pathlib import Path
 
-from nfdl.cli import exit_code
-from nfdl.experiments import ALPHA_MS, COST_TABLE_HEADER, ETA_MS, cost_table_row, measure_cost
+from nfdl.cli import Parser, exit_code
+from nfdl.experiments import (
+    ALPHA_MS, COST_TABLE_HEADER, ETA_MS, cost_table_row, cost_window, measure_cost,
+)
 from nfdl.protocol import ProtocolConfig
 from nfdl.simnet import ScenarioError, load
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = Parser(description=__doc__)
     parser.add_argument("--min-procs", type=int, default=2)
     parser.add_argument("--max-procs", type=int, default=10)
     parser.add_argument("--duration-ms", type=int, default=15_000)
@@ -35,6 +36,9 @@ def main() -> int:
         )
     # Read as a scenario file's keys, so that an error names the key.
     config = load(ProtocolConfig, {"eta_ms": args.eta_ms, "alpha_ms": args.alpha_ms}, "config")
+    # Every count between the sweep's ends is as valid as they are.
+    for n in (args.min_procs, args.max_procs):
+        cost_window(n, args.duration_ms, config)
     # Before the sweep, so that an --out that cannot be made fails at once.
     args.out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["algorithm,procs,predicted_per_eta,measured_per_eta"]

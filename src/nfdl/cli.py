@@ -14,10 +14,13 @@ Subcommands:
 Success exits 0.  Invalid input (a ``ScenarioError``, an
 ``InfeasibleRequirementsError`` or a ``ClockRewindError``) exits 2, and an
 environment error (an ``OSError`` or a ``StorageError``) exits 1, each named
-in one ``error: ...`` line on stderr.  Any other exception is a bug in the
-program and propagates with its traceback.  :func:`exit_code` holds that
-rule, and the two campaign scripts under ``scripts/`` run their ``main``
-through it too.
+in one ``error: ...`` line on stderr.  A malformed command line (an unknown
+flag, a value that is not a number) exits 2 the same way, through
+:class:`Parser`, as does a ``configure`` audit that finds a violation.  Any
+other exception is a bug in the program and propagates with its traceback.
+:func:`exit_code` holds that rule; the two campaign scripts under
+``scripts/`` parse their flags with :class:`Parser` and run their ``main``
+through :func:`exit_code` too.
 """
 
 from __future__ import annotations
@@ -30,6 +33,14 @@ from pathlib import Path
 from . import experiments, qos, simnet
 from .protocol import ProtocolConfig
 from .stable_store import ClockRewindError, FileStore, StorageError
+
+
+class Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 2 with one ``error: ...``
+    line on stderr, as every other invalid input does."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
 
 
 _NET = simnet.NetworkModel()
@@ -170,11 +181,11 @@ def cmd_configure(args) -> int:
         return 0
     for v in violations:
         print(f"  violated: {v}")
-    return 2
+    raise simnet.ScenarioError("config", "; ".join(violations))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="nfdl",
         description="leader-election simulator and QoS measurement suite",
     )

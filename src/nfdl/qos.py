@@ -35,7 +35,7 @@ deviations of the link delay.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -193,17 +193,19 @@ def validate_config(config: ProtocolConfig, reqs: QosRequirements) -> list[str]:
 # Reports
 
 
-def sends_per_eta(trace: EventTrace, start: int, periods: int) -> float:
-    """Send events per eta inside the grid-aligned window [start, start+periods*eta).
+def send_times(lines: Iterable[str]) -> Iterator[int]:
+    """The time of each send line among trace ``lines``: a send line is one
+    whose kind column is ``send`` (only the columns are tab-delimited), and
+    only its time column is parsed."""
+    return (int(line[:line.index("\t")]) for line in lines if "\tsend\t" in line)
 
-    Reads the kept trace lines from ``trace.event_lines()``: a send line is
-    one whose kind column is ``send`` (only the columns are tab-delimited),
-    and only its time column is parsed."""
+
+def sends_per_eta(trace: EventTrace, start: int, periods: int) -> float:
+    """Send events per eta inside the grid-aligned window [start, start+periods*eta),
+    read from the kept trace lines, ``trace.event_lines()``."""
     eta = trace.scenario.config.eta
     end = start + periods * eta
-    times = (int(line[:line.index("\t")]) for line in trace.event_lines()
-             if "\tsend\t" in line)
-    return sum(start <= t < end for t in times) / periods
+    return sum(start <= t < end for t in send_times(trace.event_lines())) / periods
 
 
 @dataclass

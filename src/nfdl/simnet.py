@@ -190,6 +190,11 @@ DELAY_DISTS = ("constant", "uniform", "normal")
 # Most entries a delay table may hold: 2**20 covers delays up to about 17
 # minutes.  A law that needs more fails validation.
 MAX_DELAY_TABLE = 2**20
+# Most processes a scenario may hold.  A delivery run's key is ``delay << 2*b
+# | receiver << b | send`` with b = n.bit_length() and a delay below
+# MAX_DELAY_TABLE = 2**20, so a key is below 2**(20 + 2*b).  It fits an int64
+# while 20 + 2*b <= 63, that is b <= 21: n below 2**21.
+MAX_PROCESSES = 2**21 - 1
 # The normal delay table ends this many standard deviations above the mean;
 # the mass beyond it is below 2**-55, under the 2**-53 step of a uniform.
 _NORMAL_TAIL_SIGMAS = 8.5
@@ -374,7 +379,7 @@ _SCHEMA = {
     Scenario: (
         _Field("version", None, int, choices=(SCENARIO_SCHEMA_VERSION,),
                default=SCENARIO_SCHEMA_VERSION),
-        _Field("n_processes", "n_processes", int, lo=2),
+        _Field("n_processes", "n_processes", int, lo=2, hi=MAX_PROCESSES),
         _Field("algorithm", "algorithm", str, choices=ALGORITHMS, default="nfdl"),
         _Field("config", "config", ProtocolConfig),
         _Field("network", "network", NetworkModel),

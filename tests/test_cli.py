@@ -1,11 +1,21 @@
+import contextlib
 import gc
+import io
 import json
+import math
+import runpy
+import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfdl import qos
 from nfdl.cli import main
+from nfdl.experiments import measure_cost
 from nfdl.protocol import ProtocolConfig
 from nfdl.simnet import FaultEvent, NetworkModel, Scenario
 
@@ -254,6 +264,19 @@ def test_a_window_past_any_index_size_runs(tmp_path, argv):
     assert run_cli(*argv) == 0
 
 
+@pytest.mark.parametrize("procs", [2**63, 2**63 - 1])
+def test_a_process_count_past_the_key_layout_exits_2(tmp_path, capsys, procs):
+    # A delivery run's int64 keys hold n below 2**21; a larger count fails
+    # at the schema, before the simulator allocates a list of n.
+    out = tmp_path / "out"
+    code = run_cli("run", "--out", str(out), "--procs", str(procs),
+                   "--eta-ms", str(2**63), "--duration-ms", "5000")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: n_processes: must be within [2, {2**21 - 1}], got {procs}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_value_error_inside_a_run_propagates(tmp_path, monkeypatch):
     # Only the named input and environment errors exit with a status; any
     # other exception is a bug and keeps its traceback.
@@ -439,6 +462,29 @@ def test_compare_cost_table(capsys):
     assert nfdl_row.split()[-2:] == ["1", "1"]
 
 
+def test_measure_cost_memory_does_not_grow_with_duration():
+    # N=3, eta 20 ms, windows of 4: a sender's link-sample runs reach their
+    # 64 rows by 2.6 s, so from the 3 s run on only the trace lines could
+    # grow.  The runs' sends are counted batch by batch; kept, the lines of
+    # the 12 s run peaked at 494 kB against 216 kB for the 3 s one.
+    config = ProtocolConfig(20, 10, window_n=4)
+
+    def peak(duration_ms):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rows = measure_cost(3, duration_ms, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [row["measured_per_eta"] for row in rows] == [1, 6]
+        return peak
+
+    peak(200)  # warm-up: lazy imports and caches of a first run
+    short, long = peak(3_000), peak(12_000)
+    assert long <= 1.1 * short, f"peaked at {long} B over 4x the {short} B run"
+
+
 def test_compare_cost_rejects_tiny_n(capsys):
     assert run_cli("compare-cost", "--procs", "1") == 2
     assert "at least 2" in capsys.readouterr().err
@@ -529,7 +575,10 @@ def test_configure_validation_mode_rejects_bad_pairs(capsys):
         "configure", "--t-d-max-ms", "1000", "--eta-ms", "500", "--alpha-ms", "600",
     )
     assert code == 2
-    assert "violated" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "violated" in captured.out
+    assert captured.err == (
+        "error: config: detection bound violated: eta + alpha = 1100 ms > t_d_max = 1000 ms\n")
 
 
 def test_run_scores_a_mistake_corrected_and_reopened_in_one_instant(tmp_path):
@@ -565,3 +614,133 @@ def test_run_without_a_true_leader_writes_the_trace_and_no_metrics(tmp_path, cap
     assert (tmp_path / "trace_000.log").exists()
     assert not (tmp_path / "metrics_000.csv").exists()
     assert "0 metric report(s)" in capsys.readouterr().out
+
+
+# -- every command line exits 0, 1 or 2 -------------------------------------
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+# Ints at and past the schema's bounds, and values that are no number.
+BOUNDS = (0, 1, 2**63 - 1, 2**63, 2**64 - 1)
+MALFORMED = st.sampled_from(["", "x", "1.5", "0x10", "nan", "-", "--procs"])
+# Paths under TMP, the example's own directory, which holds a regular file
+# "file" and a scenario file "scenario.json".
+OUT = st.sampled_from(["TMP/out", "TMP/file/out"])
+
+
+def mostly(common, rare):
+    """A flag value, five times in six drawn from ``common``."""
+    return st.sampled_from([common] * 5 + [rare]).flatmap(lambda values: values).map(str)
+
+
+def ints(lo, hi, *bounds):
+    return mostly(st.integers(lo, hi), st.sampled_from(bounds))
+
+
+def floats(lo, hi):
+    return mostly(st.floats(lo, hi), st.sampled_from([-1.0, math.nan, math.inf, 1e308]))
+
+
+def flags(draw, **values):
+    """The argv of each flag in ``values`` that is drawn to be given."""
+    given = draw(st.fixed_dictionaries({}, optional=values))
+    return [x for key, value in given.items() for x in (f"--{key.replace('_', '-')}", value)]
+
+
+@st.composite
+def well_formed_command_lines(draw):
+    """``nfdl`` or a script's name, and an argv for it.  Every run it could
+    start is tiny: at most 6 processes, 10 s and 200 sends per process, one
+    repetition and one speed cycle; a larger value fails at the gate."""
+    program = draw(st.sampled_from(["nfdl", "run_qos_experiments.py", "sweep_message_cost.py"]))
+    eta = draw(ints(1, 1000, *BOUNDS))
+    cap = min(10_000, 200 * int(eta)) if int(eta) > 0 else 10_000
+    # Long runs first: a short one has no steady state to measure cost in.
+    longest_first = st.integers(0, cap - 1).map(lambda k: cap - k)
+    duration = draw(mostly(longest_first, st.sampled_from([0, -1])))
+    procs = ints(2, 6, *BOUNDS)
+    config = dict(eta_ms=st.just(eta), alpha_ms=ints(0, 1000, *BOUNDS))
+    network = dict(loss_prob=floats(0.0, 1.0), delay_mean_ms=floats(0.0, 100.0),
+                   delay_var_ms2=floats(0.0, 2500.0))
+    requirements = {key: ints(1, 10**7, *BOUNDS)
+                    for key in ("t_d_max_ms", "t_mr_min_ms", "t_m_max_ms")}
+    seed = ints(0, 2**64 - 1, *BOUNDS, 2**64)
+    if program == "run_qos_experiments.py":
+        count = draw(mostly(st.just(1), st.just(0)))
+        hours = draw(mostly(st.floats(1e-4, 10 / 3600), st.sampled_from([0.0, math.inf])))
+        return program, ["--out", draw(OUT), "--accuracy-reps", count, "--speed-cycles", count,
+                         "--accuracy-hours", hours, *flags(draw, seed=seed)]
+    if program == "sweep_message_cost.py":
+        return program, ["--out", draw(OUT) + "/cost.csv", "--max-procs", draw(procs),
+                         "--duration-ms", duration, *flags(draw, min_procs=procs, **config)]
+    command = draw(st.sampled_from(["run", "compare-cost", "configure"]))
+    if command == "configure":
+        pair = ["--eta-ms", eta, "--alpha-ms", draw(config["alpha_ms"])]
+        audit = pair if draw(st.booleans()) else []
+        return program, [command, *audit, *flags(draw, **requirements, **network)]
+    if command == "compare-cost":
+        return program, [command, "--procs", draw(procs), "--duration-ms", duration,
+                         *flags(draw, window_n=ints(1, 200, *BOUNDS), seed=seed, **config)]
+    argv = [command, "--out", draw(OUT), *flags(
+        draw, reps=mostly(st.just(1), st.sampled_from([0, 2**65])),
+        format=st.sampled_from(["csv", "txt", "both"]),
+        state_dir=st.sampled_from(["TMP/state", "TMP/file/state"]), **requirements)]
+    if draw(st.booleans()):
+        # A scenario file, alone or beside scenario flags.
+        argv += ["--scenario", draw(st.sampled_from(["TMP/scenario.json", "TMP/none.json"]))]
+        if draw(st.booleans()):
+            return program, argv
+    return program, [*argv, "--duration-ms", duration, *flags(
+        draw, procs=procs, window_n=ints(1, 200, *BOUNDS), seed=seed,
+        delay_dist=st.sampled_from(["constant", "uniform", "normal"]),
+        algo=st.sampled_from(["nfdl", "nfde-pair", "naive"]), high_priority=ints(0, 5, *BOUNDS),
+        **config, **network)]
+
+
+@st.composite
+def command_lines(draw):
+    """A well-formed command line, or one with a value that is no number or
+    no choice, or with a flag that no parser knows.  Paths stay under TMP."""
+    program, argv = draw(well_formed_command_lines())
+    values = [i for i in range(1, len(argv)) if argv[i - 1].startswith("--")
+              and not argv[i].startswith("TMP")]
+    how = draw(st.sampled_from(["as drawn"] * 4 + ["malformed", "unknown flag"]))
+    if how == "malformed" and values:
+        argv[draw(st.sampled_from(values))] = draw(MALFORMED)
+    elif how == "unknown flag":
+        argv.insert(draw(st.integers(1, len(argv))), "--no-such-flag")
+    return program, argv
+
+
+def files_under(path):
+    return sorted((str(p), p.is_file() and p.read_bytes()) for p in path.rglob("*"))
+
+
+@given(command_lines())
+@settings(max_examples=100, deadline=None)
+def test_every_command_line_exits_0_1_or_2_with_one_error_line(command_line):
+    program, argv = command_line
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "file").write_text("")
+        Scenario(n_processes=3, config=ProtocolConfig(100, 50), network=NetworkModel(),
+                 duration=2_000, seed=1).dump(Path(tmp) / "scenario.json")
+        argv = [arg.replace("TMP", tmp) for arg in argv]
+        before = files_under(Path(tmp))
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            # A relative path lands under TMP too, where it is seen.
+            mp.chdir(tmp)
+            try:
+                if program == "nfdl":
+                    code = main(argv)
+                else:
+                    mp.setattr(sys, "argv", [program, *argv])
+                    runpy.run_path(str(SCRIPTS / program), run_name="__main__")
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
+        if code:
+            assert err.getvalue().count("\n") == 1
+            assert err.getvalue().startswith("error:") and err.getvalue().endswith("\n")
+        if code == 2:
+            assert files_under(Path(tmp)) == before
