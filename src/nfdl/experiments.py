@@ -33,6 +33,8 @@ ALPHA_MS = 670
 LOSS_PROB = 0.0175917
 DELAY_MEAN_MS = 5.0
 DELAY_VAR_MS2 = 25.3356
+# The speed runs' pinned high-priority leader.
+SPEED_LEADER = 2
 
 # The suite's QoS requirements, keyed as in a file read by
 # ``simnet.load(QosRequirements, ...)``.
@@ -66,7 +68,6 @@ def speed_scenario(
     seed: int,
     cycles: int = 10,
     n: int = 5,
-    leader: int = 2,
     downtime: int = 60_000,
     spacing: int = 60_000,
 ) -> Scenario:
@@ -78,8 +79,8 @@ def speed_scenario(
         base = (at // eta) * eta
         phase = (k + 1) * eta // cycles
         crash = base + phase
-        faults.append(FaultEvent(crash, leader, "crash"))
-        faults.append(FaultEvent(crash + downtime, leader, "recover"))
+        faults.append(FaultEvent(crash, SPEED_LEADER, "crash"))
+        faults.append(FaultEvent(crash + downtime, SPEED_LEADER, "recover"))
         at = crash + downtime + spacing
     duration = at + 10_000
     return Scenario(
@@ -90,7 +91,7 @@ def speed_scenario(
         seed=seed,
         algorithm="nfdl",
         faults=tuple(faults),
-        high_priority=leader,
+        high_priority=SPEED_LEADER,
     )
 
 

@@ -18,15 +18,8 @@ explicit clock argument (no internal timers, no wall clock):
   from all-pairs monitoring, kept as the analytic cross-check for the
   simulator's counters.
 
-Drivers (the simulator, or any transport adapter) deliver heartbeats, fire
-timers at the advertised deadlines, and call for a heartbeat at every send
-instant of the process's schedule.  ``NfdlProcess`` has one transition per
-input: ``deliver`` takes a heartbeat and reports whether the leader changed
-and the deadline it moved, and ``on_timer_fire`` takes the expiry of that
-deadline and reports whether the leader changed.  The simulator runs it
-as its ``nfdl`` node.  ``on_heartbeat`` reports a delivery as an
-``Output``, the leader with the answer.  A follower's accepted heartbeat
-costs one call below ``deliver``: the window's ``record``.
+:class:`NfdlProcess` states the contract its driver (the simulator, or any
+transport adapter) keeps.
 """
 
 from __future__ import annotations

@@ -1,164 +1,38 @@
 """Deterministic discrete-event simulation of heartbeat protocols.
 
 A single virtual clock in integer milliseconds drives every process; the
-protocol machines only ever see the clock value handed to them.  Links drop
-each message independently with a fixed probability and delay survivors by a
-sampled, non-negative integer delay.  Every message gets its own random
-block keyed by (seed, sender, seq, receiver), so traces are a pure function
-of (scenario, seed) and editing one link or adding a process never perturbs
-the samples on another link.  The block is the first Philox block under key
-(seed, sender) at counter (receiver, 0, seq, 0).  One :func:`link_stream`
-rekey yields a send's blocks for all its receivers: word 0 of a block
-decides loss and word 1 picks the whole-ms delay from the :func:`delay_cdf`
-table of the link's law.  A sender's consecutive sends are drawn a run at a
-time (:func:`sample_run`), with the same blocks as one send at a time.  A
-run checks its keys and installs the key (seed, sender) with one
-:func:`link_stream` call; each further row only rewrites the counter's seq
-word.  A run is one row of delays per send, -1 for a lost copy; it is
-dropped when its sender stops sending.  The simulator adds the send instant.
+protocol machines only ever see the clock value handed to them.  A trace is
+a pure function of (scenario, seed): identical inputs give byte-identical
+traces, and every message draws its own random block keyed by (seed,
+sender, seq, receiver), so editing one link or adding a process never
+perturbs the samples on another link.
+
+The module provides:
+
+* the scenario schema: :class:`Scenario`, with its :class:`NetworkModel`
+  and :class:`FaultEvent` schedule, read and checked through one key table
+  by :func:`load`, so a bad file fails with a :class:`ScenarioError` that
+  names its key;
+* link sampling: a link drops each message independently with a fixed
+  probability and delays a survivor by a whole-ms delay drawn from the
+  table of its law (:func:`delay_cdf`); :func:`link_stream` is one
+  message's random stream and :func:`sample_run` draws a sender's next
+  sends at once (see the "Link sampling" block);
+* traces and sinks: :class:`TraceEvent` is one line's fields and its
+  reference format, :class:`EventTrace` what one run observed, and
+  :class:`TraceWriter` the sink that streams a trace file;
+* the nodes and :class:`Simulator`: ``nfdl`` runs one
+  :class:`NfdlProcess` per process, and both baselines run one all-pairs
+  monitor node per process; :class:`Simulator` is the event loop, and its
+  docstring holds the loop's design.  :func:`run` and :func:`stream_run`
+  run a scenario in memory or to a trace file.
 
 Fault injection is a scripted schedule of crash/recover events.  A crash
 discards the process's volatile state and silences it; messages still in
 flight toward it are dropped at their delivery instant.  Recovery re-runs
 initialization against the preserved stable store with the advanced clock.
-
-Simultaneous events are ordered by (time, process id, event kind rank) with
-kind ranks crash < recover < timer < send < deliver, then by insertion
-order.  The deliveries of one send share one insertion order, the one
-after its tick's: they never tie on (time, receiver), and deliveries of
-different sends that tie keep send order.  Timer-before-deliver makes a
-heartbeat that lands exactly on the freshness deadline count as late,
-matching the strict "arrived before the deadline" reading of the monitors.
-
-The event heap holds no entry per message.  The deliveries that the sends of
-one instant ``now`` make with a delay of at least 1 ms are collected in one
-list, the instant's *delivery run*, each as one int key, ``delay << 2*b |
-receiver << b | send`` with ``b = n.bit_length()``, where ``send`` indexes
-the instant's (order, heartbeat, text) per send, in send order.  A process
-sends at most once per instant, so the keys are unique, and their int order
-is the heap's: time, then receiver, then send order.  Delays stay below
-MAX_DELAY_TABLE (2**20), so for n below 2**21 a key fits in an int64.  The
-first send at ``now`` opens the run.  The run is whole once no more sends
-can come at ``now``, and it is then sorted once, latest first.  When a send
-ends and the heap's head is due after ``now``, nothing more happens at
-``now``: every event due then is already in the heap, a delivery with delay
-0 included.  So when the instant's first send ends that way, the run is
-sorted at once and delivered from.  Otherwise that send pushes one opening
-entry at ``(now + 1, -1, ...)``, which sorts after every event at ``now``
-and before every entry of a later instant, and the run is sorted when it
-pops.  An instant with one sender and nothing else thus costs the heap no
-entry for its run.  A run
-that holds more than _PACK (8,192) keys after a send moves into an int64
-``array``, 8 B a key where a list takes about 36, and later sends of the
-instant append there; numpy sorts it in place.  The loop then pops the run's
-last key, its next due, and compares the entry it decodes with the heap's
-head ``heap[0]``.  While the run's entry is the smaller, the loop delivers
-it; otherwise the key goes back and the run waits in the heap under that
-entry's key, ``(time, receiver, deliver, order, (now, sends, run))``.  The
-keys are the heap's own, so the merge keeps the order that a heap entry per
-message would give, byte for byte.  A send's deliveries with delay 0 are due
-at the send instant itself, possibly before a later tick at it, so they go
-into the heap at once, as one run of their own under the first receiver's
-key.  Every delivery thus leaves through a run.  A horizon entry at
-``(duration, -1, ...)`` sorts before every entry due at or after the end, so
-the heap never empties while the loop runs and no delivery due at the end is
-made.
-
-Every algorithm runs behind one node interface.  ``sends()`` says whether
-the node sends heartbeats now, and only a node that sends has a tick: one
-heap entry per send instant ``zerotime + i*eta``, at most one pending per
-live node.  Each tick asks the node's ``next_heartbeat(now)`` once.  None
-means the node no longer sends: the tick is dropped and schedules no
-successor.  Otherwise it is the heartbeat for the node's ``targets``: None
-broadcasts it as one ``send`` event, a tuple sends and logs one unicast per
-receiver.  A node starts sending only at start-up, where its first tick is
-the first send instant strictly after the start, or when a timer fires:
-then it is the first send instant at or after the firing, since ticks rank
-after timers at one instant, and none is added while the node's old tick is
-still pending.  Under ``nfdl`` only the current leader ticks; the nfde-pair
-receiver never does.
-
-``deadline_of(key)`` is the deadline filed under ``key`` (None when
-unarmed); the node's own id keys the one it arms at start-up, if any.
-Nodes report their own changes: ``deliver(hb, now)`` applies a delivery
-and returns ``(changed, key, deadline)``: whether the output changed, and
-the key whose deadline it moved with its new deadline (both None when none
-moved).  ``on_timer_fire(now, key)`` expires and clears the deadline under
-``key`` and returns whether the output changed.  ``output()`` is the value
-traced by ``output_change`` (a leader id, or a trust/suspect verdict); the
-simulator reads it only to log a change.  :meth:`Simulator.run` handles a
-delivery and the timer arm that follows it, and a timer entry, in its own
-loop, so the loop makes one call per delivery, ``deliver``, and one per
-timer entry that is not stale, ``deadline_of``.  It makes a send in the
-loop too, whose one call is ``next_heartbeat``.  Under ``nfdl`` the node is
-the ``NfdlProcess`` itself: its ``deliver`` calls on into the leader's
-arrival window, which the process keeps itself, only for a fresh heartbeat
-from the leader or a takeover.
-
-Timers are re-armed lazily, with at most one live heap entry per (process,
-key), each kept in slot ``pid*stride + key``.  An election node files only
-under its own id, so ``nfdl`` has stride 0 and n slots; the all-pairs node
-files under each peer it watches, in n slots per process.  A delivery that
-sets a deadline *arms* the key and takes the next push order, whether or
-not it pushes.  It pushes ``(max(now, deadline), pid, timer, order, key)``
-only when no entry is pending or the deadline moved earlier than the
-pending entry's instant; the entry it replaces goes stale.  A deadline
-moved later pushes nothing: the pending entry pops early, sees that a later
-arm set the deadline, and pushes itself again at that deadline under that
-arm's order.  So a timer fires at its deadline and in the place the last
-arm's own entry would have had: two timers of one process at one instant
-fire in the order their deadlines were last set.  A start-up deadline files
-its entry at once under its own push order, since the process has no entry
-pending.  A crash drops its process's live entries, which then pop as
-no-ops.
-
-``nfdl`` runs one ``NfdlProcess`` per process, whose leader broadcasts and
-which files its one deadline under its own id.  Both baselines are one
-all-pairs node that sends to its targets and runs an ``NfdeMonitor`` per
-watched peer:
-
-* ``naive-reduction`` - every process sends to and watches all others and
-  outputs the lowest id it trusts, counting itself;
-* ``nfde-pair`` - process 0 sends to process 1, which watches it and
-  outputs its verdict.
-
-Each event is logged as its formatted trace line, newline included: every
-log site writes its own line with one f-string, byte for byte what
-:meth:`TraceEvent.line` gives, and no :class:`TraceEvent` is built.  Text
-that the messages of one send share is formatted once per send: the
-``sender= seq= uptime=`` payload of their ``deliver`` lines, which rides in
-the queue entry with the heartbeat, and, for a unicast send, its ``send``
-line up to the receiver.  Each process's part of the ``send`` and
-``deliver`` lines, of the payload and of a unicast's receiver is formatted
-once per run.  The simulator keeps the lines it logs pending.  Whenever
-more than _BATCH lines wait after an event, and at the end of the run, it
-joins them and hands that text to its *sink*: batches of whole
-newline-terminated lines, in log order, which is non-decreasing time, each
-of at most _BATCH lines plus one event's.  So a start-up storm's lines go
-on while its deliveries are made.  The default sink appends each batch to
-``trace.event_batches``, so :meth:`Simulator.run` returns every line.  Any
-other sink receives the batches instead and the list stays empty, so a run
-holds no event list; the ``write`` method of :class:`TraceWriter` is the
-sink that writes the trace file, and :func:`stream_run` runs a scenario
-through it.  Scoring the trace is ``qos``'s work, which needs none of this
-module at run time.  The trace's counters, final outputs and
-``output_changes``, each process's logged (time, output) pairs in log order,
-are filled in either way.  Links are counted as sends only: every sender
-sends to all the others, so ``link_sent`` of (s, r) is s's count of sends,
-derived from the per-sender counts each time it is read; a run stores no
-per-link count.  ``trace.event_lines()`` yields the kept lines in log order,
-and is the one reader that splits the batches; ``trace.events`` parses its
-lines back into :class:`TraceEvent` objects with :meth:`TraceEvent.parse`,
-for readers that want fields.
-
-The loop runs with CPython's cyclic garbage collector off, and restores the
-caller's setting when it ends or raises, as :mod:`timeit` does.  A run makes
-no reference cycles: its queue entries, delivery runs, heartbeats, nodes and
-lines form trees, so reference counting frees each of them once it is
-dropped.  A delivery run holds ints, and only the heap entry that carries it
-points at it, so one cut off at the horizon is freed with its keys.  With
-the collector on, a run of many processes would pay for full passes over its
-event heap that free nothing.
+Scoring a trace is ``qos``'s work, which needs none of this module at run
+time.
 """
 
 from __future__ import annotations
@@ -673,14 +547,11 @@ def _trace_header(scenario: Scenario) -> list[str]:
 class EventTrace:
     """Everything observable about one run: the event log, every process's
     output history (``output_changes``: pid -> the (time, output) pairs of
-    its ``output_change`` events, in log order) and counters.  Links are
-    counted as sends only: ``link_sent`` of (s, r) is s's send count, built
-    from ``send_counts`` on each read, so the trace holds no n(n-1) dict.
+    its ``output_change`` events, in log order) and counters.
 
-    ``event_batches`` holds the logged events' trace lines as the simulator
-    handed them on, strings of whole newline-terminated lines in log order,
-    each of at most _BATCH lines plus one event's (empty when the run
-    streamed them to a sink)."""
+    ``event_batches`` holds the logged lines in the batches the
+    :class:`Simulator` handed on, and is empty when the run streamed them
+    to another sink."""
 
     scenario: Scenario
     event_batches: list[str] = field(default_factory=list)
@@ -694,9 +565,9 @@ class EventTrace:
 
     @property
     def link_sent(self) -> dict[tuple[int, int], int]:
-        """Sends per link (s, r), built from ``send_counts`` on each read:
-        every sender sends to all the others, so each of its links carries
-        its every send."""
+        """Sends per link (s, r), built from ``send_counts`` on each read, so
+        the trace holds no n(n-1) dict: every sender sends to all the
+        others, so each of its links carries its every send."""
         n, per_send = self.scenario.n_processes, _lines_per_send(self.scenario)
         return {(s, r): c // per_send for s, c in self.send_counts.items()
                 for r in range(n) if r != s}
@@ -724,9 +595,7 @@ class EventTrace:
 
 class TraceWriter:
     """Writes a trace file one batch of event lines at a time; its
-    ``write`` method is a simulator sink, which hands its lines on once
-    more than _BATCH wait and at the end of the run, so a batch holds at
-    most _BATCH lines plus the lines of one event.
+    ``write`` method is a :class:`Simulator` sink.
 
     The header goes out on opening.  ``write(batch)`` writes one batch as
     it is, and ``writelines(batches)`` writes each of many in turn; both
@@ -836,31 +705,100 @@ class _MonitorNode:
 
 
 class Simulator:
-    """Single-use event loop for one scenario.
+    """Single-use event loop for one scenario, and the one account of how it
+    runs.
 
-    ``sink``, when given, receives the logged lines in batches of whole
-    newline-terminated lines: one whenever more than _BATCH lines wait
-    after an event, and one for the run's tail; ``trace.event_batches``
-    then stays empty.  ``trace.output_changes`` is filled either way.  After
-    :meth:`run` the per-process nodes stay inspectable via :attr:`nodes`
-    (None for processes that ended the run crashed); under ``nfdl`` each
-    node is an :class:`NfdlProcess`.  A delivery arms its timer from the
-    deadline the node's ``deliver`` hands back, inside :meth:`run`.
+    :meth:`run` runs once and returns the :class:`EventTrace`.  ``store``
+    defaults to a fresh :class:`MemoryStore`.  After the run the nodes stay
+    inspectable via :attr:`nodes` (None for processes that ended it
+    crashed).
 
-    :meth:`run` makes each send in its own loop, at the send's tick, as it
-    makes deliveries and fires timers.  The deliveries of one send instant
-    wait in that instant's delivery run outside the event heap, one int key
-    each, in a list or, once it grows long, an int64 array; a send's
-    deliveries with delay 0 wait in a run of their own.  An instant's run is
-    sorted when its last send ends, if nothing else is due at that instant,
-    and otherwise when an opening entry at the next millisecond pops;
-    :meth:`run` merges each run against the heap's head, one entry at a time
-    (see the module docstring).  So the heap holds ticks, timers, faults and
-    one entry per delivery run in flight.
+    *Event order.*  Simultaneous events are ordered by (time, process id,
+    kind rank) with ranks crash < recover < timer < send < deliver, then by
+    push order.  All deliveries of one send share the push order after that
+    of the tick it files next; they go to distinct receivers, so they never
+    tie, and deliveries of different sends that tie keep send order.
+    Timer-before-deliver makes a heartbeat that lands exactly on its
+    freshness deadline count as late, the monitors' strict "arrived before
+    the deadline" reading.
 
-    :meth:`run` turns the cyclic garbage collector off for its loop and
-    then restores the caller's setting.  ``gc`` is process-global, so on a
-    threaded host every thread sees its collector paused while a run lasts.
+    *Nodes.*  Every algorithm runs behind one interface.  A node that
+    ``sends()`` has one tick entry per send instant ``zerotime + i*eta``, at
+    most one pending.  The first is the first instant strictly after its
+    start-up or, when a timer fire makes it send and no tick of it is
+    pending, the first at or after the fire (ticks rank after timers).  A
+    tick asks ``next_heartbeat(now)`` once.  None ends the node's sending:
+    no successor is filed and its drawn delay rows are dropped.  Otherwise
+    the heartbeat goes to ``targets``: None broadcasts it to all others as
+    one ``send`` line, a tuple logs one unicast line per receiver.
+    ``deliver(hb, now)`` returns ``(changed, key, deadline)``: whether the
+    output changed, and the key whose deadline it moved with the new
+    deadline (both None when none moved).  ``deadline_of(key)`` is the
+    deadline filed under ``key``, None when unarmed; a node's own id keys
+    the one it arms at start-up.  ``on_timer_fire(now, key)`` expires that
+    deadline and returns whether the output changed, and ``output()`` is
+    read only to log a change.  So a send calls the node once
+    (``next_heartbeat``), and so does a delivery (``deliver``).  Under
+    ``nfdl`` the node is an :class:`NfdlProcess`, and only the leader ticks.
+    Under ``naive-reduction`` each :class:`_MonitorNode` sends to and
+    watches all others; under ``nfde-pair`` process 0 sends to process 1,
+    which watches it.
+
+    *Delivery runs.*  The heap holds ticks, timers, faults, the horizon and
+    one entry per delivery run in flight, never one per message.  The
+    deliveries that the sends of one instant ``now`` make with a delay of at
+    least 1 ms form that instant's run, each one int key ``delay << 2*b |
+    receiver << b | send`` with ``b = n.bit_length()``, where ``send``
+    indexes the instant's (order, heartbeat, text) per send.  A process
+    sends at most once per instant, so the keys are unique and their int
+    order is the heap's: time, receiver, send order.  A run is sorted once,
+    latest first, when no more sends can come at ``now``.  If the instant's
+    first send ends with the heap's head due later, every event at ``now``
+    is already in the heap, so the run is sorted at once.  Otherwise that
+    send pushes an opening entry at ``(now + 1, -1, ...)``, after every
+    event at ``now`` and before every later one, and the run is sorted when
+    it pops.  A run that holds more than _PACK keys after a send moves into
+    an int64 ``array``, which numpy sorts in place.  The loop pops the run's
+    last key and delivers it in place while the entry it decodes sorts
+    before ``heap[0]``; otherwise the key goes back and the run waits in the
+    heap under that entry's key, ``(time, receiver, deliver, order, (now,
+    sends, run))``.  So the order is the one an entry per message would
+    give.  A send's delay-0 deliveries are due at its own instant, maybe
+    before a later tick there, so they go into the heap at once as a run of
+    their own under the first receiver's key.
+
+    *Timers* are re-armed lazily, with at most one live heap entry per
+    (process, key).  A delivery that sets a deadline arms the key and takes
+    the next push order.  It pushes only when no entry is pending or the
+    deadline moved earlier than the pending one, which then goes stale.
+    Otherwise it pushes nothing: the pending entry pops early and files
+    itself again at the deadline under the last arm's order.  So a timer
+    fires at its deadline in the place the last arm's own entry would have
+    had, and two timers of one process at one instant fire in the order
+    their deadlines were last set.  A start-up deadline files at once under
+    its own push.  A crash drops its process's live entries, which then pop
+    as no-ops.
+
+    *Trace text.*  Each log site writes its event's trace line with one
+    f-string, byte for byte :meth:`TraceEvent.line`; no :class:`TraceEvent`
+    is built.  Text that a send's messages share (the ``deliver`` payload,
+    and a unicast's ``send`` line up to its receiver) is formatted once per
+    send, each process's parts of lines once per run.  Whenever more than
+    _BATCH lines wait after an event, and at the end, they go to ``sink``
+    joined as one batch: whole newline-terminated lines in log order, at
+    most _BATCH plus one event's.  The default sink appends to
+    ``trace.event_batches``; with any other, such as
+    :meth:`TraceWriter.write`, that list stays empty and a run holds no
+    event list.  Output changes, final outputs and send counts are kept
+    either way.
+
+    *The collector.*  :meth:`run` turns CPython's cyclic garbage collector
+    off for its loop and restores the caller's setting when it ends or
+    raises, as :mod:`timeit` does.  A run makes no reference cycles: its
+    entries, runs, heartbeats, nodes and lines form trees that reference
+    counting frees, so the collector would only rescan the heap.  ``gc`` is
+    process-global, so every thread sees its collector paused while a run
+    lasts.
     """
 
     def __init__(self, scenario: Scenario, store=None, sink=None):
@@ -914,7 +852,7 @@ class Simulator:
             raise RuntimeError("a Simulator instance runs exactly once")
         self._ran = True
         sc = self.scenario
-        # Reference counting frees all that a run makes (see the module
+        # Reference counting frees all that a run makes (see the class
         # docstring), so the cyclic collector would only rescan the heap.
         collecting = gc.isenabled()
         gc.disable()
@@ -1185,9 +1123,8 @@ def run(scenario: Scenario) -> EventTrace:
 
 def stream_run(scenario: Scenario, trace_path: str | Path, store=None) -> EventTrace:
     """Run ``scenario`` holding no event list: the event lines go to the
-    trace file at ``trace_path`` in one write per batch, whenever more than
-    _BATCH lines wait and at the end.  Returns the trace: counters, output
-    changes and final outputs, no events.  The file appears only if the run
-    succeeds."""
+    trace file at ``trace_path``, one write per batch.  Returns the trace:
+    counters, output changes and final outputs, no events.  The file
+    appears only if the run succeeds."""
     with TraceWriter(trace_path, scenario) as writer:
         return Simulator(scenario, store=store, sink=writer.write).run()

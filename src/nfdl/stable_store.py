@@ -11,13 +11,18 @@ refused: a stored zerotime later than the initialization clock raises
 
 Two interchangeable backends: an in-memory map for simulations (with
 injectable corruption) and a file-per-process directory layout for real use
-(``<state_dir>/zerotime.<pid>``, the decimal timestamp plus a newline,
-written atomically via rename; any other content is a corrupt record).
+(``<state_dir>/zerotime.<pid>``, the decimal timestamp plus a newline; any
+other content is a corrupt record).  A file record is written to a temp file
+of its own and hard-linked into place, so it appears whole or not at all, and
+the link fails if the record exists: of writers racing on one directory, one
+succeeds and the others raise :class:`WriteOnceViolation`.  Nothing is
+fsynced, so a machine crash can still lose a record reported as written.
 """
 
 from __future__ import annotations
 
 import os
+import tempfile
 from pathlib import Path
 
 
@@ -121,14 +126,22 @@ class FileStore:
 
     def store_zerotime(self, process: int, t: int) -> None:
         path = self._path(process)
-        if path.exists():
-            raise WriteOnceViolation(f"{path} already exists")
-        tmp = path.with_suffix(path.suffix + ".tmp")
+        tmp = None
         try:
-            tmp.write_bytes(_record(t))
-            os.replace(tmp, path)
+            # A temp file of its own, hard-linked into place: the link fails
+            # if the record exists, so of two racing writers only one wins.
+            fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp",
+                                       dir=self.state_dir)
+            with open(fd, "wb") as f:
+                f.write(_record(t))
+            os.link(tmp, path)
+        except FileExistsError as exc:
+            raise WriteOnceViolation(f"{path} already exists") from exc
         except OSError as exc:
             raise StorageError(f"cannot write {path}: {exc}") from exc
+        finally:
+            if tmp is not None:
+                os.unlink(tmp)
         self.writes[process] = self.writes.get(process, 0) + 1
 
 

@@ -3,7 +3,9 @@ import gc
 import io
 import json
 import math
+import os
 import runpy
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -17,7 +19,7 @@ from nfdl import qos
 from nfdl.cli import main
 from nfdl.experiments import measure_cost
 from nfdl.protocol import ProtocolConfig
-from nfdl.simnet import FaultEvent, NetworkModel, Scenario
+from nfdl.simnet import MAX_PROCESSES, FaultEvent, NetworkModel, Scenario
 
 
 def run_cli(*argv):
@@ -403,6 +405,17 @@ def test_run_exits_1_on_a_corrupt_zerotime_record(tmp_path, capsys, raw):
     assert list((tmp_path / "out").iterdir()) == []
 
 
+def test_run_exits_1_on_an_unreadable_zerotime_record(tmp_path, capsys):
+    state = tmp_path / "state"
+    (state / "zerotime.0").mkdir(parents=True)
+    code = run_cli("run", "--procs", "2", "--duration-ms", "5000",
+                   "--out", str(tmp_path / "out"), "--state-dir", str(state))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {state / 'zerotime.0'}: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("algo", ["nfdl", "naive", "nfde-pair"])
 def test_run_exits_2_on_a_zerotime_stored_after_the_start(tmp_path, capsys, algo):
     # Every node kind refuses the record where it is loaded, with one
@@ -744,3 +757,23 @@ def test_every_command_line_exits_0_1_or_2_with_one_error_line(command_line):
             assert err.getvalue().startswith("error:") and err.getvalue().endswith("\n")
         if code == 2:
             assert files_under(Path(tmp)) == before
+
+
+def test_python_m_nfdl_runs_the_command_line(tmp_path):
+    # The in-process tests call main(); this runs the package's __main__
+    # and entrypoint, whose exit status is the command's.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def nfdl(*argv):
+        return subprocess.run([sys.executable, "-m", "nfdl", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    done = nfdl("configure")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("eta_ms=1000 alpha_ms=0\n")
+    done = nfdl("run", "--procs", "1", "--out", str(tmp_path / "out"))
+    assert done.returncode == 2
+    assert done.stderr == f"error: n_processes: must be within [2, {MAX_PROCESSES}], got 1\n"
+    assert not (tmp_path / "out").exists()

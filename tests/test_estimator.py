@@ -54,6 +54,12 @@ def test_record_rejects_stale_seq():
         w.record(2, 600)
 
 
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_window_capacity_below_one_is_rejected(capacity):
+    with pytest.raises(ValueError, match="window capacity must be >= 1"):
+        ArrivalWindow(capacity)
+
+
 def test_expected_arrival_constant_shift():
     w = fill([(1, 110), (2, 210), (3, 310)])
     assert w.expected_arrival(eta=100, next_seq=4) == 410

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -84,6 +87,32 @@ def test_file_store_layout(tmp_path):
     fs.store_zerotime(7, 42)
     assert (tmp_path / "s" / "zerotime.7").read_text() == "42\n"
     assert not list((tmp_path / "s").glob("*.tmp"))
+
+
+def test_racing_file_stores_write_a_record_once(tmp_path, monkeypatch):
+    # Both writers see no record, as when they race on one directory: the
+    # second must fail, not replace the record the first reported written.
+    first, second = FileStore(tmp_path), FileStore(tmp_path)
+    monkeypatch.setattr(Path, "exists", lambda self: False)
+    first.store_zerotime(0, 100)
+    with pytest.raises(WriteOnceViolation):
+        second.store_zerotime(0, 200)
+    assert (tmp_path / "zerotime.0").read_text() == "100\n"
+    assert (first.writes, second.writes) == ({0: 1}, {})
+    assert [p.name for p in tmp_path.iterdir()] == ["zerotime.0"]
+
+
+def test_a_failed_file_write_is_a_storage_error(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", str(dst))
+
+    fs = FileStore(tmp_path)
+    monkeypatch.setattr(os, "link", refuse)
+    with pytest.raises(StorageError, match="cannot write .*zerotime.3") as raised:
+        fs.store_zerotime(3, 5)
+    assert not isinstance(raised.value, WriteOnceViolation)
+    assert fs.writes == {}
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_load_or_create_writes_exactly_once(store):
