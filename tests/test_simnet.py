@@ -1,5 +1,6 @@
 import gc
 import importlib.util
+import itertools
 import json
 import math
 import re
@@ -1486,6 +1487,47 @@ def test_a_moving_deadline_keeps_one_pending_timer(monkeypatch):
     # pending re-files itself instead of a new entry per delivery.
     assert deliveries > 200
     assert timer_pushes < deliveries / 2
+
+
+def test_timers_of_one_process_at_one_instant_fire_in_the_order_last_set(monkeypatch):
+    # jitter-beyond-eta-naive's settings at seed 0.  Under window_n=2 two
+    # peers' deadlines often fall on one instant; at 7,899 ms process 3's
+    # deadline on peer 2 (7,899, set at 7,861) falls due, and then a late
+    # heartbeat from peer 0 sets a freshness point already past (7,893), so
+    # that deadline is filed at its arm instant.  In both kinds of group the
+    # peer set last fires last, whatever the deadlines' values or peer ids.
+    sc = scenario(algorithm="naive-reduction", n_processes=4,
+                  config=ProtocolConfig(20, 10, window_n=2), network=JITTERY, seed=0,
+                  duration=10_000, faults=crash_recover(1, 3_000, 5_000))
+    stamps, last_set, fires = itertools.count(), {}, []
+    deliver, on_timer_fire = _MonitorNode.deliver, _MonitorNode.on_timer_fire
+
+    def setting(node, hb, now):
+        out = deliver(node, hb, now)
+        if out[1] is not None:
+            last_set[node, out[1]] = next(stamps)
+        return out
+
+    def firing(node, now, key):
+        fires.append((node, now, key, node.monitors[key].deadline, last_set[node, key]))
+        return on_timer_fire(node, now, key)
+
+    monkeypatch.setattr(_MonitorNode, "deliver", setting)
+    monkeypatch.setattr(_MonitorNode, "on_timer_fire", firing)
+    run(sc)
+    groups: dict[tuple, list] = {}
+    for node, now, key, deadline, stamp in fires:
+        groups.setdefault((node, now), []).append((key, deadline, stamp))
+    same_value = other_value = 0
+    for group in groups.values():
+        assert [s for _, _, s in group] == sorted(s for _, _, s in group), group
+        keys = [k for k, _, _ in group]
+        if len(group) > 1 and keys != sorted(keys):
+            if keys != [k for _, k in sorted((d, k) for k, d, _ in group)]:
+                values = {d for _, d, _ in group}
+                same_value += len(values) == 1
+                other_value += len(values) > 1
+    assert same_value > 0 and other_value > 0
 
 
 @given(
