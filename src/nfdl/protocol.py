@@ -101,15 +101,17 @@ class NfdlProcess:
     * deliver each received heartbeat via :meth:`deliver`, which reports
       whether the leader changed and the deadline it moved
       (:meth:`on_heartbeat` reports the same transition as an ``Output``);
-    * whenever :attr:`deadline` changes, arrange a timer and call
-      :meth:`on_timer_fire` when it expires, which reports whether the
-      leader changed (stale timers are no-ops);
+    * keep a timer at :attr:`deadline` (None when unarmed), which
+      :meth:`deliver` may move, and call :meth:`on_timer_fire` when it
+      expires, which reports whether the leader changed (stale timers are
+      no-ops);
     * call :meth:`next_heartbeat` at every send instant of the process's
       schedule (``zerotime + i*eta``); non-leaders return None.
 
     It is the simulator's node for ``nfdl``: the leader broadcasts (no
     ``targets``), its output is the leader, and its one deadline, grace or
-    freshness, is filed under its own id.
+    freshness, is keyed by its own id, which :meth:`due` names once it is
+    due.
 
     A follower keeps its leader's arrivals in an :class:`ArrivalWindow`,
     started afresh on every adoption, and sets its freshness deadline to
@@ -155,6 +157,11 @@ class NfdlProcess:
     def deadline_of(self, key: int) -> int | None:
         """The deadline; ``key`` is always this process's id."""
         return self.deadline
+
+    def due(self, now: int) -> int | None:
+        """This process's id while its deadline is due by ``now``, else None."""
+        deadline = self.deadline
+        return None if deadline is None or deadline > now else self.self_id
 
     def deliver(
         self, hb: Heartbeat, now: int

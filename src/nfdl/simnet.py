@@ -647,8 +647,9 @@ class _MonitorNode:
     An electing node outputs the lowest id it trusts, counting itself;
     otherwise it watches at most one peer and outputs the verdict on it
     (None when it watches nobody).  Bit ``p`` of ``trusted`` is set iff the
-    monitor of peer ``p`` trusts it.  Peer ``p``'s deadline is filed under
-    ``p``.
+    monitor of peer ``p`` trusts it.  ``set_count[p]`` is the count of
+    deadline sets, over all peers, up to the last that set peer ``p``'s, so
+    due deadlines fire in the order they were last set.
     """
 
     def __init__(self, pid: int, config: ProtocolConfig, store, now: int,
@@ -658,6 +659,8 @@ class _MonitorNode:
         self.zerotime = load_or_create_zerotime(store, pid, now)
         self.targets = targets
         self.monitors = {p: NfdeMonitor(config) for p in watched}
+        self.set_count = dict.fromkeys(watched, 0)
+        self.sets = 0
         self.elect = elect
         self.trusted = 0
 
@@ -678,6 +681,7 @@ class _MonitorNode:
         deadline = monitor.deadline
         if deadline == before:
             return changed, None, None
+        self.sets = self.set_count[sender] = self.sets + 1
         return changed, sender, deadline
 
     def on_timer_fire(self, now: int, key: int) -> bool:
@@ -702,6 +706,23 @@ class _MonitorNode:
     def deadline_of(self, key: int) -> int | None:
         monitor = self.monitors.get(key)
         return None if monitor is None else monitor.deadline
+
+    @property
+    def deadline(self) -> int | None:
+        """The earliest armed deadline, None when none is armed."""
+        earliest = None
+        for monitor in self.monitors.values():
+            deadline = monitor.deadline
+            if deadline is not None and (earliest is None or deadline < earliest):
+                earliest = deadline
+        return earliest
+
+    def due(self, now: int) -> int | None:
+        """The peer whose deadline, due by ``now``, was set first; None when
+        none is due."""
+        due = [p for p, m in self.monitors.items()
+               if m.deadline is not None and m.deadline <= now]
+        return min(due, key=self.set_count.__getitem__, default=None)
 
 
 class Simulator:
@@ -733,16 +754,18 @@ class Simulator:
     one ``send`` line, a tuple logs one unicast line per receiver.
     ``deliver(hb, now)`` returns ``(changed, key, deadline)``: whether the
     output changed, and the key whose deadline it moved with the new
-    deadline (both None when none moved).  ``deadline_of(key)`` is the
-    deadline filed under ``key``, None when unarmed; a node's own id keys
-    the one it arms at start-up.  ``on_timer_fire(now, key)`` expires that
-    deadline and returns whether the output changed, and ``output()`` is
-    read only to log a change.  So a send calls the node once
-    (``next_heartbeat``), and so does a delivery (``deliver``).  Under
-    ``nfdl`` the node is an :class:`NfdlProcess`, and only the leader ticks.
+    deadline (both None when none moved).  ``deadline`` is the node's
+    earliest armed deadline, None when none is armed.  ``due(now)`` is the
+    key of a deadline due by ``now``, the one set first when several are,
+    and None when none is; ``deadline_of(key)`` is that key's deadline, and
+    ``on_timer_fire(now, key)`` expires it and returns whether the output
+    changed.  ``output()`` is read only to log a change.  So a send calls
+    the node once (``next_heartbeat``), and so does a delivery
+    (``deliver``).  Under ``nfdl`` the node is an :class:`NfdlProcess`,
+    whose one deadline is keyed by its own id, and only the leader ticks.
     Under ``naive-reduction`` each :class:`_MonitorNode` sends to and
-    watches all others; under ``nfde-pair`` process 0 sends to process 1,
-    which watches it.
+    watches all others, one deadline per peer keyed by the peer's id; under
+    ``nfde-pair`` process 0 sends to process 1, which watches it.
 
     *Delivery runs.*  The heap holds ticks, timers, faults, the horizon and
     one entry per delivery run in flight, never one per message.  The
@@ -767,17 +790,19 @@ class Simulator:
     before a later tick there, so they go into the heap at once as a run of
     their own under the first receiver's key.
 
-    *Timers* are re-armed lazily, with at most one live heap entry per
-    (process, key).  A delivery that sets a deadline arms the key and takes
-    the next push order.  It pushes only when no entry is pending or the
-    deadline moved earlier than the pending one, which then goes stale.
-    Otherwise it pushes nothing: the pending entry pops early and files
-    itself again at the deadline under the last arm's order.  So a timer
-    fires at its deadline in the place the last arm's own entry would have
-    had, and two timers of one process at one instant fire in the order
-    their deadlines were last set.  A start-up deadline files at once under
-    its own push.  A crash drops its process's live entries, which then pop
-    as no-ops.
+    *Timers.*  Each process has at most one live heap entry, filed at its
+    node's earliest armed deadline, or at the instant that deadline was set
+    when it was already past then.  A delivery that sets a deadline earlier
+    than the pending entry pushes a new entry, and the pending one goes
+    stale; otherwise it pushes nothing.  When the live entry pops at ``t``,
+    the loop reads the node's ``deadline``.  If that is later than ``t``,
+    deliveries have moved the deadlines on, and the entry files itself
+    again there.  Otherwise the deadlines due fire one at a time, each that
+    ``due`` names, so two timers of one process at one instant fire in the
+    order their deadlines were last set; each ``timer_fire`` line logs its
+    own deadline.  After the last fire the node's next earliest deadline is
+    filed.  A start-up deadline files at once.  A crash drops its process's
+    entry, which then pops as a no-op.
 
     *Trace text.*  Each log site writes its event's trace line with one
     f-string, byte for byte :meth:`TraceEvent.line`; no :class:`TraceEvent`
@@ -817,15 +842,9 @@ class Simulator:
         self._ticking: list[object | None] = [None] * n
         self._heap: list[tuple] = []
         self._pushes = 0
-        # Per timer slot ``pid*stride + key``: the heap entry that will fire
-        # or re-file that timer (None when none is pending), and the push
-        # order of the arm that last set its deadline.  An election node
-        # files only under its own id, so nfdl takes stride 0 and n slots;
-        # an all-pairs node files under each peer, in n slots of its own.
-        self._stride = 0 if scenario.algorithm == "nfdl" else n
-        slots = n * (self._stride or 1)
-        self._pending: list[tuple | None] = [None] * slots
-        self._armed = [0] * slots
+        # Per process, its one timer entry that will fire or re-file (None
+        # when none is pending).
+        self._pending: list[tuple | None] = [None] * n
         # Per process its sends.
         self._sends = [0] * n
         self.trace = EventTrace(scenario, output_changes={pid: [] for pid in ids})
@@ -866,7 +885,7 @@ class Simulator:
             # end, so the heap never empties while the loop runs.
             heappush(heap, (duration, -1, _CRASH, 0, None))
             nodes, log, lines, sink = self.nodes, self._log, self._lines, self._sink
-            pendings, armed, stride = self._pending, self._armed, self._stride
+            pendings = self._pending
             ticking, sends, runs, others = self._ticking, self._sends, self._runs, self._others
             n, seed, eta = self._n, sc.seed, sc.config.eta
             loss, cdf = sc.network.loss_prob, self._delay_cdf
@@ -909,17 +928,14 @@ class Simulator:
                             self._log_output_change(pid, time, node.output())
                         if key is None:
                             continue
-                        # Arm the timer of (pid, key) for the deadline its node just
-                        # set.  A pending entry due no later than the deadline
-                        # re-files itself under ``order`` when it pops (see below).
-                        slot = pid * stride + key
-                        order = self._pushes
-                        self._pushes = order + 1
-                        armed[slot] = order
-                        pending = pendings[slot]
+                        # A pending entry due no later than the deadline its
+                        # node just set re-files itself when it pops (see below).
+                        pending = pendings[pid]
                         if pending is None or deadline < pending[0]:
-                            pendings[slot] = entry = (
-                                deadline if deadline > time else time, pid, _TIMER, order, key
+                            order = self._pushes
+                            self._pushes = order + 1
+                            pendings[pid] = entry = (
+                                deadline if deadline > time else time, pid, _TIMER, order, None
                             )
                             heappush(heap, entry)
                         continue
@@ -1013,34 +1029,35 @@ class Simulator:
                         continue
                     # Nothing more happens at this instant: its run is whole.
                 elif rank == _TIMER:
-                    # A timer entry's payload is its key.
-                    slot = pid * stride + payload
                     # Stale once superseded by an earlier deadline, or its
                     # process crashed.
-                    if pendings[slot] is not entry:
+                    if pendings[pid] is not entry:
                         continue
                     node = nodes[pid]
-                    deadline = node.deadline_of(payload)
-                    if armed[slot] != order:
-                        # A later arm set the deadline, no earlier than now.
-                        pendings[slot] = entry = (deadline, pid, _TIMER, armed[slot], payload)
-                        heappush(heap, entry)
-                        continue
-                    pendings[slot] = None
-                    changed = node.on_timer_fire(time, payload)
-                    log(f"{time}\t{pid}\ttimer_fire\tdeadline={deadline}\n")
-                    if changed:
-                        self._log_output_change(pid, time, node.output())
-                    if node.sends() and ticking[pid] is not node:
-                        # Ticks rank after timers, so the send instant ``time``
-                        # itself is still ahead: the first tick falls at or after it.
-                        self._tick(pid, node, time + (node.zerotime - time) % eta)
+                    deadline = node.deadline
+                    if deadline <= time:
+                        while (key := node.due(time)) is not None:
+                            deadline = node.deadline_of(key)
+                            changed = node.on_timer_fire(time, key)
+                            log(f"{time}\t{pid}\ttimer_fire\tdeadline={deadline}\n")
+                            if changed:
+                                self._log_output_change(pid, time, node.output())
+                        if node.sends() and ticking[pid] is not node:
+                            # Ticks rank after timers, so the send instant ``time``
+                            # itself is still ahead: the first tick falls at or after it.
+                            self._tick(pid, node, time + (node.zerotime - time) % eta)
+                        deadline = node.deadline
+                        if deadline is None:
+                            pendings[pid] = None
+                            continue
+                    # File the entry again at the earliest deadline, under its
+                    # order, which no other entry holds.
+                    pendings[pid] = entry = (deadline, pid, _TIMER, order, None)
+                    heappush(heap, entry)
                     continue
                 elif rank == _CRASH:
                     nodes[pid] = None
-                    # The process's slots: its own id under nfdl, else n of them.
-                    width = stride or 1
-                    pendings[pid * width:(pid + 1) * width] = [None] * width
+                    pendings[pid] = None
                     log(f"{time}\t{pid}\tcrash\t\n")
                     continue
                 else:
@@ -1089,14 +1106,11 @@ class Simulator:
         self.nodes[pid] = node
         if node.sends():
             self._tick(pid, node, next_send_time(node.zerotime, now, sc.config.eta))
-        deadline = node.deadline_of(pid)
+        deadline = node.deadline
         if deadline is not None:
-            # A starting process has no timer pending (none has been armed,
-            # or its crash cleared its slots), and its start-up deadline lies
-            # ahead: it files at once, under the order of its own push.
-            slot = pid * self._stride + pid
-            entry = self._pending[slot] = self._push(deadline, pid, _TIMER, pid)
-            self._armed[slot] = entry[3]
+            # A starting process has no timer pending (none has been filed,
+            # or its crash cleared it), and its start-up deadline lies ahead.
+            self._pending[pid] = self._push(deadline, pid, _TIMER, None)
 
     # -- output changes ----------------------------------------------------
 

@@ -90,5 +90,10 @@ def ticking(sim, pid):
 
 
 def timer_slots(sim):
-    """The number of timer slots: pending entries and armed orders."""
-    return len(sim._pending), len(sim._armed)
+    """The number of timer slots, one pending entry each."""
+    return len(sim._pending)
+
+
+def live_timers(sim):
+    """The number of timer entries that will fire or re-file."""
+    return sum(entry is not None for entry in sim._pending)

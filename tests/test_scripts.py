@@ -1,6 +1,7 @@
 """Smoke runs of the campaign scripts at toy sizes."""
 
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -161,3 +162,55 @@ def test_message_cost_script_fails_on_its_out_before_the_sweep(tmp_path):
 def test_compare_cost_prints_nothing_before_it_fails(capsys):
     assert main(["compare-cost", "--procs", "3", "--duration-ms", "1000"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def paired_runs(workload, parent, change, hashes=None):
+    """One parent and one change run per pair, the parent with ``parent[i]``
+    and the change with ``change[i]`` as wall_norm_s."""
+    hashes = hashes or ["h"] * len(parent)
+    return [
+        {"side": side, "workload": workload, "pair": i, "wall_norm_s": value,
+         "attempted": 3, "failed": 0, "trace_sha256": ["h"] if side == "parent" else [hashes[i]]}
+        for i, (p, c) in enumerate(zip(parent, change))
+        for side, value in (("parent", p), ("change", c))
+    ]
+
+
+def test_bench_pairs_summary_applies_the_claim_rule():
+    summarize = load_bench_pairs().summarize
+    metrics, claimed = {"wall_norm_s": "lower"}, ("naive", "wall_norm_s")
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+
+    def lower_in_9(by):
+        return [x - by for x in parent[:9]] + [2.0]
+
+    # Lower in 9 of 10 pairs by 0.45, exactly the parent's quartile spread.
+    summary, claim = summarize(paired_runs("naive", parent, lower_in_9(0.45)), metrics, claimed)
+    m = summary["naive"]["wall_norm_s"]
+    assert m["parent_median"] == 1.45 and m["parent_quartiles"] == [1.225, 1.675]
+    assert m["parent_iqr"] == 0.45 and m["change_median"] == 1.0
+    assert (m["change_lower_pairs"], m["tied_pairs"], m["pairs"]) == (9, 0, 10)
+    assert summary["naive"]["attempted"] == {"parent": 30, "change": 30}
+    assert claim["median_gap"] == 0.45 and not claim["met"]
+    change = lower_in_9(0.5)
+    summary, claim = summarize(paired_runs("naive", parent, change), metrics, claimed)
+    assert claim["met"] and claim["change_better_pairs"] == 9
+    # A tie counts for neither side: lower in 8 of 10 misses nine tenths.
+    tied = change[:8] + [parent[8], 2.0]
+    assert not summarize(paired_runs("naive", parent, tied), metrics, claimed)[1]["met"]
+    # A pair whose traces differ is left out of the summary and fails the claim.
+    hashes = ["h"] * 9 + ["other"]
+    summary, claim = summarize(paired_runs("naive", parent, change, hashes), metrics, claimed)
+    assert summary["naive"]["rejected_pairs"] == [9] and not summary["naive"]["traces_match"]
+    assert summary["naive"]["wall_norm_s"]["pairs"] == 9 and not claim["met"]
+    # A metric better when higher counts the change's higher pairs.
+    summary, claim = summarize(paired_runs("naive", change, parent), {"wall_norm_s": "higher"},
+                               claimed)
+    assert claim["change_better_pairs"] == 9 and claim["met"]
