@@ -171,8 +171,13 @@ def main(argv: list[str] | None = None) -> int:
                               or claim[1] not in metrics):
         parser.error(f"--claim: must be one of the workloads run and an end-to-end "
                      f"metric, got {args.claim!r}")
-
-    trees = {"parent": export(args.parent), "change": ROOT}
+    # Checked before the runs, which take minutes, rather than at the write.
+    if not args.out.parent.is_dir():
+        parser.error(f"--out: no directory {args.out.parent}")
+    try:
+        trees = {"parent": export(args.parent), "change": ROOT}
+    except subprocess.CalledProcessError:
+        parser.error(f"--parent: not a commit of this repository: {args.parent!r}")
     change = git("describe", "--always", "--dirty", "--abbrev=12").decode().strip()
     runs = []
     for workload in workloads:

@@ -169,9 +169,9 @@ class NfdlProcess:
         """Handle a delivered heartbeat: ``(changed, key, deadline)``.
 
         ``changed`` is True iff the leader changed.  When the freshness
-        deadline moved, ``key`` is this process's id, the one key its
-        deadline is filed under, and ``deadline`` the new deadline; both are
-        None when it did not move.
+        deadline moved, ``key`` is this process's id, the key of its one
+        deadline, and ``deadline`` the new deadline; both are None when it
+        did not move.
 
         From the current leader: fresh labels enter the leader's window and
         advance the freshness deadline (stale ones change nothing).  From

@@ -1,4 +1,5 @@
-"""Smoke runs of the campaign scripts at toy sizes."""
+"""Smoke runs of the campaign scripts at toy sizes, and the benchmark pair
+record's summary on synthetic runs."""
 
 import hashlib
 import importlib.util
