@@ -2,15 +2,15 @@
 """Alternating parent/change pairs of the benchmark, kept as one record.
 
     python3 scripts/bench_pairs.py --parent REV --out BENCH_name.json \\
-        [--pairs 10] [--seed 1] [--seconds S] [--workloads accuracy,naive,churn] \\
-        [--claim WORKLOAD:METRIC]
+        [--pairs 10] [--seed 1] [--seconds S] [--claim WORKLOAD:METRIC]
 
 The change is the checkout that holds this script; the parent is the commit
 ``REV``, exported with ``git archive`` under ``.bench_out/pairs/``.  For each
-workload, pair i runs each tree's own ``bench/run.py --trace 0`` at seed
-``--seed`` + i for ``--seconds`` (by default ``run_seconds`` of
-BENCHMARK.json), the parent first in even pairs and the change first in odd
-ones, so that drift of the host's speed falls on both sides alike.
+workload of BENCHMARK.json, pair i runs each tree's own ``bench/run.py
+--trace 0`` at seed ``--seed`` + i for ``--seconds`` (by default
+``run_seconds`` of BENCHMARK.json), the parent first in even pairs and the
+change first in odd ones, so that drift of the host's speed falls on both
+sides alike.
 
 A pair is rejected when the two sides' trace sha256 values differ, or when
 either side's run failed: a run is a pure function of (scenario, seed), so
@@ -156,20 +156,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="the first pair's seed")
     parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
-    parser.add_argument("--workloads", default=",".join(w["name"] for w in benchmark["workloads"]))
     parser.add_argument("--claim", help="WORKLOAD:METRIC, a claimed gain to check")
     args = parser.parse_args(argv)
     metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
-    workloads = args.workloads.split(",")
+    workloads = [w["name"] for w in benchmark["workloads"]]
     claim = tuple(args.claim.split(":", 1)) if args.claim else None
     if args.pairs < 1:
         parser.error(f"--pairs: must be >= 1, got {args.pairs}")
-    known = [w["name"] for w in benchmark["workloads"]]
-    if not set(workloads) <= set(known):
-        parser.error(f"--workloads: each must be one of {known}, got {args.workloads!r}")
     if claim is not None and (len(claim) != 2 or claim[0] not in workloads
                               or claim[1] not in metrics):
-        parser.error(f"--claim: must be one of the workloads run and an end-to-end "
+        parser.error(f"--claim: must be a workload and an end-to-end "
                      f"metric, got {args.claim!r}")
     # Checked before the runs, which take minutes, rather than at the write.
     if not args.out.parent.is_dir():
