@@ -2,15 +2,14 @@
 """Alternating parent/change pairs of the benchmark, kept as one record.
 
     python3 scripts/bench_pairs.py --parent REV --out BENCH_name.json \\
-        [--pairs 10] [--seed 1] [--seconds S] [--claim WORKLOAD:METRIC]
+        [--pairs 10] [--seed 1] [--claim WORKLOAD:METRIC]
 
 The change is the checkout that holds this script; the parent is the commit
 ``REV``, exported with ``git archive`` under ``.bench_out/pairs/``.  For each
 workload of BENCHMARK.json, pair i runs each tree's own ``bench/run.py
---trace 0`` at seed ``--seed`` + i for ``--seconds`` (by default
-``run_seconds`` of BENCHMARK.json), the parent first in even pairs and the
-change first in odd ones, so that drift of the host's speed falls on both
-sides alike.
+--trace 0`` at seed ``--seed`` + i for ``run_seconds`` of BENCHMARK.json,
+the parent first in even pairs and the change first in odd ones, so that
+drift of the host's speed falls on both sides alike.
 
 A pair is rejected when the two sides' trace sha256 values differ, or when
 either side's run failed: a run is a pure function of (scenario, seed), so
@@ -20,10 +19,11 @@ end-to-end metric of BENCHMARK.json over the accepted pairs, each side's
 median and quartiles (numpy's linear 25th and 75th percentiles), the ratio
 of the medians, the parent's interquartile range and the pairs in which the
 change reads lower.  ``claim`` applies the rule of a claimed gain to one
-workload's metric: the change is better in at least nine tenths of the
-pairs run, ties counting for neither, its median is better than the
-parent's by more than the parent's interquartile range, and no pair was
-rejected.
+workload's metric: at least ten pairs ran and none was rejected, the
+change is better in at least nine tenths of them, ties counting for
+neither, its median is better than the parent's by more than the parent's
+interquartile range, and its runs failed no more operations than the
+parent's.
 """
 
 from __future__ import annotations
@@ -144,7 +144,9 @@ def summarize(runs: list[dict], metrics: dict[str, str],
         "parent_median": m["parent_median"], "change_median": m["change_median"],
         "ratio": m["ratio"], "change_better_pairs": better, "pairs": m["pairs"],
         "median_gap": gap, "parent_iqr": m["parent_iqr"],
-        "met": entry["traces_match"] and 10 * better >= 9 * m["pairs"] and gap > m["parent_iqr"],
+        "met": (entry["traces_match"] and m["pairs"] >= 10 and 10 * better >= 9 * m["pairs"]
+                and gap > m["parent_iqr"]
+                and entry["failed"]["change"] <= entry["failed"]["parent"]),
     }
 
 
@@ -155,10 +157,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="the first pair's seed")
-    parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
     parser.add_argument("--claim", help="WORKLOAD:METRIC, a claimed gain to check")
     args = parser.parse_args(argv)
     metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
     workloads = [w["name"] for w in benchmark["workloads"]]
     claim = tuple(args.claim.split(":", 1)) if args.claim else None
     if args.pairs < 1:
@@ -183,12 +185,12 @@ def main(argv: list[str] | None = None) -> int:
             for side in order:
                 run = {"side": side, "workload": workload, "seed": seed, "pair": pair,
                        "first": order[0]}
-                run |= run_side(trees[side], workload, seed, args.seconds)
+                run |= run_side(trees[side], workload, seed, seconds)
                 runs.append(run)
                 print(json.dumps(run), flush=True)
     summary, verdict = summarize(runs, metrics, claim)
     record = {
-        "what": (f"bench/run.py --trace 0 --seconds {args.seconds:g}, {args.pairs} "
+        "what": (f"bench/run.py --trace 0 --seconds {seconds:g}, {args.pairs} "
                  f"alternating parent/change pairs per workload on seeds {args.seed}-"
                  f"{args.seed + args.pairs - 1}; parent {args.parent} ({trees['parent'].name}), "
                  f"change the checkout at {change}. Metric values are each run's medians "

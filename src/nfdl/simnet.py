@@ -738,7 +738,9 @@ class Simulator:
     kind rank) with ranks crash < recover < timer < send < deliver, then by
     push order.  All deliveries of one send share the push order after that
     of the tick it files next; they go to distinct receivers, so they never
-    tie, and deliveries of different sends that tie keep send order.
+    tie, and deliveries of different sends that tie keep send order.  Timer
+    entries take order 0: a process has one live timer entry, told from its
+    stale ones by identity, so no order is needed to place it.
     Timer-before-deliver makes a heartbeat that lands exactly on its
     freshness deadline count as late, the monitors' strict "arrived before
     the deadline" reading.
@@ -932,10 +934,8 @@ class Simulator:
                         # node just set re-files itself when it pops (see below).
                         pending = pendings[pid]
                         if pending is None or deadline < pending[0]:
-                            order = self._pushes
-                            self._pushes = order + 1
                             pendings[pid] = entry = (
-                                deadline if deadline > time else time, pid, _TIMER, order, None
+                                deadline if deadline > time else time, pid, _TIMER, 0, None
                             )
                             heappush(heap, entry)
                         continue
@@ -1050,9 +1050,8 @@ class Simulator:
                         if deadline is None:
                             pendings[pid] = None
                             continue
-                    # File the entry again at the earliest deadline, under its
-                    # order, which no other entry holds.
-                    pendings[pid] = entry = (deadline, pid, _TIMER, order, None)
+                    # File the entry again at the earliest deadline.
+                    pendings[pid] = entry = (deadline, pid, _TIMER, 0, None)
                     heappush(heap, entry)
                     continue
                 elif rank == _CRASH:
@@ -1110,7 +1109,8 @@ class Simulator:
         if deadline is not None:
             # A starting process has no timer pending (none has been filed,
             # or its crash cleared it), and its start-up deadline lies ahead.
-            self._pending[pid] = self._push(deadline, pid, _TIMER, None)
+            self._pending[pid] = entry = (deadline, pid, _TIMER, 0, None)
+            heapq.heappush(self._heap, entry)
 
     # -- output changes ----------------------------------------------------
 

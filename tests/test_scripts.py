@@ -215,3 +215,13 @@ def test_bench_pairs_summary_applies_the_claim_rule():
     summary, claim = summarize(paired_runs("naive", change, parent), {"wall_norm_s": "higher"},
                                claimed)
     assert claim["change_better_pairs"] == 9 and claim["met"]
+    # Fewer than ten pairs decide no claim, however clear: one lower pair here.
+    summary, claim = summarize(paired_runs("naive", parent[:1], change[:1]), metrics, claimed)
+    assert claim["change_better_pairs"] == 1 and claim["pairs"] == 1 and not claim["met"]
+    # Nor does a change whose runs failed more operations than the parent's.
+    runs = paired_runs("naive", parent, change)
+    runs[1]["failed"] = 1
+    summary, claim = summarize(runs, metrics, claimed)
+    assert summary["naive"]["failed"] == {"parent": 0, "change": 1} and not claim["met"]
+    runs[0]["failed"] = 1
+    assert summarize(runs, metrics, claimed)[1]["met"]
