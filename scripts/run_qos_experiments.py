@@ -5,22 +5,24 @@ Accuracy: 6 fail-free one-hour runs on the measured lossy network; reports
 per-monitor mistake rates and durations.  Speed: 10 crash-recovery cycles of
 a pinned high-priority leader; reports detection and recovery-detection
 times.  Artifacts (traces, per-run metrics CSVs, pooled summary CSV, text
-report) land in the output directory.  Each run streams its trace to disk
-as it goes, so it holds no event list.  An accuracy run with no true leader
-(too short to elect one) keeps its trace but gets no metrics CSV and stays
-out of the pooled summary.  A bad flag value exits 2 naming the scenario
-key it sets, or the flag for a count below 1 or an --accuracy-hours with
-no finite duration, before anything is written; an output directory that
-cannot be made exits 1.  Both print one ``error:`` line, as ``nfdl`` does.
+report) land in the output directory, written by ``nfdl run``'s driver,
+``experiments.run_and_score``, which streams each trace to disk as it goes,
+so a run holds no event list.  An accuracy run with no true leader (too
+short to elect one) keeps its trace but gets no metrics CSV and stays out
+of the pooled summary.  A bad flag value exits 2 naming the scenario key it
+sets, or the flag for a count below 1 or an --accuracy-hours with no finite
+duration, before anything is written; the accuracy runs' seeds are
+consecutive, so only the first and the last are checked.  An output
+directory that cannot be made exits 1.  Both print one ``error:`` line, as
+``nfdl`` does.
 """
 
 import math
 import time
 from pathlib import Path
 
-from nfdl import qos, simnet
+from nfdl import experiments, qos, simnet
 from nfdl.cli import Parser, exit_code
-from nfdl.experiments import REQUIREMENTS, accuracy_scenario, speed_scenario
 
 
 def main() -> int:
@@ -42,48 +44,37 @@ def main() -> int:
             "--accuracy-hours", f"must be finite in ms, got {args.accuracy_hours!r}"
         )
     duration = int(duration_ms)
-    accuracy = [accuracy_scenario(args.seed + rep, duration=duration)
-                for rep in range(args.accuracy_reps)]
-    speed = speed_scenario(args.seed, cycles=args.speed_cycles)
-    for scenario in (*accuracy, speed):  # checked before anything is written
-        scenario.validate()
-    args.out.mkdir(parents=True, exist_ok=True)
-    reqs = simnet.load(qos.QosRequirements, REQUIREMENTS)
+    # Both run sets are checked here, before anything is written.
+    accuracy = experiments.run_and_score(args.out, args.accuracy_reps, lambda rep: (
+        experiments.accuracy_scenario(args.seed + rep, duration=duration),
+        f"accuracy_trace_{rep:03d}.log", f"accuracy_metrics_{rep:03d}.csv"))
+    speed = experiments.run_and_score(args.out, 1, lambda _: (
+        experiments.speed_scenario(args.seed, cycles=args.speed_cycles),
+        "speed_trace.log", "speed_metrics.csv"))
+    reqs = simnet.load(qos.QosRequirements, experiments.REQUIREMENTS)
     reports = []
 
-    for rep, scenario in enumerate(accuracy):
-        t0 = time.monotonic()
-        trace = simnet.stream_run(scenario, args.out / f"accuracy_trace_{rep:03d}.log")
-        try:
-            report = qos.build_report(trace)
-        except qos.NoTrueLeaderError as exc:
-            # As `nfdl run` does: the trace stays, the run is not scored.
-            print(f"accuracy rep {rep}: seed={scenario.seed} not scored: {exc}")
-            continue
-        reports.append(report)
-        qos.write_lines(
-            qos.metrics_csv_lines(report), args.out / f"accuracy_metrics_{rep:03d}.csv"
-        )
-        mistakes = sum(len(m.mistake_times) for m in report.monitors)
-        print(
-            f"accuracy rep {rep}: seed={scenario.seed} "
-            f"mistakes={mistakes} wall={time.monotonic() - t0:.1f}s"
-        )
-
     t0 = time.monotonic()
-    trace = simnet.stream_run(speed, args.out / "speed_trace.log")
-    speed_report = qos.build_report(trace)
+    for rep, report in enumerate(accuracy):
+        if isinstance(report, qos.NoTrueLeaderError):
+            # As `nfdl run` does: the trace stays, the run is not scored.
+            print(f"accuracy rep {rep}: seed={args.seed + rep} not scored: {report}")
+        else:
+            reports.append(report)
+            mistakes = sum(len(m.mistake_times) for m in report.monitors)
+            print(f"accuracy rep {rep}: seed={args.seed + rep} "
+                  f"mistakes={mistakes} wall={time.monotonic() - t0:.1f}s")
+        t0 = time.monotonic()
+
+    [speed_report] = speed
     reports.append(speed_report)
-    qos.write_lines(qos.metrics_csv_lines(speed_report), args.out / "speed_metrics.csv")
     samples = [s for m in speed_report.monitors for s in m.detection_present]
     print(
         f"speed: {args.speed_cycles} cycles, {len(samples)} detection samples, "
         f"wall={time.monotonic() - t0:.1f}s"
     )
 
-    qos.write_lines(qos.summary_csv_lines(reports, reqs), args.out / "summary.csv")
-    qos.write_lines(qos.text_report_lines(reports, reqs), args.out / "report.txt")
-
+    experiments.write_summary(args.out, reports, reqs)
     print("\nquartile summary (pooled over monitors and runs):")
     for line in qos.summary_csv_lines(reports, reqs):
         print(" ", line.replace(",", "\t"))

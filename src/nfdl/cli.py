@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``run`` - simulate a scenario from a file or from inline flags, never both;
-  write trace files and metric CSVs, one repetition per seed offset.
+  write trace files and metric CSVs, one repetition per seed offset, through
+  ``experiments.run_and_score``, the driver the QoS campaign script shares.
 * ``compare-cost`` - measure steady-state heartbeats per interval for the
   single-leader protocol and the all-pairs baseline against their analytic
   predictions.
@@ -32,7 +33,7 @@ from pathlib import Path
 
 from . import experiments, qos, simnet
 from .protocol import ProtocolConfig
-from .stable_store import ClockRewindError, FileStore, StorageError
+from .stable_store import ClockRewindError, StorageError
 
 
 class Parser(argparse.ArgumentParser):
@@ -120,37 +121,17 @@ def cmd_run(args) -> int:
     scenario = _scenario_from_args(args)
     if args.reps < 1:
         raise simnet.ScenarioError("--reps", f"must be >= 1, got {args.reps}")
-    # Check the last repetition's seed too before anything is written.
-    replace(scenario, seed=scenario.seed + args.reps - 1).validate()
+    results = experiments.run_and_score(args.out, args.reps, lambda rep: (
+        replace(scenario, seed=scenario.seed + rep), f"trace_{rep:03d}.log",
+        f"metrics_{rep:03d}.csv" if args.format != "txt" else None), args.state_dir)
     # Any requirement flag adds the reports' bound columns; the suite's
     # operating point supplies the requirements not given.
     given = _requirement_keys(args)
     reqs = (simnet.load(qos.QosRequirements, {**experiments.REQUIREMENTS, **given})
             if given else None)
-    # The repetitions share one state dir, opened before --out is made.
-    store = FileStore(args.state_dir) if args.state_dir else None
-    out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    reports = []
-    for rep in range(args.reps):
-        rep_scenario = replace(scenario, seed=scenario.seed + rep)
-        trace = simnet.stream_run(rep_scenario, out / f"trace_{rep:03d}.log", store=store)
-        try:
-            report = qos.build_report(trace)
-        except qos.NoTrueLeaderError:
-            report = None
-        if report is not None:
-            reports.append(report)
-            if args.format in ("csv", "both"):
-                qos.write_lines(
-                    qos.metrics_csv_lines(report), out / f"metrics_{rep:03d}.csv"
-                )
-    if reports:
-        if args.format in ("csv", "both"):
-            qos.write_lines(qos.summary_csv_lines(reports, reqs), out / "summary.csv")
-        if args.format in ("txt", "both"):
-            qos.write_lines(qos.text_report_lines(reports, reqs), out / "report.txt")
-    print(f"wrote {args.reps} trace(s) and {len(reports)} metric report(s) to {out}")
+    reports = [report for report in results if isinstance(report, qos.MetricsReport)]
+    experiments.write_summary(args.out, reports, reqs, args.format)
+    print(f"wrote {args.reps} trace(s) and {len(reports)} metric report(s) to {args.out}")
     return 0
 
 

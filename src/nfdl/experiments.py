@@ -19,13 +19,23 @@ and the all-pairs reduction, next to their analytic predictions, as each run
 hands its trace lines on, so it keeps no trace;
 ``nfdl compare-cost`` and ``scripts/sweep_message_cost.py`` print its rows
 as one table, ``COST_TABLE_HEADER`` over ``cost_table_row`` lines.
+
+``run_and_score`` is the one run-and-score driver, which ``nfdl run`` and
+``scripts/run_qos_experiments.py`` call: it checks a set of runs at
+consecutive seeds before anything is written, then streams, scores and
+writes each run's trace and metrics CSV in turn, yielding its report;
+``write_summary`` writes the pooled ``summary.csv`` and ``report.txt``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
+from pathlib import Path
+
+from . import qos, simnet
 from .protocol import ProtocolConfig, naive_reduction_cost
-from .qos import send_times
 from .simnet import FaultEvent, NetworkModel, Scenario, ScenarioError, Simulator
+from .stable_store import FileStore
 
 # Operating point used throughout the measurement suite.
 ETA_MS = 330
@@ -155,7 +165,7 @@ def _sends_within(scenario: Scenario, start: int, end: int) -> int:
 
     def count(batch: str) -> None:
         nonlocal sends
-        sends += sum(start <= t < end for t in send_times(batch.split("\n")))
+        sends += sum(start <= t < end for t in qos.send_times(batch.split("\n")))
 
     Simulator(scenario, sink=count).run()
     return sends
@@ -165,3 +175,51 @@ def cost_table_row(row: dict) -> str:
     """One ``measure_cost`` row as a line of the printed cost table."""
     return (f"{row['algorithm']:<18}{row['procs']:>6}"
             f"{row['predicted_per_eta']:>15}{row['measured_per_eta']:>14g}")
+
+
+def run_and_score(
+    out: Path, count: int, run: Callable[[int], tuple[Scenario, str, str | None]],
+    state_dir: Path | None = None,
+) -> Iterator[qos.MetricsReport | qos.NoTrueLeaderError]:
+    """Run and score ``count`` runs at consecutive seeds, ``run(i)`` building
+    the i-th as ``(scenario, trace name, metrics CSV name or None)`` only
+    when it is checked or started.
+
+    The runs differ in their seed alone, so checking the first and the last
+    checks them all: that happens now, raising the ``ScenarioError``, and
+    the iterator returned runs them in order.  Nothing is written until the
+    first run is asked for; the iterator then opens ``state_dir``'s store,
+    which the runs share, makes ``out``, and for each run streams its trace
+    into ``out`` (``simnet.stream_run``), scores it (``qos.build_report``),
+    writes its metrics CSV if it names one, and yields its report.  A run
+    with no true leader keeps its trace, is not scored, and yields the
+    ``NoTrueLeaderError`` that says why."""
+    run(0)[0].validate()
+    run(count - 1)[0].validate()
+    return _run_and_score(out, map(run, range(count)), state_dir)
+
+
+def _run_and_score(out, runs, state_dir):
+    store = FileStore(state_dir) if state_dir else None
+    out.mkdir(parents=True, exist_ok=True)
+    for scenario, trace_name, metrics_name in runs:
+        trace = simnet.stream_run(scenario, out / trace_name, store=store)
+        try:
+            report = qos.build_report(trace)
+        except qos.NoTrueLeaderError as exc:
+            yield exc
+            continue
+        if metrics_name:
+            qos.write_lines(qos.metrics_csv_lines(report), out / metrics_name)
+        yield report
+
+
+def write_summary(out: Path, reports: list[qos.MetricsReport],
+                  reqs: qos.QosRequirements | None, fmt: str = "both") -> None:
+    """Write the pooled ``summary.csv`` (``fmt`` "csv" or "both") and
+    ``report.txt`` ("txt" or "both") of ``reports`` into ``out``; with no
+    reports, nothing."""
+    if reports and fmt != "txt":
+        qos.write_lines(qos.summary_csv_lines(reports, reqs), out / "summary.csv")
+    if reports and fmt != "csv":
+        qos.write_lines(qos.text_report_lines(reports, reqs), out / "report.txt")

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nfdl import simnet
@@ -1323,6 +1323,14 @@ def reference_scenarios(draw):
 
 
 @given(reference_scenarios())
+# A delivery moves process 2's deadline to 86 ms, earlier than its pending
+# timer entry: a queue that files a new entry only when none is pending
+# skips that timer_fire, whatever the hypothesis seed draws.
+@example(scenario(
+    n_processes=3, algorithm="naive-reduction", duration=100, seed=0,
+    config=ProtocolConfig(eta=20, alpha=0, window_n=2),
+    network=NetworkModel(loss_prob=0.0, delay_mean=16, delay_var=81, delay_dist="uniform"),
+))
 @settings(max_examples=200, deadline=None)
 def test_the_simulator_matches_the_naive_reference(sc):
     # The simulator's queue (lazy timer re-files, per-instant delivery runs,
